@@ -26,7 +26,7 @@ from .numerics import (
     parse_scalar,
     pochhammer,
 )
-from .recurrence_core import ComboSpec, RecurrenceSpec, run, run_combo
+from .recurrence_core import ComboSpec, RecurrenceSpec, run
 from .series_oracle import (
     CoeffStream,
     Elementary,
@@ -61,7 +61,6 @@ __all__ = [
     "RecurrenceSpec",
     "ComboSpec",
     "run",
-    "run_combo",
     "CoeffStream",
     "Elementary",
     "cauchy_product",

@@ -21,6 +21,7 @@ from .families import (
     build,
     get_family,
     list_families,
+    params_snapshot,
 )
 from .numerics import (
     BackendMismatchError,
@@ -33,7 +34,7 @@ from .numerics import (
     format_scalar,
     get_backend,
 )
-from .recurrence_core import ComboSpec, run, run_combo
+from .recurrence_core import run
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -45,7 +46,12 @@ _PARAM_FLAGS = ("a", "b", "c", "p", "theta")
 
 def _add_param_flags(sub):
     for name in _PARAM_FLAGS:
-        sub.add_argument(f"--{name}", default=None, metavar="SCALAR")
+        sub.add_argument(
+            f"--{name}",
+            default=None,
+            metavar="SCALAR",
+            help=f"N, N/D or RE+IMi; write a negative value as --{name}=-3/4",
+        )
 
 
 def _parse_params(args, bk) -> Params:
@@ -54,17 +60,6 @@ def _parse_params(args, bk) -> Params:
         raw = getattr(args, name)
         fields[name] = None if raw is None else bk.parse(raw)
     return Params(**fields)
-
-
-def _run_family(family_id, params, bk):
-    spec = build(family_id, params, bk)
-    return spec
-
-
-def _stream(spec, N):
-    if isinstance(spec, ComboSpec):
-        return run_combo(spec, N)
-    return run(spec, N)
 
 
 def _decompose_exact(value):
@@ -104,8 +99,7 @@ def cmd_coeffs(args) -> int:
     if args.count < 1:
         raise ParameterDomainError("--count must be at least 1")
     params = _parse_params(args, bk)
-    spec = _run_family(args.family, params, bk)
-    stream = _stream(spec, args.count - 1)
+    stream = run(build(args.family, params, bk), args.count - 1)
     if args.normalized:
         half_pi = bk.half_pi()
         coeffs = tuple(v / half_pi for v in stream.coeffs)
@@ -116,7 +110,7 @@ def cmd_coeffs(args) -> int:
         doc = {
             "family": info.id,
             "base": info.base,
-            "params": {k: v for k, v in _snapshot(params, bk)},
+            "params": dict(params_snapshot(params, bk)),
             "backend": bk.name,
             "normalized": bool(args.normalized),
             "coeffs": records,
@@ -131,19 +125,13 @@ def cmd_coeffs(args) -> int:
     return EXIT_OK
 
 
-def _snapshot(params: Params, bk):
-    return tuple((k, bk.format(getattr(params, k))) for k in params.present())
-
-
-def _numeric_radius(info, params, bk) -> float:
+def _numeric_radius(info, params) -> float:
+    """The disc radius as a number; "1/|theta|" and "1/|p|" read the f64 params."""
     if info.radius == "entire":
         return float("inf")
     if info.radius == "1":
         return 1.0
-    theta = params.theta
-    t = abs(complex(theta)) if not isinstance(theta, (GaussianRational, PiLinear)) else abs(
-        complex(float(theta.re), float(theta.im))
-    )
+    t = abs(getattr(params, info.radius[3:-1]))
     return float("inf") if t == 0 else 1.0 / t
 
 
@@ -154,9 +142,8 @@ def cmd_eval(args) -> int:
         raise ParameterDomainError("--count must be nonnegative")
     params = _parse_params(args, bk)
     z = bk.parse(args.z)
-    spec = _run_family(args.family, params, bk)
-    stream = _stream(spec, args.count)
-    radius = _numeric_radius(info, params, bk)
+    stream = run(build(args.family, params, bk), args.count)
+    radius = _numeric_radius(info, params)
     if abs(z) >= radius:
         print(
             f"warning: |z| = {abs(z):.6g} is outside the stated disc "

@@ -9,11 +9,19 @@ derived by D-finite closure (``scripts/derive_arcsin_M_row.py`` rebuilds and
 checks it).  Nothing is derived from the convolution oracle, so
 :mod:`macprod.verify` can use the oracle as an independent referee.
 
-The exact backend always steps the catalogued recurrence.  In f64 the
-high-order singles (sin/cos/sinh/cosh over every base, arcsin-M, arccos-M)
-would amplify roundoff along parasitic solutions, so their f64 requests are
-served by stable formulations: two exponential branches for the trig/hyp
-products, coupled first-order recurrences for the inverse-sine products.
+Since sinh(pz), cosh(pz) = (e^(pz) -+ e^(-pz))/2 and sin(pz), cos(pz) =
+(e^(ipz) -+ e^(-ipz))/(2i or 2), every sin/cos/sinh/cosh product is the
+base's exp-X product at +q and at -q, combined entrywise, with q = ip for
+sin/cos and q = p for sinh/cosh.  The ``-combo`` ids are built that way
+from the exp-X seeds and row (``_mk_branches``); there are no separate
+branch tables.
+
+The exact backend steps the catalogued recurrence of every single id.  In
+f64 the high-order singles (sin/cos/sinh/cosh over every base, arcsin-M,
+arccos-M) would amplify roundoff along parasitic solutions, so their f64
+requests are served by stable formulations: the same exp-X branches for the
+trig/hyp products, coupled first-order recurrences for the inverse-sine
+products.
 
 Builders are pure and the returned specs are immutable; the row closures use
 only scalar arithmetic, which lets the f64 engine evaluate them over a whole
@@ -79,7 +87,7 @@ class FamilyInfo:
     formulation: str  # "single" | "combo"
     order: int
     start: int
-    radius: str  # "entire" | "1" | "1/|theta|"
+    radius: str  # "entire" | "1" | "1/|theta|" | "1/|p|"
     param_names: tuple
     c_excludes_2: bool = False
 
@@ -107,14 +115,18 @@ def _rising(x, m: int):
     return acc
 
 
-def _den_low(c):
+def _den_low(params):
+    c = params.c
+
     def factors(n):
         return (("n+1", n + 1), ("c+n", c + n))
 
     return factors
 
 
-def _den_high(c):
+def _den_high(params):
+    c = params.c
+
     def factors(n):
         return (
             ("c-2", c - 2),
@@ -128,8 +140,11 @@ def _den_high(c):
     return factors
 
 
-def _den_elliptic(n):
-    return (("n", n), ("n+1", n + 1))
+def _den_elliptic(params):
+    def factors(n):
+        return (("n", n), ("n+1", n + 1))
+
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -147,32 +162,6 @@ def _exp_M_row(a, c, p):
         return ((a + c * p + 2 * n * p + n) / d, -(p * (p + 1)) / d)
 
     return row
-
-
-def _exp_M_branch_rows(a, c, p):
-    """The two exponential-type branches u (at +p) and v (at -p)."""
-
-    def row_u(n):
-        d = (n + 1) * (c + n)
-        return ((a + p * (c + 2 * n) + n) / d, -(p * (p + 1)) / d)
-
-    def row_v(n):
-        d = (n + 1) * (c + n)
-        return ((a - p * (c + 2 * n) + n) / d, -((p - 1) * p) / d)
-
-    return row_u, row_v
-
-
-def _trig_M_branch_rows(a, c, p, i):
-    def row_u(n):
-        d = (n + 1) * (c + n)
-        return ((a + i * p * (c + 2 * n) + n) / d, -(i * p - p * p) / d)
-
-    def row_v(n):
-        d = (n + 1) * (c + n)
-        return ((a - i * p * (c + 2 * n) + n) / d, (i * p + p * p) / d)
-
-    return row_u, row_v
 
 
 def _binom_M_seeds(a, c, p, th):
@@ -685,46 +674,6 @@ def _exp_F_row(a, b, c, p):
         return (b0, b1, b2)
 
     return row
-
-
-def _exp_F_branch_rows(a, b, c, p):
-    def row_u(n):
-        d = (n + 1) * (c + n)
-        return (
-            ((a + n) * (b + n) + p * (c + 2 * n)) / d,
-            -p * (a + b + 2 * n + p - 1) / d,
-            p * p / d,
-        )
-
-    def row_v(n):
-        d = (n + 1) * (c + n)
-        return (
-            ((a + n) * (b + n) - p * (c + 2 * n)) / d,
-            p * (a + b + 2 * n - p - 1) / d,
-            p * p / d,
-        )
-
-    return row_u, row_v
-
-
-def _trig_F_branch_rows(a, b, c, p, i):
-    def row_u(n):
-        d = (n + 1) * (c + n)
-        return (
-            ((a + n) * (b + n) + i * p * (c + 2 * n)) / d,
-            p * (p - i * (a + b + 2 * n - 1)) / d,
-            -(p * p) / d,
-        )
-
-    def row_v(n):
-        d = (n + 1) * (c + n)
-        return (
-            ((a + n) * (b + n) - i * p * (c + 2 * n)) / d,
-            p * (p + i * (a + b + 2 * n - 1)) / d,
-            -(p * p) / d,
-        )
-
-    return row_u, row_v
 
 
 def _binom_F_seeds(a, b, c, p, th):
@@ -1862,7 +1811,8 @@ def _validate(info: FamilyInfo, params: Params):
             )
 
 
-def _snapshot(bk, params: Params):
+def params_snapshot(params: Params, bk):
+    """(name, formatted value) for every parameter that is set."""
     return tuple(
         (name, bk.format(getattr(params, name))) for name in params.present()
     )
@@ -1873,35 +1823,24 @@ def _meta(info: FamilyInfo, bk, params: Params):
         ("family", info.id),
         ("base", info.base),
         ("radius", info.radius),
-        ("params", _snapshot(bk, params)),
+        ("params", params_snapshot(params, bk)),
     )
 
 
-def _spec(info, bk, params, seeds, row, den):
+def _spec(info, bk, meta, seeds, row, den):
+    """A recurrence that steps right after its seeds; K and E seeds carry pi/2."""
+    if info.base in ("K", "E"):
+        seeds = [bk.half_pi() * bk.coerce(s) for s in seeds]
+    k = len(seeds) - 1
     return RecurrenceSpec(
-        order=info.order,
-        start=info.start,
+        order=k,
+        start=k,
         seeds=tuple(bk.coerce(s) for s in seeds),
         row=row,
-        backend=bk.name,
-        meta=_meta(info, bk, params),
-        den_factors=den,
-    )
-
-
-def _combo(info, bk, params, seeds_u, row_u, seeds_v, row_v, combiner, den):
-    # every branch recurrence starts right after its seeds: start = order
-    meta = _meta(info, bk, params)
-    branch = lambda seeds, rowfn: RecurrenceSpec(
-        order=len(seeds) - 1,
-        start=len(seeds) - 1,
-        seeds=tuple(bk.coerce(s) for s in seeds),
-        row=rowfn,
         backend=bk.name,
         meta=meta,
         den_factors=den,
     )
-    return ComboSpec(branch(seeds_u, row_u), branch(seeds_v, row_v), combiner, meta)
 
 
 _REGISTRY: dict[str, FamilyInfo] = {}
@@ -1917,6 +1856,42 @@ def _register(info: FamilyInfo, builder: Callable):
 
 def _info(id, base, h, formulation, order, start, radius, names, c2=False):
     return FamilyInfo(id, base, h, formulation, order, start, radius, names, c2)
+
+
+def _mk(seeds_fn, row_fn, den):
+    """A single recurrence; ``seeds_fn`` and ``row_fn`` take the parameters in
+    ``info.param_names`` order, ``den`` takes the Params."""
+
+    def mk(info, params, bk):
+        args = [getattr(params, name) for name in info.param_names]
+        meta = _meta(info, bk, params)
+        return _spec(info, bk, meta, seeds_fn(*args), row_fn(*args), den(params))
+
+    return mk
+
+
+#: how the branches exp(+-pz) (sinh, cosh) or exp(+-ipz) (sin, cos) combine
+_COMBINER = {"sinh": "(u-v)/2", "cosh": "(u+v)/2", "sin": "(u-v)/(2i)", "cos": "(u+v)/2"}
+
+
+def _mk_branches(seeds_fn, row_fn, den):
+    """A sin/cos/sinh/cosh product as the exp-X product at +q and at -q,
+    combined entrywise: q = ip for sin and cos, q = p for sinh and cosh.
+
+    ``seeds_fn``, ``row_fn`` and ``den`` are those of the base's exp-X family.
+    """
+
+    def mk(info, params, bk):
+        meta = _meta(info, bk, params)
+        q = bk.imaginary_unit() * params.p if info.h in ("sin", "cos") else params.p
+
+        def branch(p):
+            args = [p if name == "p" else getattr(params, name) for name in info.param_names]
+            return _spec(info, bk, meta, seeds_fn(*args), row_fn(*args), den(params))
+
+        return ComboSpec(branch(q), branch(-q), _COMBINER[info.h], meta)
+
+    return mk
 
 
 def _f64_route(exact_builder, f64_builder):
@@ -1935,66 +1910,10 @@ def _f64_route(exact_builder, f64_builder):
     return mk
 
 
-#: how the branches exp(+-pz) (sinh, cosh) or exp(+-ipz) (sin, cos) combine
-_COMBINER = {"sinh": "(u-v)/2", "cosh": "(u+v)/2", "sin": "(u-v)/(2i)", "cos": "(u+v)/2"}
-
-
 # -- M base -----------------------------------------------------------------
 
 _M_P = ("a", "c", "p")
-_M_BINOM_P = ("a", "c", "p", "theta")
-
-
-def _mk_exp_M(info, params, bk):
-    a, c, p = params.a, params.c, params.p
-    return _spec(info, bk, params, _exp_M_seeds(a, c, p), _exp_M_row(a, c, p), _den_low(c))
-
-
-def _mk_hyp_combo_M(info, params, bk):
-    a, c, p = params.a, params.c, params.p
-    row_u, row_v = _exp_M_branch_rows(a, c, p)
-    return _combo(
-        info, bk, params,
-        [1, a / c + p], row_u,
-        [1, a / c - p], row_v,
-        _COMBINER[info.h], _den_low(c),
-    )
-
-
-def _mk_trig_combo_M(info, params, bk):
-    a, c, p = params.a, params.c, params.p
-    i = bk.imaginary_unit()
-    row_u, row_v = _trig_M_branch_rows(a, c, p, i)
-    return _combo(
-        info, bk, params,
-        [1, a / c + i * p], row_u,
-        [1, a / c - i * p], row_v,
-        _COMBINER[info.h], _den_low(c),
-    )
-
-
-def _mk_binom_M(info, params, bk):
-    a, c, p, th = params.a, params.c, params.p, params.theta
-    return _spec(
-        info, bk, params,
-        _binom_M_seeds(a, c, p, th), _binom_M_row(a, c, p, th), _den_low(c),
-    )
-
-
-def _mk_arctanexp_M(info, params, bk):
-    a, c, p = params.a, params.c, params.p
-    return _spec(
-        info, bk, params,
-        _arctanexp_M_seeds(a, c, p), _arctanexp_M_row(a, c, p), _den_low(c),
-    )
-
-
-def _mk_single_M(seeds_fn, row_fn):
-    def mk(info, params, bk):
-        a, c, p = params.a, params.c, params.p
-        return _spec(info, bk, params, seeds_fn(a, c, p), row_fn(a, c, p), _den_high(c))
-
-    return mk
+_M_BRANCHES = _mk_branches(_exp_M_seeds, _exp_M_row, _den_low)
 
 
 def _mk_arcsin_M_system(info, params, bk):
@@ -2006,169 +1925,73 @@ def _mk_arcsin_M_system(info, params, bk):
 
 def _mk_arccos_M(info, params, bk):
     a, c, p = params.a, params.c, params.p
-    pi = bk.half_pi() * 2
-    return _spec(
-        info, bk, params,
-        _arccos_M_seeds(a, c, p, pi), _arcsin_M_row(a, c, p), _den_high(c),
-    )
+    seeds = _arccos_M_seeds(a, c, p, bk.half_pi() * 2)
+    meta = _meta(info, bk, params)
+    return _spec(info, bk, meta, seeds, _arcsin_M_row(a, c, p), _den_high(params))
 
 
-_register(_info("exp-M", "M", "exp", "single", 1, 1, "entire", _M_P), _mk_exp_M)
 _register(
-    _info("sinh-M-combo", "M", "sinh", "combo", 1, 1, "entire", _M_P),
-    _mk_hyp_combo_M,
+    _info("exp-M", "M", "exp", "single", 1, 1, "entire", _M_P),
+    _mk(_exp_M_seeds, _exp_M_row, _den_low),
 )
+for _h in ("sinh", "cosh", "sin", "cos"):
+    _register(_info(f"{_h}-M-combo", "M", _h, "combo", 1, 1, "entire", _M_P), _M_BRANCHES)
 _register(
-    _info("cosh-M-combo", "M", "cosh", "combo", 1, 1, "entire", _M_P),
-    _mk_hyp_combo_M,
-)
-_register(
-    _info("sin-M-combo", "M", "sin", "combo", 1, 1, "entire", _M_P),
-    _mk_trig_combo_M,
-)
-_register(
-    _info("cos-M-combo", "M", "cos", "combo", 1, 1, "entire", _M_P),
-    _mk_trig_combo_M,
-)
-_register(
-    _info("binom-M", "M", "binom", "single", 2, 2, "1/|theta|", _M_BINOM_P),
-    _mk_binom_M,
+    _info("binom-M", "M", "binom", "single", 2, 2, "1/|theta|", _M_P + ("theta",)),
+    _mk(_binom_M_seeds, _binom_M_row, _den_low),
 )
 _register(
     _info("arctanexp-M", "M", "exp_arctan", "single", 4, 4, "entire", _M_P),
-    _mk_arctanexp_M,
+    _mk(_arctanexp_M_seeds, _arctanexp_M_row, _den_low),
+)
+for _h, _seeds, _row in (
+    ("sin", _sin_M_seeds, _sin_M_row),
+    ("cos", _cos_M_seeds, _sin_M_row),
+    ("sinh", _sinh_M_seeds, _sinh_M_row),
+    ("cosh", _cosh_M_seeds, _sinh_M_row),
+):
+    _register(
+        _info(f"{_h}-M", "M", _h, "single", 5, 5, "entire", _M_P, c2=True),
+        _f64_route(_mk(_seeds, _row, _den_high), _M_BRANCHES),
+    )
+_register(
+    _info("arcsin-M", "M", "arcsin", "single", 11, 11, "1/|p|", _M_P, c2=True),
+    _f64_route(_mk(_arcsin_M_seeds, _arcsin_M_row, _den_high), _mk_arcsin_M_system),
 )
 _register(
-    _info("sin-M", "M", "sin", "single", 5, 5, "entire", _M_P, c2=True),
-    _f64_route(_mk_single_M(_sin_M_seeds, _sin_M_row), _mk_trig_combo_M),
-)
-_register(
-    _info("cos-M", "M", "cos", "single", 5, 5, "entire", _M_P, c2=True),
-    _f64_route(_mk_single_M(_cos_M_seeds, _sin_M_row), _mk_trig_combo_M),
-)
-_register(
-    _info("sinh-M", "M", "sinh", "single", 5, 5, "entire", _M_P, c2=True),
-    _f64_route(_mk_single_M(_sinh_M_seeds, _sinh_M_row), _mk_hyp_combo_M),
-)
-_register(
-    _info("cosh-M", "M", "cosh", "single", 5, 5, "entire", _M_P, c2=True),
-    _f64_route(_mk_single_M(_cosh_M_seeds, _sinh_M_row), _mk_hyp_combo_M),
-)
-_register(
-    _info("arcsin-M", "M", "arcsin", "single", 11, 11, "entire", _M_P, c2=True),
-    _f64_route(_mk_single_M(_arcsin_M_seeds, _arcsin_M_row), _mk_arcsin_M_system),
-)
-_register(
-    _info("arccos-M", "M", "arccos", "single", 11, 11, "entire", _M_P, c2=True),
+    _info("arccos-M", "M", "arccos", "single", 11, 11, "1/|p|", _M_P, c2=True),
     _f64_route(_mk_arccos_M, _mk_arcsin_M_system),
 )
 
 # -- F base -----------------------------------------------------------------
 
 _F_P = ("a", "b", "c", "p")
-_F_BINOM_P = ("a", "b", "c", "p", "theta")
+_F_BRANCHES = _mk_branches(_exp_F_seeds, _exp_F_row, _den_low)
 
-
-def _mk_exp_F(info, params, bk):
-    a, b, c, p = params.a, params.b, params.c, params.p
-    return _spec(
-        info, bk, params, _exp_F_seeds(a, b, c, p), _exp_F_row(a, b, c, p), _den_low(c)
-    )
-
-
-def _mk_hyp_combo_F(info, params, bk):
-    a, b, c, p = params.a, params.b, params.c, params.p
-    row_u, row_v = _exp_F_branch_rows(a, b, c, p)
-    return _combo(
-        info, bk, params,
-        _exp_F_seeds(a, b, c, p), row_u,
-        [1, a * b / c - p,
-         a * (1 + a) * b * (1 + b) / (2 * c * (1 + c)) - a * b * p / c + p * p / 2],
-        row_v,
-        _COMBINER[info.h], _den_low(c),
-    )
-
-
-def _mk_trig_combo_F(info, params, bk):
-    a, b, c, p = params.a, params.b, params.c, params.p
-    i = bk.imaginary_unit()
-    row_u, row_v = _trig_F_branch_rows(a, b, c, p, i)
-    base2 = a * (a + 1) * b * (b + 1) / (2 * c * (c + 1)) - p * p / 2
-    return _combo(
-        info, bk, params,
-        [1, a * b / c + i * p, i * a * b * p / c + base2], row_u,
-        [1, a * b / c - i * p, -(i * a * b * p / c) + base2], row_v,
-        _COMBINER[info.h], _den_low(c),
-    )
-
-
-def _mk_binom_F(info, params, bk):
-    a, b, c, p, th = params.a, params.b, params.c, params.p, params.theta
-    return _spec(
-        info, bk, params,
-        _binom_F_seeds(a, b, c, p, th), _binom_F_row(a, b, c, p, th), _den_low(c),
-    )
-
-
-def _mk_arctanexp_F(info, params, bk):
-    a, b, c, p = params.a, params.b, params.c, params.p
-    return _spec(
-        info, bk, params,
-        _arctanexp_F_seeds(a, b, c, p), _arctanexp_F_row(a, b, c, p), _den_low(c),
-    )
-
-
-def _mk_single_F(seeds_fn, row_fn):
-    def mk(info, params, bk):
-        a, b, c, p = params.a, params.b, params.c, params.p
-        return _spec(
-            info, bk, params, seeds_fn(a, b, c, p), row_fn(a, b, c, p), _den_high(c)
-        )
-
-    return mk
-
-
-_register(_info("exp-F", "F", "exp", "single", 2, 2, "1", _F_P), _mk_exp_F)
 _register(
-    _info("sinh-F-combo", "F", "sinh", "combo", 2, 2, "1", _F_P),
-    _mk_hyp_combo_F,
+    _info("exp-F", "F", "exp", "single", 2, 2, "1", _F_P),
+    _mk(_exp_F_seeds, _exp_F_row, _den_low),
 )
+for _h in ("sinh", "cosh", "sin", "cos"):
+    _register(_info(f"{_h}-F-combo", "F", _h, "combo", 2, 2, "1", _F_P), _F_BRANCHES)
 _register(
-    _info("cosh-F-combo", "F", "cosh", "combo", 2, 2, "1", _F_P),
-    _mk_hyp_combo_F,
-)
-_register(
-    _info("sin-F-combo", "F", "sin", "combo", 2, 2, "1", _F_P),
-    _mk_trig_combo_F,
-)
-_register(
-    _info("cos-F-combo", "F", "cos", "combo", 2, 2, "1", _F_P),
-    _mk_trig_combo_F,
-)
-_register(
-    _info("binom-F", "F", "binom", "single", 2, 2, "1/|theta|", _F_BINOM_P),
-    _mk_binom_F,
+    _info("binom-F", "F", "binom", "single", 2, 2, "1/|theta|", _F_P + ("theta",)),
+    _mk(_binom_F_seeds, _binom_F_row, _den_low),
 )
 _register(
     _info("arctanexp-F", "F", "exp_arctan", "single", 4, 4, "1", _F_P),
-    _mk_arctanexp_F,
+    _mk(_arctanexp_F_seeds, _arctanexp_F_row, _den_low),
 )
-_register(
-    _info("sin-F", "F", "sin", "single", 9, 9, "1", _F_P, c2=True),
-    _f64_route(_mk_single_F(_sin_F_seeds, _sin_F_row), _mk_trig_combo_F),
-)
-_register(
-    _info("cos-F", "F", "cos", "single", 9, 9, "1", _F_P, c2=True),
-    _f64_route(_mk_single_F(_cos_F_seeds, _sin_F_row), _mk_trig_combo_F),
-)
-_register(
-    _info("sinh-F", "F", "sinh", "single", 9, 9, "1", _F_P, c2=True),
-    _f64_route(_mk_single_F(_sinh_F_seeds, _sinh_F_row), _mk_hyp_combo_F),
-)
-_register(
-    _info("cosh-F", "F", "cosh", "single", 9, 9, "1", _F_P, c2=True),
-    _f64_route(_mk_single_F(_cosh_F_seeds, _sinh_F_row), _mk_hyp_combo_F),
-)
+for _h, _seeds, _row in (
+    ("sin", _sin_F_seeds, _sin_F_row),
+    ("cos", _cos_F_seeds, _sin_F_row),
+    ("sinh", _sinh_F_seeds, _sinh_F_row),
+    ("cosh", _cosh_F_seeds, _sinh_F_row),
+):
+    _register(
+        _info(f"{_h}-F", "F", _h, "single", 9, 9, "1", _F_P, c2=True),
+        _f64_route(_mk(_seeds, _row, _den_high), _F_BRANCHES),
+    )
 
 # -- elliptic bases ---------------------------------------------------------
 
@@ -2185,34 +2008,14 @@ def _elliptic_abc(base, bk):
     return a, b, c
 
 
-def _mk_elliptic_literal(seeds_fn, row_fn, arity):
-    def mk(info, params, bk):
-        args = (params.p,) if arity == 1 else (params.p, params.theta)
-        seeds = [bk.half_pi() * bk.coerce(s) for s in seeds_fn(*args)]
-        return _spec(info, bk, params, seeds, row_fn(*args), _den_elliptic)
-
-    return mk
-
-
 def _mk_elliptic_inherited(seeds_fn, row_fn):
+    """An elliptic single whose seeds are those of the F family at (a, b, c)."""
+
     def mk(info, params, bk):
         a, b, c = _elliptic_abc(info.base, bk)
-        seeds = [bk.half_pi() * bk.coerce(s) for s in seeds_fn(a, b, c, params.p)]
-        return _spec(info, bk, params, seeds, row_fn(params.p), _den_elliptic)
-
-    return mk
-
-
-def _mk_elliptic_branches(seeds_fn, row_fn):
-    """An elliptic trig/hyp product as exp-K/exp-E branches at +-ip or +-p."""
-
-    def mk(info, params, bk):
-        q = bk.imaginary_unit() * params.p if info.h in ("sin", "cos") else params.p
-        u = [bk.half_pi() * bk.coerce(s) for s in seeds_fn(q)]
-        v = [bk.half_pi() * bk.coerce(s) for s in seeds_fn(-q)]
-        return _combo(
-            info, bk, params, u, row_fn(q), v, row_fn(-q), _COMBINER[info.h], _den_elliptic
-        )
+        seeds = seeds_fn(a, b, c, params.p)
+        meta = _meta(info, bk, params)
+        return _spec(info, bk, meta, seeds, row_fn(params.p), _den_elliptic(params))
 
     return mk
 
@@ -2226,47 +2029,30 @@ for _base in ("K", "E"):
     _atn_row = _arctanexp_K_row if _base == "K" else _arctanexp_E_row
     _trig_row = _trig_K_row if _base == "K" else _trig_E_row
     _hyp_row = _hyp_K_row if _base == "K" else _hyp_E_row
+    _branches = _mk_branches(_exp_seeds, _exp_row, _den_elliptic)
 
     _register(
         _info(f"exp-{_base}", _base, "exp", "single", 2, 2, "1", ("p",)),
-        _mk_elliptic_literal(_exp_seeds, _exp_row, 1),
+        _mk(_exp_seeds, _exp_row, _den_elliptic),
     )
     _register(
         _info(f"binom-{_base}", _base, "binom", "single", 2, 2, "1/|theta|", ("p", "theta")),
-        _mk_elliptic_literal(_bin_seeds, _bin_row, 2),
+        _mk(_bin_seeds, _bin_row, _den_elliptic),
     )
     _register(
         _info(f"arctanexp-{_base}", _base, "exp_arctan", "single", 4, 4, "1", ("p",)),
-        _mk_elliptic_literal(_atn_seeds, _atn_row, 1),
+        _mk(_atn_seeds, _atn_row, _den_elliptic),
     )
-    _register(
-        _info(f"sin-{_base}", _base, "sin", "single", 9, 9, "1", ("p",)),
-        _f64_route(
-            _mk_elliptic_inherited(_sin_F_seeds, _trig_row),
-            _mk_elliptic_branches(_exp_seeds, _exp_row),
-        ),
-    )
-    _register(
-        _info(f"cos-{_base}", _base, "cos", "single", 9, 9, "1", ("p",)),
-        _f64_route(
-            _mk_elliptic_inherited(_cos_F_seeds, _trig_row),
-            _mk_elliptic_branches(_exp_seeds, _exp_row),
-        ),
-    )
-    _register(
-        _info(f"sinh-{_base}", _base, "sinh", "single", 9, 9, "1", ("p",)),
-        _f64_route(
-            _mk_elliptic_inherited(_sinh_F_seeds, _hyp_row),
-            _mk_elliptic_branches(_exp_seeds, _exp_row),
-        ),
-    )
-    _register(
-        _info(f"cosh-{_base}", _base, "cosh", "single", 9, 9, "1", ("p",)),
-        _f64_route(
-            _mk_elliptic_inherited(_cosh_F_seeds, _hyp_row),
-            _mk_elliptic_branches(_exp_seeds, _exp_row),
-        ),
-    )
+    for _h, _seeds, _row in (
+        ("sin", _sin_F_seeds, _trig_row),
+        ("cos", _cos_F_seeds, _trig_row),
+        ("sinh", _sinh_F_seeds, _hyp_row),
+        ("cosh", _cosh_F_seeds, _hyp_row),
+    ):
+        _register(
+            _info(f"{_h}-{_base}", _base, _h, "single", 9, 9, "1", ("p",)),
+            _f64_route(_mk_elliptic_inherited(_seeds, _row), _branches),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -2289,7 +2075,8 @@ def get_family(family_id: str) -> FamilyInfo:
         ) from None
 
 
-def _conform(params, bk) -> Params:
+def conform_params(params, bk) -> Params:
+    """``params`` (a Params or a plain dict) with every set value coerced by ``bk``."""
     if isinstance(params, dict):
         params = Params(**params)
     fields = {}
@@ -2308,7 +2095,7 @@ def build(family_id: str, params, backend="exact"):
     """
     bk = get_backend(backend)
     info = get_family(family_id)
-    pp = _conform(params, bk)
+    pp = conform_params(params, bk)
     _validate(info, pp)
     return _BUILDERS[family_id](info, pp, bk)
 

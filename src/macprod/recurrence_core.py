@@ -5,18 +5,19 @@ for n >= n0, started from the seed values u[0..n0].  The engine keeps the
 evaluation order fixed (i ascending), so repeated runs are bit-identical in
 both backends.
 
-The f64 path evaluates the coefficient rows for all steps at once (the row
-closures are plain arithmetic, so they broadcast over an index vector) and
-hands the sequential stepping to the kernel layer.
+The f64 path evaluates the coefficient rows for all steps at once and hands
+the sequential stepping to the kernel layer, so an f64 row closure must
+broadcast over an index vector: plain arithmetic on n does.
 
-A :class:`SystemSpec` steps several coupled sequences together instead; the
+A :class:`ComboSpec` combines two recurrence branches entrywise.  A
+:class:`SystemSpec` steps several coupled sequences together instead; the
 f64 backend serves products whose single recurrence is unstable in floats
 that way.
 
-``run`` accepts every spec kind and dispatches on it.  ``run`` and
-``run_combo`` are pure functions over immutable specs; concurrent runs are
-safe.  A single run is inherently sequential (each step consumes the previous
-k+1 values), so no internal parallelism is attempted.
+``run`` is the one entry point: it accepts every spec kind and dispatches on
+it.  It is a pure function over immutable specs; concurrent runs are safe.
+A single run is inherently sequential (each step consumes the previous k+1
+values), so no internal parallelism is attempted.
 """
 
 from __future__ import annotations
@@ -146,18 +147,10 @@ def _run_f64(spec: RecurrenceSpec, N: int) -> list:
     if N > n0:
         ns = np.arange(n0, N, dtype=np.float64)
         rows = np.empty((N - n0, k + 1), dtype=np.complex128)
-        try:
-            with np.errstate(all="ignore"):
-                raw = spec.row(ns)
-            for i in range(k + 1):
-                rows[:, i] = raw[i]
-        except Exception:
-            # row closure not vectorisable; evaluate one index at a time
-            for j, n in enumerate(range(n0, N)):
-                try:
-                    rows[j, :] = spec.row(n)
-                except ZeroDivisionError as exc:
-                    _singular(spec, n, exc)
+        with np.errstate(all="ignore"):
+            raw = spec.row(ns)
+        for i in range(k + 1):
+            rows[:, i] = raw[i]
         bad = ~np.isfinite(rows)
         if bad.any():
             _singular(spec, n0 + int(np.argwhere(bad.any(axis=1))[0][0]))
@@ -187,13 +180,32 @@ def _run_system(spec: SystemSpec, N: int) -> list:
     return values
 
 
+def _run_combo(combo: ComboSpec, N: int) -> list:
+    left = run(combo.left, N).coeffs
+    right = run(combo.right, N).coeffs
+    bk = get_backend(combo.backend)
+    half = bk.one() / 2
+    if combo.combiner == "(u-v)/2":
+        values = [(u - v) * half for u, v in zip(left, right)]
+    elif combo.combiner == "(u+v)/2":
+        values = [(u + v) * half for u, v in zip(left, right)]
+    else:  # (u-v)/(2i): multiply by 1/(2i) = -i/2
+        scale = -bk.imaginary_unit() / 2
+        values = [(u - v) * scale for u, v in zip(left, right)]
+    if combo.backend == "f64":
+        for n, v in enumerate(values):
+            if not cmath.isfinite(v):
+                raise NonFiniteError(f"combo produced a non-finite entry at n={n}", index=n)
+    return values
+
+
 def run(spec, N: int) -> CoeffStream:
     """Evaluate any spec through u_N (seeds pass through unchanged)."""
     if N < 0:
         raise ValueError("N must be nonnegative")
     if isinstance(spec, ComboSpec):
-        return run_combo(spec, N)
-    if isinstance(spec, SystemSpec):
+        values = _run_combo(spec, N)
+    elif isinstance(spec, SystemSpec):
         values = _run_system(spec, N)
     elif spec.backend == "f64":
         values = _run_f64(spec, N)
@@ -205,31 +217,4 @@ def run(spec, N: int) -> CoeffStream:
         "recurrence",
         spec.backend,
         spec.meta,
-    )
-
-
-def run_combo(combo: ComboSpec, N: int) -> CoeffStream:
-    """Run both branches and combine them entrywise."""
-    left = run(combo.left, N)
-    right = run(combo.right, N)
-    bk = get_backend(combo.backend)
-    one = bk.one()
-    half = one / 2
-    if combo.combiner == "(u-v)/2":
-        coeffs = tuple((u - v) * half for u, v in zip(left.coeffs, right.coeffs))
-    elif combo.combiner == "(u+v)/2":
-        coeffs = tuple((u + v) * half for u, v in zip(left.coeffs, right.coeffs))
-    else:  # (u-v)/(2i): multiply by 1/(2i) = -i/2
-        scale = -bk.imaginary_unit() / 2
-        coeffs = tuple((u - v) * scale for u, v in zip(left.coeffs, right.coeffs))
-    if combo.backend == "f64":
-        for n, v in enumerate(coeffs):
-            if not cmath.isfinite(v):
-                raise NonFiniteError(f"combo produced a non-finite entry at n={n}", index=n)
-    return CoeffStream(
-        coeffs,
-        _meta_get(combo.meta, "base", "product"),
-        "recurrence",
-        combo.backend,
-        combo.meta,
     )

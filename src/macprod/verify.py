@@ -21,12 +21,14 @@ from .families import (
     CatalogueError,
     Params,
     build,
+    conform_params,
     elementary_factor,
     get_family,
     list_families,
+    params_snapshot,
 )
-from .numerics import EXACT, NonFiniteError, approximate, get_backend
-from .recurrence_core import ComboSpec, run, run_combo
+from .numerics import EXACT, NonFiniteError, SingularIndexError, approximate, get_backend
+from .recurrence_core import run
 from .series_oracle import cauchy_product, elementary_series, hyper_base_series, scale_stream
 
 DEFAULT_TOLERANCE = 1e-8
@@ -151,14 +153,7 @@ def oracle_stream(family_id: str, params: Params, N: int, backend="exact"):
 
 
 def recurrence_stream(family_id: str, params: Params, N: int, backend="exact"):
-    spec = build(family_id, params, backend)
-    if isinstance(spec, ComboSpec):
-        return run_combo(spec, N)
-    return run(spec, N)
-
-
-def _snapshot(params: Params, bk):
-    return tuple((k, bk.format(getattr(params, k))) for k in params.present())
+    return run(build(family_id, params, backend), N)
 
 
 def compare_oracle(
@@ -171,22 +166,11 @@ def compare_oracle(
     """Run one family and compare it entrywise against the convolution oracle."""
     bk = get_backend(backend)
     spec = build(family_id, params, bk)  # validates params
-    pp = _conform_params(params, bk)
-    got = run_combo(spec, N) if isinstance(spec, ComboSpec) else run(spec, N)
+    pp = conform_params(params, bk)
+    got = run(spec, N)
     want = oracle_stream(family_id, pp, N, bk)
     return _compare_streams(
-        got, want, bk, tolerance, family_id, _snapshot(pp, bk), "oracle"
-    )
-
-
-def _conform_params(params, bk) -> Params:
-    if isinstance(params, dict):
-        params = Params(**params)
-    return Params(
-        **{
-            name: (None if getattr(params, name) is None else bk.coerce(getattr(params, name)))
-            for name in ("a", "b", "c", "p", "theta")
-        }
+        got, want, bk, tolerance, family_id, params_snapshot(pp, bk), "oracle"
     )
 
 
@@ -212,7 +196,7 @@ def compare_formulations(
             raise CatalogueError(
                 f"{family_id!r} has no combo-vs-single pairing"
             ) from None
-        pp = _conform_params(params, bk)
+        pp = conform_params(params, bk)
         got = recurrence_stream(family_id, pp, N, bk)
         want = recurrence_stream(other, pp, N, bk)
     elif pairing == "elliptic-vs-specialized-F":
@@ -223,7 +207,7 @@ def compare_formulations(
                 f"{family_id!r} has no elliptic-vs-specialized-F pairing"
             ) from None
         info = get_family(family_id)
-        pp = _conform_params(params, bk)
+        pp = conform_params(params, bk)
         got = recurrence_stream(family_id, pp, N, bk)
         two = bk.coerce(2)
         half = bk.one() / two
@@ -239,14 +223,14 @@ def compare_formulations(
     else:
         raise CatalogueError(f"unknown pairing {pairing!r}")
     return _compare_streams(
-        got, want, bk, tolerance, family_id, _snapshot(pp, bk), pairing
+        got, want, bk, tolerance, family_id, params_snapshot(pp, bk), pairing
     )
 
 
 def bench(family_id: str, params, N: int, repetitions: int = 3) -> BenchReport:
     """Wall-time the recurrence path against the O(N^2) oracle path (f64)."""
     bk = get_backend("f64")
-    pp = _conform_params(params, bk)
+    pp = conform_params(params, bk)
     build(family_id, pp, bk)  # validate before timing
     rec_best = float("inf")
     ora_best = float("inf")
@@ -315,7 +299,9 @@ def sweep(
     """Deterministic random verification across the catalogue.
 
     Returns one report per (family, trial), in catalogue order.  Failures are
-    reports with verdict "fail", never exceptions.
+    reports with verdict "fail", never exceptions: a comparison whose run
+    overflows or meets a singular row reports infinite deviation from the
+    index where that happened.
     """
     bk = get_backend(backend)
     rng = Random(seed)
@@ -334,5 +320,18 @@ def sweep(
                         for k in ("a", "b", "c", "p", "theta")
                     }
                 )
-            reports.append(compare_oracle(info.id, params, N, bk, tolerance))
+            try:
+                rep = compare_oracle(info.id, params, N, bk, tolerance)
+            except (NonFiniteError, SingularIndexError) as exc:
+                rep = DeviationReport(
+                    family=info.id,
+                    params=params_snapshot(conform_params(params, bk), bk),
+                    N=N,
+                    backend=bk.name,
+                    max_abs=float("inf"),
+                    max_rel=float("inf"),
+                    first_mismatch=exc.index,
+                    verdict="fail",
+                )
+            reports.append(rep)
     return reports

@@ -195,6 +195,17 @@ class TestEval:
         assert "warning" in err
         assert out.strip()
 
+    def test_arcsin_outside_branch_point_warns(self, capsys):
+        # arcsin(pz) branches at z = 1/p
+        code, out, err = run_cli(
+            capsys,
+            "eval", "--family", "arcsin-M", "--a", "1", "--c", "3/2", "--p", "1",
+            "--z", "2", "--count", "30",
+        )
+        assert code == 0
+        assert "warning" in err
+        assert out.strip()
+
 
 class TestVerifyCommand:
     def test_single_family_with_params(self, capsys):

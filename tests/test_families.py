@@ -14,7 +14,13 @@ from macprod.families import (
     get_family,
     list_families,
 )
-from macprod.numerics import EXACT, GaussianRational, ParameterDomainError, approximate
+from macprod.numerics import (
+    EXACT,
+    GaussianRational,
+    ParameterDomainError,
+    approximate,
+    get_backend,
+)
 from macprod.recurrence_core import ComboSpec, RecurrenceSpec, SystemSpec
 from macprod.series_oracle import (
     Elementary,
@@ -56,6 +62,12 @@ class TestCatalogue:
         info = get_family("sin-F")
         assert info.order == 9
         assert info.start == 9
+
+    @pytest.mark.parametrize("info", list_families(), ids=lambda info: info.id)
+    def test_exact_spec_shape_matches_catalogue(self, info):
+        spec = build(info.id, {k: Fraction(1, 3) for k in info.param_names})
+        for s in (spec.left, spec.right) if isinstance(spec, ComboSpec) else (spec,):
+            assert (s.order, s.start) == (info.order, info.start)
 
     def test_unknown_family(self):
         with pytest.raises(CatalogueError):
@@ -349,6 +361,38 @@ class TestFloatRoutes:
                 build(family_id, params, "f64")
 
 
+class TestExpBranches:
+    """Each trig/hyp product is its base's exp-X product at +q and at -q,
+    combined entrywise: q = ip for sin and cos, q = p for sinh and cosh."""
+
+    CASES = [
+        (f"{h}-{base}-combo", "exact") for base in ("M", "F") for h in ("sin", "cos", "sinh", "cosh")
+    ] + [(family_id, "f64") for family_id in TRIG_HYP_SINGLES]
+
+    @pytest.mark.parametrize("family_id, backend", CASES)
+    def test_equals_combined_exp_streams(self, family_id, backend):
+        info = get_family(family_id)
+        bk = get_backend(backend)
+        pe = draw_params(info, Random(crc32(family_id.encode())))
+        params = {
+            k: approximate(getattr(pe, k)) if backend == "f64" else getattr(pe, k)
+            for k in pe.present()
+        }
+        i = bk.imaginary_unit()
+        p = bk.coerce(params["p"])
+        q = i * p if info.h in ("sin", "cos") else p
+        exp_id = f"exp-{info.base}"
+        u = recurrence_stream(exp_id, dict(params, p=q), 30, backend).coeffs
+        v = recurrence_stream(exp_id, dict(params, p=-q), 30, backend).coeffs
+        if info.h in ("sin", "sinh"):
+            diff = [x - y for x, y in zip(u, v)]
+        else:
+            diff = [x + y for x, y in zip(u, v)]
+        scale = -i / 2 if info.h == "sin" else bk.one() / 2
+        got = recurrence_stream(family_id, params, 30, backend)
+        assert got.coeffs == tuple(d * scale for d in diff)
+
+
 class TestFloatFidelity:
     STABLE = REROUTED + (
         "exp-M",
@@ -388,6 +432,8 @@ class TestMeta:
         assert get_family("exp-M").radius == "entire"
         assert get_family("exp-F").radius == "1"
         assert get_family("binom-M").radius == "1/|theta|"
+        assert get_family("arcsin-M").radius == "1/|p|"
+        assert get_family("arccos-M").radius == "1/|p|"
 
     def test_params_snapshot_in_meta(self):
         spec = build("exp-M", {"a": 1, "c": 2, "p": Fraction(1, 3)})

@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from math import factorial
 from random import Random
 
 import pytest
@@ -10,7 +11,7 @@ from macprod.numerics import (
     NonFiniteError,
     SingularIndexError,
 )
-from macprod.recurrence_core import ComboSpec, RecurrenceSpec, SystemSpec, run, run_combo
+from macprod.recurrence_core import ComboSpec, RecurrenceSpec, SystemSpec, run
 from macprod.series_oracle import kummer_series
 
 G = GaussianRational
@@ -66,8 +67,14 @@ class TestRun:
 
 class TestSpecKinds:
     def test_run_accepts_combo(self):
-        combo = build("sin-M-combo", {"a": Fraction(1, 2), "c": Fraction(4, 3), "p": 2})
-        assert run(combo, 12).coeffs == run_combo(combo, 12).coeffs
+        # M(0,c;z) = 1, so the product is sinh(2z): 2^n/n! at odd n, 0 at even n
+        combo = build("sinh-M-combo", {"a": 0, "c": Fraction(4, 3), "p": 2})
+        assert isinstance(combo, ComboSpec)
+        stream = run(combo, 12)
+        assert stream.coeffs == tuple(
+            gr(2**n, factorial(n)) if n % 2 else gr(0) for n in range(13)
+        )
+        assert stream.provenance == "recurrence"
 
     def test_system_exponential(self):
         # y0' = y1, y1' = y0 from (1, 0): cosh z in component 0
@@ -195,22 +202,22 @@ class TestOperationCount:
 class TestCombo:
     def test_sinh_at_zero_p_vanishes(self):
         combo = build("sinh-M-combo", {"a": 1, "c": 3, "p": 0})
-        stream = run_combo(combo, 12)
+        stream = run(combo, 12)
         assert all(v == gr(0) for v in stream.coeffs)
 
     def test_cosh_at_zero_p_is_base(self):
         combo = build("cosh-M-combo", {"a": 1, "c": 3, "p": 0})
-        stream = run_combo(combo, 12)
+        stream = run(combo, 12)
         assert stream.coeffs == kummer_series(gr(1), gr(3), 12).coeffs
 
     def test_sin_combo_entry_one(self):
         combo = build("sin-F-combo", {"a": 1, "b": 1, "c": 1, "p": 1})
-        stream = run_combo(combo, 3)
+        stream = run(combo, 3)
         assert stream[1] == gr(1)
         # sin(z)/(1-z): partial sums of sin's coefficients
         assert stream[3] == gr(5, 6)
 
     def test_imaginary_combiner_produces_real_stream(self):
         combo = build("sin-M-combo", {"a": Fraction(1, 2), "c": Fraction(4, 3), "p": 2})
-        stream = run_combo(combo, 16)
+        stream = run(combo, 16)
         assert all(v.im == 0 for v in stream.coeffs)

@@ -102,6 +102,14 @@ class TestSweep:
         for rep in reports:
             assert rep.verdict in ("pass", "fail")
 
+    def test_overflow_is_a_failing_report(self):
+        # the theta = -2 draw overflows at n = 1050 in f64
+        reports = sweep(1, 6, 1100, "f64", families=["binom-M"])
+        assert len(reports) == 6
+        failed = [rep for rep in reports if not rep.passed]
+        assert [rep.first_mismatch for rep in failed] == [1050]
+        assert dict(failed[0].params)["theta"] == "-2.0"
+
     def test_draws_respect_family_domains(self):
         # excluded c values never appear, even over many trials
         reports = sweep(7, 40, 2, "exact", families=["sin-M"])
