@@ -1,0 +1,146 @@
+"""Time the layers of an exact request: build, row compile, stepping, wrap.
+
+For each family and size it reports, best of ``--reps``:
+
+* ``build``: ``families.build`` (seeds and the row closure);
+* ``rows``: turning the row into per-step coefficients.  With compiled rows
+  this is the one ``recurrence_core._compile`` call per branch; on an engine
+  without it, the row closure evaluated at every step index;
+* ``wrap``: rebuilding the public Gaussian-rational (and pi-linear) values
+  from their Fraction parts, which is what materialisation costs;
+* ``step``: ``run`` minus ``rows`` minus ``wrap``;
+* ``run``: ``recurrence_core.run`` on the built spec;
+* ``request``: ``macprod coeffs --backend exact`` in this process, output
+  captured, from argument parsing to JSON text.
+
+Run directly, with the checkout's ``src`` on ``PYTHONPATH``:
+
+    python benchmarks/exact_bench.py [--sizes 40,256] [--reps 5]
+        [--json BENCH_exact-rows.json --label NAME]
+
+``--json`` merges this run into the file under ``--label``, so one file can
+hold the runs of two trees (point ``PYTHONPATH`` at the other tree's ``src``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import platform
+import time
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+
+from macprod import cli, kernels, recurrence_core
+from macprod.families import build, get_family
+from macprod.numerics import GaussianRational, PiLinear
+
+FAMILIES = ("exp-F", "arctanexp-F", "sin-M-combo", "sin-F", "arcsin-M", "exp-K")
+VALUES = {"a": Fraction(1, 3), "b": Fraction(-5, 4), "c": Fraction(7, 5), "p": Fraction(3, 2)}
+
+
+def _time(fn, reps: int) -> float:
+    best = float("inf")
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def _branches(spec):
+    return (spec.left, spec.right) if isinstance(spec, recurrence_core.ComboSpec) else (spec,)
+
+
+def _rows_fn(spec, N: int):
+    compile_rows = getattr(recurrence_core, "_compile", None)
+    if compile_rows is not None:
+        return lambda: [compile_rows(b) for b in _branches(spec)]
+    return lambda: [b.row(Fraction(n)) for b in _branches(spec) for n in range(b.start, N)]
+
+
+def _wrap_fn(spec, N: int):
+    stepped = [v for b in _branches(spec) for v in recurrence_core.run(b, N).coeffs[b.start + 1:]]
+
+    def gaussian(g):
+        return GaussianRational(g.re, g.im)
+
+    def wrap():
+        return [
+            PiLinear(gaussian(v.q0), gaussian(v.q1)) if isinstance(v, PiLinear) else gaussian(v)
+            for v in stepped
+        ]
+
+    return wrap
+
+
+def _argv(family: str, N: int) -> list:
+    argv = ["coeffs", "--family", family, "--count", str(N + 1), "--backend", "exact"]
+    return argv + [f"--{name}={VALUES[name]}" for name in get_family(family).param_names]
+
+
+def _request(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+
+
+def measure(family: str, N: int, reps: int) -> dict:
+    params = {name: VALUES[name] for name in get_family(family).param_names}
+    spec = build(family, params)
+    ms = {
+        "build": _time(lambda: build(family, params), reps),
+        "rows": _time(_rows_fn(spec, N), reps),
+        "wrap": _time(_wrap_fn(spec, N), reps),
+        "run": _time(lambda: recurrence_core.run(spec, N), reps),
+        "request": _time(lambda: _request(_argv(family, N)), reps),
+    }
+    ms["step"] = max(ms["run"] - ms["rows"] - ms["wrap"], 0.0)
+    return {"family": family, "N": N, **{f"{k}_ms": round(v * 1e3, 3) for k, v in ms.items()}}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--sizes", default="40,256")
+    parser.add_argument("--reps", type=int, default=5)
+    parser.add_argument("--json", help="merge this run into the named JSON file")
+    parser.add_argument("--label", default="run", help="key of this run in --json")
+    args = parser.parse_args()
+    sizes = [int(s) for s in args.sizes.split(",")]
+
+    engine = "compiled rows" if hasattr(recurrence_core, "_compile") else "row closures"
+    print(f"exact engine: {engine}; f64 kernels: {kernels.implementation_name()}")
+    cols = ("build", "rows", "step", "wrap", "run", "request")
+    print(f"{'family':12s} {'N':>4s} " + " ".join(f"{c:>9s}" for c in cols) + "   (ms)")
+    results = []
+    for N in sizes:
+        for family in FAMILIES:
+            r = measure(family, N, args.reps)
+            results.append(r)
+            print(f"{family:12s} {N:>4d} " + " ".join(f"{r[c + '_ms']:>9.2f}" for c in cols))
+
+    if args.json:
+        path = Path(args.json)
+        record = json.loads(path.read_text()) if path.exists() else {}
+        record.setdefault("benchmark", "exact-rows")
+        record.setdefault("params", {k: str(v) for k, v in VALUES.items()})
+        record.setdefault("runs", {})[args.label] = {
+            "engine": engine,
+            "kernels": kernels.implementation_name(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "nproc": os.cpu_count(),
+            "reps": args.reps,
+            "results": results,
+        }
+        path.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

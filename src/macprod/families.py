@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .numerics import (
+    GaussianRational,
     ParameterDomainError,
     get_backend,
     is_nonpositive_integer,
@@ -1827,6 +1828,15 @@ def _meta(info: FamilyInfo, bk, params: Params):
     )
 
 
+def _field(value):
+    """A real exact value as a plain Fraction, anything else unchanged: seeds
+    and the one-time row compile then run in Fraction arithmetic, not in
+    Gaussian rationals."""
+    if isinstance(value, GaussianRational) and not value.im:
+        return value.re
+    return value
+
+
 def _spec(info, bk, meta, seeds, row, den):
     """A recurrence that steps right after its seeds; K and E seeds carry pi/2."""
     if info.base in ("K", "E"):
@@ -2012,7 +2022,7 @@ def _mk_elliptic_inherited(seeds_fn, row_fn):
     """An elliptic single whose seeds are those of the F family at (a, b, c)."""
 
     def mk(info, params, bk):
-        a, b, c = _elliptic_abc(info.base, bk)
+        a, b, c = (_field(x) for x in _elliptic_abc(info.base, bk))
         seeds = seeds_fn(a, b, c, params.p)
         meta = _meta(info, bk, params)
         return _spec(info, bk, meta, seeds, row_fn(params.p), _den_elliptic(params))
@@ -2097,6 +2107,8 @@ def build(family_id: str, params, backend="exact"):
     info = get_family(family_id)
     pp = conform_params(params, bk)
     _validate(info, pp)
+    if bk.name == "exact":
+        pp = Params(**{name: _field(getattr(pp, name)) for name in pp.present()})
     return _BUILDERS[family_id](info, pp, bk)
 
 

@@ -484,9 +484,6 @@ class ExactBackend:
     def half_pi(self):
         return PiLinear(0, GaussianRational(Fraction(1, 2)))
 
-    def index(self, n: int):
-        return Fraction(n)
-
     def coerce(self, value):
         if isinstance(value, (GaussianRational, PiLinear)):
             return value
@@ -522,9 +519,6 @@ class FloatBackend:
 
     def half_pi(self):
         return complex(math.pi / 2)
-
-    def index(self, n: int):
-        return n
 
     def coerce(self, value):
         if isinstance(value, (GaussianRational, PiLinear)):

@@ -1,13 +1,28 @@
 """Generic engine for linear recurrences with index-dependent coefficients.
 
 A :class:`RecurrenceSpec` describes u[n+1] = sum_{i=0}^{k} row(n)[i] * u[n-i]
-for n >= n0, started from the seed values u[0..n0].  The engine keeps the
-evaluation order fixed (i ascending), so repeated runs are bit-identical in
-both backends.
+for n >= n0, started from the seed values u[0..n0].  A row is plain
+arithmetic on n (+, -, *, / and nonnegative integer powers), which both
+backends rely on.
+
+The exact path compiles the row once per run: it calls the row at a symbolic
+index, so each entry comes back as a ratio of polynomials in n; that is the
+row's own formula, nothing is sampled.  Entries over the same denominator
+share one division per step, the polynomials are scaled to integer
+coefficients, and each step evaluates them by Horner's rule at the integer n.
+A stream whose coefficients and seeds are real steps in plain ``Fraction``
+and is wrapped in :class:`GaussianRational` once, at the end; a complex one
+steps as real and imaginary ``Fraction`` parts.  Pi-linear seeds q0 + q1*pi
+step by linearity as two rational streams (the K and E streams are pi/2
+times a rational stream, arccos-M is rational + pi * rational), so
+:class:`PiLinear` never enters the loop, and a stream whose seeds are all
+zero is not stepped.  A row that compares, branches on or converts n raises
+:class:`RowContractError`.
 
 The f64 path evaluates the coefficient rows for all steps at once and hands
 the sequential stepping to the kernel layer, so an f64 row closure must
-broadcast over an index vector: plain arithmetic on n does.
+broadcast over an index vector: plain arithmetic on n does.  It keeps the
+evaluation order fixed (i ascending), so repeated runs are bit-identical.
 
 A :class:`ComboSpec` combines two recurrence branches entrywise.  A
 :class:`SystemSpec` steps several coupled sequences together instead; the
@@ -23,21 +38,34 @@ values), so no internal parallelism is attempted.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from . import kernels
-from .numerics import NonFiniteError, SingularIndexError, get_backend
+from .numerics import (
+    GaussianRational,
+    NonFiniteError,
+    PiLinear,
+    SingularIndexError,
+    get_backend,
+)
 from .series_oracle import CoeffStream
 
 COMBINERS = ("(u-v)/2", "(u+v)/2", "(u-v)/(2i)")
+_ZERO = GaussianRational(0)
 
 
 @dataclass(frozen=True)
 class RecurrenceSpec:
-    """Order, start index, seeds, and coefficient-row function."""
+    """Order, start index, seeds, and coefficient-row function.
+
+    ``row(n)`` returns the k+1 entries for step n and must be plain
+    arithmetic on n; exact entries are ints, Fractions or Gaussian rationals.
+    """
 
     order: int
     start: int
@@ -123,20 +151,269 @@ def _singular(spec: RecurrenceSpec, n: int, cause=None):
     raise err
 
 
-def _run_generic(spec: RecurrenceSpec, N: int) -> list:
-    bk = get_backend(spec.backend)
-    values = list(spec.seeds[: N + 1])
-    k = spec.order
+#: what an exact row may do with its index; RowContractError quotes it
+_CONTRACT = (
+    "an exact row must be plain arithmetic on n (+, -, *, / and nonnegative "
+    "integer powers, over ints, Fractions and Gaussian rationals); it may not "
+    "compare, branch on or convert n"
+)
+
+
+class RowContractError(ValueError):
+    """An exact row is not plain arithmetic on its index n."""
+
+
+def _trim(coeffs) -> tuple:
+    coeffs = list(coeffs)
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _padd(x, y):
+    if len(x) < len(y):
+        x, y = y, x
+    return _trim([xi + yi for xi, yi in zip(x, y)] + list(x[len(y):]))
+
+
+def _pmul(x, y):
+    out = [0] * (len(x) + len(y) - 1)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                out[i + j] = out[i + j] + xi * yj
+    return _trim(out)
+
+
+class _Symbolic:
+    """num(n)/den(n) for polynomials num, den in the index n (coefficients
+    lowest power first): what a row computes when it is called at symbolic n."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=(1,)):
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def lift(value):
+        if isinstance(value, _Symbolic):
+            return value
+        if isinstance(value, (int, Fraction, GaussianRational)):
+            return _Symbolic((value,))
+        return None
+
+    def __add__(self, other):
+        o = self.lift(other)
+        if o is None:
+            return NotImplemented
+        if self.den == o.den:
+            return _Symbolic(_padd(self.num, o.num), self.den)
+        num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
+        return _Symbolic(num, _pmul(self.den, o.den))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Symbolic(tuple(-c for c in self.num), self.den)
+
+    def __pos__(self):
+        return self
+
+    def __sub__(self, other):
+        o = self.lift(other)
+        return NotImplemented if o is None else self + -o
+
+    def __rsub__(self, other):
+        o = self.lift(other)
+        return NotImplemented if o is None else o + -self
+
+    def __mul__(self, other):
+        o = self.lift(other)
+        if o is None:
+            return NotImplemented
+        return _Symbolic(_pmul(self.num, o.num), _pmul(self.den, o.den))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self.lift(other)
+        if o is None:
+            return NotImplemented
+        return _Symbolic(_pmul(self.num, o.den), _pmul(self.den, o.num))
+
+    def __rtruediv__(self, other):
+        o = self.lift(other)
+        return NotImplemented if o is None else o / self
+
+    def __pow__(self, exponent):
+        if not isinstance(exponent, int) or exponent < 0:
+            return NotImplemented
+        acc = _Symbolic((1,))
+        for _ in range(exponent):
+            acc = acc * self
+        return acc
+
+    def _no_value(self, *other):
+        raise RowContractError(_CONTRACT)
+
+    # n has no truth value and no order: a row that asks for one branches on n
+    __bool__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _no_value
+    __hash__ = None
+
+
+def _compile(spec: RecurrenceSpec) -> list:
+    """The row as groups ``(den, [(i, num), ...])``: entry i is num(n)/den(n).
+
+    The row is called once, at the symbolic index, so the groups are the row's
+    own formula.  Each denominator is scaled monic and entries over the same
+    one share a group; a constant denominator folds into its numerators
+    (``den`` is None).  Zero entries are left out.  Polynomials are stored
+    highest power first, for Horner's rule.
+    """
+    try:
+        row = spec.row(_Symbolic((0, 1)))
+        entries = [_Symbolic.lift(row[i]) for i in range(spec.order + 1)]
+    except ZeroDivisionError as exc:
+        _singular(spec, spec.start, exc)
+    except (TypeError, AttributeError) as exc:
+        raise RowContractError(f"{_CONTRACT}; the row raised: {exc}") from exc
+    if any(e is None for e in entries):
+        raise RowContractError(f"{_CONTRACT}; a row entry is not an exact scalar")
+    groups = {}
+    for i, e in enumerate(entries):
+        num, den = e.num, e.den
+        if den[-1]:  # a zero denominator stays, so the first step reports it
+            inv = Fraction(1) / den[-1]
+            num = tuple(c * inv for c in num)
+            den = tuple(c * inv for c in den)
+        if len(num) > 1 or num[0]:
+            groups.setdefault(den, []).append((i, num[::-1]))
+    if not groups:  # every entry is zero: keep one, so the steps yield zeros
+        return [(None, [(0, (0,))])]
+    return [
+        (None if den == (1,) else den[::-1], terms) for den, terms in groups.items()
+    ]
+
+
+def _horner(poly, n):
+    acc = poly[0]
+    for c in poly[1:]:
+        acc = acc * n + c
+    return acc
+
+
+def _integral(groups) -> list:
+    """The groups over the Gaussian integers: each polynomial becomes a pair
+    (real part, imaginary part) of integer polynomials, its group scaled by the
+    lcm of the group's coefficient denominators.  A zero part is ``(0,)``."""
+    out = []
+    for den, terms in groups:
+        polys = [
+            [c if isinstance(c, GaussianRational) else GaussianRational(c) for c in poly]
+            for poly in [num for _, num in terms] + [den or (1,)]
+        ]
+        scale = math.lcm(*(x.denominator for poly in polys for c in poly for x in (c.re, c.im)))
+
+        def scaled(xs):
+            xs = tuple(int(x * scale) for x in xs)
+            return xs if any(xs) else (0,)
+
+        *nums, den = [(scaled(c.re for c in poly), scaled(c.im for c in poly)) for poly in polys]
+        if den == ((1,), (0,)):
+            den = None
+        out.append((den, [(i, num) for (i, _), num in zip(terms, nums)]))
+    return out
+
+
+def _step(spec: RecurrenceSpec, groups, u: list, N: int) -> list:
+    """u_{start+1} .. u_N from ``u`` = u_0 .. u_start, one division per group
+    and step."""
     for n in range(spec.start, N):
-        try:
-            row = spec.row(bk.index(n))
-        except ZeroDivisionError as exc:
-            _singular(spec, n, exc)
-        acc = bk.coerce(row[0]) * values[n]
-        for i in range(1, k + 1):
-            acc = acc + bk.coerce(row[i]) * values[n - i]
-        values.append(acc)
-    return values
+        total = None
+        for den, terms in groups:
+            acc = None
+            for i, num in terms:
+                term = _horner(num, n) * u[n - i]
+                acc = term if acc is None else acc + term
+            if den is not None:
+                d = _horner(den, n)
+                if not d:
+                    _singular(spec, n)
+                acc = acc / d
+            total = acc if total is None else total + acc
+        u.append(total)
+    return u[spec.start + 1:]
+
+
+def _step_gaussian(spec: RecurrenceSpec, groups, re: list, im: list, N: int):
+    """``_step`` for a complex stream over ``_integral`` groups, the values held
+    as real and imaginary Fraction parts."""
+    for n in range(spec.start, N):
+        total_re = total_im = 0
+        for den, terms in groups:
+            x = y = 0
+            for i, (num_re, num_im) in terms:
+                a, b = _horner(num_re, n), _horner(num_im, n)
+                ur, ui = re[n - i], im[n - i]
+                if b:
+                    x += a * ur - b * ui
+                    y += a * ui + b * ur
+                else:
+                    x += a * ur
+                    y += a * ui
+            if den is not None:
+                e, f = _horner(den[0], n), _horner(den[1], n)
+                if f:
+                    norm = e * e + f * f
+                    x, y = (x * e + y * f) / norm, (y * e - x * f) / norm
+                elif e:
+                    x, y = x / e, y / e
+                else:
+                    _singular(spec, n)
+            total_re += x
+            total_im += y
+        re.append(total_re)
+        im.append(total_im)
+    return re[spec.start + 1:], im[spec.start + 1:]
+
+
+def _stream(spec: RecurrenceSpec, integral, seeds: list, N: int) -> list:
+    """Step one Gaussian-rational stream; a real one steps in Fraction."""
+    re, im = [s.re for s in seeds], [s.im for s in seeds]
+    polys = [num for _, terms in integral for _, num in terms]
+    polys += [den for den, _ in integral if den is not None]
+    if not any(im) and all(poly[1] == (0,) for poly in polys):
+        real = [(den and den[0], [(i, num[0]) for i, num in terms]) for den, terms in integral]
+        return [GaussianRational(x) for x in _step(spec, real, re, N)]
+    return [GaussianRational(x, y) for x, y in zip(*_step_gaussian(spec, integral, re, im, N))]
+
+
+def _run_generic(spec: RecurrenceSpec, N: int) -> list:
+    values = list(spec.seeds[: N + 1])
+    if N <= spec.start:
+        return values
+    groups = _compile(spec)
+    seeds = [GaussianRational(s) if isinstance(s, (int, Fraction)) else s for s in spec.seeds]
+    if not all(isinstance(s, (GaussianRational, PiLinear)) for s in seeds):
+        return values + _step(spec, groups, seeds, N)  # any type with + and *
+    # q0 + q1*pi steps as two streams: pi never enters the loop
+    first = spec.start - spec.order
+    pi = any(isinstance(s, PiLinear) for s in seeds[first:])
+    parts = [[s.q0 if isinstance(s, PiLinear) else s for s in seeds]]
+    if pi:
+        parts.append([s.q1 if isinstance(s, PiLinear) else _ZERO for s in seeds])
+    live = [any(part[first:]) for part in parts]
+    if not any(live):  # still step one, so a singular row is reported
+        live[0] = True
+    integral = _integral(groups)
+    streams = [
+        _stream(spec, integral, part, N) if on else [_ZERO] * (N - spec.start)
+        for part, on in zip(parts, live)
+    ]
+    if pi:
+        return values + [PiLinear(q0, q1) for q0, q1 in zip(*streams)]
+    return values + streams[0]
 
 
 def _run_f64(spec: RecurrenceSpec, N: int) -> list:

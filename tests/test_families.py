@@ -7,6 +7,7 @@ import pytest
 
 from macprod.families import (
     CatalogueError,
+    Params,
     build,
     build_elliptic_family,
     build_F_family,
@@ -180,6 +181,25 @@ class TestOracleEquality:
         for _ in range(2):
             params = draw_params(info, rng)
             _assert_oracle_equal(info.id, params, 28)
+
+
+class TestComplexParameters:
+    """Non-real a, b, c, p and theta: the exact engine's Gaussian stepping."""
+
+    VALUES = {
+        "a": G(Fraction(2, 3), Fraction(-1, 5)),
+        "b": G(Fraction(-3, 4), Fraction(1, 2)),
+        "c": G(Fraction(7, 5), Fraction(1, 3)),
+        "p": G(Fraction(1, 2), Fraction(1, 3)),
+        "theta": G(Fraction(-1, 3), Fraction(1, 4)),
+    }
+
+    @pytest.mark.parametrize("info", list_families(), ids=lambda i: i.id)
+    def test_equals_oracle(self, info):
+        params = Params(**{name: self.VALUES[name] for name in info.param_names})
+        got = recurrence_stream(info.id, params, 24).coeffs
+        assert any(approximate(v).imag for v in got)
+        _assert_oracle_equal(info.id, params, 24)
 
 
 class TestKnownTableDeviation:

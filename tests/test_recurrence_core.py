@@ -2,17 +2,27 @@ import dataclasses
 from fractions import Fraction
 from math import factorial
 from random import Random
+from zlib import crc32
 
 import pytest
 
-from macprod.families import build
+from macprod.families import build, list_families
 from macprod.numerics import (
+    EXACT,
     GaussianRational,
     NonFiniteError,
+    PiLinear,
     SingularIndexError,
 )
-from macprod.recurrence_core import ComboSpec, RecurrenceSpec, SystemSpec, run
+from macprod.recurrence_core import (
+    ComboSpec,
+    RecurrenceSpec,
+    RowContractError,
+    SystemSpec,
+    run,
+)
 from macprod.series_oracle import kummer_series
+from macprod.verify import draw_params
 
 G = GaussianRational
 
@@ -134,6 +144,11 @@ class TestErrors:
         assert exc.value.index == 7
         assert "n-7" in str(exc.value)
 
+    def test_singular_index_exact_with_zero_seeds(self):
+        spec = RecurrenceSpec(1, 1, (gr(0), gr(0)), lambda n: (1 / (n - 7), 0), "exact")
+        with pytest.raises(SingularIndexError, match="n=7"):
+            run(spec, 12)
+
     def test_singular_index_f64(self):
         spec = RecurrenceSpec(
             order=1,
@@ -146,6 +161,27 @@ class TestErrors:
         with pytest.raises(SingularIndexError, match="n=7"):
             run(spec, 12)
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            lambda n: (gr(1), gr(0)) if n < 5 else (gr(0), gr(1)),
+            lambda n: (1 / n if n else gr(0), gr(0)),
+            lambda n: (n % 2, gr(0)),
+            lambda n: (0.5 * n, gr(0)),
+            lambda n: (gr(1), 0.25),
+            lambda n: (n.numerator, gr(0)),
+        ],
+        ids=["compares", "truth-value", "modulo", "float-times-n", "float-entry", "attribute"],
+    )
+    def test_row_off_contract_names_it(self, row):
+        spec = RecurrenceSpec(1, 1, (gr(1), gr(1)), row, "exact")
+        with pytest.raises(RowContractError, match="plain arithmetic on n"):
+            run(spec, 12)
+
+    def test_row_off_contract_unused_below_start(self):
+        spec = RecurrenceSpec(1, 1, (gr(1), gr(2)), lambda n: (n % 2, 0), "exact")
+        assert run(spec, 1).coeffs == (gr(1), gr(2))
+
     def test_non_finite_f64(self):
         spec = RecurrenceSpec(
             order=1,
@@ -157,6 +193,42 @@ class TestErrors:
         with pytest.raises(NonFiniteError) as exc:
             run(spec, 6)
         assert exc.value.index is not None
+
+
+class TestExactScalars:
+    @pytest.mark.parametrize("info", list_families(), ids=lambda i: i.id)
+    def test_streams_hold_only_exact_scalars(self, info):
+        params = draw_params(info, Random(crc32(info.id.encode())))
+        for v in run(build(info.id, params), 40).coeffs:
+            assert type(v) in (GaussianRational, PiLinear), type(v)
+            parts = (v.q0, v.q1) if type(v) is PiLinear else (v,)
+            for g in parts:
+                assert type(g) is GaussianRational
+                assert type(g.re) is Fraction and type(g.im) is Fraction
+
+    @pytest.mark.parametrize("info", list_families(), ids=lambda i: i.id)
+    def test_equals_stepping_the_row_closure(self, info):
+        # reference: call the row at every step and step in the public scalars
+        params = draw_params(info, Random(crc32(info.id.encode()) + 1))
+        spec = build(info.id, params)
+        for branch in (spec.left, spec.right) if isinstance(spec, ComboSpec) else (spec,):
+            values = list(branch.seeds)
+            for n in range(branch.start, 30):
+                row = [EXACT.coerce(b) for b in branch.row(Fraction(n))]
+                acc = row[0] * values[n]
+                for i in range(1, branch.order + 1):
+                    acc = acc + row[i] * values[n - i]
+                values.append(acc)
+            got = run(branch, 30).coeffs
+            assert got == tuple(values)
+            assert [type(v) for v in got] == [type(v) for v in values]
+
+    def test_int_and_fraction_seeds_step_to_gaussian_rationals(self):
+        spec = RecurrenceSpec(1, 1, (1, Fraction(1, 2)), lambda n: (n + 1, 1 / (n + 2)), "exact")
+        coeffs = run(spec, 4).coeffs
+        assert coeffs[:2] == (1, Fraction(1, 2))
+        assert all(type(v) is GaussianRational for v in coeffs[2:])
+        assert coeffs[2] == gr(1) + gr(1, 3)
 
 
 class TestOperationCount:
