@@ -40,7 +40,9 @@ from macprod import cli, kernels, recurrence_core
 from macprod.families import build, get_family
 from macprod.numerics import GaussianRational, PiLinear
 
-FAMILIES = ("exp-F", "arctanexp-F", "sin-M-combo", "sin-F", "arcsin-M", "exp-K")
+FAMILIES = (
+    "exp-F", "arctanexp-F", "sin-M-combo", "sin-F", "sinh-F", "arcsin-M", "exp-K", "sin-K"
+)
 VALUES = {"a": Fraction(1, 3), "b": Fraction(-5, 4), "c": Fraction(7, 5), "p": Fraction(3, 2)}
 
 

@@ -9,6 +9,16 @@ derived by D-finite closure (``scripts/derive_arcsin_M_row.py`` rebuilds and
 checks it).  Nothing is derived from the convolution oracle, so
 :mod:`macprod.verify` can use the oracle as an independent referee.
 
+Each product has one table; two identities supply the rest:
+
+* sinh(pz) = -i sin(ipz) and cosh(pz) = cos(ipz).  The sin/cos seeds and
+  rows take the signed square w of the frequency besides p: w = p^2 builds
+  sin and cos, w = -p^2 builds sinh and cosh.  Both are real at real p, so
+  the one-time exact row compile runs in Fraction, which it would not at ip.
+* K(sqrt z) = (pi/2) F(1/2, 1/2; 1; z) and E(sqrt z) = (pi/2) F(-1/2, 1/2;
+  1; z).  Every K and E id is built from the F tables at those (a, b, c),
+  and its seeds carry the factor pi/2.
+
 Since sinh(pz), cosh(pz) = (e^(pz) -+ e^(-pz))/2 and sin(pz), cos(pz) =
 (e^(ipz) -+ e^(-ipz))/(2i or 2), every sin/cos/sinh/cosh product is the
 base's exp-X product at +q and at -q, combined entrywise, with q = ip for
@@ -30,7 +40,7 @@ index vector at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .numerics import (
@@ -213,8 +223,9 @@ def _arctanexp_M_row(a, c, p):
     return row
 
 
-def _sin_M_seeds(a, c, p):
-    p3, p5 = p ** 3, p ** 5
+def _sin_M_seeds(a, c, p, w):
+    p3 = p * w
+    p5 = p3 * w
     return [
         0,
         p,
@@ -227,8 +238,8 @@ def _sin_M_seeds(a, c, p):
     ]
 
 
-def _cos_M_seeds(a, c, p):
-    p2, p4 = p * p, p ** 4
+def _cos_M_seeds(a, c, p, w):
+    p2, p4 = w, w * w
     return [
         1,
         a / c,
@@ -249,39 +260,9 @@ def _cos_M_seeds(a, c, p):
     ]
 
 
-def _sinh_M_seeds(a, c, p):
-    p3, p5 = p ** 3, p ** 5
-    return [
-        0,
-        p,
-        a * p / c,
-        a * (1 + a) * p / (2 * c * (1 + c)) + p3 / 6,
-        a * p3 / (6 * c) + _rising(a, 3) * p / (6 * _rising(c, 3)),
-        _rising(a, 2) * p3 / (12 * _rising(c, 2))
-        + _rising(a, 4) * p / (24 * _rising(c, 4))
-        + p5 / 120,
-    ]
-
-
-def _cosh_M_seeds(a, c, p):
-    p2, p4 = p * p, p ** 4
-    return [
-        1,
-        a / c,
-        a * (a + 1) / (2 * c * (c + 1)) + p2 / 2,
-        a * p2 / (2 * c) + _rising(a, 3) / (6 * _rising(c, 3)),
-        _rising(a, 2) * p2 / (4 * _rising(c, 2))
-        + _rising(a, 4) / (24 * _rising(c, 4))
-        + p4 / 24,
-        a * p4 / (24 * c)
-        + _rising(a, 3) * p2 / (12 * _rising(c, 3))
-        + _rising(a, 5) / (120 * _rising(c, 5)),
-    ]
-
-
-def _sin_M_row(a, c, p):
+def _sin_M_row(a, c, p, w):
     a2 = a * a
-    p2 = p * p
+    p2 = w
     p4 = p2 * p2
 
     def row(n):
@@ -333,66 +314,6 @@ def _sin_M_row(a, c, p):
             / d
         )
         b5 = -p2 * (4 * p4 + 5 * p2 + 1) / d
-        return (b0, b1, b2, b3, b4, b5)
-
-    return row
-
-
-def _sinh_M_row(a, c, p):
-    a2 = a * a
-    p2 = p * p
-    p4 = p2 * p2
-    p6 = p4 * p2
-
-    def row(n):
-        dlow = (c - 2) * c * (n + 1) * (c + n)
-        d = dlow * n * (c + n - 1)
-        b0 = (
-            2
-            * (
-                a * (c * c - 2 * c * n + c - 2 * (n - 2) ** 2)
-                + c * (n - 1) * (2 * c + n - 5)
-            )
-            / dlow
-        )
-        b1 = (
-            (n - 4) * (n - 3) * (n - 2) * (n - 1) * (4 * p2 - 1)
-            + 2 * (n - 3) * (n - 2) * (n - 1) * (4 * a + c * (4 * p2 - 3))
-            + (n - 2)
-            * (n - 1)
-            * (8 * a2 + a * (4 * c + 6) + c * (6 * (c - 2) * p2 - 6 * c + 1))
-            + 2
-            * (n - 1)
-            * (a2 * (4 * c - 2) - 3 * a * (c - 1) * c + (c - 2) * c * (c + 1) * p2)
-            + (c - 2) * (a2 * (-(c + 2)) + a * c + c * c * (c + 1) * p2)
-        ) / d
-        b2 = (
-            2 * p2 * ((c - 3) * (a * (3 * c + 8) - 2 * c * c + c - 32))
-            + 2
-            * p2
-            * (
-                n * (10 * a + c * (31 - 3 * c) - 104)
-                - 6 * (c - 6) * n ** 2
-                - 4 * n ** 3
-            )
-            - 2
-            * (a + n - 3)
-            * (2 * a2 - a * (c - 2 * n + 3) - (n - 2) * (2 * c + n - 4))
-        ) / d
-        b3 = -(
-            p2 * (-12 * a2 + 2 * a * (6 * c + 5) - 6 * c * c + c)
-            + 2 * (n - 3) * (a + c * (4 * p2 - 3) * p2)
-            + (a - 1) * a
-            + 5 * (c - 2) * c * p4
-            + (n - 4) * (n - 3) * (8 * p4 - 6 * p2 + 1)
-        ) / d
-        b4 = (
-            2
-            * p2
-            * (p2 * (-6 * a + 5 * c + 4 * (n - 4)) + 3 * a - 2 * c - n + 4)
-            / d
-        )
-        b5 = (4 * p6 - 5 * p4 + p2) / d
         return (b0, b1, b2, b3, b4, b5)
 
     return row
@@ -742,12 +663,12 @@ def _arctanexp_F_row(a, b, c, p):
     return row
 
 
-def _sin_F_seeds(a, b, c, p):
+def _sin_F_seeds(a, b, c, p, w):
     R = _rising
-    p3 = p ** 3
-    p5 = p3 * p * p
-    p7 = p5 * p * p
-    p9 = p7 * p * p
+    p3 = p * w
+    p5 = p3 * w
+    p7 = p5 * w
+    p9 = p7 * w
     return [
         0,
         p,
@@ -776,9 +697,9 @@ def _sin_F_seeds(a, b, c, p):
     ]
 
 
-def _cos_F_seeds(a, b, c, p):
+def _cos_F_seeds(a, b, c, p, w):
     R = _rising
-    p2 = p * p
+    p2 = w
     p4 = p2 * p2
     p6 = p4 * p2
     p8 = p6 * p2
@@ -814,86 +735,14 @@ def _cos_F_seeds(a, b, c, p):
     ]
 
 
-def _sinh_F_seeds(a, b, c, p):
-    R = _rising
-    p3 = p ** 3
-    p5 = p3 * p * p
-    p7 = p5 * p * p
-    p9 = p7 * p * p
-    return [
-        0,
-        p,
-        a * b * p / c,
-        R(a, 2) * R(b, 2) * p / (2 * R(c, 2)) + p3 / 6,
-        a * b * p3 / (6 * c) + R(a, 3) * R(b, 3) * p / (6 * R(c, 3)),
-        R(a, 2) * R(b, 2) * p3 / (12 * R(c, 2))
-        + R(a, 4) * R(b, 4) * p / (24 * R(c, 4))
-        + p5 / 120,
-        a * b * p5 / (120 * c)
-        + R(a, 3) * R(b, 3) * p3 / (36 * R(c, 3))
-        + R(a, 5) * R(b, 5) * p / (120 * R(c, 5)),
-        R(a, 2) * R(b, 2) * p5 / (240 * R(c, 2))
-        + R(a, 4) * R(b, 4) * p3 / (144 * R(c, 4))
-        + R(a, 6) * R(b, 6) * p / (720 * R(c, 6))
-        + p7 / 5040,
-        a * b * p7 / (5040 * c)
-        + R(a, 3) * R(b, 3) * p5 / (720 * R(c, 3))
-        + R(a, 5) * R(b, 5) * p3 / (720 * R(c, 5))
-        + R(a, 7) * R(b, 7) * p / (5040 * R(c, 7)),
-        R(a, 2) * R(b, 2) * p7 / (10080 * R(c, 2))
-        + R(a, 4) * R(b, 4) * p5 / (2880 * R(c, 4))
-        + R(a, 6) * R(b, 6) * p3 / (4320 * R(c, 6))
-        + R(a, 8) * R(b, 8) * p / (40320 * R(c, 8))
-        + p9 / 362880,
-    ]
-
-
-def _cosh_F_seeds(a, b, c, p):
-    R = _rising
-    p2 = p * p
-    p4 = p2 * p2
-    p6 = p4 * p2
-    p8 = p6 * p2
-    return [
-        1,
-        a * b / c,
-        R(a, 2) * R(b, 2) / (2 * R(c, 2)) + p2 / 2,
-        a * b * p2 / (2 * c) + R(a, 3) * R(b, 3) / (6 * R(c, 3)),
-        R(a, 2) * R(b, 2) * p2 / (4 * R(c, 2))
-        + R(a, 4) * R(b, 4) / (24 * R(c, 4))
-        + p4 / 24,
-        a * b * p4 / (24 * c)
-        + R(a, 3) * R(b, 3) * p2 / (12 * R(c, 3))
-        + R(a, 5) * R(b, 5) / (120 * R(c, 5)),
-        R(a, 2) * R(b, 2) * p4 / (48 * R(c, 2))
-        + R(a, 4) * R(b, 4) * p2 / (48 * R(c, 4))
-        + R(a, 6) * R(b, 6) / (720 * R(c, 6))
-        + p6 / 720,
-        a * b * p6 / (720 * c)
-        + R(a, 3) * R(b, 3) * p4 / (144 * R(c, 3))
-        + R(a, 5) * R(b, 5) * p2 / (240 * R(c, 5))
-        + R(a, 7) * R(b, 7) / (5040 * R(c, 7)),
-        R(a, 2) * R(b, 2) * p6 / (1440 * R(c, 2))
-        + R(a, 4) * R(b, 4) * p4 / (576 * R(c, 4))
-        + R(a, 6) * R(b, 6) * p2 / (1440 * R(c, 6))
-        + R(a, 8) * R(b, 8) / (40320 * R(c, 8))
-        + p8 / 40320,
-        a * b * p8 / (40320 * c)
-        + R(a, 3) * R(b, 3) * p6 / (4320 * R(c, 3))
-        + R(a, 5) * R(b, 5) * p4 / (2880 * R(c, 5))
-        + R(a, 7) * R(b, 7) * p2 / (10080 * R(c, 7))
-        + R(a, 9) * R(b, 9) / (362880 * R(c, 9)),
-    ]
-
-
-def _sin_F_row(a, b, c, p):
+def _sin_F_row(a, b, c, p, w):
     a2 = a * a
     a3 = a2 * a
     a4 = a3 * a
     b2_ = b * b
     b3_ = b2_ * b
     b4_ = b3_ * b
-    p2 = p * p
+    p2 = w
     p4 = p2 * p2
     p6 = p4 * p2
 
@@ -1048,9 +897,9 @@ def _sin_F_row(a, b, c, p):
             - a * (b - 1) ** 2 * b * (b + 1)
             + c * p2 * (b2_ * (6 * c - 1) + b * (7 * c - 12) + 5 * (c - 2) * p2 - c - 11)
         ) / d
-        # the p-power prefactors wrap the entire bracket: attaching them only
-        # to the trailing blocks fails the convolution oracle, and the
-        # hyperbolic twin of this table confirms the wrapped form under p->ip
+        # the p2 prefactor wraps the entire bracket: attaching it only to the
+        # trailing blocks fails the convolution oracle, for sin-F and for
+        # sinh-F (w = -p^2) alike
         g4 = (
             2
             * p2
@@ -1141,647 +990,6 @@ def _sin_F_row(a, b, c, p):
     return row
 
 
-def _sinh_F_row(a, b, c, p):
-    a2 = a * a
-    a3 = a2 * a
-    a4 = a3 * a
-    b2_ = b * b
-    b3_ = b2_ * b
-    b4_ = b3_ * b
-    p2 = p * p
-    p4 = p2 * p2
-    p6 = p4 * p2
-
-    def row(n):
-        dlow = (c - 2) * c * (n + 1) * (c + n)
-        d = dlow * n * (c + n - 1)
-        g0 = (
-            2 * (n - 1) ** 2 * (a * (c - 2 * b) + c * (b + c - 3))
-            + 4 * (c - 2) * (n - 1) * (c * (a + b) - a * b)
-            + 2 * a * b * (c - 2) * (c + 1)
-        ) / dlow
-        g1 = (
-            -(n - 4)
-            * (n - 3)
-            * (n - 2)
-            * (n - 1)
-            * (a2 + 4 * c * (a + b) - 10 * a * b + b2_ + c * c - 6 * c - 4 * p2 - 1)
-            + 2
-            * (n - 3)
-            * (n - 2)
-            * (n - 1)
-            * (
-                a2 * (4 * b - 3 * c)
-                + a * (2 * (b - 1) * c + 4 * b * (b + 3) - 3 * c * c)
-                - c * (b * (3 * b + 3 * c + 2) + c - 4 * p2 - 13)
-            )
-            + (n - 2)
-            * (n - 1)
-            * (
-                a2 * (8 * b2_ + b * (4 * c + 6) - 6 * c * c + c)
-                + a
-                * (
-                    -(10 * b + 7) * c * c
-                    + 4 * (b * (b + 3) + 3) * c
-                    + 6 * b * (b + 1)
-                )
-                + c
-                * (
-                    b2_ * (1 - 6 * c)
-                    + b * (12 - 7 * c)
-                    + 6 * (c - 2) * p2
-                    + c
-                    + 11
-                )
-            )
-            + (c - 2)
-            * (
-                a2 * b * (c - b * (c + 2))
-                + a * b * (b + 1) * c
-                + c * c * (c + 1) * p2
-            )
-            + 2
-            * (n - 1)
-            * (
-                a2 * b * (b * (4 * c - 2) - 3 * (c - 1) * c)
-                - a * b * c * (3 * b * (c - 1) + c - 5)
-                + (c - 2) * c * (c + 1) * p2
-            )
-        ) / d
-        g2 = (
-            2
-            * (
-                (n - 5)
-                * (n - 4)
-                * (n - 3)
-                * (n - 2)
-                * (a2 + a * (c - 4 * b) + (b - 1) * (b + c + 1) - 8 * p2)
-                + (n - 4)
-                * (n - 3)
-                * (n - 2)
-                * (
-                    a3
-                    + a2 * (-5 * b + 3 * c + 2)
-                    - a * (b * (5 * b - 2 * c + 14) - 3 * c + 4 * p2 + 1)
-                    + (b + 3 * c + 1) * (b2_ + b - 4 * p2 - 2)
-                )
-                - (n - 3)
-                * (n - 2)
-                * (
-                    a3 * (b - 2 * c)
-                    + a2 * (b * (10 * b + 9) - 4 * (b + 1) * c)
-                    + a * (b * (b + 1) * (b - 4 * c + 8) + 6 * c * p2 + 2 * c)
-                    + 2 * c * (-b3_ - 2 * b2_ + 3 * p2 * (b + c - 3) + b + 2)
-                )
-                - (n - 2)
-                * (
-                    a3 * b * (4 * b - 3 * c + 2)
-                    + a2 * b * (2 * b + 1) * (2 * b - c)
-                    - a
-                    * (
-                        p2 * (10 * b - 3 * c * c + c)
-                        + (b - 1) * b * (b * (3 * c - 2) + 4 * c - 2)
-                    )
-                    + c * p2 * (b * (3 * c - 1) + c * c - 9)
-                )
-                - (c + 1)
-                * p2
-                * (c * c * (2 * a + 2 * b + 1) - 3 * (a + 1) * (b + 1) * c + 4 * a * b)
-                - (a - 1)
-                * a
-                * (b - 1)
-                * b
-                * (-c * (a + b + 1) + 2 * a * b + a + b + 1)
-            )
-            / d
-        )
-        g3 = -(
-            (n - 6) * (n - 5) * (n - 4) * (n - 3) * ((a - b) ** 2 - 24 * p2 - 1)
-            + 2
-            * (n - 5)
-            * (n - 4)
-            * (n - 3)
-            * (
-                a3
-                - a2 * (b - 2)
-                - a * (b * (b + 4) + 12 * p2 + 1)
-                + b3_
-                + 2 * b2_
-                - 12 * p2 * (b + c + 1)
-                - b
-                - 2
-            )
-            + (n - 4)
-            * (n - 3)
-            * (
-                a4
-                + a3 * (2 * b + 3)
-                - a2 * (6 * b2_ + 3 * b + 6 * p2 - 1)
-                + a * (-12 * p2 * (b + 2 * c) + b * (b * (2 * b - 3) - 8) - 3)
-                - 6 * p2 * (b2_ + 4 * b * c + (c - 6) * c - 1)
-                + (b + 1) ** 2 * (b2_ + b - 2)
-                + 8 * p4
-            )
-            + 2
-            * (n - 3)
-            * (
-                -p2
-                * (
-                    c * c * (3 * a + 3 * b + 1)
-                    + c * (a + b) * (3 * a + 3 * b + 2)
-                    - 40 * a * b
-                    - 13 * c
-                )
-                + a * b * (a - b - 1) * (a - b + 1) * (a + b)
-                + 4 * c * p4
-            )
-            + a4 * (b - 1) * b
-            + a3 * b * (-2 * b2_ + b + 1)
-            + a2
-            * (
-                b4_
-                + b3_
-                + p2 * (-12 * b2_ + 2 * b * (6 * c + 5) - 6 * c * c + c)
-                - 3 * b2_
-                + b
-            )
-            + a * p2 * (-(6 * b + 7) * c * c + 4 * (b * (3 * b + 2) + 3) * c + 2 * b * (5 * b - 11))
-            - a * (b - 1) ** 2 * b * (b + 1)
-            + c * p2 * (b2_ * (1 - 6 * c) + b * (12 - 7 * c) + 5 * (c - 2) * p2 + c + 11)
-        ) / d
-        g4 = (
-            2
-            * p2
-            * (
-                -8 * (n - 7) * (n - 6) * (n - 5) * (n - 4)
-                - 4 * (n - 6) * (n - 5) * (n - 4) * (3 * (a + b + 1) + c)
-                + 2 * (n - 5) * (n - 4) * (8 * p2 - 3 * (a + b - 1) * (a + b + c + 1))
-                + (n - 4)
-                * (
-                    -a3
-                    - a2 * (3 * b + 3 * c + 2)
-                    + a * (b * (-3 * b - 6 * c + 46) - 3 * c + 4 * p2 + 1)
-                    - (b + 3 * c + 1) * (b2_ + b - 4 * p2 - 2)
-                )
-                + a3 * (3 * b - 2 * c)
-                + a2 * (3 * (5 - 2 * b) * b - 4 * c)
-                + a * (p2 * (5 * c - 6 * b) - 4 * b * c + 3 * b * (b * (b + 5) - 4) + 2 * c)
-                + 5 * c * p2 * (b + c - 3)
-                - 2 * (b - 1) * (b + 1) * (b + 2) * c
-            )
-            / d
-        )
-        g5 = (
-            p2
-            * (
-                4 * (n - 8) * (n - 7) * (n - 6) * (n - 5)
-                + 8 * (n - 7) * (n - 6) * (n - 5) * (a + b + 1)
-                + 6 * (n - 6) * (n - 5) * ((a + b) ** 2 - 8 * p2 - 1)
-                - 2
-                * (n - 5)
-                * (
-                    -a3
-                    - 3 * a2 * b
-                    - 2 * a2
-                    - 3 * a * b2_
-                    + 12 * p2 * (a + b + c + 1)
-                    + 16 * a * b
-                    + a
-                    - b3_
-                    - 2 * b2_
-                    + b
-                    + 2
-                )
-                + a4
-                + a3 * (3 - 2 * b)
-                + a2 * (b * (6 * b - 11) - 5 * p2 + 1)
-                - a * (2 * b3_ + 11 * b2_ - 2 * b * (13 * p2 + 6) + 20 * c * p2 + 3)
-                - 5 * p2 * (b2_ + 4 * b * c + (c - 6) * c - 1)
-                + (b + 1) ** 2 * (b2_ + b - 2)
-                + 4 * p4
-            )
-            / d
-        )
-        g6 = (
-            2
-            * p4
-            * (
-                5 * a2
-                + a * (-8 * b + 5 * c + 12 * n - 72)
-                + 5 * b2_
-                + 5 * b * c
-                + 12 * b * (n - 6)
-                + 4 * n * (c + 4 * n)
-                - 29 * c
-                - 196 * n
-                - 8 * p2
-                + 595
-            )
-            / d
-        )
-        g7 = (
-            p4
-            * (
-                -5 * a2
-                + 2 * a * (b - 4 * n + 28)
-                - 5 * b2_
-                - 8 * b * (n - 7)
-                - 8 * (n - 14) * n
-                + 24 * p2
-                - 387
-            )
-            / d
-        )
-        g8 = -16 * p6 / d
-        g9 = 4 * p6 / d
-        return (g0, g1, g2, g3, g4, g5, g6, g7, g8, g9)
-
-    return row
-
-
-# ---------------------------------------------------------------------------
-# elliptic corollary tables (K and E); streams always carry the pi/2 factor
-# ---------------------------------------------------------------------------
-
-
-def _exp_K_seeds(p):
-    return [1, (4 * p + 1) / 4, (32 * p * p + 16 * p + 9) / 64]
-
-
-def _exp_K_row(p):
-    def row(n):
-        d = (n + 1) ** 2
-        return (
-            (2 * n + 1) * (2 * n + 4 * p + 1) / (4 * d),
-            -p * (2 * n + p) / d,
-            p * p / d,
-        )
-
-    return row
-
-
-def _exp_E_seeds(p):
-    return [1, (4 * p - 1) / 4, (32 * p * p - 16 * p - 3) / 64]
-
-
-def _exp_E_row(p):
-    def row(n):
-        d = (n + 1) ** 2
-        return (
-            (2 * n + 1) * (2 * n + 4 * p - 1) / (4 * d),
-            -p * (2 * n + p - 1) / d,
-            p * p / d,
-        )
-
-    return row
-
-
-def _binom_K_seeds(p, th):
-    return [
-        1,
-        (1 - 4 * th * p) / 4,
-        (32 * th * th * p * p - 32 * th * th * p - 16 * th * p + 9) / 64,
-    ]
-
-
-def _binom_K_row(p, th):
-    def row(n):
-        d = (n + 1) ** 2
-        a0 = (8 * th * n * (n - p) + (2 * n + 1) ** 2 - 4 * th * p) / (4 * d)
-        a1 = (
-            -th
-            * (
-                2 * (th + 2) * n ** 2
-                - 4 * (th + 1) * n * (p + 1)
-                + 2 * th * (p + 1) ** 2
-                + 1
-            )
-            / (2 * d)
-        )
-        a2 = th * th * (-2 * n + 2 * p + 3) ** 2 / (4 * d)
-        return (a0, a1, a2)
-
-    return row
-
-
-def _binom_E_seeds(p, th):
-    return [
-        1,
-        -(4 * th * p + 1) / 4,
-        (32 * th * th * p * p - 32 * th * th * p + 16 * th * p - 3) / 64,
-    ]
-
-
-def _binom_E_row(p, th):
-    def row(n):
-        d = (n + 1) ** 2
-        a0 = ((8 * th + 4) * n ** 2 - 8 * th * n * p - 4 * th * p - 1) / (4 * d)
-        a1 = (
-            th
-            * (
-                -2 * th * (-n + p + 1) ** 2
-                - (2 * n - 1) * (2 * n - 2 * p - 3)
-            )
-            / (2 * d)
-        )
-        a2 = th * th * (2 * n - 2 * p - 5) * (2 * n - 2 * p - 3) / (4 * d)
-        return (a0, a1, a2)
-
-    return row
-
-
-def _arctanexp_K_seeds(p):
-    p2 = p * p
-    p3 = p2 * p
-    p4 = p3 * p
-    return [
-        1,
-        (1 - 4 * p) / 4,
-        (32 * p2 - 16 * p + 9) / 64,
-        (-128 * p3 + 96 * p2 + 148 * p + 75) / 768,
-        (2048 * p4 - 2048 * p3 - 12928 * p2 - 704 * p + 3675) / 49152,
-    ]
-
-
-def _arctanexp_K_row(p):
-    def row(n):
-        d = (n + 1) ** 2
-        b0 = (2 * n + 1) * (2 * n - 4 * p + 1) / (4 * d)
-        b1 = -(2 * n ** 2 - 2 * n * (p + 2) + p * p + 2) / d
-        b2 = (4 * n ** 2 - 4 * n * (p + 3) + 2 * p * (p + 5) + 9) / (2 * d)
-        b3 = -(n - 3) * (n - 2 * p - 3) / d
-        b4 = (7 - 2 * n) ** 2 / (4 * d)
-        return (b0, b1, b2, b3, b4)
-
-    return row
-
-
-def _arctanexp_E_seeds(p):
-    p2 = p * p
-    p3 = p2 * p
-    p4 = p3 * p
-    return [
-        1,
-        (-4 * p - 1) / 4,
-        (32 * p2 + 16 * p - 3) / 64,
-        (-128 * p3 - 96 * p2 + 292 * p - 15) / 768,
-        (2048 * p4 + 2048 * p3 - 17536 * p2 - 3136 * p - 525) / 49152,
-    ]
-
-
-def _arctanexp_E_row(p):
-    def row(n):
-        d = (n + 1) ** 2
-        b0 = (2 * n + 1) * (2 * n - 4 * p - 1) / (4 * d)
-        b1 = -(2 * n ** 2 - 2 * n * (p + 2) + p * p + p + 2) / d
-        b2 = (4 * n ** 2 - 4 * n * (p + 4) + 2 * p * (p + 5) + 15) / (2 * d)
-        b3 = -(n ** 2 - 2 * n * (p + 3) + 7 * p + 9) / d
-        b4 = (2 * n - 9) * (2 * n - 7) / (4 * d)
-        return (b0, b1, b2, b3, b4)
-
-    return row
-
-
-def _trig_K_row(p):
-    p2 = p * p
-    p4 = p2 * p2
-    p6 = p4 * p2
-
-    def row(n):
-        dlow = (n + 1) ** 2
-        d = n * n * dlow
-        g0 = (3 * (n - 1) * n + 1) / dlow
-        g1 = (
-            4
-            * n
-            * (
-                2 * n * (8 * n * ((n - 8) * p2 - n + 5) + 172 * p2 - 79)
-                - 392 * p2
-                + 145
-            )
-            + 608 * p2
-            - 199
-        ) / (16 * d)
-        g2 = (
-            (5 - 2 * n) ** 2 * (12 * (n - 4) * n + 49)
-            - 16 * (n * (4 * n * (4 * n ** 2 - 46 * n + 191) - 1381) + 911) * p2
-        ) / (16 * d)
-        g3 = (
-            -((4 * n ** 2 - 24 * n + 35) ** 2)
-            + 16 * (8 * (n - 6) * n + 67) * p4
-            + 4 * (8 * n * (3 * n * (4 * (n - 15) * n + 331) - 2405) + 17271) * p2
-        ) / (16 * d)
-        g4 = (
-            p2
-            * (
-                2 * n * (-8 * n * (n * (2 * n - 37) + 4 * p2 + 253) + 248 * p2 + 6089)
-                - 934 * p2
-                - 13627
-            )
-            / (2 * d)
-        )
-        g5 = (
-            p2
-            * (
-                96 * n * (2 * n - 19) * p2
-                + 8 * n * (2 * n * ((n - 22) * n + 179) - 1281)
-                + 16 * p4
-                + 4264 * p2
-                + 13627
-            )
-            / (4 * d)
-        )
-        g6 = -p4 * (8 * n * (4 * n - 45) + 16 * p2 + 999) / d
-        g7 = p4 * (8 * (n - 13) * n + 24 * p2 + 333) / d
-        g8 = -16 * p6 / d
-        g9 = 4 * p6 / d
-        return (g0, g1, g2, g3, g4, g5, g6, g7, g8, g9)
-
-    return row
-
-
-def _trig_E_row(p):
-    p2 = p * p
-    p4 = p2 * p2
-    p6 = p4 * p2
-
-    def row(n):
-        dlow = (n + 1) ** 2
-        d = n * n * dlow
-        g0 = (n * (3 * n - 5) + 1) / dlow
-        g1 = (
-            4
-            * n
-            * (
-                4 * n * (n * (4 * (n - 8) * p2 - 3 * n + 16) + 86 * p2 - 29)
-                - 392 * p2
-                + 87
-            )
-            + 608 * p2
-            - 99
-        ) / (16 * d)
-        g2 = (
-            (3 - 2 * n) ** 2 * (2 * n - 7) * (2 * n - 5)
-            - 16 * (n * (8 * n * (2 * (n - 12) * n + 103) - 1523) + 1021) * p2
-        ) / (16 * d)
-        g3 = (
-            p2
-            * (
-                16 * n * (6 * n ** 3 - 96 * n ** 2 + 2 * (n - 6) * p2 + 561 * n - 1426)
-                + 268 * p2
-                + 21305
-            )
-            / (4 * d)
-        )
-        g4 = (
-            p2
-            * (
-                2 * n * (-8 * n * (2 * (n - 20) * n + 4 * p2 + 295) + 256 * p2 + 7615)
-                - 3 * (330 * p2 + 6049)
-            )
-            / (2 * d)
-        )
-        g5 = (
-            p2
-            * (
-                8
-                * (
-                    24 * (n - 10) * n * p2
-                    + (n - 12) * n * (2 * (n - 12) * n + 139)
-                    + 2 * p4
-                )
-                + 9 * (524 * p2 + 2145)
-            )
-            / (4 * d)
-        )
-        g6 = -p4 * (32 * (n - 12) * n + 16 * p2 + 1141) / d
-        g7 = 2 * p4 * (4 * (n - 14) * n + 3 * (4 * p2 + 65)) / d
-        g8 = -16 * p6 / d
-        g9 = 4 * p6 / d
-        return (g0, g1, g2, g3, g4, g5, g6, g7, g8, g9)
-
-    return row
-
-
-def _hyp_K_row(p):
-    p2 = p * p
-    p4 = p2 * p2
-    p6 = p4 * p2
-
-    def row(n):
-        dlow = (n + 1) ** 2
-        d = n * n * dlow
-        d0 = (3 * (n - 1) * n + 1) / dlow
-        d1 = (
-            4
-            * n
-            * (
-                2 * n * (-8 * n * ((n - 8) * p2 + n - 5) - 172 * p2 - 79)
-                + 392 * p2
-                + 145
-            )
-            - 608 * p2
-            - 199
-        ) / (16 * d)
-        d2 = (
-            16 * (n * (4 * n * (4 * n ** 2 - 46 * n + 191) - 1381) + 911) * p2
-            + (12 * (n - 4) * n + 49) * (5 - 2 * n) ** 2
-        ) / (16 * d)
-        d3 = -(
-            (4 * n ** 2 - 24 * n + 35) ** 2
-            - 16 * (8 * (n - 6) * n + 67) * p4
-            + 4 * (8 * n * (3 * n * (4 * (n - 15) * n + 331) - 2405) + 17271) * p2
-        ) / (16 * d)
-        d4 = (
-            p2
-            * (
-                2 * n * (8 * n * (n * (2 * n - 37) - 4 * p2 + 253) + 248 * p2 - 6089)
-                - 934 * p2
-                + 13627
-            )
-            / (2 * d)
-        )
-        d5 = (
-            p2
-            * (
-                96 * n * (2 * n - 19) * p2
-                - 8 * n * (2 * n * ((n - 22) * n + 179) - 1281)
-                - 16 * p4
-                + 4264 * p2
-                - 13627
-            )
-            / (4 * d)
-        )
-        d6 = p4 * (8 * n * (45 - 4 * n) + 16 * p2 - 999) / d
-        d7 = p4 * (8 * (n - 13) * n - 24 * p2 + 333) / d
-        d8 = 16 * p6 / d
-        d9 = -4 * p6 / d
-        return (d0, d1, d2, d3, d4, d5, d6, d7, d8, d9)
-
-    return row
-
-
-def _hyp_E_row(p):
-    p2 = p * p
-    p4 = p2 * p2
-    p6 = p4 * p2
-
-    def row(n):
-        dlow = (n + 1) ** 2
-        d = n * n * dlow
-        d0 = (n * (3 * n - 5) + 1) / dlow
-        d1 = (
-            4
-            * n
-            * (
-                4 * n * (-3 * n ** 2 - 2 * (2 * (n - 8) * n + 43) * p2 + 16 * n - 29)
-                + 392 * p2
-                + 87
-            )
-            - 608 * p2
-            - 99
-        ) / (16 * d)
-        d2 = (
-            16 * (n * (8 * n * (2 * (n - 12) * n + 103) - 1523) + 1021) * p2
-            + (2 * n - 7) * (2 * n - 5) * (3 - 2 * n) ** 2
-        ) / (16 * d)
-        d3 = (
-            p2
-            * (
-                16 * n * (-6 * n ** 3 + 96 * n ** 2 + 2 * (n - 6) * p2 - 561 * n + 1426)
-                + 268 * p2
-                - 21305
-            )
-            / (4 * d)
-        )
-        d4 = (
-            p2
-            * (
-                2 * n * (8 * n * (2 * (n - 20) * n - 4 * p2 + 295) + 256 * p2 - 7615)
-                - 990 * p2
-                + 18147
-            )
-            / (2 * d)
-        )
-        d5 = (
-            p2
-            * (
-                192 * (n - 10) * n * p2
-                - 8 * (n - 12) * n * (2 * (n - 12) * n + 139)
-                - 16 * p4
-                + 9 * (524 * p2 - 2145)
-            )
-            / (4 * d)
-        )
-        d6 = p4 * (-32 * (n - 12) * n + 16 * p2 - 1141) / d
-        d7 = 2 * p4 * (4 * (n - 14) * n - 12 * p2 + 195) / d
-        d8 = 16 * p6 / d
-        d9 = -4 * p6 / d
-        return (d0, d1, d2, d3, d4, d5, d6, d7, d8, d9)
-
-    return row
-
-
 # ---------------------------------------------------------------------------
 # catalogue assembly
 # ---------------------------------------------------------------------------
@@ -1868,16 +1076,49 @@ def _info(id, base, h, formulation, order, start, radius, names, c2=False):
     return FamilyInfo(id, base, h, formulation, order, start, radius, names, c2)
 
 
+#: fixed Gauss parameters behind each elliptic base: K -> (1/2,1/2,1),
+#: E -> (-1/2,1/2,1); expressed via integer halves to stay backend-generic
+_ELLIPTIC_A_NUM = {"K": 1, "E": -1}
+
+
+def _elliptic_abc(base, bk):
+    two = bk.coerce(2)
+    a = bk.coerce(_ELLIPTIC_A_NUM[base]) / two
+    b = bk.one() / two
+    c = bk.one()
+    return a, b, c
+
+
+def _args(info, params, bk):
+    """The table arguments of a family: its parameters in ``info.param_names``
+    order, behind the F table's fixed (a, b, c) for K and E."""
+    args = [getattr(params, name) for name in info.param_names]
+    if info.base in _ELLIPTIC_A_NUM:
+        return [*(_field(x) for x in _elliptic_abc(info.base, bk)), *args]
+    return args
+
+
 def _mk(seeds_fn, row_fn, den):
-    """A single recurrence; ``seeds_fn`` and ``row_fn`` take the parameters in
-    ``info.param_names`` order, ``den`` takes the Params."""
+    """A single recurrence; ``seeds_fn`` and ``row_fn`` take ``_args``, ``den``
+    takes the Params."""
 
     def mk(info, params, bk):
-        args = [getattr(params, name) for name in info.param_names]
+        args = _args(info, params, bk)
         meta = _meta(info, bk, params)
         return _spec(info, bk, meta, seeds_fn(*args), row_fn(*args), den(params))
 
     return mk
+
+
+def _at_w(fn, sign):
+    """A sin/cos table ``fn(..., p, w)`` called as ``fn(..., p)``, with w the
+    signed square sign * p^2 of the frequency: p^2 for sin and cos, -p^2 for
+    sinh(pz) = -i sin(ipz) and cosh(pz) = cos(ipz)."""
+
+    def at(*args):
+        return fn(*args, sign * args[-1] * args[-1])
+
+    return at
 
 
 #: how the branches exp(+-pz) (sinh, cosh) or exp(+-ipz) (sin, cos) combine
@@ -1896,7 +1137,7 @@ def _mk_branches(seeds_fn, row_fn, den):
         q = bk.imaginary_unit() * params.p if info.h in ("sin", "cos") else params.p
 
         def branch(p):
-            args = [p if name == "p" else getattr(params, name) for name in info.param_names]
+            args = _args(info, replace(params, p=p), bk)
             return _spec(info, bk, meta, seeds_fn(*args), row_fn(*args), den(params))
 
         return ComboSpec(branch(q), branch(-q), _COMBINER[info.h], meta)
@@ -1954,15 +1195,17 @@ _register(
     _info("arctanexp-M", "M", "exp_arctan", "single", 4, 4, "entire", _M_P),
     _mk(_arctanexp_M_seeds, _arctanexp_M_row, _den_low),
 )
-for _h, _seeds, _row in (
-    ("sin", _sin_M_seeds, _sin_M_row),
-    ("cos", _cos_M_seeds, _sin_M_row),
-    ("sinh", _sinh_M_seeds, _sinh_M_row),
-    ("cosh", _cosh_M_seeds, _sinh_M_row),
+for _h, _seeds, _sign in (
+    ("sin", _sin_M_seeds, 1),
+    ("cos", _cos_M_seeds, 1),
+    ("sinh", _sin_M_seeds, -1),
+    ("cosh", _cos_M_seeds, -1),
 ):
     _register(
         _info(f"{_h}-M", "M", _h, "single", 5, 5, "entire", _M_P, c2=True),
-        _f64_route(_mk(_seeds, _row, _den_high), _M_BRANCHES),
+        _f64_route(
+            _mk(_at_w(_seeds, _sign), _at_w(_sin_M_row, _sign), _den_high), _M_BRANCHES
+        ),
     )
 _register(
     _info("arcsin-M", "M", "arcsin", "single", 11, 11, "1/|p|", _M_P, c2=True),
@@ -1992,76 +1235,44 @@ _register(
     _info("arctanexp-F", "F", "exp_arctan", "single", 4, 4, "1", _F_P),
     _mk(_arctanexp_F_seeds, _arctanexp_F_row, _den_low),
 )
-for _h, _seeds, _row in (
-    ("sin", _sin_F_seeds, _sin_F_row),
-    ("cos", _cos_F_seeds, _sin_F_row),
-    ("sinh", _sinh_F_seeds, _sinh_F_row),
-    ("cosh", _cosh_F_seeds, _sinh_F_row),
-):
+_F_TRIG = (
+    ("sin", _sin_F_seeds, 1),
+    ("cos", _cos_F_seeds, 1),
+    ("sinh", _sin_F_seeds, -1),
+    ("cosh", _cos_F_seeds, -1),
+)
+for _h, _seeds, _sign in _F_TRIG:
     _register(
         _info(f"{_h}-F", "F", _h, "single", 9, 9, "1", _F_P, c2=True),
-        _f64_route(_mk(_seeds, _row, _den_high), _F_BRANCHES),
+        _f64_route(
+            _mk(_at_w(_seeds, _sign), _at_w(_sin_F_row, _sign), _den_high), _F_BRANCHES
+        ),
     )
 
-# -- elliptic bases ---------------------------------------------------------
+# -- elliptic bases: the F tables at (a, b, c) = (+-1/2, 1/2, 1) ------------
 
-#: fixed Gauss parameters behind each elliptic base: K -> (1/2,1/2,1),
-#: E -> (-1/2,1/2,1); expressed via integer halves to stay backend-generic
-_ELLIPTIC_A_NUM = {"K": 1, "E": -1}
-
-
-def _elliptic_abc(base, bk):
-    two = bk.coerce(2)
-    a = bk.coerce(_ELLIPTIC_A_NUM[base]) / two
-    b = bk.one() / two
-    c = bk.one()
-    return a, b, c
-
-
-def _mk_elliptic_inherited(seeds_fn, row_fn):
-    """An elliptic single whose seeds are those of the F family at (a, b, c)."""
-
-    def mk(info, params, bk):
-        a, b, c = (_field(x) for x in _elliptic_abc(info.base, bk))
-        seeds = seeds_fn(a, b, c, params.p)
-        meta = _meta(info, bk, params)
-        return _spec(info, bk, meta, seeds, row_fn(params.p), _den_elliptic(params))
-
-    return mk
-
+_ELLIPTIC_BRANCHES = _mk_branches(_exp_F_seeds, _exp_F_row, _den_elliptic)
 
 for _base in ("K", "E"):
-    _exp_seeds = _exp_K_seeds if _base == "K" else _exp_E_seeds
-    _exp_row = _exp_K_row if _base == "K" else _exp_E_row
-    _bin_seeds = _binom_K_seeds if _base == "K" else _binom_E_seeds
-    _bin_row = _binom_K_row if _base == "K" else _binom_E_row
-    _atn_seeds = _arctanexp_K_seeds if _base == "K" else _arctanexp_E_seeds
-    _atn_row = _arctanexp_K_row if _base == "K" else _arctanexp_E_row
-    _trig_row = _trig_K_row if _base == "K" else _trig_E_row
-    _hyp_row = _hyp_K_row if _base == "K" else _hyp_E_row
-    _branches = _mk_branches(_exp_seeds, _exp_row, _den_elliptic)
-
     _register(
         _info(f"exp-{_base}", _base, "exp", "single", 2, 2, "1", ("p",)),
-        _mk(_exp_seeds, _exp_row, _den_elliptic),
+        _mk(_exp_F_seeds, _exp_F_row, _den_elliptic),
     )
     _register(
         _info(f"binom-{_base}", _base, "binom", "single", 2, 2, "1/|theta|", ("p", "theta")),
-        _mk(_bin_seeds, _bin_row, _den_elliptic),
+        _mk(_binom_F_seeds, _binom_F_row, _den_elliptic),
     )
     _register(
         _info(f"arctanexp-{_base}", _base, "exp_arctan", "single", 4, 4, "1", ("p",)),
-        _mk(_atn_seeds, _atn_row, _den_elliptic),
+        _mk(_arctanexp_F_seeds, _arctanexp_F_row, _den_elliptic),
     )
-    for _h, _seeds, _row in (
-        ("sin", _sin_F_seeds, _trig_row),
-        ("cos", _cos_F_seeds, _trig_row),
-        ("sinh", _sinh_F_seeds, _hyp_row),
-        ("cosh", _cosh_F_seeds, _hyp_row),
-    ):
+    for _h, _seeds, _sign in _F_TRIG:
         _register(
             _info(f"{_h}-{_base}", _base, _h, "single", 9, 9, "1", ("p",)),
-            _f64_route(_mk_elliptic_inherited(_seeds, _row), _branches),
+            _f64_route(
+                _mk(_at_w(_seeds, _sign), _at_w(_sin_F_row, _sign), _den_elliptic),
+                _ELLIPTIC_BRANCHES,
+            ),
         )
 
 

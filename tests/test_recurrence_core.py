@@ -19,6 +19,7 @@ from macprod.recurrence_core import (
     RecurrenceSpec,
     RowContractError,
     SystemSpec,
+    _compile,
     run,
 )
 from macprod.series_oracle import kummer_series
@@ -222,6 +223,23 @@ class TestExactScalars:
             got = run(branch, 30).coeffs
             assert got == tuple(values)
             assert [type(v) for v in got] == [type(v) for v in values]
+
+    @pytest.mark.parametrize("info", list_families(), ids=lambda i: i.id)
+    def test_real_parameters_compile_over_the_rationals(self, info):
+        # the one-time row compile stays out of Gaussian arithmetic at real
+        # parameters; only the sin/cos combos have branches at +-ip
+        params = draw_params(info, Random(crc32(info.id.encode()) + 2))
+        spec = build(info.id, params)
+        at_ip = info.formulation == "combo" and info.h in ("sin", "cos")
+        for branch in (spec.left, spec.right) if isinstance(spec, ComboSpec) else (spec,):
+            coeffs = [
+                c
+                for den, terms in _compile(branch)
+                for poly in [den or ()] + [num for _, num in terms]
+                for c in poly
+            ]
+            rational = all(type(c) in (int, Fraction) for c in coeffs)
+            assert rational != at_ip, info.id
 
     def test_int_and_fraction_seeds_step_to_gaussian_rationals(self):
         spec = RecurrenceSpec(1, 1, (1, Fraction(1, 2)), lambda n: (n + 1, 1 / (n + 2)), "exact")
