@@ -1,6 +1,8 @@
 """Time the layers of an exact request: build, row compile, stepping, wrap.
 
-For each family and size it reports, best of ``--reps``:
+For each family and size one interleaved loop runs every layer once per
+repetition, so the columns of one record are read at the same moments; it
+reports, best of ``--reps``:
 
 * ``build``: ``families.build`` (seeds and the row closure);
 * ``rows``: turning the row into per-step coefficients.  With compiled rows
@@ -46,15 +48,6 @@ FAMILIES = (
 VALUES = {"a": Fraction(1, 3), "b": Fraction(-5, 4), "c": Fraction(7, 5), "p": Fraction(3, 2)}
 
 
-def _time(fn, reps: int) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def _branches(spec):
     return (spec.left, spec.right) if isinstance(spec, recurrence_core.ComboSpec) else (spec,)
 
@@ -94,13 +87,24 @@ def _request(argv):
 def measure(family: str, N: int, reps: int) -> dict:
     params = {name: VALUES[name] for name in get_family(family).param_names}
     spec = build(family, params)
-    ms = {
-        "build": _time(lambda: build(family, params), reps),
-        "rows": _time(_rows_fn(spec, N), reps),
-        "wrap": _time(_wrap_fn(spec, N), reps),
-        "run": _time(lambda: recurrence_core.run(spec, N), reps),
-        "request": _time(lambda: _request(_argv(family, N)), reps),
+    layers = {
+        "build": lambda: build(family, params),
+        "rows": _rows_fn(spec, N),
+        "wrap": _wrap_fn(spec, N),
+        "run": lambda: recurrence_core.run(spec, N),
+        "request": lambda: _request(_argv(family, N)),
     }
+    ms = dict.fromkeys(layers, float("inf"))
+    for _ in range(reps):
+        for name, fn in layers.items():
+            t0 = time.perf_counter()
+            fn()
+            ms[name] = min(ms[name], time.perf_counter() - t0)
+    if ms["request"] < ms["run"]:  # a request contains a run
+        raise SystemExit(
+            f"incoherent record for {family} at N = {N}: request "
+            f"{ms['request'] * 1e3:.3f} ms < run {ms['run'] * 1e3:.3f} ms; rerun"
+        )
     ms["step"] = max(ms["run"] - ms["rows"] - ms["wrap"], 0.0)
     return {"family": family, "N": N, **{f"{k}_ms": round(v * 1e3, 3) for k, v in ms.items()}}
 

@@ -1,40 +1,10 @@
-"""Fallback for the f64 hot loops when the compiled extension is missing.
+"""Fallback for the f64 stepping loop when the C loop cannot be built.
 
-Same accumulation order as the compiled kernels (ascending index), so the two
-implementations agree bit for bit on the same inputs.
+Same accumulation order as the C loop in ``kernels`` (ascending index), so
+the two implementations agree bit for bit on the same inputs.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-
-def conv_complex(a, b, out):
-    # out[n] += a[k] * b[n-k] for k ascending, all n >= k at once.  The complex
-    # product is spelled out in real ufuncs, each rounded on its own, so it
-    # matches the scalar (re*re - im*im, re*im + im*re) bit for bit.
-    size = len(a)
-    ar = a.real.tolist()
-    ai = a.imag.tolist()
-    br = np.ascontiguousarray(b.real)
-    bi = np.ascontiguousarray(b.imag)
-    re = np.zeros(size)
-    im = np.zeros(size)
-    t1 = np.empty(size)
-    t2 = np.empty(size)
-    for k in range(size):
-        m = size - k
-        u, v = t1[:m], t2[:m]
-        np.multiply(br[:m], ar[k], out=u)
-        np.multiply(bi[:m], ai[k], out=v)
-        np.subtract(u, v, out=u)
-        re[k:] += u
-        np.multiply(bi[:m], ar[k], out=u)
-        np.multiply(br[:m], ai[k], out=v)
-        np.add(u, v, out=u)
-        im[k:] += u
-    out.real = re
-    out.imag = im
 
 
 def recurrence_steps(rows, u, n0):

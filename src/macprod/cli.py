@@ -14,6 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
+from . import kernels
 from . import verify as verify_mod
 from .families import (
     CatalogueError,
@@ -202,6 +203,12 @@ def cmd_bench(args) -> int:
         fields[name] = bk.parse(raw) if raw is not None else complex(defaults[name])
     report = verify_mod.bench(args.family, Params(**fields), args.count, args.reps)
     sys.stdout.write(emit_json(report.to_dict()))
+    if kernels.implementation_name() == "python":
+        print(
+            "note: recurrence stepping ran on the pure-Python fallback "
+            "(MACPROD_PURE=1, or no C compiler)",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

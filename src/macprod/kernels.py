@@ -1,65 +1,134 @@
-"""f64 hot-loop dispatch: compiled extension when available, Python otherwise.
+"""f64 hot loops: numpy convolution, and recurrence stepping in C via ctypes.
 
-Set ``MACPROD_PURE=1`` before import to force the pure-Python implementation
-(used by the kernel parity tests and the backend comparison benchmark).
+``convolve`` is the oracle's truncated Cauchy product, ``np.convolve`` cut
+to the operands' length.
+
+``recurrence_steps`` runs the C loop in ``_STEP_C`` below.  It is compiled
+with the system C compiler on first use, never at import, and cached as
+``__pycache__/_step-<sha256 of the source>.<platform>.so`` next to this file
+(written to a temporary file, then renamed into place), then loaded with
+``ctypes``.  The loop accumulates in ascending index order and spells out
+the complex product without fused multiply-adds, so it agrees bit for bit
+with the pure-Python fallback in ``_kernels_py``.  The fallback runs when
+no compiler is found, when the cache directory cannot be written, or when
+``MACPROD_PURE=1`` is set before import.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import types
 
 import numpy as np
 
-if os.environ.get("MACPROD_PURE") == "1":
-    from . import _kernels_py as _impl
+from . import _kernels_py
 
-    COMPILED = False
-else:
+_PURE = os.environ.get("MACPROD_PURE") == "1"
+
+_STEP_C = r"""
+/* u[n+1] = sum_i rows[n-n0][i] * u[n-i] for n = n0 .. n0+count-1, over
+   complex values stored as interleaved (re, im) doubles */
+void recurrence_steps(const double *rows, double *u, long n0, long count, long width)
+{
+    for (long j = 0; j < count; j++) {
+        const double *row = rows + 2 * j * width;
+        const double *v = u + 2 * (n0 + j);
+        double re = 0.0, im = 0.0;
+        for (long i = 0; i < width; i++) {
+            double ar = row[2 * i], ai = row[2 * i + 1];
+            double br = v[-2 * i], bi = v[-2 * i + 1];
+            re = re + (ar * br - ai * bi);
+            im = im + (ar * bi + ai * br);
+        }
+        u[2 * (n0 + j + 1)] = re;
+        u[2 * (n0 + j + 1) + 1] = im;
+    }
+}
+"""
+
+
+def _build():
+    """Compile and load _STEP_C; None without a compiler or a writable cache."""
+    import ctypes
+    import hashlib
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    cache = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
+    digest = hashlib.sha256(_STEP_C.encode()).hexdigest()[:16]
+    path = os.path.join(cache, f"_step-{digest}.{sysconfig.get_platform()}.so")
     try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
+        if not os.path.exists(path):
+            os.makedirs(cache, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run(
+                    ["cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC",
+                     "-x", "c", "-", "-o", tmp],
+                    input=_STEP_C, text=True, capture_output=True, check=True, timeout=120,
+                )
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        fn = ctypes.CDLL(path).recurrence_steps
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+    fn.restype = None
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_long] * 3
 
-        COMPILED = True
-    except ImportError:
-        from . import _kernels_py as _impl
+    def recurrence_steps(rows, u, n0):
+        buf = np.ascontiguousarray(u)
+        fn(rows.ctypes.data, buf.ctypes.data, n0, rows.shape[0], rows.shape[1])
+        if buf is not u:
+            u[:] = buf
 
-        COMPILED = False
+    return types.SimpleNamespace(recurrence_steps=recurrence_steps)
+
+
+@functools.cache
+def _c_impl():
+    """The compiled implementation, or None; built once per process."""
+    return None if _PURE else _build()
 
 
 def implementation_name() -> str:
-    return "compiled" if COMPILED else "python"
+    return "python" if _c_impl() is None else "compiled"
 
 
-def convolve(a, b, impl=None) -> np.ndarray:
+def __getattr__(name):
+    if name == "COMPILED":  # resolved on access, so importing never compiles
+        return _c_impl() is not None
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def convolve(a, b) -> np.ndarray:
     """Truncated Cauchy product of two equal-length complex128 arrays."""
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    b = np.ascontiguousarray(b, dtype=np.complex128)
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
     if a.shape != b.shape:
         raise ValueError("convolve operands must share one length")
-    out = np.empty_like(a)
-    (impl or _impl).conv_complex(a, b, out)
-    return out
+    return np.convolve(a, b)[: len(a)]
 
 
 def recurrence_steps(rows, u, n0: int, impl=None) -> None:
     """Advance u in place: u[n+1] = sum_i rows[n - n0, i] * u[n-i]."""
     rows = np.ascontiguousarray(rows, dtype=np.complex128)
+    if rows.ndim != 2 or u.dtype != np.complex128:
+        raise ValueError("rows must be 2-D and u complex128")
     if rows.shape[0] != len(u) - 1 - n0:
         raise ValueError("row count must cover exactly the steps n0..N-1")
-    (impl or _impl).recurrence_steps(rows, u, n0)
+    if rows.shape[1] > n0 + 1:
+        raise ValueError("a row wider than n0 + 1 reaches before u[0]")
+    (impl or _c_impl() or _kernels_py).recurrence_steps(rows, u, n0)
 
 
 def implementations():
-    """Both implementations keyed by name (for parity tests and benchmarks)."""
-    from . import _kernels_py
-
+    """Each available implementation keyed by name (for parity tests and benchmarks)."""
     table = {"python": _kernels_py}
-    if COMPILED:
-        table["compiled"] = _impl
-    else:
-        try:
-            from . import _kernels  # type: ignore[attr-defined]
-
-            table["compiled"] = _kernels
-        except ImportError:
-            pass
+    if _c_impl() is not None:
+        table["compiled"] = _c_impl()
     return table

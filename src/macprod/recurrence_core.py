@@ -19,10 +19,11 @@ times a rational stream, arccos-M is rational + pi * rational), so
 zero is not stepped.  A row that compares, branches on or converts n raises
 :class:`RowContractError`.
 
-The f64 path evaluates the coefficient rows for all steps at once and hands
-the sequential stepping to the kernel layer, so an f64 row closure must
-broadcast over an index vector: plain arithmetic on n does.  It keeps the
-evaluation order fixed (i ascending), so repeated runs are bit-identical.
+The f64 path evaluates the coefficient rows for a block of steps at once and
+hands the sequential stepping to the kernel layer, block by block, so an f64
+row closure must broadcast over an index vector: plain arithmetic on n does.
+It keeps the evaluation order fixed (i ascending), so repeated runs are
+bit-identical.
 
 A :class:`ComboSpec` combines two recurrence branches entrywise.  A
 :class:`SystemSpec` steps several coupled sequences together instead; the
@@ -416,29 +417,37 @@ def _run_generic(spec: RecurrenceSpec, N: int) -> list:
     return values + streams[0]
 
 
+#: f64 steps per row evaluation.  A run's temporaries then stay a few tens of
+#: KB at any N and are reused from the heap.  Rows for all N steps at once
+#: take about 1 MB at N = 8192, which the allocator hands back to the system
+#: after each run, so the next run faults in ~220 fresh pages: more time than
+#: the C stepping loop takes.
+_F64_BLOCK = 1024
+
+
 def _run_f64(spec: RecurrenceSpec, N: int) -> list:
     n0, k = spec.start, spec.order
     u = np.zeros(N + 1, dtype=np.complex128)
     m = min(n0, N)
     u[: m + 1] = spec.seeds[: m + 1]
-    if N > n0:
-        ns = np.arange(n0, N, dtype=np.float64)
-        rows = np.empty((N - n0, k + 1), dtype=np.complex128)
+    for lo in range(n0, N, _F64_BLOCK):
+        hi = min(lo + _F64_BLOCK, N)
+        rows = np.empty((hi - lo, k + 1), dtype=np.complex128)
         with np.errstate(all="ignore"):
-            raw = spec.row(ns)
+            raw = spec.row(np.arange(lo, hi, dtype=np.float64))
         for i in range(k + 1):
             rows[:, i] = raw[i]
         bad = ~np.isfinite(rows)
         if bad.any():
-            _singular(spec, n0 + int(np.argwhere(bad.any(axis=1))[0][0]))
-        kernels.recurrence_steps(rows, u, n0)
-        finite = np.isfinite(u)
-        if not finite.all():
-            n_bad = int(np.argmin(finite))
-            raise NonFiniteError(
-                f"recurrence overflowed to a non-finite value at n={n_bad}",
-                index=n_bad,
-            )
+            _singular(spec, lo + int(np.argwhere(bad.any(axis=1))[0][0]))
+        kernels.recurrence_steps(rows, u[lo - k : hi + 1], k)
+    finite = np.isfinite(u)
+    if N > n0 and not finite.all():
+        n_bad = int(np.argmin(finite))
+        raise NonFiniteError(
+            f"recurrence overflowed to a non-finite value at n={n_bad}",
+            index=n_bad,
+        )
     return u.tolist()
 
 

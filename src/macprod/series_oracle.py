@@ -12,9 +12,10 @@ five-term product recurrences it is later used to check.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from . import kernels
 from .numerics import (
@@ -95,9 +96,11 @@ def _check_c(c):
 
 
 def _finite_or_raise(values, what: str):
-    for n, v in enumerate(values):
-        if isinstance(v, complex) and not cmath.isfinite(v):
-            raise NonFiniteError(f"{what} produced a non-finite entry at n={n}", index=n)
+    """Raise NonFiniteError naming the first non-finite entry of an f64 sequence."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        n = int(np.argmin(finite))
+        raise NonFiniteError(f"{what} produced a non-finite entry at n={n}", index=n)
 
 
 def kummer_series(a, c, N: int, backend=None) -> CoeffStream:
@@ -210,8 +213,8 @@ def cauchy_product(A: CoeffStream, B: CoeffStream) -> CoeffStream:
         raise ValueError("cauchy_product operands must share one length")
     if A.backend == "f64":
         out = kernels.convolve(A.coeffs, B.coeffs)
+        _finite_or_raise(out, "cauchy_product")
         coeffs = tuple(out.tolist())
-        _finite_or_raise(coeffs, "cauchy_product")
     else:
         av, bv = A.coeffs, B.coeffs
         coeffs = tuple(

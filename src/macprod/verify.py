@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
+import numpy as np
+
 from .families import (
     CatalogueError,
     Params,
@@ -103,15 +105,14 @@ def _compare_streams(got, want, backend, tolerance, family, params, comparison):
     """Deviation report for stream ``got`` against reference ``want``."""
     bk = get_backend(backend)
     N = len(want) - 1
-    max_abs = 0.0
-    max_rel = 0.0
-    first = None
-    for n, (x, y) in enumerate(zip(got.coeffs, want.coeffs)):
-        if bk is EXACT:
-            mismatch = x != y
-            if mismatch and first is None:
-                first = n
-            if mismatch:
+    if bk is EXACT:
+        max_abs = 0.0
+        max_rel = 0.0
+        first = None
+        for n, (x, y) in enumerate(zip(got.coeffs, want.coeffs)):
+            if x != y:
+                if first is None:
+                    first = n
                 try:
                     dx = abs(approximate(x) - approximate(y))
                     max_rel = max(max_rel, dx / max(1.0, abs(approximate(y))))
@@ -119,16 +120,21 @@ def _compare_streams(got, want, backend, tolerance, family, params, comparison):
                     dx = float("inf")
                     max_rel = float("inf")
                 max_abs = max(max_abs, dx)
-        else:
-            dx = abs(x - y)
-            rel = dx / max(1.0, abs(y))
-            max_abs = max(max_abs, dx)
-            max_rel = max(max_rel, rel)
-            if rel > tolerance and first is None:
-                first = n
-    if bk is EXACT:
         verdict = "pass" if first is None else "fail"
     else:
+        m = min(len(got), len(want))
+        x = np.asarray(got.coeffs[:m], dtype=np.complex128)
+        y = np.asarray(want.coeffs[:m], dtype=np.complex128)
+        with np.errstate(invalid="ignore", over="ignore"):
+            dx = np.abs(x - y)
+            rel = dx / np.maximum(1.0, np.abs(y))
+        # a deviation that is not a number (inf - inf, inf / inf) is unbounded
+        dx[np.isnan(dx)] = np.inf
+        rel[np.isnan(rel)] = np.inf
+        max_abs = float(dx.max())
+        max_rel = float(rel.max())
+        beyond = rel > tolerance
+        first = int(np.argmax(beyond)) if beyond.any() else None
         verdict = "pass" if max_rel <= tolerance else "fail"
     return DeviationReport(
         family=family,

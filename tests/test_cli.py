@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
-from macprod import cli
+import macprod
+from macprod import cli, kernels
 from macprod.families import list_families
 
 
@@ -274,6 +278,27 @@ class TestBenchCommand:
         doc = json.loads(out)
         assert doc["ratio"] > 0
         assert doc["N"] == 16
+
+
+    def test_fallback_noted_on_stderr_only(self, capsys):
+        argv = ["bench", "--family", "exp-M", "--count", "16", "--reps", "1"]
+        src = os.path.dirname(os.path.dirname(macprod.__file__))
+        env = dict(os.environ, MACPROD_PURE="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "macprod.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "pure-Python fallback" in lines[0]
+        doc = json.loads(proc.stdout)
+        assert proc.stdout == cli.emit_json(doc)
+        assert doc["family"] == "exp-M" and doc["N"] == 16
+        if kernels.implementation_name() == "compiled":
+            _, out, err = run_cli(capsys, *argv)
+            assert err == ""
+            assert json.loads(out).keys() == doc.keys()
 
 
 class TestListCommand:

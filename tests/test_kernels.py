@@ -1,11 +1,17 @@
 import os
+import re
+import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from macprod import kernels
+from macprod.families import Params, conform_params, elementary_factor, get_family
+from macprod.numerics import EXACT, GaussianRational, approximate
+from macprod.series_oracle import cauchy_product, elementary_series, hyper_base_series
 
 
 def _random_complex(rng, n):
@@ -34,33 +40,32 @@ class TestConvolve:
         with pytest.raises(ValueError):
             kernels.convolve(np.zeros(3, complex), np.zeros(4, complex))
 
-    def test_fallback_matches_scalar_loop_bitwise(self):
-        # ascending-k accumulation of Python complex products, as the compiled loop
-        from macprod import _kernels_py
-
-        rng = np.random.default_rng(5)
-        a = _random_complex(rng, 150) * np.exp(8 * rng.standard_normal(150))
-        b = _random_complex(rng, 150)
-        a[3] = complex(-0.0, 0.0)
-        av, bv = a.tolist(), b.tolist()
-        want = []
-        for n in range(150):
-            acc = 0j
-            for k in range(n + 1):
-                acc = acc + av[k] * bv[n - k]
-            want.append(acc)
-        out = kernels.convolve(a, b, impl=_kernels_py)
-        assert np.array_equal(out.view(np.uint64), np.array(want).view(np.uint64))
-
-    def test_implementations_agree_bitwise(self):
-        impls = kernels.implementations()
-        if len(impls) < 2:
-            pytest.skip("compiled kernels unavailable")
-        rng = np.random.default_rng(3)
-        a = _random_complex(rng, 200)
-        b = _random_complex(rng, 200)
-        outs = [kernels.convolve(a, b, impl=impl) for impl in impls.values()]
-        assert np.all(outs[0] == outs[1])
+    def test_accuracy_against_exact_oracle(self):
+        # f64 operands rounded from exact series; the exact product is the
+        # referee.  Metric |x - y| / max(1, |y|), as verify's f64 comparison.
+        # Measured at most 1.1e-16 (one ulp at 1); the bound allows 9 ulps at 1,
+        # well below the a-priori 257 eps (2.9e-14) for sums of 257 products.
+        N = 256
+        bound = 1e-15
+        cases = [
+            ("exp-M", Params(a=Fraction(1, 3), c=Fraction(7, 5), p=Fraction(3, 2))),
+            ("binom-F", Params(a=Fraction(1, 3), b=Fraction(-5, 4), c=Fraction(7, 5),
+                               p=Fraction(3, 2), theta=Fraction(1, 2))),
+            ("cos-M", Params(a=Fraction(1, 3), c=Fraction(7, 5),
+                             p=GaussianRational(Fraction(1, 2), Fraction(1, 3)))),
+        ]
+        for family_id, params in cases:
+            info = get_family(family_id)
+            pp = conform_params(params, EXACT)
+            h = elementary_series(elementary_factor(info, pp), N, EXACT)
+            base = hyper_base_series(info.base, N, EXACT, a=pp.a, b=pp.b, c=pp.c)
+            want = np.array([approximate(v) for v in cauchy_product(h, base).coeffs])
+            got = kernels.convolve(
+                [approximate(v) for v in h.coeffs], [approximate(v) for v in base.coeffs]
+            )
+            err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+            assert err.max() <= bound, (family_id, err.max())
+        assert any(v.imag for v in want), "one case must have complex coefficients"
 
 
 class TestRecurrenceSteps:
@@ -114,3 +119,48 @@ class TestSelection:
         impls = kernels.implementations()
         if "compiled" in impls:
             assert kernels.COMPILED
+
+    def _fresh_copy_run(self, root, path_env):
+        """Run one f64 request on a copy of the package with no build cache;
+        return (stdout lines, files added to the copy)."""
+        pkg = root / "macprod"
+        shutil.copytree(
+            os.path.dirname(kernels.__file__), pkg, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        before = set(pkg.rglob("*"))
+        code = (
+            "import macprod.kernels as k; from macprod import cli; "
+            "cli.main(['coeffs', '--family', 'exp-F', '--backend', 'f64', '--count', '40', "
+            "'--a=1/2', '--b=1/3', '--c=5/4', '--p=1']); print(k.implementation_name())"
+        )
+        env = dict(os.environ, PYTHONPATH=str(root), PATH=path_env, PYTHONDONTWRITEBYTECODE="1")
+        env.pop("MACPROD_PURE", None)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        added = sorted(str(p.relative_to(pkg)) for p in set(pkg.rglob("*")) - before if p.is_file())
+        return out.stdout.splitlines(), added
+
+    def _compiled_run(self, root):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        lines, added = self._fresh_copy_run(root, os.environ.get("PATH", ""))
+        assert lines[-1] == "compiled"
+        assert len(added) == 1
+        assert re.fullmatch(r"__pycache__/_step-[0-9a-f]{16}\.[\w.-]+\.so", added[0])
+        return lines
+
+    def test_builds_on_first_use_into_pycache_only(self, tmp_path):
+        self._compiled_run(tmp_path)
+
+    def test_no_compiler_falls_back_with_same_output(self, tmp_path):
+        empty = tmp_path / "empty-path"
+        empty.mkdir()
+        (tmp_path / "no-cc").mkdir()
+        lines, added = self._fresh_copy_run(tmp_path / "no-cc", str(empty))
+        assert lines[-1] == "python"
+        assert added == []
+        if shutil.which("cc") is not None:
+            (tmp_path / "cc").mkdir()
+            assert lines[:-1] == self._compiled_run(tmp_path / "cc")[:-1]

@@ -4,8 +4,10 @@ from math import factorial
 from random import Random
 from zlib import crc32
 
+import numpy as np
 import pytest
 
+from macprod import _kernels_py
 from macprod.families import build, list_families
 from macprod.numerics import (
     EXACT,
@@ -19,6 +21,7 @@ from macprod.recurrence_core import (
     RecurrenceSpec,
     RowContractError,
     SystemSpec,
+    _F64_BLOCK,
     _compile,
     run,
 )
@@ -74,6 +77,33 @@ class TestRun:
                 spec, seeds=tuple(lam * s for s in spec.seeds)
             )
             assert run(scaled, 40).coeffs == tuple(lam * v for v in base)
+
+
+class TestF64Blocks:
+    """f64 rows are evaluated and stepped a block at a time; the stream must
+    equal one Python-loop pass over every row at once."""
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("exp-F", {"a": 0.5, "b": 1 / 3, "c": 1.25, "p": 1.0}),
+            ("arctanexp-F", {"a": 0.5, "b": 1 / 3, "c": 1.25, "p": 1.0}),
+            ("binom-K", {"p": 1 / 3, "theta": 0.5}),
+        ],
+    )
+    def test_equals_one_pass_over_all_rows(self, family, params):
+        spec = build(family, params, "f64")
+        N = 2 * _F64_BLOCK + 37  # crosses two block boundaries
+        n0, k = spec.start, spec.order
+        raw = spec.row(np.arange(n0, N, dtype=np.float64))
+        rows = np.empty((N - n0, k + 1), dtype=np.complex128)
+        for i in range(k + 1):
+            rows[:, i] = raw[i]
+        u = np.zeros(N + 1, dtype=np.complex128)
+        u[: n0 + 1] = spec.seeds
+        _kernels_py.recurrence_steps(rows, u, n0)
+        got = np.array(run(spec, N).coeffs)
+        assert np.array_equal(got.view(np.uint64), u.view(np.uint64))
 
 
 class TestSpecKinds:

@@ -3,7 +3,13 @@ from random import Random
 
 import pytest
 
-from macprod.numerics import EXACT, GaussianRational, ParameterDomainError, approximate
+from macprod.numerics import (
+    EXACT,
+    GaussianRational,
+    NonFiniteError,
+    ParameterDomainError,
+    approximate,
+)
 from macprod.series_oracle import (
     CoeffStream,
     Elementary,
@@ -179,6 +185,34 @@ class TestCauchyProduct:
         prod = cauchy_product(unit_stream(3), unit_stream(3))
         assert prod.provenance == "oracle"
         assert prod.base == "product"
+
+
+class TestFiniteChecks:
+    """An f64 oracle stream that overflows raises at its first non-finite entry."""
+
+    def test_series_names_first_overflow(self):
+        # (1e200)^n / n! is finite at n = 0, 1 and overflows from n = 2 on
+        with pytest.raises(NonFiniteError, match="at n=2") as exc:
+            elementary_series(Elementary("exp", p=1e200), 8, "f64")
+        assert exc.value.index == 2
+
+    def test_gauss_series_names_first_overflow(self):
+        with pytest.raises(NonFiniteError) as exc:
+            gauss_series(1e200, 1e200, 1.0, 6, "f64")
+        assert exc.value.index == 1
+
+    def test_product_names_first_overflow(self):
+        # entries 0..2 are 1, 1e300 and 1e10; entry 3 is 1e300 * 1e10
+        A = CoeffStream((1 + 0j, 1e300 + 0j, 0j, 0j, 1j), "elementary", "oracle", "f64")
+        B = CoeffStream((1 + 0j, 0j, 1e10j, 0j, 0j), "M", "oracle", "f64")
+        with pytest.raises(NonFiniteError, match="cauchy_product.*at n=3") as exc:
+            cauchy_product(A, B)
+        assert exc.value.index == 3
+
+    def test_finite_product_passes(self):
+        A = CoeffStream((1 + 0j, 1e300 + 0j, 0j), "elementary", "oracle", "f64")
+        B = CoeffStream((1 + 0j, 1 + 0j, 0j), "M", "oracle", "f64")
+        assert cauchy_product(A, B).coeffs == (1 + 0j, 1e300 + 1 + 0j, 1e300 + 0j)
 
 
 class TestBases:

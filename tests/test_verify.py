@@ -4,8 +4,10 @@ import pytest
 
 from macprod.families import CatalogueError
 from macprod.numerics import ParameterDomainError
+from macprod.series_oracle import CoeffStream
 from macprod.verify import (
     BenchReport,
+    _compare_streams,
     bench,
     compare_formulations,
     compare_oracle,
@@ -41,6 +43,72 @@ class TestCompareOracle:
             "sin-M-combo", {"a": 0.0, "c": 1.0, "p": 1.0}, 32, "f64"
         )
         assert rep.verdict == "pass"
+
+
+def _scalar_fields(got, want, tolerance):
+    """The f64 report fields, entry by entry, as a reference for the array code."""
+    max_abs = max_rel = 0.0
+    first = None
+    for n, (x, y) in enumerate(zip(got, want)):
+        dx = abs(x - y)
+        rel = dx / max(1.0, abs(y))
+        max_abs = max(max_abs, dx)
+        max_rel = max(max_rel, rel)
+        if rel > tolerance and first is None:
+            first = n
+    return max_abs, max_rel, first, "pass" if max_rel <= tolerance else "fail"
+
+
+class TestF64Report:
+    TOL = 1e-8
+
+    def _report(self, got, want):
+        def stream(v):
+            return CoeffStream(tuple(v), "M", "recurrence", "f64")
+
+        return _compare_streams(stream(got), stream(want), "f64", self.TOL, "exp-M", (), "oracle")
+
+    def _want(self):
+        n = range(24)
+        return [complex((-1.5) ** k / (k + 1), 0.25 * k) if k % 5 else 0j for k in n]
+
+    def _assert_matches_scalar(self, got, want):
+        rep = self._report(got, want)
+        fields = (rep.max_abs, rep.max_rel, rep.first_mismatch, rep.verdict)
+        assert fields == _scalar_fields(got, want, self.TOL)
+        return rep
+
+    def test_within_tolerance(self):
+        want = self._want()
+        got = [y * (1 + 3e-12) + 1e-13j for y in want]
+        rep = self._assert_matches_scalar(got, want)
+        assert rep.verdict == "pass" and rep.first_mismatch is None and rep.max_rel > 0
+
+    def test_mismatch_mid_way(self):
+        want = self._want()
+        got = list(want)
+        got[9] += 1e-7 * want[9]  # |y| > 1: relative 1e-7
+        got[10] += 5e-9  # y = 0: absolute 5e-9, within the tolerance
+        got[17] += 2.0
+        rep = self._assert_matches_scalar(got, want)
+        assert rep.verdict == "fail" and rep.first_mismatch == 9
+
+    def test_infinite_deviation_fails(self):
+        want = self._want()
+        got = list(want)
+        got[13] = complex(float("inf"), 0.0)
+        rep = self._assert_matches_scalar(got, want)
+        assert rep.verdict == "fail" and rep.first_mismatch == 13
+        assert rep.max_rel == float("inf")
+
+    def test_nan_deviation_fails(self):
+        # inf - inf is nan; the scalar loop's max() would drop it and pass
+        want = self._want()
+        want[6] = complex(float("inf"), 0.0)
+        got = list(want)
+        rep = self._report(got, want)
+        assert rep.verdict == "fail" and rep.first_mismatch == 6
+        assert rep.max_abs == rep.max_rel == float("inf")
 
 
 class TestCompareFormulations:
