@@ -13,11 +13,17 @@ reports, best of ``--reps``:
 * ``step``: ``run`` minus ``rows`` minus ``wrap``;
 * ``run``: ``recurrence_core.run`` on the built spec;
 * ``request``: ``macprod coeffs --backend exact`` in this process, output
-  captured, from argument parsing to JSON text.
+  captured, from argument parsing to JSON text;
+* ``oracle``: the exact ``series_oracle.cauchy_product`` of the family's two
+  factor series (the elementary factor and the base), built beforehand: the
+  referee's side of an exact ``verify``.
+
+A layer that raises is timed no further; its ``_ms`` is null and its error
+is kept under ``failed``, and the other layers still run.
 
 Run directly, with the checkout's ``src`` on ``PYTHONPATH``:
 
-    python benchmarks/exact_bench.py [--sizes 40,256] [--reps 5]
+    python benchmarks/exact_bench.py [--sizes 40,256,1024] [--reps 5]
         [--json BENCH_exact-rows.json --label NAME]
 
 ``--json`` merges this run into the file under ``--label``, so one file can
@@ -39,8 +45,9 @@ from pathlib import Path
 import numpy as np
 
 from macprod import cli, kernels, recurrence_core
-from macprod.families import build, get_family
-from macprod.numerics import GaussianRational, PiLinear
+from macprod.families import build, conform_params, elementary_factor, get_family
+from macprod.numerics import EXACT, GaussianRational, PiLinear
+from macprod.series_oracle import cauchy_product, elementary_series, hyper_base_series
 
 FAMILIES = (
     "exp-F", "arctanexp-F", "sin-M-combo", "sin-F", "sinh-F", "arcsin-M", "exp-K", "sin-K"
@@ -74,6 +81,13 @@ def _wrap_fn(spec, N: int):
     return wrap
 
 
+def _oracle_fn(family: str, params: dict, N: int):
+    info, pp = get_family(family), conform_params(params, EXACT)
+    h = elementary_series(elementary_factor(info, pp), N, EXACT)
+    base = hyper_base_series(info.base, N, EXACT, a=pp.a, b=pp.b, c=pp.c)
+    return lambda: cauchy_product(h, base)
+
+
 def _argv(family: str, N: int) -> list:
     argv = ["coeffs", "--family", family, "--count", str(N + 1), "--backend", "exact"]
     return argv + [f"--{name}={VALUES[name]}" for name in get_family(family).param_names]
@@ -93,25 +107,35 @@ def measure(family: str, N: int, reps: int) -> dict:
         "wrap": _wrap_fn(spec, N),
         "run": lambda: recurrence_core.run(spec, N),
         "request": lambda: _request(_argv(family, N)),
+        "oracle": _oracle_fn(family, params, N),
     }
     ms = dict.fromkeys(layers, float("inf"))
+    failed = {}
     for _ in range(reps):
         for name, fn in layers.items():
+            if name in failed:
+                continue
             t0 = time.perf_counter()
-            fn()
+            try:
+                fn()
+            except Exception as exc:  # recorded, so the other layers still run
+                failed[name] = f"{type(exc).__name__}: {exc}"
+                continue
             ms[name] = min(ms[name], time.perf_counter() - t0)
-    if ms["request"] < ms["run"]:  # a request contains a run
+    if "request" not in failed and ms["request"] < ms["run"]:  # a request contains a run
         raise SystemExit(
             f"incoherent record for {family} at N = {N}: request "
             f"{ms['request'] * 1e3:.3f} ms < run {ms['run'] * 1e3:.3f} ms; rerun"
         )
     ms["step"] = max(ms["run"] - ms["rows"] - ms["wrap"], 0.0)
-    return {"family": family, "N": N, **{f"{k}_ms": round(v * 1e3, 3) for k, v in ms.items()}}
+    record = {"family": family, "N": N}
+    record.update({f"{k}_ms": None if k in failed else round(v * 1e3, 3) for k, v in ms.items()})
+    return record | ({"failed": failed} if failed else {})
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", default="40,256")
+    parser.add_argument("--sizes", default="40,256,1024")
     parser.add_argument("--reps", type=int, default=5)
     parser.add_argument("--json", help="merge this run into the named JSON file")
     parser.add_argument("--label", default="run", help="key of this run in --json")
@@ -120,14 +144,16 @@ def main() -> int:
 
     engine = "compiled rows" if hasattr(recurrence_core, "_compile") else "row closures"
     print(f"exact engine: {engine}; f64 kernels: {kernels.implementation_name()}")
-    cols = ("build", "rows", "step", "wrap", "run", "request")
+    cols = ("build", "rows", "step", "wrap", "run", "request", "oracle")
     print(f"{'family':12s} {'N':>4s} " + " ".join(f"{c:>9s}" for c in cols) + "   (ms)")
     results = []
     for N in sizes:
         for family in FAMILIES:
             r = measure(family, N, args.reps)
             results.append(r)
-            print(f"{family:12s} {N:>4d} " + " ".join(f"{r[c + '_ms']:>9.2f}" for c in cols))
+            print(f"{family:12s} {N:>4d} " + " ".join(
+                "failed".rjust(9) if r[c + "_ms"] is None else f"{r[c + '_ms']:>9.2f}" for c in cols
+            ))
 
     if args.json:
         path = Path(args.json)

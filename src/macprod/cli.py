@@ -12,6 +12,7 @@ import argparse
 import cmath
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import kernels
@@ -63,6 +64,21 @@ def _parse_params(args, bk) -> Params:
     return Params(**fields)
 
 
+def _int_text(n: int) -> str:
+    """n in decimal.  ``str`` refuses ints past the interpreter's digit limit
+    (4300 by default); ``Decimal`` has none, so long entries print without
+    changing that process-wide limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def _fraction_text(x: Fraction) -> str:
+    num = _int_text(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_int_text(x.denominator)}"
+
+
 def _decompose_exact(value):
     if isinstance(value, PiLinear):
         q0, q1 = value.q0, value.q1
@@ -70,7 +86,7 @@ def _decompose_exact(value):
         q0, q1 = value, GaussianRational(0)
     else:
         q0, q1 = GaussianRational(Fraction(value)), GaussianRational(0)
-    return str(q0.re), str(q0.im), str(q1.re), str(q1.im)
+    return tuple(_fraction_text(x) for x in (q0.re, q0.im, q1.re, q1.im))
 
 
 def _coeff_records(coeffs, backend_name):

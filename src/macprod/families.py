@@ -1161,6 +1161,51 @@ def _f64_route(exact_builder, f64_builder):
     return mk
 
 
+def _binom_poly_system(base: RecurrenceSpec, p: int, th):
+    """binom-X at a nonnegative integer p as the Cauchy product u = h * b of
+    the coefficients h of the polynomial (1 - theta z)^p with b, the exp-X
+    stream at p = 0 (the base series, stepped by its first- or second-order
+    row): u_n = sum_{j <= min(n, p)} C(p, j) (-theta)^j b_{n-j}.
+    Returns (entry 0 of u, b and h, step)."""
+    seeds, row, k = base.seeds, base.row, base.order
+
+    def step(ys, n):
+        u, b, h = ys
+        if n < len(seeds):
+            b.append(seeds[n])
+        else:
+            r = row(n - 1)
+            b.append(sum(r[i] * b[n - 1 - i] for i in range(k + 1)))
+        h.append(h[-1] * -th * (p - n + 1) / n)  # 0 from n = p + 1 on
+        u.append(sum(h[j] * b[n - j] for j in range(min(n, p) + 1)))
+
+    return (seeds[0], seeds[0], 1.0 + 0j), step
+
+
+def _mk_binom(seeds_fn, row_fn, den, exp_seeds_fn, exp_row_fn):
+    """The binom-X recurrence, except in f64 at a nonnegative integer p.
+
+    There the wanted solution of the order-2 recurrence is a polynomial times
+    the base, while the other one grows like theta^n: for |theta| > 1 forward
+    stepping loses every digit without an error (Gautschi, SIAM Rev. 1967).
+    Those requests convolve the base stream with the binomial's p + 1
+    coefficients instead (``_binom_poly_system``).
+    """
+    recurrence = _mk(seeds_fn, row_fn, den)
+
+    def f64(info, params, bk):
+        p = params.p
+        if p.imag or p.real < 0 or not p.real.is_integer():
+            return recurrence(info, params, bk)
+        args = _args(info, replace(params, p=bk.zero()), bk)[:-1]  # theta dropped
+        meta = _meta(info, bk, params)
+        base = _spec(info, bk, meta, exp_seeds_fn(*args), exp_row_fn(*args), den(params))
+        init, step = _binom_poly_system(base, int(p.real), params.theta)
+        return SystemSpec(init, step, bk.name, meta)
+
+    return _f64_route(recurrence, f64)
+
+
 # -- M base -----------------------------------------------------------------
 
 _M_P = ("a", "c", "p")
@@ -1189,7 +1234,7 @@ for _h in ("sinh", "cosh", "sin", "cos"):
     _register(_info(f"{_h}-M-combo", "M", _h, "combo", 1, 1, "entire", _M_P), _M_BRANCHES)
 _register(
     _info("binom-M", "M", "binom", "single", 2, 2, "1/|theta|", _M_P + ("theta",)),
-    _mk(_binom_M_seeds, _binom_M_row, _den_low),
+    _mk_binom(_binom_M_seeds, _binom_M_row, _den_low, _exp_M_seeds, _exp_M_row),
 )
 _register(
     _info("arctanexp-M", "M", "exp_arctan", "single", 4, 4, "entire", _M_P),
@@ -1229,7 +1274,7 @@ for _h in ("sinh", "cosh", "sin", "cos"):
     _register(_info(f"{_h}-F-combo", "F", _h, "combo", 2, 2, "1", _F_P), _F_BRANCHES)
 _register(
     _info("binom-F", "F", "binom", "single", 2, 2, "1/|theta|", _F_P + ("theta",)),
-    _mk(_binom_F_seeds, _binom_F_row, _den_low),
+    _mk_binom(_binom_F_seeds, _binom_F_row, _den_low, _exp_F_seeds, _exp_F_row),
 )
 _register(
     _info("arctanexp-F", "F", "exp_arctan", "single", 4, 4, "1", _F_P),
@@ -1260,7 +1305,7 @@ for _base in ("K", "E"):
     )
     _register(
         _info(f"binom-{_base}", _base, "binom", "single", 2, 2, "1/|theta|", ("p", "theta")),
-        _mk(_binom_F_seeds, _binom_F_row, _den_elliptic),
+        _mk_binom(_binom_F_seeds, _binom_F_row, _den_elliptic, _exp_F_seeds, _exp_F_row),
     )
     _register(
         _info(f"arctanexp-{_base}", _base, "exp_arctan", "single", 4, 4, "1", ("p",)),

@@ -8,15 +8,21 @@ backends rely on.
 The exact path compiles the row once per run: it calls the row at a symbolic
 index, so each entry comes back as a ratio of polynomials in n; that is the
 row's own formula, nothing is sampled.  Entries over the same denominator
-share one division per step, the polynomials are scaled to integer
-coefficients, and each step evaluates them by Horner's rule at the integer n.
-A stream whose coefficients and seeds are real steps in plain ``Fraction``
-and is wrapped in :class:`GaussianRational` once, at the end; a complex one
-steps as real and imaginary ``Fraction`` parts.  Pi-linear seeds q0 + q1*pi
-step by linearity as two rational streams (the K and E streams are pi/2
-times a rational stream, arccos-M is rational + pi * rational), so
+form one group, and each group's polynomials are scaled to Gaussian-integer
+coefficients, evaluated by Horner's rule at the integer n.  The stream then
+steps in integers, fraction-free: the window u_{n-k} .. u_n is held as
+integer numerators over one running denominator D, a complex group
+denominator is made real by its conjugate, and the only reduction is the
+gcd of each step's new denominator factor with the new numerator, which is
+cheap because that factor is a small integer.  It keeps D equal to the
+window's least common denominator in practice, and each output is one
+``Fraction`` over D, wrapped in :class:`GaussianRational`.  A stream whose
+coefficients and seeds are real carries no imaginary half.  Pi-linear seeds
+q0 + q1*pi step by linearity as two rational streams (the K and E streams
+are pi/2 times a rational stream, arccos-M is rational + pi * rational), so
 :class:`PiLinear` never enters the loop, and a stream whose seeds are all
-zero is not stepped.  A row that compares, branches on or converts n raises
+zero is not stepped.  Seeds that are not exact scalars step in their own
+arithmetic.  A row that compares, branches on or converts n raises
 :class:`RowContractError`.
 
 The f64 path evaluates the coefficient rows for a block of steps at once and
@@ -328,8 +334,9 @@ def _integral(groups) -> list:
 
 
 def _step(spec: RecurrenceSpec, groups, u: list, N: int) -> list:
-    """u_{start+1} .. u_N from ``u`` = u_0 .. u_start, one division per group
-    and step."""
+    """u_{start+1} .. u_N from ``u`` = u_0 .. u_start in the values' own
+    arithmetic, one division per group and step: the path for seeds that are
+    not exact scalars."""
     for n in range(spec.start, N):
         total = None
         for den, terms in groups:
@@ -347,47 +354,74 @@ def _step(spec: RecurrenceSpec, groups, u: list, N: int) -> list:
     return u[spec.start + 1:]
 
 
-def _step_gaussian(spec: RecurrenceSpec, groups, re: list, im: list, N: int):
-    """``_step`` for a complex stream over ``_integral`` groups, the values held
-    as real and imaginary Fraction parts."""
-    for n in range(spec.start, N):
-        total_re = total_im = 0
-        for den, terms in groups:
-            x = y = 0
-            for i, (num_re, num_im) in terms:
-                a, b = _horner(num_re, n), _horner(num_im, n)
-                ur, ui = re[n - i], im[n - i]
-                if b:
-                    x += a * ur - b * ui
-                    y += a * ui + b * ur
-                else:
-                    x += a * ur
-                    y += a * ui
-            if den is not None:
-                e, f = _horner(den[0], n), _horner(den[1], n)
-                if f:
-                    norm = e * e + f * f
-                    x, y = (x * e + y * f) / norm, (y * e - x * f) / norm
-                elif e:
-                    x, y = x / e, y / e
-                else:
-                    _singular(spec, n)
-            total_re += x
-            total_im += y
-        re.append(total_re)
-        im.append(total_im)
-    return re[spec.start + 1:], im[spec.start + 1:]
-
-
 def _stream(spec: RecurrenceSpec, integral, seeds: list, N: int) -> list:
-    """Step one Gaussian-rational stream; a real one steps in Fraction."""
-    re, im = [s.re for s in seeds], [s.im for s in seeds]
-    polys = [num for _, terms in integral for _, num in terms]
-    polys += [den for den, _ in integral if den is not None]
-    if not any(im) and all(poly[1] == (0,) for poly in polys):
-        real = [(den and den[0], [(i, num[0]) for i, num in terms]) for den, terms in integral]
-        return [GaussianRational(x) for x in _step(spec, real, re, N)]
-    return [GaussianRational(x, y) for x, y in zip(*_step_gaussian(spec, integral, re, im, N))]
+    """Step one Gaussian-rational stream over the ``_integral`` groups in
+    integers.
+
+    The window u_{n-k} .. u_n is held as integer numerators (real, and
+    imaginary unless the seeds and every coefficient are real) over one
+    running denominator D.  A step sums c_i(n) * U_{n-i} per group, takes a
+    complex group denominator e + fi to the real e^2 + f^2 through e - fi,
+    and adds the groups over the lcm M of their denominators.  The factor
+    g = gcd(M, new numerator) cancels at once; D and the k older numerators
+    are then scaled by M/g.  Each output is one ``Fraction`` over D.
+    """
+    k = spec.order
+    live = seeds[spec.start - k:]
+    real = not any(s.im for s in seeds) and all(
+        poly[1] == (0,)
+        for den, terms in integral
+        for poly in [num for _, num in terms] + ([den] if den else [])
+    )
+    D = math.lcm(*(x.denominator for s in live for x in (s.re, s.im)))
+    wr = [s.re.numerator * (D // s.re.denominator) for s in live]
+    wi = None if real else [s.im.numerator * (D // s.im.denominator) for s in live]
+    groups = [
+        (
+            den and (den[0], den[1] if den[1] != (0,) else None),
+            [(k - i, a, b if b != (0,) else None) for i, (a, b) in terms],
+        )
+        for den, terms in integral
+    ]
+    out_re, out_im = [], []
+    for n in range(spec.start, N):
+        sums = []
+        for den, terms in groups:
+            xr = xi = 0
+            for j, a, b in terms:
+                c = _horner(a, n)
+                xr += c * wr[j]
+                if wi is not None:
+                    xi += c * wi[j]
+                    if b is not None:
+                        d = _horner(b, n)
+                        xr -= d * wi[j]
+                        xi += d * wr[j]
+            m = 1
+            if den is not None:
+                m = _horner(den[0], n)
+                f = 0 if den[1] is None else _horner(den[1], n)
+                if f:  # x / (e + fi) = x (e - fi) / (e^2 + f^2)
+                    xr, xi, m = xr * m + xi * f, xi * m - xr * f, m * m + f * f
+                elif not m:
+                    _singular(spec, n)
+            sums.append((xr, xi, m))
+        M = math.lcm(*(m for _, _, m in sums))
+        xr = sum(x * (M // m) for x, _, m in sums)
+        xi = sum(y * (M // m) for _, y, m in sums)
+        g = math.gcd(M, xr, xi)
+        if g > 1:
+            M, xr, xi = M // g, xr // g, xi // g
+        D *= M
+        wr = [w * M for w in wr[1:]] + [xr]
+        out_re.append(Fraction(xr, D))
+        if wi is not None:
+            wi = [w * M for w in wi[1:]] + [xi]
+            out_im.append(Fraction(xi, D))
+    if wi is None:
+        zero = Fraction(0)
+        return [GaussianRational(x, zero) for x in out_re]
+    return [GaussianRational(x, y) for x, y in zip(out_re, out_im)]
 
 
 def _run_generic(spec: RecurrenceSpec, N: int) -> list:

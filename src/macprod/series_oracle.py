@@ -12,6 +12,9 @@ five-term product recurrences it is later used to check.
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,8 +23,11 @@ import numpy as np
 from . import kernels
 from .numerics import (
     EXACT,
+    GaussianRational,
     NonFiniteError,
     ParameterDomainError,
+    PiDegreeError,
+    PiLinear,
     get_backend,
     infer_backend,
     is_nonpositive_integer,
@@ -216,12 +222,100 @@ def cauchy_product(A: CoeffStream, B: CoeffStream) -> CoeffStream:
         _finite_or_raise(out, "cauchy_product")
         coeffs = tuple(out.tolist())
     else:
-        av, bv = A.coeffs, B.coeffs
-        coeffs = tuple(
-            sum((av[k] * bv[n - k] for k in range(1, n + 1)), av[0] * bv[n])
-            for n in range(len(av))
-        )
+        coeffs = _exact_cauchy(A.coeffs, B.coeffs)
     return CoeffStream(coeffs, "product", "oracle", A.backend)
+
+
+def _parts(values) -> list:
+    """An exact series as its four rational parts (re q0, im q0, re q1, im q1
+    of q0 + q1*pi), each as (integer numerators, common denominator), or None
+    where the part is zero throughout."""
+    parts = [[], [], [], []]
+    for v in values:
+        q0, q1 = (v.q0, v.q1) if isinstance(v, PiLinear) else (v, None)
+        q0 = q0 if isinstance(q0, GaussianRational) else GaussianRational(q0)
+        for part, x in zip(parts, (q0.re, q0.im) + ((q1.re, q1.im) if q1 else (0, 0))):
+            part.append(x)
+    out = []
+    for part in parts:
+        if not any(part):
+            out.append(None)
+            continue
+        den = math.lcm(*(x.denominator for x in part))
+        out.append(([x.numerator * (den // x.denominator) for x in part], den))
+    return out
+
+
+def _int_convolve(x: list, y: list) -> list:
+    """sum_{k<=n} x_k y_{n-k} for n < len(x), by one big-integer product
+    (Kronecker substitution): each sequence is packed into the slots of one
+    integer, slots wide enough that no output overflows its own."""
+    n = len(x)
+    ax, ay = max(map(abs, x)), max(map(abs, y))
+    bound = max(n * ax * ay, ax, ay)
+    w = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
+    z = (_pack(x, w) * _pack(y, w)) & ((1 << (8 * w * n)) - 1)
+    data = z.to_bytes(w * n, "little")
+    half, carry, out = 1 << (8 * w - 1), 0, []
+    for i in range(0, w * n, w):
+        v = int.from_bytes(data[i : i + w], "little") + carry
+        carry = v >= half  # the slot holds a negative entry, borrowed from the next
+        out.append(v - (half << 1) if carry else v)
+    return out
+
+
+def _pack(xs: list, w: int) -> int:
+    """sum_i xs[i] * 2^(8 w i) for signed xs[i] with |xs[i]| < 2^(8 w - 1)."""
+    pos = b"".join((v if v > 0 else 0).to_bytes(w, "little") for v in xs)
+    neg = b"".join((-v if v < 0 else 0).to_bytes(w, "little") for v in xs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+#: which output part the product of part i of A and part j of B adds to, and
+#: its sign: i*i = -1, and pi*pi is not representable
+_PART_PRODUCT = {
+    (i, j): ((i | j) & 2 | (i ^ j) & 1, -1 if i & j & 1 else 1)
+    for i in range(4)
+    for j in range(4)
+    if not i & j & 2
+}
+
+
+def _exact_cauchy(av, bv) -> tuple:
+    """The exact Cauchy product in integers: each part of each factor over its
+    own lcm, one integer convolution per pair of nonzero parts, and one
+    Fraction per output part."""
+    N = len(av) - 1
+    pi_a = [n for n, v in enumerate(av) if isinstance(v, PiLinear) and v.q1]
+    pi_b = [n for n, v in enumerate(bv) if isinstance(v, PiLinear) and v.q1]
+    if pi_a and pi_b and pi_a[0] + pi_b[0] <= N:
+        raise PiDegreeError("product of two pi-carrying values needs pi**2")
+    pa, pb = _parts(av), _parts(bv)
+    terms = [[] for _ in range(4)]  # per output part: (sign, numerators, den)
+    for (i, j), (out, sign) in _PART_PRODUCT.items():
+        if pa[i] is not None and pb[j] is not None:
+            (x, dx), (y, dy) = pa[i], pb[j]
+            terms[out].append((sign, _int_convolve(x, y), dx * dy))
+    cols = []
+    for part in terms:
+        den = math.lcm(*(d for _, _, d in part))
+        nums = [0] * (N + 1)
+        for sign, conv, d in part:
+            scale = sign * (den // d)
+            nums = [acc + scale * c for acc, c in zip(nums, conv)]
+        cols.append([Fraction(num, den) for num in nums])
+    # as in a termwise sum, entry n is pi-linear once either factor has a
+    # PiLinear entry at or below n
+    pi_typed = itertools.accumulate(
+        (isinstance(x, PiLinear) or isinstance(y, PiLinear) for x, y in zip(av, bv)),
+        operator.or_,
+    )
+    return tuple(
+        PiLinear(GaussianRational(r0, i0), GaussianRational(r1, i1))
+        if typed
+        else GaussianRational(r0, i0)
+        for typed, r0, i0, r1, i1 in zip(pi_typed, *cols)
+    )
 
 
 def scale_stream(A: CoeffStream, s) -> CoeffStream:

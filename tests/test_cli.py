@@ -3,10 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import macprod
 from macprod import cli, kernels
-from macprod.families import list_families
+from macprod.families import build, list_families
+from macprod.recurrence_core import run
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +101,24 @@ class TestCoeffs:
         doc = json.loads(out)
         assert doc["coeffs"][1]["re"] == "5/4"
         assert doc["coeffs"][1]["im"] == "1/6"
+
+    def test_entries_past_the_int_digit_limit(self, capsys):
+        # u_1024 of exp-F here has more digits than str(int) prints by default
+        params = {
+            "a": Fraction(1, 3), "b": Fraction(-5, 4), "c": Fraction(7, 5), "p": Fraction(3, 2)
+        }
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(
+            capsys,
+            "coeffs", "--family", "exp-F", "--backend", "exact", "--count", "1025",
+            *(f"--{k}={v}" for k, v in params.items()),
+        )
+        assert code == 0, err
+        assert sys.get_int_max_str_digits() == limit
+        num, den = json.loads(out)["coeffs"][1024]["re"].split("/")
+        assert len(den) > 4300
+        want = run(build("exp-F", params), 1024).coeffs[1024]
+        assert Fraction(int(Decimal(num)), int(Decimal(den))) == want.re
 
 
 class TestExitCodes:

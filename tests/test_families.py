@@ -446,6 +446,21 @@ class TestFloatFidelity:
                 ya = approximate(y)
                 assert abs(x - ya) / max(1.0, abs(ya)) <= 1e-8
 
+    @pytest.mark.parametrize("family_id", ["binom-M", "binom-F", "binom-K"])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("theta", [Fraction(3, 2), Fraction(3), Fraction(-2)])
+    def test_binomial_at_integer_p_tracks_exact(self, family_id, p, theta):
+        # the order-2 row's other solution grows like theta^n here
+        values = {
+            "a": Fraction(1, 3), "b": Fraction(2, 3), "c": Fraction(7, 5), "p": p, "theta": theta
+        }
+        params = {k: values[k] for k in get_family(family_id).param_names}
+        exact = recurrence_stream(family_id, params, 64, "exact")
+        fl = recurrence_stream(family_id, {k: complex(v) for k, v in params.items()}, 64, "f64")
+        for x, y in zip(fl.coeffs, exact.coeffs):
+            ya = approximate(y)
+            assert abs(x - ya) / max(1.0, abs(ya)) <= 1e-12
+
 
 class TestMeta:
     def test_radius_notes(self):

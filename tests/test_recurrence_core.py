@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from macprod import _kernels_py
-from macprod.families import build, list_families
+from macprod.families import build, get_family, list_families
 from macprod.numerics import (
     EXACT,
     GaussianRational,
@@ -33,6 +33,18 @@ G = GaussianRational
 
 def gr(num, den=1):
     return G(Fraction(num, den))
+
+
+def closure_stream(spec, N):
+    """Reference: call the row at every step and step in the public scalars."""
+    values = list(spec.seeds)
+    for n in range(spec.start, N):
+        row = [EXACT.coerce(b) for b in spec.row(Fraction(n))]
+        acc = row[0] * values[n]
+        for i in range(1, spec.order + 1):
+            acc = acc + row[i] * values[n - i]
+        values.append(acc)
+    return tuple(values)
 
 
 class TestRun:
@@ -239,20 +251,13 @@ class TestExactScalars:
 
     @pytest.mark.parametrize("info", list_families(), ids=lambda i: i.id)
     def test_equals_stepping_the_row_closure(self, info):
-        # reference: call the row at every step and step in the public scalars
         params = draw_params(info, Random(crc32(info.id.encode()) + 1))
         spec = build(info.id, params)
         for branch in (spec.left, spec.right) if isinstance(spec, ComboSpec) else (spec,):
-            values = list(branch.seeds)
-            for n in range(branch.start, 30):
-                row = [EXACT.coerce(b) for b in branch.row(Fraction(n))]
-                acc = row[0] * values[n]
-                for i in range(1, branch.order + 1):
-                    acc = acc + row[i] * values[n - i]
-                values.append(acc)
+            want = closure_stream(branch, 30)
             got = run(branch, 30).coeffs
-            assert got == tuple(values)
-            assert [type(v) for v in got] == [type(v) for v in values]
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
 
     @pytest.mark.parametrize("info", list_families(), ids=lambda i: i.id)
     def test_real_parameters_compile_over_the_rationals(self, info):
@@ -277,6 +282,83 @@ class TestExactScalars:
         assert coeffs[:2] == (1, Fraction(1, 2))
         assert all(type(v) is GaussianRational for v in coeffs[2:])
         assert coeffs[2] == gr(1) + gr(1, 3)
+
+
+class TestIntegerStepper:
+    """Exact streams step as integer numerators over one running denominator."""
+
+    @staticmethod
+    def draw(info, kind):
+        params = draw_params(info, Random(crc32(info.id.encode()) + 3))
+        if kind == "complex":
+            return {
+                k: G(getattr(params, k)) + (G(0, Fraction(2, 5)) if k in ("c", "p") else 0)
+                for k in info.param_names
+            }
+        return params
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("info", list_families(), ids=lambda i: i.id)
+    def test_equals_stepping_the_row_closure_at_256(self, info, kind):
+        spec = build(info.id, self.draw(info, kind))
+        for branch in (spec.left, spec.right) if isinstance(spec, ComboSpec) else (spec,):
+            want = closure_stream(branch, 256)
+            got = run(branch, 256).coeffs
+            assert got == want
+            assert [repr(v) for v in got] == [repr(v) for v in want]
+
+    # a real row, and one whose denominator (n - s)(n + i) is complex off n = s
+    ROWS = {
+        "real": lambda s: lambda n: (1 / (n - s), Fraction(1, 3)),
+        "complex": lambda s: lambda n: (1 / ((n - s) * (n + G(0, 1))), Fraction(1, 3)),
+    }
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("at", [1, 7])  # the first step, and a later one
+    def test_singular_index(self, kind, at):
+        spec = RecurrenceSpec(1, 1, (gr(1), gr(2)), self.ROWS[kind](at), "exact")
+        with pytest.raises(SingularIndexError, match=f"n={at}") as exc:
+            run(spec, 12)
+        assert exc.value.index == at
+        assert run(spec, at).coeffs == closure_stream(spec, at)
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [(gr(1), gr(1, 2), gr(-1, 3)), (gr(1), G(Fraction(1, 2), Fraction(-2, 7)), gr(-1, 3))],
+        ids=["real", "complex"],
+    )
+    def test_negative_denominators(self, seeds):
+        # the compiled (monic) denominators n - 41/2, n^2 - 150 and n - 61/2
+        # are negative over the first steps and positive later
+        def row(n):
+            return (
+                (n + 1) / (2 * n - 41), Fraction(2, 7) / (n * n - 150), 1 / (Fraction(61, 2) - n)
+            )
+
+        spec = RecurrenceSpec(2, 2, seeds, row, "exact")
+        got = run(spec, 60).coeffs
+        assert got == closure_stream(spec, 60)
+        assert [repr(v) for v in got] == [repr(v) for v in closure_stream(spec, 60)]
+
+    @pytest.mark.parametrize("family_id", ["arccos-M", "exp-K"])
+    def test_pi_linear_steps_as_two_rational_streams(self, family_id):
+        info = get_family(family_id)
+        spec = build(family_id, self.draw(info, "real"))
+        assert any(isinstance(s, PiLinear) for s in spec.seeds)
+        got = run(spec, 80).coeffs
+        assert got == closure_stream(spec, 80)
+
+        def part(q):  # the stream of the seeds' rational (q0) or pi (q1) parts
+            seeds = tuple(
+                getattr(s, q) if isinstance(s, PiLinear) else (s if q == "q0" else gr(0))
+                for s in spec.seeds
+            )
+            return list(run(dataclasses.replace(spec, seeds=seeds), 80).coeffs[spec.start + 1:])
+
+        stepped = got[spec.start + 1:]
+        assert all(type(v) is PiLinear for v in stepped)
+        assert [v.q0 for v in stepped] == part("q0")
+        assert [v.q1 for v in stepped] == part("q1")
 
 
 class TestOperationCount:

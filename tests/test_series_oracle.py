@@ -8,6 +8,8 @@ from macprod.numerics import (
     GaussianRational,
     NonFiniteError,
     ParameterDomainError,
+    PiDegreeError,
+    PiLinear,
     approximate,
 )
 from macprod.series_oracle import (
@@ -170,6 +172,41 @@ class TestCauchyProduct:
                 cauchy_product(AB, C).coeffs
                 == cauchy_product(A, cauchy_product(B, C)).coeffs
             )
+
+    @staticmethod
+    def mixed_stream(rng, N, pi_from=None):
+        """Complex entries; PiLinear from ``pi_from`` on, with a pi term there
+        and a zero one (still PiLinear) after it."""
+
+        def rational():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+        coeffs = []
+        for n in range(N + 1):
+            v = G(rational(), rational())
+            if pi_from is not None and n >= pi_from:
+                v = PiLinear(v, G(rational(), rational()) if n == pi_from else G(0))
+            coeffs.append(v)
+        return CoeffStream(tuple(coeffs), "elementary", "oracle", "exact")
+
+    @pytest.mark.parametrize("pi_a, pi_b", [(None, None), (3, None), (None, 0), (5, 6)])
+    def test_equals_termwise_sum(self, pi_a, pi_b):
+        # reference: the sum of the entries' own products, left to right
+        rng = Random(7)
+        N = 10
+        A, B = self.mixed_stream(rng, N, pi_a), self.mixed_stream(rng, N, pi_b)
+        want = tuple(
+            sum((A[k] * B[n - k] for k in range(1, n + 1)), A[0] * B[n]) for n in range(N + 1)
+        )
+        got = cauchy_product(A, B).coeffs
+        assert got == want
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+
+    def test_pi_squared_raises(self):
+        rng = Random(8)
+        A, B = self.mixed_stream(rng, 10, 4), self.mixed_stream(rng, 10, 6)
+        with pytest.raises(PiDegreeError):
+            cauchy_product(A, B)
 
     def test_backend_mismatch(self):
         A = unit_stream(4, "exact")
