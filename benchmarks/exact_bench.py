@@ -1,16 +1,20 @@
-"""Time the layers of an exact request: build, row compile, stepping, wrap.
+"""Time the layers of an exact request: build, row tables, stepping, wrap.
 
 For each family and size one interleaved loop runs every layer once per
 repetition, so the columns of one record are read at the same moments; it
 reports, best of ``--reps``:
 
-* ``build``: ``families.build`` (seeds and the row closure);
-* ``rows``: turning the row into per-step coefficients.  With compiled rows
-  this is the one ``recurrence_core._compile`` call per branch; on an engine
-  without it, the row closure evaluated at every step index;
+* ``build``: ``families.build``;
+* ``rows``: turning the row into per-step coefficients.  With integer tables
+  this is the table evaluation, ``families._integer_rows`` for each branch,
+  which ``build`` contains (it steps the seeds with the tables); with
+  compiled rows it is the one ``recurrence_core._compile`` call per branch,
+  which ``run`` contains; on an engine with neither, the row closure
+  evaluated at every step index;
 * ``wrap``: rebuilding the public Gaussian-rational (and pi-linear) values
   from their Fraction parts, which is what materialisation costs;
-* ``step``: ``run`` minus ``rows`` minus ``wrap``;
+* ``step``: ``run`` minus ``wrap``, and minus ``rows`` where ``run``
+  contains them;
 * ``run``: ``recurrence_core.run`` on the built spec;
 * ``request``: ``macprod coeffs --backend exact`` in this process, output
   captured, from argument parsing to JSON text;
@@ -44,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from macprod import cli, kernels, recurrence_core
+from macprod import cli, families, kernels, recurrence_core
 from macprod.families import build, conform_params, elementary_factor, get_family
 from macprod.numerics import EXACT, GaussianRational, PiLinear
 from macprod.series_oracle import cauchy_product, elementary_series, hyper_base_series
@@ -59,10 +63,25 @@ def _branches(spec):
     return (spec.left, spec.right) if isinstance(spec, recurrence_core.ComboSpec) else (spec,)
 
 
-def _rows_fn(spec, N: int):
-    compile_rows = getattr(recurrence_core, "_compile", None)
-    if compile_rows is not None:
-        return lambda: [compile_rows(b) for b in _branches(spec)]
+#: which engine the checkout on PYTHONPATH has
+ENGINE = (
+    "integer tables" if hasattr(families, "_integer_rows")
+    else "compiled rows" if hasattr(recurrence_core, "_compile")
+    else "row closures"
+)
+
+
+def _rows_fn(family: str, params: dict, spec, N: int):
+    if ENGINE == "integer tables":  # the table evaluations one build makes
+        evaluate, calls = families._integer_rows, []
+        families._integer_rows = lambda *args: calls.append(args) or evaluate(*args)
+        try:
+            build(family, params)
+        finally:
+            families._integer_rows = evaluate
+        return lambda: [evaluate(*args) for args in calls]
+    if ENGINE == "compiled rows":
+        return lambda: [recurrence_core._compile(b) for b in _branches(spec)]
     return lambda: [b.row(Fraction(n)) for b in _branches(spec) for n in range(b.start, N)]
 
 
@@ -103,7 +122,7 @@ def measure(family: str, N: int, reps: int) -> dict:
     spec = build(family, params)
     layers = {
         "build": lambda: build(family, params),
-        "rows": _rows_fn(spec, N),
+        "rows": _rows_fn(family, params, spec, N),
         "wrap": _wrap_fn(spec, N),
         "run": lambda: recurrence_core.run(spec, N),
         "request": lambda: _request(_argv(family, N)),
@@ -127,7 +146,8 @@ def measure(family: str, N: int, reps: int) -> dict:
             f"incoherent record for {family} at N = {N}: request "
             f"{ms['request'] * 1e3:.3f} ms < run {ms['run'] * 1e3:.3f} ms; rerun"
         )
-    ms["step"] = max(ms["run"] - ms["rows"] - ms["wrap"], 0.0)
+    rows_in_run = 0.0 if ENGINE == "integer tables" else ms["rows"]
+    ms["step"] = max(ms["run"] - rows_in_run - ms["wrap"], 0.0)
     record = {"family": family, "N": N}
     record.update({f"{k}_ms": None if k in failed else round(v * 1e3, 3) for k, v in ms.items()})
     return record | ({"failed": failed} if failed else {})
@@ -142,7 +162,7 @@ def main() -> int:
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    engine = "compiled rows" if hasattr(recurrence_core, "_compile") else "row closures"
+    engine = ENGINE
     print(f"exact engine: {engine}; f64 kernels: {kernels.implementation_name()}")
     cols = ("build", "rows", "step", "wrap", "run", "request", "oracle")
     print(f"{'family':12s} {'N':>4s} " + " ".join(f"{c:>9s}" for c in cols) + "   (ms)")

@@ -9,7 +9,8 @@ column is the best of ``--reps``:
   ``kernels.implementations()`` (``python``, and ``compiled`` when the C loop
   could be built);
 * ``convolve``: ``kernels.convolve`` on the family's two f64 factor series,
-  as the oracle calls it;
+  as the oracle calls it, and ``convolve_whole``: ``np.convolve`` on the same
+  series, cut to their length, the product before any split;
 * ``verify``: ``macprod verify --backend f64`` for the family at these
   parameters, in this process, output captured, from argument parsing to
   JSON text.
@@ -67,6 +68,7 @@ def _layers(family: str, N: int) -> dict:
     h = elementary_series(elementary_factor(info, params), N, bk).coeffs
     base = hyper_base_series(info.base, N, bk, a=params.a, b=params.b, c=params.c).coeffs
     layers["convolve"] = lambda: kernels.convolve(h, base)
+    layers["convolve_whole"] = lambda: np.convolve(h, base)[: N + 1]
     argv = ["verify", "--backend", "f64", "--family", family, "--count", str(N)]
     argv += [f"--{name}={VALUES[name]}" for name in info.param_names]
     layers["verify"] = lambda: _request(argv)

@@ -178,6 +178,10 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     bk = get_backend(args.backend)
+    if args.count < 0:
+        raise ParameterDomainError("--count must be nonnegative")
+    if args.trials < 1:
+        raise ParameterDomainError("--trials must be at least 1")
     explicit = [n for n in _PARAM_FLAGS if getattr(args, n) is not None]
     reports = []
     if args.family is not None and explicit:
@@ -213,6 +217,10 @@ def cmd_bench(args) -> int:
     bk = get_backend("f64")
     defaults = {"a": 0.5, "b": 1 / 3, "c": 1.25, "p": 1.0, "theta": 0.5}
     info = get_family(args.family)
+    if args.count < 0:
+        raise ParameterDomainError("--count must be nonnegative")
+    if args.reps < 1:
+        raise ParameterDomainError("--reps must be at least 1")
     fields = {}
     for name in info.param_names:
         raw = getattr(args, name)

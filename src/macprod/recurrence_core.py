@@ -5,29 +5,36 @@ for n >= n0, started from the seed values u[0..n0].  A row is plain
 arithmetic on n (+, -, *, / and nonnegative integer powers), which both
 backends rely on.
 
-The exact path compiles the row once per run: it calls the row at a symbolic
-index, so each entry comes back as a ratio of polynomials in n; that is the
-row's own formula, nothing is sampled.  Entries over the same denominator
-form one group, and each group's polynomials are scaled to Gaussian-integer
-coefficients, evaluated by Horner's rule at the integer n.  The stream then
-steps in integers, fraction-free: the window u_{n-k} .. u_n is held as
-integer numerators over one running denominator D, a complex group
-denominator is made real by its conjugate, and the only reduction is the
-gcd of each step's new denominator factor with the new numerator, which is
-cheap because that factor is a small integer.  It keeps D equal to the
-window's least common denominator in practice, and each output is one
-``Fraction`` over D, wrapped in :class:`GaussianRational`.  A stream whose
-coefficients and seeds are real carries no imaginary half.  Pi-linear seeds
-q0 + q1*pi step by linearity as two rational streams (the K and E streams
-are pi/2 times a rational stream, arccos-M is rational + pi * rational), so
-:class:`PiLinear` never enters the loop, and a stream whose seeds are all
-zero is not stepped.  Seeds that are not exact scalars step in their own
-arithmetic.  A row that compares, branches on or converts n raises
-:class:`RowContractError`.
+The exact path steps integer row polynomials.  A catalogue spec brings them
+along (``RecurrenceSpec.integral``): the families evaluate each product
+operator in integers, one group over P_0(n+1).  For a row that a caller
+passes as a plain callable, the engine traces it once per run instead: it
+calls the row at a symbolic index (``_compile``), so each entry comes back
+as a ratio of polynomials in n; that is the row's own formula, nothing is
+sampled.  Entries over the same denominator form one group, and each
+group's polynomials are scaled to Gaussian-integer coefficients
+(``_integral``), evaluated by Horner's rule at the integer n.  A row that
+compares, branches on or converts n raises :class:`RowContractError`.
+
+Either way the stream steps in integers, fraction-free (``step_exact``): the
+window u_{n-k} .. u_n is held as integer numerators over one running
+denominator D, a complex group denominator is made real by its conjugate,
+and the only reduction is the gcd of each step's new denominator factor
+with the new numerator, which is cheap because that factor is a small
+integer.  It keeps D equal to the window's least common denominator in
+practice, and each output is one ``Fraction`` over D, wrapped in
+:class:`GaussianRational`.  A stream whose coefficients and seeds are real
+carries no imaginary half.  Pi-linear seeds q0 + q1*pi step by linearity as
+two rational streams (the K and E streams are pi/2 times a rational stream,
+arccos-M is rational + pi * rational), so :class:`PiLinear` never enters the
+loop, and a stream whose seeds are all zero is not stepped.  Seeds that are
+not exact scalars step in their own arithmetic.
 
 The f64 path evaluates the coefficient rows for a block of steps at once and
 hands the sequential stepping to the kernel layer, block by block, so an f64
-row closure must broadcast over an index vector: plain arithmetic on n does.
+row must broadcast over an index vector, returning k+1 rows of entries (the
+catalogue's rows are one long double matrix product per block).  A combo's
+two f64 branches combine as arrays.
 It keeps the evaluation order fixed (i ascending), so repeated runs are
 bit-identical.
 
@@ -72,6 +79,9 @@ class RecurrenceSpec:
 
     ``row(n)`` returns the k+1 entries for step n and must be plain
     arithmetic on n; exact entries are ints, Fractions or Gaussian rationals.
+    ``integral``, when given, is the same row as integer polynomial groups
+    (the form ``_integral`` returns); the exact engine then steps with it
+    and never traces ``row``.  The catalogue's builders supply it.
     """
 
     order: int
@@ -81,6 +91,7 @@ class RecurrenceSpec:
     backend: str
     meta: tuple = field(default=())
     den_factors: Callable | None = None
+    integral: tuple | None = None
 
     def __post_init__(self):
         if self.order < 1:
@@ -139,11 +150,11 @@ def _meta_get(meta, key, default=None):
     return default
 
 
-def _singular(spec: RecurrenceSpec, n: int, cause=None):
+def _singular(den_factors, n: int, cause=None):
     names = None
-    if spec.den_factors is not None:
+    if den_factors is not None:
         zero = []
-        for name, value in spec.den_factors(n):
+        for name, value in den_factors(n):
             if not value:
                 zero.append(name)
         names = ", ".join(zero) or None
@@ -282,7 +293,7 @@ def _compile(spec: RecurrenceSpec) -> list:
         row = spec.row(_Symbolic((0, 1)))
         entries = [_Symbolic.lift(row[i]) for i in range(spec.order + 1)]
     except ZeroDivisionError as exc:
-        _singular(spec, spec.start, exc)
+        _singular(spec.den_factors, spec.start, exc)
     except (TypeError, AttributeError) as exc:
         raise RowContractError(f"{_CONTRACT}; the row raised: {exc}") from exc
     if any(e is None for e in entries):
@@ -347,16 +358,16 @@ def _step(spec: RecurrenceSpec, groups, u: list, N: int) -> list:
             if den is not None:
                 d = _horner(den, n)
                 if not d:
-                    _singular(spec, n)
+                    _singular(spec.den_factors, n)
                 acc = acc / d
             total = acc if total is None else total + acc
         u.append(total)
     return u[spec.start + 1:]
 
 
-def _stream(spec: RecurrenceSpec, integral, seeds: list, N: int) -> list:
-    """Step one Gaussian-rational stream over the ``_integral`` groups in
-    integers.
+def _stream(integral, window: list, n0: int, N: int, den_factors) -> list:
+    """u_{n0+1} .. u_N of one Gaussian-rational stream from the window
+    u_{n0-k} .. u_{n0}, stepped over the ``_integral`` groups in integers.
 
     The window u_{n-k} .. u_n is held as integer numerators (real, and
     imaginary unless the seeds and every coefficient are real) over one
@@ -366,16 +377,15 @@ def _stream(spec: RecurrenceSpec, integral, seeds: list, N: int) -> list:
     g = gcd(M, new numerator) cancels at once; D and the k older numerators
     are then scaled by M/g.  Each output is one ``Fraction`` over D.
     """
-    k = spec.order
-    live = seeds[spec.start - k:]
-    real = not any(s.im for s in seeds) and all(
+    k = len(window) - 1
+    real = not any(s.im for s in window) and all(
         poly[1] == (0,)
         for den, terms in integral
         for poly in [num for _, num in terms] + ([den] if den else [])
     )
-    D = math.lcm(*(x.denominator for s in live for x in (s.re, s.im)))
-    wr = [s.re.numerator * (D // s.re.denominator) for s in live]
-    wi = None if real else [s.im.numerator * (D // s.im.denominator) for s in live]
+    D = math.lcm(*(x.denominator for s in window for x in (s.re, s.im)))
+    wr = [s.re.numerator * (D // s.re.denominator) for s in window]
+    wi = None if real else [s.im.numerator * (D // s.im.denominator) for s in window]
     groups = [
         (
             den and (den[0], den[1] if den[1] != (0,) else None),
@@ -384,7 +394,7 @@ def _stream(spec: RecurrenceSpec, integral, seeds: list, N: int) -> list:
         for den, terms in integral
     ]
     out_re, out_im = [], []
-    for n in range(spec.start, N):
+    for n in range(n0, N):
         sums = []
         for den, terms in groups:
             xr = xi = 0
@@ -404,7 +414,7 @@ def _stream(spec: RecurrenceSpec, integral, seeds: list, N: int) -> list:
                 if f:  # x / (e + fi) = x (e - fi) / (e^2 + f^2)
                     xr, xi, m = xr * m + xi * f, xi * m - xr * f, m * m + f * f
                 elif not m:
-                    _singular(spec, n)
+                    _singular(den_factors, n)
             sums.append((xr, xi, m))
         M = math.lcm(*(m for _, _, m in sums))
         xr = sum(x * (M // m) for x, _, m in sums)
@@ -424,31 +434,43 @@ def _stream(spec: RecurrenceSpec, integral, seeds: list, N: int) -> list:
     return [GaussianRational(x, y) for x, y in zip(out_re, out_im)]
 
 
+def step_exact(integral, window: list, n0: int, N: int, den_factors=None) -> list:
+    """u_{n0+1} .. u_N from the window u_{n0-k} .. u_{n0} of exact scalars,
+    stepped over ``_integral`` groups.
+
+    q0 + q1*pi steps as two rational streams, so pi never enters the loop,
+    and a stream whose window is all zero is not stepped.
+    """
+    window = [GaussianRational(s) if isinstance(s, (int, Fraction)) else s for s in window]
+    pi = any(isinstance(s, PiLinear) for s in window)
+    parts = [[s.q0 if isinstance(s, PiLinear) else s for s in window]]
+    if pi:
+        parts.append([s.q1 if isinstance(s, PiLinear) else _ZERO for s in window])
+    live = [any(part) for part in parts]
+    if not any(live):  # still step one, so a singular row is reported
+        live[0] = True
+    streams = [
+        _stream(integral, part, n0, N, den_factors) if on else [_ZERO] * (N - n0)
+        for part, on in zip(parts, live)
+    ]
+    if pi:
+        return [PiLinear(q0, q1) for q0, q1 in zip(*streams)]
+    return streams[0]
+
+
 def _run_generic(spec: RecurrenceSpec, N: int) -> list:
     values = list(spec.seeds[: N + 1])
     if N <= spec.start:
         return values
-    groups = _compile(spec)
-    seeds = [GaussianRational(s) if isinstance(s, (int, Fraction)) else s for s in spec.seeds]
-    if not all(isinstance(s, (GaussianRational, PiLinear)) for s in seeds):
-        return values + _step(spec, groups, seeds, N)  # any type with + and *
-    # q0 + q1*pi steps as two streams: pi never enters the loop
-    first = spec.start - spec.order
-    pi = any(isinstance(s, PiLinear) for s in seeds[first:])
-    parts = [[s.q0 if isinstance(s, PiLinear) else s for s in seeds]]
-    if pi:
-        parts.append([s.q1 if isinstance(s, PiLinear) else _ZERO for s in seeds])
-    live = [any(part[first:]) for part in parts]
-    if not any(live):  # still step one, so a singular row is reported
-        live[0] = True
-    integral = _integral(groups)
-    streams = [
-        _stream(spec, integral, part, N) if on else [_ZERO] * (N - spec.start)
-        for part, on in zip(parts, live)
-    ]
-    if pi:
-        return values + [PiLinear(q0, q1) for q0, q1 in zip(*streams)]
-    return values + streams[0]
+    integral = spec.integral
+    if integral is None:
+        groups = _compile(spec)
+        seeds = [GaussianRational(s) if isinstance(s, (int, Fraction)) else s for s in spec.seeds]
+        if not all(isinstance(s, (GaussianRational, PiLinear)) for s in seeds):
+            return values + _step(spec, groups, seeds, N)  # any type with + and *
+        integral = _integral(groups)
+    window = list(spec.seeds[spec.start - spec.order:])
+    return values + step_exact(integral, window, spec.start, N, spec.den_factors)
 
 
 #: f64 steps per row evaluation.  A run's temporaries then stay a few tens of
@@ -459,7 +481,7 @@ def _run_generic(spec: RecurrenceSpec, N: int) -> list:
 _F64_BLOCK = 1024
 
 
-def _run_f64(spec: RecurrenceSpec, N: int) -> list:
+def _run_f64(spec: RecurrenceSpec, N: int) -> np.ndarray:
     n0, k = spec.start, spec.order
     u = np.zeros(N + 1, dtype=np.complex128)
     m = min(n0, N)
@@ -469,11 +491,11 @@ def _run_f64(spec: RecurrenceSpec, N: int) -> list:
         rows = np.empty((hi - lo, k + 1), dtype=np.complex128)
         with np.errstate(all="ignore"):
             raw = spec.row(np.arange(lo, hi, dtype=np.float64))
-        for i in range(k + 1):
-            rows[:, i] = raw[i]
+            for i in range(k + 1):
+                rows[:, i] = raw[i]
         bad = ~np.isfinite(rows)
         if bad.any():
-            _singular(spec, lo + int(np.argwhere(bad.any(axis=1))[0][0]))
+            _singular(spec.den_factors, lo + int(np.argwhere(bad.any(axis=1))[0][0]))
         kernels.recurrence_steps(rows, u[lo - k : hi + 1], k)
     finite = np.isfinite(u)
     if N > n0 and not finite.all():
@@ -482,7 +504,7 @@ def _run_f64(spec: RecurrenceSpec, N: int) -> list:
             f"recurrence overflowed to a non-finite value at n={n_bad}",
             index=n_bad,
         )
-    return u.tolist()
+    return u
 
 
 def _run_system(spec: SystemSpec, N: int) -> list:
@@ -501,9 +523,11 @@ def _run_system(spec: SystemSpec, N: int) -> list:
 
 
 def _run_combo(combo: ComboSpec, N: int) -> list:
+    bk = get_backend(combo.backend)
+    if combo.backend == "f64":
+        return _combine_f64(combo, bk, N)
     left = run(combo.left, N).coeffs
     right = run(combo.right, N).coeffs
-    bk = get_backend(combo.backend)
     half = bk.one() / 2
     if combo.combiner == "(u-v)/2":
         values = [(u - v) * half for u, v in zip(left, right)]
@@ -512,11 +536,24 @@ def _run_combo(combo: ComboSpec, N: int) -> list:
     else:  # (u-v)/(2i): multiply by 1/(2i) = -i/2
         scale = -bk.imaginary_unit() / 2
         values = [(u - v) * scale for u, v in zip(left, right)]
-    if combo.backend == "f64":
-        for n, v in enumerate(values):
-            if not cmath.isfinite(v):
-                raise NonFiniteError(f"combo produced a non-finite entry at n={n}", index=n)
     return values
+
+
+def _combine_f64(combo: ComboSpec, bk, N: int) -> list:
+    """``_run_combo`` on arrays: numpy's complex product is Python's formula,
+    so the entries are the same bits."""
+    left, right = _run_f64(combo.left, N), _run_f64(combo.right, N)
+    if combo.combiner == "(u-v)/2":
+        values = (left - right) * (bk.one() / 2)
+    elif combo.combiner == "(u+v)/2":
+        values = (left + right) * (bk.one() / 2)
+    else:
+        values = (left - right) * (-bk.imaginary_unit() / 2)
+    finite = np.isfinite(values)
+    if not finite.all():
+        n = int(np.argmin(finite))
+        raise NonFiniteError(f"combo produced a non-finite entry at n={n}", index=n)
+    return values.tolist()
 
 
 def run(spec, N: int) -> CoeffStream:
@@ -528,7 +565,7 @@ def run(spec, N: int) -> CoeffStream:
     elif isinstance(spec, SystemSpec):
         values = _run_system(spec, N)
     elif spec.backend == "f64":
-        values = _run_f64(spec, N)
+        values = _run_f64(spec, N).tolist()
     else:
         values = _run_generic(spec, N)
     return CoeffStream(

@@ -235,12 +235,14 @@ def compare_formulations(
 
 def bench(family_id: str, params, N: int, repetitions: int = 3) -> BenchReport:
     """Wall-time the recurrence path against the O(N^2) oracle path (f64)."""
+    if repetitions < 1:
+        raise ValueError("repetitions must be at least 1")
     bk = get_backend("f64")
     pp = conform_params(params, bk)
     build(family_id, pp, bk)  # validate before timing
     rec_best = float("inf")
     ora_best = float("inf")
-    for _ in range(max(1, repetitions)):
+    for _ in range(repetitions):
         t0 = time.perf_counter()
         recurrence_stream(family_id, pp, N, bk)
         rec_best = min(rec_best, time.perf_counter() - t0)
@@ -250,7 +252,7 @@ def bench(family_id: str, params, N: int, repetitions: int = 3) -> BenchReport:
     return BenchReport(
         family=family_id,
         N=N,
-        repetitions=max(1, repetitions),
+        repetitions=repetitions,
         recurrence_time=rec_best,
         oracle_time=ora_best,
     )

@@ -6,6 +6,8 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
+import pytest
+
 import macprod
 from macprod import cli, kernels
 from macprod.families import build, list_families
@@ -183,6 +185,26 @@ class TestExitCodes:
     def test_argparse_error_is_2(self, capsys):
         assert cli.main(["coeffs", "--badflag"]) == 2
         capsys.readouterr()
+
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("verify", "--family", "exp-M", "--count", "-1", "--a", "1", "--c", "2", "--p", "1"),
+             "--count"),
+            (("verify", "--family", "exp-M", "--count", "-1"), "--count"),
+            (("verify", "--trials", "0"), "--trials"),
+            (("verify", "--trials", "-2", "--family", "exp-M"), "--trials"),
+            (("bench", "--family", "exp-M", "--count", "-3"), "--count"),
+            (("bench", "--family", "exp-M", "--count", "8", "--reps", "0"), "--reps"),
+        ],
+    )
+    def test_bad_counts_are_2(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and flag in err
+        assert "Traceback" not in err
 
 
 class TestEval:

@@ -3,6 +3,7 @@ from fractions import Fraction
 from random import Random
 from zlib import crc32
 
+import numpy as np
 import pytest
 
 from macprod.families import (
@@ -19,14 +20,17 @@ from macprod.numerics import (
     EXACT,
     GaussianRational,
     ParameterDomainError,
+    SingularIndexError,
     approximate,
     get_backend,
 )
 from macprod.recurrence_core import ComboSpec, RecurrenceSpec, SystemSpec
 from macprod.series_oracle import (
     Elementary,
+    cauchy_product,
     elementary_series,
     gauss_series,
+    hyper_base_series,
     kummer_series,
     scale_stream,
 )
@@ -202,12 +206,105 @@ class TestComplexParameters:
         _assert_oracle_equal(info.id, params, 24)
 
 
-class TestKnownTableDeviation:
-    """The referee flags a row table that does not satisfy its product.
+#: each of the nine tables with every elementary kind it serves
+OPERATOR_CASES = [
+    (table, h, base)
+    for base in ("M", "F")
+    for table, kinds in (
+        ("exp", ("exp",)),
+        ("binom", ("binom",)),
+        ("arctanexp", ("exp_arctan",)),
+        ("sin", ("sin", "cos", "sinh", "cosh")),
+        ("arcsin", ("arcsin", "arccos")),
+    )
+    if not (table == "arcsin" and base == "F")
+    for h in kinds
+]
 
-    A perturbed copy of the derived arcsin-M operator is installed for the
-    test only: P_1 gains a p^2 term, so row entry b0 is off by
-    -p^2 / P_0(n+1) while the seeds stay exact.
+
+class TestOperators:
+    """Each table's operator sum_j z^j P_j(theta) annihilates its products.
+
+    Applied to the oracle's exact product series through z^60, the residual
+    is exactly 0.  The operator is evaluated from the table's terms in
+    Gaussian rationals here, independently of the engine's integer tables.
+    """
+
+    N = 60
+    COMPLEX = TestComplexParameters.VALUES
+
+    @staticmethod
+    def theta_polys(entry, values):
+        """Per P_j its theta-coefficients {t: value} at ``values``."""
+        names, *polys = entry
+        out = []
+        for poly in polys:
+            coeffs = {}
+            for term in poly.split(","):
+                coef, t, *exps = map(int, term.split())
+                m = G(coef)
+                for x, e in zip(names.split(), exps):
+                    m = m * values[x] ** e
+                coeffs[t] = coeffs.get(t, 0) + m
+            out.append(coeffs)
+        return out
+
+    def residual(self, entry, h, base, params):
+        pp = {k: EXACT.coerce(v) for k, v in params.items()}
+        w = pp["p"] * pp["p"]
+        values = dict(pp, w=-w if h in ("sinh", "cosh") else w)
+        factor = Elementary(h, p=pp["p"], theta=pp.get("theta"))
+        u = cauchy_product(
+            elementary_series(factor, self.N, EXACT),
+            hyper_base_series(base, self.N, EXACT, a=pp["a"], b=pp.get("b"), c=pp["c"]),
+        ).coeffs
+        P = self.theta_polys(entry, values)
+        return [
+            sum(
+                (sum(co * (s - j) ** t for t, co in Pj.items()) * u[s - j]
+                 for j, Pj in enumerate(P) if s >= j),
+                G(0),
+            )
+            for s in range(self.N + 1)
+        ]
+
+    def draws(self, h, base):
+        token = {"exp_arctan": "arctanexp"}.get(h, h)
+        info = get_family(f"{token}-{base}")
+        rng = Random(crc32(info.id.encode()) ^ 0x0DE)
+        rational = [
+            {k: getattr(d, k) for k in info.param_names}
+            for d in (draw_params(info, rng), draw_params(info, rng))
+        ]
+        return rational + [{k: self.COMPLEX[k] for k in info.param_names}]
+
+    @pytest.mark.parametrize("table, h, base", OPERATOR_CASES)
+    def test_residual_is_zero(self, table, h, base):
+        from macprod import families
+
+        entry = families._OPERATORS[f"{table}-{base}"]
+        for params in self.draws(h, base):
+            assert all(not r for r in self.residual(entry, h, base, params)), params
+
+    @pytest.mark.parametrize("table, base", [("exp", "M"), ("sin", "F"), ("arcsin", "M")])
+    def test_one_changed_coefficient_leaves_a_residual(self, table, base):
+        from macprod import families
+
+        names, *polys = families._OPERATORS[f"{table}-{base}"]
+        coef, rest = polys[1].split(" ", 1)
+        mutant = (names, polys[0], f"{int(coef) + 1} {rest}", *polys[2:])
+        h = {"exp": "exp", "sin": "sin", "arcsin": "arcsin"}[table]
+        for params in self.draws(h, base):
+            assert any(self.residual(mutant, h, base, params)), params
+
+
+class TestKnownTableDeviation:
+    """The referee flags a table that does not satisfy its product.
+
+    A perturbed copy of the arcsin-M operator is installed for the test
+    only: P_1 gains a term w = p^2, so row entry b0 is off by
+    -p^2 / P_0(n+1).  u_0 and u_1 are closed forms; the table steps every
+    later value, so u_2 is the first to deviate.
     """
 
     @pytest.mark.parametrize("family_id", INVERSE_SINE)
@@ -215,9 +312,10 @@ class TestKnownTableDeviation:
         from macprod import families
         from macprod.verify import compare_oracle
 
-        op = families._ARCSIN_M_OPERATOR
-        perturbed = (op[0], op[1] + ((1, 1, 0, 0, 0),)) + op[2:]
-        monkeypatch.setattr(families, "_ARCSIN_M_OPERATOR", perturbed)
+        names, *polys = families._OPERATORS["arcsin-M"]
+        assert names == "a c w"
+        perturbed = (names, polys[0], polys[1] + ", 1 0 0 0 1", *polys[2:])
+        monkeypatch.setitem(families._OPERATORS, "arcsin-M", perturbed)
         info = get_family(family_id)
         rng = Random(crc32(family_id.encode()))
         seen = 0
@@ -226,12 +324,31 @@ class TestKnownTableDeviation:
             if params.p == 0:  # every row deviation carries a p^2 factor
                 continue
             seen += 1
-            seeds_only = compare_oracle(family_id, params, info.start, "exact")
-            assert seeds_only.passed  # the seed list certifies exactly
+            seeds_only = compare_oracle(family_id, params, 1, "exact")
+            assert seeds_only.passed  # u_0 and u_1 certify exactly
             rep = compare_oracle(family_id, params, 20, "exact")
             assert rep.verdict == "fail"
-            assert rep.first_mismatch == 12
+            assert rep.first_mismatch == 2
             assert rep.max_abs > 0
+
+
+class TestSingularRows:
+    """Past the validator a row can vanish; the table's stepped seeds say where."""
+
+    @pytest.mark.parametrize(
+        "family_id, c, index, factor",
+        [("arctanexp-M", -2, 2, "c+n"), ("sin-M", -3, 3, "c+n"), ("cos-F", -3, 3, "c+n")],
+    )
+    def test_stepped_seed_names_the_vanishing_factor(self, family_id, c, index, factor):
+        from macprod import families
+
+        info = get_family(family_id)
+        params = Params(
+            **{k: Fraction(c) if k == "c" else Fraction(1, 3) for k in info.param_names}
+        )
+        with pytest.raises(SingularIndexError, match=f"n={index}") as exc:
+            families._BUILDERS[family_id](info, params, EXACT)
+        assert (exc.value.index, exc.value.factor) == (index, factor)
 
 
 class TestFormulationAgreement:
@@ -460,6 +577,42 @@ class TestFloatFidelity:
         for x, y in zip(fl.coeffs, exact.coeffs):
             ya = approximate(y)
             assert abs(x - ya) / max(1.0, abs(ya)) <= 1e-12
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
+        reason="long double is no wider than double on this platform",
+    )
+    @pytest.mark.parametrize(
+        "family_id", ["exp-M", "exp-F", "binom-M", "binom-F", "arctanexp-M", "arctanexp-F"]
+    )
+    def test_rows_and_seeds_are_correctly_rounded(self, family_id):
+        # f64 rows and seeds against the exact ones at the parameters' binary
+        # values, rounded once: a rare near-tie may land one ulp off
+        info = get_family(family_id)
+        rng = Random(crc32(family_id.encode()) ^ 0x5EED)
+        same = total = 0
+        for draw in range(4):
+            fl = {k: complex(approximate(getattr(draw_params(info, rng), k)))
+                  for k in info.param_names}
+            if draw == 3:
+                fl["p"] = complex(fl["p"].real, 0.75)
+            if family_id.startswith("binom") and fl["p"].real.is_integer():
+                fl["p"] += 0.5  # an integer p routes to the coupled system
+            exact = build(family_id, {
+                k: G(Fraction(v.real), Fraction(v.imag)) for k, v in fl.items()})
+            spec = build(family_id, fl, "f64")
+            got = spec.row(np.arange(spec.start, 200, dtype=np.float64)).astype(complex)
+            want = [
+                [complex(float(x.re), float(x.im)) for x in exact.row(n)]
+                for n in range(spec.start, 200)
+            ]
+            pairs = [(got[i, j], w[i]) for j, w in enumerate(want) for i in range(len(w))]
+            pairs += [(x, approximate(y)) for x, y in zip(spec.seeds, exact.seeds)]
+            for x, y in pairs:
+                assert abs(x - y) <= 2.3e-16 * abs(y)
+            same += sum(x == y for x, y in pairs)
+            total += len(pairs)
+        assert same >= 0.99 * total
 
 
 class TestMeta:

@@ -68,6 +68,24 @@ class TestConvolve:
         assert any(v.imag for v in want), "one case must have complex coefficients"
 
 
+    @pytest.mark.parametrize("N", [kernels._CONV_WHOLE + 1, 4097])
+    def test_split_product_at_long_lengths(self, N):
+        # past _CONV_WHOLE entries the product splits in halves; Gaussian-integer
+        # operands below 2^10 keep every partial sum exact in f64, so the
+        # result must equal the exact product in integer arithmetic
+        rng = np.random.default_rng(N)
+        parts = rng.integers(-1024, 1024, size=(4, N))
+        a, b = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+        re = np.convolve(parts[0], parts[2])[:N] - np.convolve(parts[1], parts[3])[:N]
+        im = np.convolve(parts[0], parts[3])[:N] + np.convolve(parts[1], parts[2])[:N]
+        got = kernels.convolve(a, b)
+        assert np.array_equal(got.real, re) and np.array_equal(got.imag, im)
+        # and rounded operands stay within a few ulps of the largest entry
+        x, y = _random_complex(rng, N), _random_complex(rng, N)
+        want = np.convolve(x, y)[:N]
+        assert np.abs(kernels.convolve(x, y) - want).max() <= 1e-14 * np.abs(want).max()
+
+
 class TestRecurrenceSteps:
     def test_known_solution(self):
         # u[n+1] = u[n]/2 from u[0..1]

@@ -7,7 +7,7 @@ from zlib import crc32
 import numpy as np
 import pytest
 
-from macprod import _kernels_py
+from macprod import _kernels_py, recurrence_core
 from macprod.families import build, get_family, list_families
 from macprod.numerics import (
     EXACT,
@@ -22,7 +22,6 @@ from macprod.recurrence_core import (
     RowContractError,
     SystemSpec,
     _F64_BLOCK,
-    _compile,
     run,
 )
 from macprod.series_oracle import kummer_series
@@ -260,21 +259,31 @@ class TestExactScalars:
             assert [type(v) for v in got] == [type(v) for v in want]
 
     @pytest.mark.parametrize("info", list_families(), ids=lambda i: i.id)
-    def test_real_parameters_compile_over_the_rationals(self, info):
-        # the one-time row compile stays out of Gaussian arithmetic at real
+    def test_real_parameters_give_real_integer_rows(self, info):
+        # the table evaluation stays out of Gaussian integers at real
         # parameters; only the sin/cos combos have branches at +-ip
         params = draw_params(info, Random(crc32(info.id.encode()) + 2))
         spec = build(info.id, params)
         at_ip = info.formulation == "combo" and info.h in ("sin", "cos")
         for branch in (spec.left, spec.right) if isinstance(spec, ComboSpec) else (spec,):
-            coeffs = [
-                c
-                for den, terms in _compile(branch)
-                for poly in [den or ()] + [num for _, num in terms]
-                for c in poly
+            imaginary = [
+                poly[1]
+                for den, terms in branch.integral
+                for poly in [den] + [num for _, num in terms]
             ]
-            rational = all(type(c) in (int, Fraction) for c in coeffs)
-            assert rational != at_ip, info.id
+            real = all(im == (0,) for im in imaginary)
+            assert real != at_ip, info.id
+
+    @pytest.mark.parametrize("info", list_families(), ids=lambda i: i.id)
+    def test_catalogue_requests_never_trace_the_row(self, info, monkeypatch):
+        def traced(*args):
+            raise AssertionError("an exact catalogue request traced its row")
+
+        monkeypatch.setattr(recurrence_core._Symbolic, "__init__", traced)
+        params = draw_params(info, Random(crc32(info.id.encode()) + 4))
+        assert len(run(build(info.id, params), 40).coeffs) == 41
+        with pytest.raises(AssertionError, match="traced"):  # a plain callable still is
+            run(RecurrenceSpec(1, 1, (gr(1), gr(1)), lambda n: (1 / (n + 1), 0), "exact"), 4)
 
     def test_int_and_fraction_seeds_step_to_gaussian_rationals(self):
         spec = RecurrenceSpec(1, 1, (1, Fraction(1, 2)), lambda n: (n + 1, 1 / (n + 2)), "exact")
