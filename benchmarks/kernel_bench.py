@@ -1,19 +1,25 @@
-"""Time the f64 layers: stepping, the oracle's convolution, a verify request.
+"""Time the f64 layers: factor series, stepping, the whole run, the oracle's
+convolution, a verify request.
 
-For each family and size, one interleaved loop runs every layer once per
+For each case and size, one interleaved loop runs every layer once per
 repetition, so the columns of one record are read at the same moments; each
 column is the best of ``--reps``:
 
-* ``step_<impl>``: ``kernels.recurrence_steps`` over all N - n0 of the
-  family's own f64 rows, in one call, for each implementation in
+* ``step_<impl>``: ``kernels.recurrence_steps`` over all of the f64 spec's
+  rows, in one call, for each implementation in
   ``kernels.implementations()`` (``python``, and ``compiled`` when the C loop
-  could be built);
-* ``convolve``: ``kernels.convolve`` on the family's two f64 factor series,
-  as the oracle calls it, and ``convolve_whole``: ``np.convolve`` on the same
-  series, cut to their length, the product before any split;
-* ``verify``: ``macprod verify --backend f64`` for the family at these
-  parameters, in this process, output captured, from argument parsing to
-  JSON text.
+  could be built); absent where the spec has no rows (a tree that stepped
+  coupled sequences in Python);
+* ``run``: ``recurrence_core.run`` on the built f64 spec: row evaluation,
+  stepping and whatever the spec's route adds (the interleaved sequences of
+  ``arcsin-M``, the binomial taps of ``binom-F`` at an integer p);
+* ``series``: the oracle's two factor series, ``elementary_series`` and
+  ``hyper_base_series``;
+* ``convolve``: ``kernels.convolve`` on those two series, as the oracle calls
+  it, and ``convolve_whole``: ``np.convolve`` on the same series, cut to
+  their length, the product before any split;
+* ``verify``: ``macprod verify --backend f64`` for the case, in this process,
+  output captured, from argument parsing to JSON text.
 
 Run directly, with the checkout's ``src`` on ``PYTHONPATH``:
 
@@ -39,38 +45,64 @@ from pathlib import Path
 
 import numpy as np
 
-from macprod import cli, kernels
+from macprod import cli, kernels, recurrence_core
 from macprod.families import build, conform_params, elementary_factor, get_family
 from macprod.numerics import get_backend
 from macprod.series_oracle import elementary_series, hyper_base_series
 
-FAMILIES = ("exp-F", "arctanexp-F")
 VALUES = {"a": Fraction(1, 2), "b": Fraction(1, 3), "c": Fraction(5, 4), "p": Fraction(1)}
+#: (family, parameters that differ from VALUES); binom-F at an integer p takes
+#: the taps route, at theta = 3/2 where its own recurrence is unstable
+CASES = (
+    ("exp-F", {}),
+    ("arctanexp-F", {}),
+    ("arcsin-M", {}),
+    ("binom-F", {"p": Fraction(2), "theta": Fraction(3, 2)}),
+    ("binom-F", {"p": Fraction(200), "theta": Fraction(-3, 2)}),
+)
 
 
-def _layers(family: str, N: int) -> dict:
-    """One zero-argument callable per timed layer."""
-    bk = get_backend("f64")
-    info = get_family(family)
-    params = conform_params({k: VALUES[k] for k in info.param_names}, bk)
-    spec = build(family, params, bk)
+def _step_layers(spec, N: int) -> dict:
+    """``step_<impl>`` for every implementation, over the spec's rows."""
+    if not hasattr(spec, "row"):  # coupled sequences stepped in Python
+        return {}
     n0, k = spec.start, spec.order
+    M = getattr(spec, "interleave", 1) * N
     with np.errstate(all="ignore"):
-        raw = spec.row(np.arange(n0, N, dtype=np.float64))
-    rows = np.empty((N - n0, k + 1), dtype=np.complex128)
+        raw = spec.row(np.arange(n0, M, dtype=np.float64))
+    rows = np.empty((M - n0, k + 1), dtype=np.complex128)
     for i in range(k + 1):
         rows[:, i] = raw[i]
     layers = {}
     for name, impl in kernels.implementations().items():
-        u = np.zeros(N + 1, dtype=np.complex128)  # each call rewrites u[n0+1:]
+        u = np.zeros(M + 1, dtype=np.complex128)  # each call rewrites u[n0+1:]
         u[: n0 + 1] = spec.seeds
         layers[f"step_{name}"] = lambda u=u, impl=impl: kernels.recurrence_steps(rows, u, n0, impl=impl)
-    h = elementary_series(elementary_factor(info, params), N, bk).coeffs
-    base = hyper_base_series(info.base, N, bk, a=params.a, b=params.b, c=params.c).coeffs
+    return layers
+
+
+def _layers(family: str, values: dict, N: int) -> dict:
+    """One zero-argument callable per timed layer."""
+    bk = get_backend("f64")
+    info = get_family(family)
+    params = conform_params({k: values[k] for k in info.param_names}, bk)
+    spec = build(family, params, bk)
+    layers = _step_layers(spec, N)
+    layers["run"] = lambda: recurrence_core.run(spec, N)
+    factor = elementary_factor(info, params)
+
+    def series():
+        return (
+            elementary_series(factor, N, bk).coeffs,
+            hyper_base_series(info.base, N, bk, a=params.a, b=params.b, c=params.c).coeffs,
+        )
+
+    h, base = series()
+    layers["series"] = series
     layers["convolve"] = lambda: kernels.convolve(h, base)
     layers["convolve_whole"] = lambda: np.convolve(h, base)[: N + 1]
     argv = ["verify", "--backend", "f64", "--family", family, "--count", str(N)]
-    argv += [f"--{name}={VALUES[name]}" for name in info.param_names]
+    argv += [f"--{name}={values[name]}" for name in info.param_names]
     layers["verify"] = lambda: _request(argv)
     return layers
 
@@ -80,8 +112,8 @@ def _request(argv):
         return cli.main(argv)
 
 
-def measure(family: str, N: int, reps: int) -> dict:
-    layers = _layers(family, N)
+def measure(family: str, values: dict, N: int, reps: int) -> dict:
+    layers = _layers(family, values, N)
     best = dict.fromkeys(layers, float("inf"))
     for _ in range(reps):
         for name, fn in layers.items():
@@ -91,6 +123,7 @@ def measure(family: str, N: int, reps: int) -> dict:
     rc = layers["verify"]()
     return {
         "family": family,
+        "params": {k: str(values[k]) for k in get_family(family).param_names},
         "N": N,
         **{f"{name}_ms": round(t * 1e3, 4) for name, t in best.items()},
         "verify_rc": rc,
@@ -109,11 +142,11 @@ def main() -> int:
     print(f"f64 kernels: {kernels.implementation_name()}")
     results = []
     for N in sizes:
-        for family in FAMILIES:
-            r = measure(family, N, args.reps)
+        for family, changed in CASES:
+            r = measure(family, VALUES | changed, N, args.reps)
             results.append(r)
             cols = "  ".join(f"{k[:-3]} {v:.4g}" for k, v in r.items() if k.endswith("_ms"))
-            print(f"{family:12s} {N:>5d}  {cols}   (ms)")
+            print(f"{family:12s} p={r['params']['p']:>3s} {N:>5d}  {cols}   (ms)")
 
     if args.json:
         path = Path(args.json)

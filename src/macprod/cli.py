@@ -15,6 +15,8 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
+
 from . import kernels
 from . import verify as verify_mod
 from .families import (
@@ -90,15 +92,29 @@ def _decompose_exact(value):
 
 
 def _coeff_records(coeffs, backend_name):
-    records = []
-    for n, v in enumerate(coeffs):
-        if backend_name == "exact":
+    if backend_name == "exact":
+        records = []
+        for n, v in enumerate(coeffs):
             re_s, im_s, pre, pim = _decompose_exact(v)
             records.append({"n": n, "re": re_s, "im": im_s, "pi_re": pre, "pi_im": pim})
-        else:
-            z = complex(v)
-            records.append({"n": n, "re": z.real, "im": z.imag})
-    return records
+        return records
+    return [
+        {"n": n, "re": re, "im": im}
+        for n, (re, im) in enumerate(zip(coeffs.real.tolist(), coeffs.imag.tolist()))
+    ]
+
+
+def _normalized(coeffs, bk):
+    """The stream divided by pi/2.  In f64 this is Python's complex division
+    by (pi/2, 0), part by part, so every bit and zero sign matches it; numpy's
+    complex division multiplies by a reciprocal instead."""
+    half_pi = bk.half_pi()
+    if bk.name == "exact":
+        return tuple(v / half_pi for v in coeffs)
+    out = np.empty_like(coeffs)
+    out.real = (coeffs.real + coeffs.imag * 0.0) / half_pi.real
+    out.imag = (coeffs.imag - coeffs.real * 0.0) / half_pi.real
+    return out
 
 
 def emit_json(doc) -> str:
@@ -117,11 +133,7 @@ def cmd_coeffs(args) -> int:
         raise ParameterDomainError("--count must be at least 1")
     params = _parse_params(args, bk)
     stream = run(build(args.family, params, bk), args.count - 1)
-    if args.normalized:
-        half_pi = bk.half_pi()
-        coeffs = tuple(v / half_pi for v in stream.coeffs)
-    else:
-        coeffs = stream.coeffs
+    coeffs = _normalized(stream.coeffs, bk) if args.normalized else stream.coeffs
     records = _coeff_records(coeffs, bk.name)
     if args.format == "json":
         doc = {
@@ -168,7 +180,7 @@ def cmd_eval(args) -> int:
             file=sys.stderr,
         )
     acc = complex(0.0)
-    for v in reversed(stream.coeffs):
+    for v in reversed(stream.coeffs.tolist()):
         acc = acc * z + v
     if not cmath.isfinite(acc):
         raise NonFiniteError("evaluation overflowed")

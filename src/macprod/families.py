@@ -50,8 +50,11 @@ The exact backend steps the table of every single id.  In f64 the
 high-order singles (sin/cos/sinh/cosh over every base, arcsin-M, arccos-M)
 would amplify roundoff along parasitic solutions, so their f64 requests are
 served by stable formulations: the same exp-X branches for the trig/hyp
-products, coupled first-order recurrences for the inverse-sine products.
-Only the exp, binom and arctanexp tables are evaluated in f64.
+products, four coupled first-order recurrences for the inverse-sine
+products, interleaved into one order-11 recurrence that the f64 kernel
+steps.  binom at a nonnegative integer p is the exp-X stream at p = 0
+convolved with the p + 1 coefficients of (1 - theta z)^p.  Only the exp,
+binom and arctanexp tables are evaluated in f64.
 
 Builders are pure and the returned specs are immutable.
 """
@@ -60,12 +63,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
+from . import kernels
 from .numerics import (
     GaussianRational,
     ParameterDomainError,
@@ -73,7 +77,7 @@ from .numerics import (
     is_nonpositive_integer,
     scalar_equals_int,
 )
-from .recurrence_core import _F64_BLOCK, ComboSpec, RecurrenceSpec, SystemSpec, step_exact
+from .recurrence_core import ComboSpec, RecurrenceSpec, step_exact
 from .series_oracle import Elementary
 
 __all__ = [
@@ -663,37 +667,58 @@ def _float_row(C):
     return row
 
 
-def _arcsin_M_system(a, c, p, s0, g0):
-    """Coupled first-order recurrences behind the arcsin/arccos-M product.
+def _arcsin_M_interleaved(a, c, p, s0, g0):
+    """Coupled first-order recurrences behind the arcsin/arccos-M product,
+    stepped as one order-11 recurrence.
 
-    With s = arcsin(pz) or arccos(pz) and m = M(a,c;z), the components are
-    the coefficients of y1 = s m, y2 = s m', y3 = s' m and y4 = s' m'; entries
-    at negative index are 0.  They follow from (1 - p^2 z^2) s'' = p^2 z s'
-    and z m'' = (z - c) m' + a m, whose only singularities are 0 and +-1/p,
-    whereas the order-11 scalar recurrence also carries the apparent
-    singularities of the product ODE.  Returns (entry 0 of each, step).
+    With s = arcsin(pz) or arccos(pz) and m = M(a,c;z), the sequences are
+    the coefficients of y1 = s m, y3 = s' m, y2 = s m' and y4 = s' m', entry
+    n of each at stream index 4n, 4n + 1, 4n + 2, 4n + 3; entries at negative
+    index are 0.  For n >= 1, with r = 1/n and t = 1/(n + c):
+
+        y1[n] = r y2[n-1] + r y3[n-1]
+        y3[n] = r y4[n-1] + p^2 (n-1) r y3[n-2] - p^2 r y4[n-3]
+        y2[n] = a t y1[n] + t y4[n-1] + t y2[n-1]
+        y4[n] = a t y3[n] + t y4[n-1] + p^2 (n+c-1) t y4[n-2]
+                - a p^2 t y3[n-2] - p^2 t y4[n-3]
+
+    They follow from (1 - p^2 z^2) s'' = p^2 z s' and z m'' = (z - c) m' + a m,
+    whose only singularities are 0 and +-1/p, whereas the order-11 scalar
+    recurrence also carries the apparent singularities of the product ODE.
+    Each row entry is one of these scalar factors, so an entry near the float
+    range is never scaled up by n on the way.  Returns (u_0..u_11, row).
     """
     p2 = p * p
     ap2 = a * p2
 
-    def step(ys, n):
-        # every term is (scalar factor) * (entry), factors formed first, so an
-        # entry near the float range is never scaled up by n on the way
-        y1, y2, y3, y4 = ys
-        y3_2 = y3[n - 2] if n >= 2 else 0
-        y4_2 = y4[n - 2] if n >= 2 else 0
-        y4_3 = y4[n - 3] if n >= 3 else 0
-        r = 1 / n
-        s = 1 / (n + c)
-        y1.append(r * y2[n - 1] + r * y3[n - 1])
-        y3.append(p2 * (n - 1) * r * y3_2 + r * y4[n - 1] - p2 * r * y4_3)
-        y2.append(s * y2[n - 1] + s * y4[n - 1] + a * s * y1[n])
-        y4.append(
-            s * y4[n - 1] + p2 * (n + c - 1) * s * y4_2 - p2 * s * y4_3
-            + a * s * y3[n] - ap2 * s * y3_2
-        )
+    def factors(j, n):
+        """(lag i, factor) of each term of sequence j's step at n; the term
+        reads stream entry 4n + j - 1 - i."""
+        r, t = 1 / n, 1 / (n + c)
+        if j == 0:
+            return (1, r), (2, r)
+        if j == 1:
+            return (1, r), (7, p2 * (n - 1) * r), (9, -p2 * r)
+        if j == 2:
+            return (1, a * t), (2, t), (3, t)
+        return (1, a * t), (3, t), (7, p2 * (n + c - 1) * t), (9, -ap2 * t), (11, -p2 * t)
 
-    return (s0, s0 * a / c, g0, g0 * a / c), step
+    def row(m):
+        """The rows at the consecutive stream indices m: the entries that
+        step sequence j are every fourth one."""
+        if len(m) > 1 and m[-1] - m[0] != len(m) - 1:
+            raise ValueError("the interleaved row takes consecutive stream indices")
+        R = np.zeros((12, len(m)), dtype=np.complex128)
+        for j in range(4):
+            at = slice((j - 1 - int(m[0])) % 4 if len(m) else 0, None, 4)
+            for i, f in factors(j, (m[at] + 1 - j) / 4):
+                R[i, at] = f
+        return R
+
+    u = np.zeros(20, dtype=np.complex128)  # stream entries -8 .. 11
+    u[8:12] = s0, g0, s0 * a / c, g0 * a / c
+    kernels.recurrence_steps(row(np.arange(3.0, 11.0)).T, u, 11)
+    return tuple(u[8:].tolist()), row
 
 
 # ---------------------------------------------------------------------------
@@ -907,55 +932,31 @@ def _f64_route(f64_builder):
     return mk
 
 
-def _binom_poly_system(base: RecurrenceSpec, p: int, th):
-    """binom-X at a nonnegative integer p as the Cauchy product u = h * b of
-    the coefficients h of the polynomial (1 - theta z)^p with b, the exp-X
-    stream at p = 0 (the base series, stepped by its first- or second-order
-    row): u_n = sum_{j <= min(n, p)} C(p, j) (-theta)^j b_{n-j}.
-    Returns (entry 0 of u, b and h, step)."""
-    seeds, row, k = base.seeds, base.row, base.order
-    rows = []  # rows[m - k] is the row of step m, evaluated _F64_BLOCK steps at a time
-
-    def step(ys, n):
-        u, b, h = ys
-        if n < len(seeds):
-            b.append(seeds[n])
-        else:
-            if n - 1 - k == len(rows):
-                steps = np.arange(n - 1, n - 1 + _F64_BLOCK, dtype=np.float64)
-                with np.errstate(all="ignore"):
-                    rows.extend(row(steps).astype(complex).T.tolist())
-            r = rows[n - 1 - k]
-            b.append(sum(r[i] * b[n - 1 - i] for i in range(k + 1)))
-        h.append(h[-1] * -th * (p - n + 1) / n)  # 0 from n = p + 1 on
-        u.append(sum(h[j] * b[n - j] for j in range(min(n, p) + 1)))
-
-    return (seeds[0], seeds[0], 1.0 + 0j), step
-
-
 def _binom_f64(info, params, bk):
     """binom-X in f64: the table, except at a nonnegative integer p.
 
     There the wanted solution of the order-2 recurrence is a polynomial times
     the base, while the other one grows like theta^n: for |theta| > 1 forward
     stepping loses every digit without an error (Gautschi, SIAM Rev. 1967).
-    Those requests convolve the base stream with the binomial's p + 1
-    coefficients instead (``_binom_poly_system``).
+    Those requests step the exp-X recurrence at p = 0 (the base series b) and
+    convolve it with the p + 1 coefficients of (1 - theta z)^p:
+    u_n = sum_{j <= min(n, p)} C(p, j) (-theta)^j b_{n-j}.
     """
     p = params.p
     if p.imag or p.real < 0 or not p.real.is_integer():
         return _mk_single(info, params, bk)
-    meta = _meta(info, bk, params)
-    base = _exp_spec(info, params, bk, meta, bk.zero())
-    init, step = _binom_poly_system(base, int(p.real), params.theta)
-    return SystemSpec(init, step, bk.name, meta)
+    q = int(p.real)
+    j = np.arange(q)
+    taps = np.cumprod(np.concatenate(([1], -params.theta * (q - j) / (j + 1))))
+    base = _exp_spec(info, params, bk, _meta(info, bk, params), bk.zero())
+    return replace(base, taps=tuple(taps.tolist()))
 
 
-def _mk_arcsin_M_system(info, params, bk):
+def _mk_arcsin_M_interleaved(info, params, bk):
     a, c, p = params.a, params.c, params.p
     s0, g0 = (bk.zero(), p) if info.h == "arcsin" else (bk.half_pi(), -p)
-    init, step = _arcsin_M_system(a, c, p, s0, g0)
-    return SystemSpec(init, step, bk.name, _meta(info, bk, params))
+    seeds, row = _arcsin_M_interleaved(a, c, p, s0, g0)
+    return RecurrenceSpec(11, 11, seeds, row, bk.name, _meta(info, bk, params), interleave=4)
 
 
 def _reg(id, base, h, formulation, radius, names, builder, c2=False):
@@ -980,7 +981,7 @@ for _base, _names, _radius in (("M", ("a", "c", "p"), "entire"), ("F", ("a", "b"
     if _base == "M":
         for _h in ("arcsin", "arccos"):
             _reg(f"{_h}-M", "M", _h, "single", "1/|p|", _names,
-                 _f64_route(_mk_arcsin_M_system), c2=True)
+                 _f64_route(_mk_arcsin_M_interleaved), c2=True)
 
 # -- elliptic bases: the F tables at (a, b, c) = (+-1/2, 1/2, 1) ------------
 

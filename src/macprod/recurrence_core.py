@@ -33,15 +33,16 @@ not exact scalars step in their own arithmetic.
 The f64 path evaluates the coefficient rows for a block of steps at once and
 hands the sequential stepping to the kernel layer, block by block, so an f64
 row must broadcast over an index vector, returning k+1 rows of entries (the
-catalogue's rows are one long double matrix product per block).  A combo's
-two f64 branches combine as arrays.
-It keeps the evaluation order fixed (i ascending), so repeated runs are
-bit-identical.
+catalogue's rows are one long double matrix product per block).  It keeps
+the evaluation order fixed (i ascending), so repeated runs are
+bit-identical.  An f64 spec may also step several coupled sequences as one
+(``interleave``: entry n of sequence j is stream entry interleave*n + j,
+and the run returns sequence 0), or convolve its stream with a polynomial
+factor's coefficients (``taps``); the f64 backend serves products whose
+single recurrence is unstable in floats those ways.  An f64 run returns a
+complex128 array, and a combo's two f64 branches combine as arrays.
 
-A :class:`ComboSpec` combines two recurrence branches entrywise.  A
-:class:`SystemSpec` steps several coupled sequences together instead; the
-f64 backend serves products whose single recurrence is unstable in floats
-that way.
+A :class:`ComboSpec` combines two recurrence branches entrywise.
 
 ``run`` is the one entry point: it accepts every spec kind and dispatches on
 it.  It is a pure function over immutable specs; concurrent runs are safe.
@@ -51,7 +52,6 @@ values), so no internal parallelism is attempted.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -82,6 +82,10 @@ class RecurrenceSpec:
     ``integral``, when given, is the same row as integer polynomial groups
     (the form ``_integral`` returns); the exact engine then steps with it
     and never traces ``row``.  The catalogue's builders supply it.
+
+    f64 only: with ``interleave`` s > 1 the stream holds s sequences, entry
+    s*n + j being entry n of sequence j, and the run returns sequence 0;
+    with ``taps`` it returns the stream convolved with them, cut at u_N.
     """
 
     order: int
@@ -92,8 +96,12 @@ class RecurrenceSpec:
     meta: tuple = field(default=())
     den_factors: Callable | None = None
     integral: tuple | None = None
+    interleave: int = 1
+    taps: tuple = ()
 
     def __post_init__(self):
+        if (self.interleave != 1 or self.taps) and self.backend != "f64":
+            raise ValueError("interleave and taps apply to f64 specs only")
         if self.order < 1:
             raise ValueError("recurrence order must be positive")
         if self.start < self.order:
@@ -126,21 +134,6 @@ class ComboSpec:
     @property
     def backend(self):
         return self.left.backend
-
-
-@dataclass(frozen=True)
-class SystemSpec:
-    """Coupled sequences stepped together; the product is component 0.
-
-    ``init`` holds every component's entry 0.  ``step(ys, n)`` appends entry n
-    to each component list in ``ys``; it reads entries below n, and entry n of
-    components it has already advanced.
-    """
-
-    init: tuple
-    step: Callable
-    backend: str
-    meta: tuple = field(default=())
 
 
 def _meta_get(meta, key, default=None):
@@ -482,12 +475,13 @@ _F64_BLOCK = 1024
 
 
 def _run_f64(spec: RecurrenceSpec, N: int) -> np.ndarray:
-    n0, k = spec.start, spec.order
-    u = np.zeros(N + 1, dtype=np.complex128)
-    m = min(n0, N)
+    n0, k, s = spec.start, spec.order, spec.interleave
+    M = s * N  # the stream index of u_N
+    u = np.zeros(M + 1, dtype=np.complex128)
+    m = min(n0, M)
     u[: m + 1] = spec.seeds[: m + 1]
-    for lo in range(n0, N, _F64_BLOCK):
-        hi = min(lo + _F64_BLOCK, N)
+    for lo in range(n0, M, _F64_BLOCK):
+        hi = min(lo + _F64_BLOCK, M)
         rows = np.empty((hi - lo, k + 1), dtype=np.complex128)
         with np.errstate(all="ignore"):
             raw = spec.row(np.arange(lo, hi, dtype=np.float64))
@@ -497,8 +491,13 @@ def _run_f64(spec: RecurrenceSpec, N: int) -> np.ndarray:
         if bad.any():
             _singular(spec.den_factors, lo + int(np.argwhere(bad.any(axis=1))[0][0]))
         kernels.recurrence_steps(rows, u[lo - k : hi + 1], k)
+    if s > 1:
+        u = u[::s].copy()
+    if spec.taps:
+        with np.errstate(all="ignore"):
+            u = np.convolve(u, spec.taps)[: N + 1]
     finite = np.isfinite(u)
-    if N > n0 and not finite.all():
+    if M > n0 and not finite.all():
         n_bad = int(np.argmin(finite))
         raise NonFiniteError(
             f"recurrence overflowed to a non-finite value at n={n_bad}",
@@ -507,22 +506,7 @@ def _run_f64(spec: RecurrenceSpec, N: int) -> np.ndarray:
     return u
 
 
-def _run_system(spec: SystemSpec, N: int) -> list:
-    ys = [[v] for v in spec.init]
-    for n in range(1, N + 1):
-        spec.step(ys, n)
-    values = ys[0]
-    if spec.backend == "f64":
-        for n, v in enumerate(values):
-            if not cmath.isfinite(v):
-                raise NonFiniteError(
-                    f"coupled recurrence overflowed to a non-finite value at n={n}",
-                    index=n,
-                )
-    return values
-
-
-def _run_combo(combo: ComboSpec, N: int) -> list:
+def _run_combo(combo: ComboSpec, N: int):
     bk = get_backend(combo.backend)
     if combo.backend == "f64":
         return _combine_f64(combo, bk, N)
@@ -539,7 +523,7 @@ def _run_combo(combo: ComboSpec, N: int) -> list:
     return values
 
 
-def _combine_f64(combo: ComboSpec, bk, N: int) -> list:
+def _combine_f64(combo: ComboSpec, bk, N: int) -> np.ndarray:
     """``_run_combo`` on arrays: numpy's complex product is Python's formula,
     so the entries are the same bits."""
     left, right = _run_f64(combo.left, N), _run_f64(combo.right, N)
@@ -553,7 +537,7 @@ def _combine_f64(combo: ComboSpec, bk, N: int) -> list:
     if not finite.all():
         n = int(np.argmin(finite))
         raise NonFiniteError(f"combo produced a non-finite entry at n={n}", index=n)
-    return values.tolist()
+    return values
 
 
 def run(spec, N: int) -> CoeffStream:
@@ -562,14 +546,12 @@ def run(spec, N: int) -> CoeffStream:
         raise ValueError("N must be nonnegative")
     if isinstance(spec, ComboSpec):
         values = _run_combo(spec, N)
-    elif isinstance(spec, SystemSpec):
-        values = _run_system(spec, N)
     elif spec.backend == "f64":
-        values = _run_f64(spec, N).tolist()
+        values = _run_f64(spec, N)
     else:
         values = _run_generic(spec, N)
     return CoeffStream(
-        tuple(values),
+        values,
         _meta_get(spec.meta, "base", "product"),
         "recurrence",
         spec.backend,

@@ -4,10 +4,17 @@ Everything here is computed straight from defining series and convolution,
 never from the recurrence tables in :mod:`macprod.families`, so these streams
 can referee those tables.
 
-The inverse-tangent exponential series is generated from the first-order ODE
+Every factor series but one is a hypergeometric term: its first nonzero
+entry times a running product of a term ratio r(n) that is rational in n
+(``_term_series``).  Exact builds multiply the ratios in one at a time;
+f64 builds evaluate r over an index array and take ``np.cumprod``.  The
+inverse-tangent exponential series is generated from the first-order ODE
 it satisfies, (1 + z^2) f'(z) = -p f(z), which gives the two-term relation
 f[n+1] = (-p*f[n] - (n-1)*f[n-1]) / (n+1); this is independent of the
 five-term product recurrences it is later used to check.
+
+An exact stream holds a tuple of exact scalars, an f64 stream a read-only
+complex128 array.
 """
 
 from __future__ import annotations
@@ -71,16 +78,23 @@ class Elementary:
 
 @dataclass(frozen=True)
 class CoeffStream:
-    """A finite prefix u_0..u_N of a Maclaurin coefficient sequence."""
+    """A finite prefix u_0..u_N of a Maclaurin coefficient sequence: a tuple
+    in the exact backend, a read-only complex128 array in f64."""
 
-    coeffs: tuple
+    coeffs: tuple | np.ndarray
     base: str  # "M" | "F" | "K" | "E" | "elementary" | "product"
     provenance: str  # "oracle" | "recurrence"
     backend: str  # "exact" | "f64"
     params: tuple = field(default=())
 
     def __post_init__(self):
-        if not self.coeffs:
+        if self.backend == "f64":
+            coeffs = np.asarray(self.coeffs, dtype=np.complex128)
+            coeffs.flags.writeable = False
+        else:
+            coeffs = tuple(self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
+        if not len(coeffs):
             raise ValueError("a coefficient stream holds at least u_0")
 
     def __len__(self):
@@ -109,91 +123,75 @@ def _finite_or_raise(values, what: str):
         raise NonFiniteError(f"{what} produced a non-finite entry at n={n}", index=n)
 
 
+def _term_series(bk, N: int, first, ratio, start: int = 0, step: int = 1):
+    """Entries 0..N of a series that is nonzero only at start, start + step,
+    ...: ``first`` at ``start``, and each later one the entry ``step`` before
+    it, at index k, times ratio(k).  f64 evaluates ``ratio`` once over all
+    those k as an array."""
+    if bk is EXACT:
+        out = [bk.zero()] * (N + 1)
+        if start <= N:
+            ratios = map(ratio, range(start, N - step + 1, step))
+            out[start::step] = itertools.accumulate(ratios, operator.mul, initial=first)
+        return out
+    out = np.zeros(N + 1, dtype=np.complex128)
+    if start <= N:
+        terms = np.empty(len(out[start::step]), dtype=np.complex128)
+        terms[0] = first
+        with np.errstate(all="ignore"):
+            terms[1:] = ratio(np.arange(start, N - step + 1, step, dtype=np.float64))
+            np.cumprod(terms, out=out[start::step])
+    return out
+
+
+def _oracle(values, base: str, bk, what: str) -> CoeffStream:
+    if bk is not EXACT:
+        _finite_or_raise(values, what)
+    return CoeffStream(values, base, "oracle", bk.name)
+
+
 def kummer_series(a, c, N: int, backend=None) -> CoeffStream:
     """Coefficients of the confluent series: entry n is (a)_n / ((c)_n n!)."""
     bk = get_backend(backend) if backend is not None else infer_backend(a, c)
     _check_c(c)
-    a = bk.coerce(a)
-    c = bk.coerce(c)
-    term = bk.one()
-    out = [term]
-    for n in range(N):
-        term = term * (a + n) / ((c + n) * (n + 1))
-        out.append(term)
-    if bk is not EXACT:
-        _finite_or_raise(out, "kummer_series")
-    return CoeffStream(tuple(out), "M", "oracle", bk.name)
+    a, c = bk.coerce(a), bk.coerce(c)
+    out = _term_series(bk, N, bk.one(), lambda k: (a + k) / ((c + k) * (k + 1)))
+    return _oracle(out, "M", bk, "kummer_series")
 
 
 def gauss_series(a, b, c, N: int, backend=None) -> CoeffStream:
     """Coefficients of the Gauss series: entry n is (a)_n (b)_n / ((c)_n n!)."""
     bk = get_backend(backend) if backend is not None else infer_backend(a, b, c)
     _check_c(c)
-    a = bk.coerce(a)
-    b = bk.coerce(b)
-    c = bk.coerce(c)
-    term = bk.one()
-    out = [term]
-    for n in range(N):
-        term = term * (a + n) * (b + n) / ((c + n) * (n + 1))
-        out.append(term)
-    if bk is not EXACT:
-        _finite_or_raise(out, "gauss_series")
-    return CoeffStream(tuple(out), "F", "oracle", bk.name)
+    a, b, c = bk.coerce(a), bk.coerce(b), bk.coerce(c)
+    out = _term_series(bk, N, bk.one(), lambda k: (a + k) * (b + k) / ((c + k) * (k + 1)))
+    return _oracle(out, "F", bk, "gauss_series")
 
 
 def elementary_series(h: Elementary, N: int, backend=None) -> CoeffStream:
     """Maclaurin coefficients of the elementary factor h(z) through z^N."""
     bk = get_backend(backend) if backend is not None else infer_backend(h.p, h.theta)
     p = bk.coerce(h.p)
-    zero = bk.zero()
     kind = h.kind
 
     if kind == "exp":
-        term = bk.one()
-        out = [term]
-        for n in range(1, N + 1):
-            term = term * p / n
-            out.append(term)
-    elif kind in ("sin", "sinh"):
-        sign = -1 if kind == "sin" else 1
-        out = [zero] * (N + 1)
-        if N >= 1:
-            term = p
-            out[1] = term
-            for n in range(3, N + 1, 2):
-                term = term * p * p * sign / ((n - 1) * n)
-                out[n] = term
-    elif kind in ("cos", "cosh"):
-        sign = -1 if kind == "cos" else 1
-        out = [zero] * (N + 1)
-        term = bk.one()
-        out[0] = term
-        for n in range(2, N + 1, 2):
-            term = term * p * p * sign / ((n - 1) * n)
-            out[n] = term
+        out = _term_series(bk, N, bk.one(), lambda k: p / (k + 1))
+    elif kind in ("sin", "sinh", "cos", "cosh"):
+        w = -p * p if kind in ("sin", "cos") else p * p
+        first, start = (p, 1) if kind in ("sin", "sinh") else (bk.one(), 0)
+        out = _term_series(bk, N, first, lambda k: w / ((k + 1) * (k + 2)), start, 2)
     elif kind == "binom":
         theta = bk.coerce(h.theta)
-        term = bk.one()
-        out = [term]
-        for n in range(N):
-            term = term * (-theta) * (p - n) / (n + 1)
-            out.append(term)
+        out = _term_series(bk, N, bk.one(), lambda k: -theta * (p - k) / (k + 1))
     elif kind == "arcsin":
-        # entry 2k+1 is (2k)! p^(2k+1) / (4^k (k!)^2 (2k+1))
-        out = [zero] * (N + 1)
-        if N >= 1:
-            term = p
-            out[1] = term
-            for n in range(3, N + 1, 2):
-                k2 = n - 1  # = 2k
-                # ratio first: scaling term by p^2 (k2-1)^2 before the division
-                # overflows f64 near the top of its range
-                term = term * (p * p * (k2 - 1) * (k2 - 1) / (k2 * (k2 + 1)))
-                out[n] = term
+        # entry 2k+1 is (2k)! p^(2k+1) / (4^k (k!)^2 (2k+1)); the whole ratio
+        # multiplies the running term, which stays below the float range
+        # wherever the entries do
+        p2 = p * p
+        out = _term_series(bk, N, p, lambda k: p2 * (k * k) / ((k + 1) * (k + 2)), 1, 2)
     elif kind == "arccos":
-        inner = elementary_series(Elementary("arcsin", p=h.p), N, bk)
-        out = [-v for v in inner.coeffs]
+        inner = elementary_series(Elementary("arcsin", p=h.p), N, bk).coeffs
+        out = [-v for v in inner] if bk is EXACT else -inner
         out[0] = bk.half_pi() + out[0]
     elif kind == "exp_arctan":
         out = [bk.one()]
@@ -203,10 +201,7 @@ def elementary_series(h: Elementary, N: int, backend=None) -> CoeffStream:
             out.append((-p * out[n] - (n - 1) * out[n - 1]) / (n + 1))
     else:  # pragma: no cover - guarded by Elementary validation
         raise ParameterDomainError(f"unknown elementary kind {kind!r}")
-
-    if bk is not EXACT:
-        _finite_or_raise(out, f"elementary_series({kind})")
-    return CoeffStream(tuple(out), "elementary", "oracle", bk.name)
+    return _oracle(out, "elementary", bk, f"elementary_series({kind})")
 
 
 def cauchy_product(A: CoeffStream, B: CoeffStream) -> CoeffStream:
@@ -218,9 +213,8 @@ def cauchy_product(A: CoeffStream, B: CoeffStream) -> CoeffStream:
     if len(A) != len(B):
         raise ValueError("cauchy_product operands must share one length")
     if A.backend == "f64":
-        out = kernels.convolve(A.coeffs, B.coeffs)
-        _finite_or_raise(out, "cauchy_product")
-        coeffs = tuple(out.tolist())
+        coeffs = kernels.convolve(A.coeffs, B.coeffs)
+        _finite_or_raise(coeffs, "cauchy_product")
     else:
         coeffs = _exact_cauchy(A.coeffs, B.coeffs)
     return CoeffStream(coeffs, "product", "oracle", A.backend)
@@ -320,9 +314,11 @@ def _exact_cauchy(av, bv) -> tuple:
 
 def scale_stream(A: CoeffStream, s) -> CoeffStream:
     """Multiply every entry by the scalar s (backend of the entries)."""
-    coeffs = tuple(s * v for v in A.coeffs)
     if A.backend == "f64":
+        coeffs = s * A.coeffs
         _finite_or_raise(coeffs, "scale_stream")
+    else:
+        coeffs = tuple(s * v for v in A.coeffs)
     return CoeffStream(coeffs, A.base, A.provenance, A.backend, A.params)
 
 

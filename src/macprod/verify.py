@@ -123,8 +123,7 @@ def _compare_streams(got, want, backend, tolerance, family, params, comparison):
         verdict = "pass" if first is None else "fail"
     else:
         m = min(len(got), len(want))
-        x = np.asarray(got.coeffs[:m], dtype=np.complex128)
-        y = np.asarray(want.coeffs[:m], dtype=np.complex128)
+        x, y = got.coeffs[:m], want.coeffs[:m]
         with np.errstate(invalid="ignore", over="ignore"):
             dx = np.abs(x - y)
             rel = dx / np.maximum(1.0, np.abs(y))

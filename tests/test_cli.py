@@ -123,6 +123,48 @@ class TestCoeffs:
         assert Fraction(int(Decimal(num)), int(Decimal(den))) == want.re
 
 
+class TestFloatOutputBytes:
+    """f64 output is the same text as before streams became arrays; the
+    literals were printed by the tree whose f64 streams were tuples."""
+
+    def test_csv(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "coeffs", "--family", "sin-F", "--backend", "f64", "--count", "6", "--format", "csv",
+            "--a", "1/2", "--b=-2/3", "--c", "5/4", "--p", "3/4",
+        )
+        assert code == 0
+        assert out == (
+            "n,re,im\n0,0.0,-0.0\n1,0.75,-0.0\n2,-0.19999999999999998,0.0\n"
+            "3,-0.09253472222222223,0.0\n4,0.011152659069325721,-0.0\n"
+            "5,0.00041116939972510314,-0.0\n"
+        )
+
+    def test_json_normalized(self, capsys):
+        # division by pi/2 keeps the sign of each zero part
+        code, out, _ = run_cli(
+            capsys,
+            "coeffs", "--family", "sin-E", "--backend", "f64", "--count", "3", "--normalized",
+            "--p=-1/3+1/2i",
+        )
+        assert code == 0
+        assert out == (
+            '{"backend":"f64","base":"E","coeffs":[{"im":-0.0,"n":0,"re":0.0},'
+            '{"im":0.5,"n":1,"re":-0.3333333333333333},'
+            '{"im":-0.125,"n":2,"re":0.08333333333333334}],"family":"sin-E",'
+            '"normalized":true,"params":{"p":"-0.3333333333333333+0.5i"}}\n'
+        )
+
+    def test_eval(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "eval", "--family", "cosh-M-combo", "--count", "30", "--z", "0.4-0.2i",
+            "--a", "1/3", "--c", "7/5", "--p", "5/4",
+        )
+        assert code == 0
+        assert out == "1.1978291448205414-0.20741912900205817i\n"
+
+
 class TestExitCodes:
     def test_validation_error_is_2(self, capsys):
         code, out, err = run_cli(
@@ -181,6 +223,15 @@ class TestExitCodes:
         )
         assert code == 3
         assert "numeric" in err
+
+    def test_overflow_on_interleaved_route_is_3(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "coeffs", "--family", "arcsin-M", "--a", "1/2", "--c", "5/4", "--p", "30",
+            "--count", "400", "--backend", "f64",
+        )
+        assert code == 3
+        assert "at n=211" in err
 
     def test_argparse_error_is_2(self, capsys):
         assert cli.main(["coeffs", "--badflag"]) == 2

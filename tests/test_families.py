@@ -19,12 +19,13 @@ from macprod.families import (
 from macprod.numerics import (
     EXACT,
     GaussianRational,
+    NonFiniteError,
     ParameterDomainError,
     SingularIndexError,
     approximate,
     get_backend,
 )
-from macprod.recurrence_core import ComboSpec, RecurrenceSpec, SystemSpec
+from macprod.recurrence_core import ComboSpec, RecurrenceSpec
 from macprod.series_oracle import (
     Elementary,
     cauchy_product,
@@ -34,7 +35,7 @@ from macprod.series_oracle import (
     kummer_series,
     scale_stream,
 )
-from macprod.verify import draw_params, oracle_stream, recurrence_stream
+from macprod.verify import draw_params, oracle_stream, recurrence_stream, sweep
 
 G = GaussianRational
 
@@ -472,9 +473,33 @@ class TestFloatRoutes:
         assert isinstance(exact, RecurrenceSpec)
         assert (exact.order, exact.start) == (info.order, info.start)
         fl = build(family_id, {k: 1 / 3 for k in info.param_names}, "f64")
-        kind = SystemSpec if family_id in INVERSE_SINE else ComboSpec
-        assert isinstance(fl, kind)
+        if family_id in INVERSE_SINE:  # four coupled sequences, interleaved
+            assert isinstance(fl, RecurrenceSpec)
+            assert (fl.order, fl.start, fl.interleave) == (11, 11, 4)
+        else:
+            assert isinstance(fl, ComboSpec)
         assert dict(fl.meta)["family"] == family_id
+
+    @pytest.mark.parametrize("family_id", INVERSE_SINE)
+    def test_inverse_sine_overflow_names_the_coefficient_index(self, family_id):
+        # the coefficients grow like 30^n; both indices are the previous
+        # tree's, whose four sequences were lists stepped in Python
+        params = {"a": 0.5, "c": 1.25, "p": 30.0}
+        with pytest.raises(NonFiniteError, match="at n=211") as exc:
+            recurrence_stream(family_id, params, 400, "f64")
+        assert exc.value.index == 211
+        reports = sweep(35, 2, 1100, "f64", families=[family_id])
+        assert [(r.verdict, r.first_mismatch) for r in reports if not r.passed] == [("fail", 1031)]
+
+    @pytest.mark.parametrize("family_id", ["binom-M", "binom-F", "binom-K", "binom-E"])
+    def test_binomial_at_integer_p_convolves_the_exp_stream(self, family_id):
+        info = get_family(family_id)
+        params = {k: 0.5 for k in info.param_names} | {"p": 2.0, "theta": 3.0}
+        spec = build(family_id, params, "f64")
+        assert spec.taps == (1, -6, 9)  # (1 - 3z)^2
+        exp_params = {k: v for k, v in params.items() if k != "theta"}
+        base = build(f"exp-{info.base}", dict(exp_params, p=0.0), "f64")
+        assert (spec.order, spec.start, spec.seeds) == (base.order, base.start, base.seeds)
 
     @pytest.mark.parametrize("family_id", REROUTED)
     def test_rerouted_finite_at_8192(self, family_id):
@@ -527,7 +552,7 @@ class TestExpBranches:
             diff = [x + y for x, y in zip(u, v)]
         scale = -i / 2 if info.h == "sin" else bk.one() / 2
         got = recurrence_stream(family_id, params, 30, backend)
-        assert got.coeffs == tuple(d * scale for d in diff)
+        assert list(got.coeffs) == [d * scale for d in diff]
 
 
 class TestFloatFidelity:
@@ -578,6 +603,31 @@ class TestFloatFidelity:
             ya = approximate(y)
             assert abs(x - ya) / max(1.0, abs(ya)) <= 1e-12
 
+    @pytest.mark.parametrize("family_id", ["binom-M", "binom-F", "binom-K"])
+    @pytest.mark.parametrize("theta", [Fraction(3, 2), Fraction(3), Fraction(-2)])
+    def test_binomial_at_large_integer_p_tracks_exact(self, family_id, theta):
+        # p = 200 taps, more than half the stream.  u_n sums C(p, j)(-theta)^j
+        # b_{n-j}, whose terms reach 1e79 at theta = 3/2 while u_n is about
+        # (1 - theta)^p b_n for n > p: no f64 sum keeps relative digits there,
+        # so the bound is on the sum of the terms' sizes, which is |u_n| itself
+        # at theta = -2 (every term positive)
+        N, p = 300, 200
+        values = {"a": Fraction(1, 3), "b": Fraction(2, 3), "c": Fraction(7, 5), "p": p, "theta": theta}
+        info = get_family(family_id)
+        params = {k: values[k] for k in info.param_names}
+        exact = recurrence_stream(family_id, params, N, "exact")
+        fl = recurrence_stream(family_id, {k: complex(v) for k, v in params.items()}, N, "f64")
+        h = elementary_series(Elementary("binom", p=p, theta=theta), N, EXACT)
+        b = hyper_base_series(info.base, N, EXACT, a=values["a"], b=values["b"], c=values["c"])
+        size = np.convolve(
+            [abs(approximate(v)) for v in h.coeffs], [abs(approximate(v)) for v in b.coeffs]
+        )
+        for x, y, s in zip(fl.coeffs, exact.coeffs, size):
+            ya = approximate(y)
+            assert abs(x - ya) <= 1e-12 * max(1.0, s)
+            if theta < 0:
+                assert abs(x - ya) / max(1.0, abs(ya)) <= 1e-12
+
     @pytest.mark.skipif(
         np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
         reason="long double is no wider than double on this platform",
@@ -597,7 +647,7 @@ class TestFloatFidelity:
             if draw == 3:
                 fl["p"] = complex(fl["p"].real, 0.75)
             if family_id.startswith("binom") and fl["p"].real.is_integer():
-                fl["p"] += 0.5  # an integer p routes to the coupled system
+                fl["p"] += 0.5  # an integer p routes to the exp row and taps
             exact = build(family_id, {
                 k: G(Fraction(v.real), Fraction(v.imag)) for k, v in fl.items()})
             spec = build(family_id, fl, "f64")

@@ -20,7 +20,6 @@ from macprod.recurrence_core import (
     ComboSpec,
     RecurrenceSpec,
     RowContractError,
-    SystemSpec,
     _F64_BLOCK,
     run,
 )
@@ -128,25 +127,51 @@ class TestSpecKinds:
         )
         assert stream.provenance == "recurrence"
 
-    def test_system_exponential(self):
-        # y0' = y1, y1' = y0 from (1, 0): cosh z in component 0
-        def step(ys, n):
-            y0, y1 = ys
-            y0.append(y1[n - 1] / n)
-            y1.append(y0[n - 1] / n)
+    @staticmethod
+    def _cosh_sinh(y1_gain=1.0):
+        # y0' = y1, y1' = y1_gain * y0 from (1, 0), interleaved: stream entry
+        # 2n is y0[n] = y1[n-1] / n, entry 2n + 1 is y1[n] = y1_gain * y0[n-1] / n
+        def row(m):
+            n = np.floor((m + 1) / 2)
+            odd = (m + 1) % 2 == 1
+            R = np.zeros((3, len(m)), dtype=np.complex128)
+            R[0, ~odd] = 1 / n[~odd]
+            R[2, odd] = y1_gain / n[odd]
+            return R
 
-        spec = SystemSpec((gr(1), gr(0)), step, "exact")
-        stream = run(spec, 6)
-        assert stream.coeffs == (gr(1), gr(0), gr(1, 2), gr(0), gr(1, 24), gr(0), gr(1, 720))
+        return RecurrenceSpec(2, 2, (1 + 0j, 0j, 0j), row, "f64", interleave=2)
+
+    def test_interleaved_sequences_return_the_first(self):
+        # y0 = cosh z: 1/n! at even n, 0 at odd n
+        stream = run(self._cosh_sinh(), 12)
+        assert len(stream) == 13
+        want = [1 / factorial(n) if n % 2 == 0 else 0 for n in range(13)]
+        assert np.allclose(stream.coeffs, want, rtol=1e-15, atol=0)
         assert stream.provenance == "recurrence"
 
-    def test_system_non_finite_f64(self):
-        def step(ys, n):
-            ys[0].append(ys[0][n - 1] * 1e200)
+    def test_interleaved_overflow_names_the_sequence_index(self):
+        # with y1_gain = 1e300, y1[1] = 1e300 and y0[2] = 5e299, so y1[3]
+        # (stream entry 7) overflows first and y0[4] (stream entry 8) after it
+        with pytest.raises(NonFiniteError, match="at n=4") as exc:
+            run(self._cosh_sinh(1e300), 6)
+        assert exc.value.index == 4
 
-        with pytest.raises(NonFiniteError) as exc:
-            run(SystemSpec((1.0 + 0j,), step, "f64"), 4)
-        assert exc.value.index == 2
+    def test_taps_convolve_the_stream(self):
+        ones = RecurrenceSpec(1, 1, (1 + 0j, 1 + 0j), lambda n: (1 + 0 * n, 0 * n), "f64")
+        spec = dataclasses.replace(ones, taps=(1.0, 2.0, 1.0))
+        assert run(spec, 5).coeffs.tolist() == [1, 3, 4, 4, 4, 4]
+        assert run(spec, 1).coeffs.tolist() == [1, 3]  # more taps than entries
+
+    def test_f64_streams_are_read_only_arrays(self):
+        stream = run(build("exp-F", {"a": 0.5, "b": 0.25, "c": 1.5, "p": 1.0}, "f64"), 8)
+        assert stream.coeffs.dtype == np.complex128
+        with pytest.raises(ValueError, match="read-only"):
+            stream.coeffs[0] = 0
+
+    def test_interleave_and_taps_are_f64_only(self):
+        for extra in ({"interleave": 2}, {"taps": (1, 1)}):
+            with pytest.raises(ValueError, match="f64 specs only"):
+                RecurrenceSpec(1, 1, (gr(1), gr(1)), lambda n: (gr(1), gr(0)), "exact", **extra)
 
 
 class TestValidation:

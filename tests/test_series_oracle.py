@@ -1,7 +1,11 @@
 from fractions import Fraction
 from random import Random
+from zlib import crc32
 
+import numpy as np
 import pytest
+
+from macprod.families import get_family
 
 from macprod.numerics import (
     EXACT,
@@ -13,6 +17,7 @@ from macprod.numerics import (
     approximate,
 )
 from macprod.series_oracle import (
+    ELEMENTARY_KINDS,
     CoeffStream,
     Elementary,
     cauchy_product,
@@ -23,6 +28,7 @@ from macprod.series_oracle import (
     scale_stream,
     unit_stream,
 )
+from macprod.verify import draw_params
 
 G = GaussianRational
 
@@ -233,6 +239,29 @@ class TestFiniteChecks:
             elementary_series(Elementary("exp", p=1e200), 8, "f64")
         assert exc.value.index == 2
 
+    @pytest.mark.parametrize(
+        "kind, p, theta, index",
+        [("sin", 1e160, None, 3), ("cosh", 1e155, None, 2), ("arcsin", 1e160, None, 3),
+         ("binom", 0.5, 1e200, 2)],
+    )
+    def test_running_product_names_first_overflow(self, kind, p, theta, index):
+        # indices as the per-entry loop that built these series reported them
+        with pytest.raises(NonFiniteError, match=f"at n={index}") as exc:
+            elementary_series(Elementary(kind, p=p, theta=theta), 8, "f64")
+        assert exc.value.index == index
+
+    def test_no_overflow_before_the_division(self):
+        # entry 1017 of (1 + 2z)^(-4/5) is about 1e306; the entry before it
+        # times theta (p - n) overflows unless the ratio is formed first
+        s = elementary_series(Elementary("binom", p=-0.8, theta=-2.0), 1024, "f64")
+        assert np.isfinite(s.coeffs).all()
+        assert 1e305 < abs(s[1017]) < 1e307
+
+    def test_kummer_series_names_first_overflow(self):
+        with pytest.raises(NonFiniteError) as exc:
+            kummer_series(1e200, 1.0, 6, "f64")
+        assert exc.value.index == 2
+
     def test_gauss_series_names_first_overflow(self):
         with pytest.raises(NonFiniteError) as exc:
             gauss_series(1e200, 1e200, 1.0, 6, "f64")
@@ -249,7 +278,48 @@ class TestFiniteChecks:
     def test_finite_product_passes(self):
         A = CoeffStream((1 + 0j, 1e300 + 0j, 0j), "elementary", "oracle", "f64")
         B = CoeffStream((1 + 0j, 1 + 0j, 0j), "M", "oracle", "f64")
-        assert cauchy_product(A, B).coeffs == (1 + 0j, 1e300 + 1 + 0j, 1e300 + 0j)
+        assert cauchy_product(A, B).coeffs.tolist() == [1 + 0j, 1e300 + 1 + 0j, 1e300 + 0j]
+
+
+class TestFloatSeries:
+    """The f64 series (running products of the term ratio) against the exact
+    series rounded, at N = 1024: entry n within (n + 1) * 1e-15 relative,
+    relative to the smallest normal double where the entries underflow."""
+
+    N = 1024
+    TINY = np.finfo(np.float64).tiny
+
+    def _check(self, fl, exact):
+        assert fl.backend == "f64" and fl.coeffs.dtype == np.complex128
+        for n, (x, y) in enumerate(zip(fl.coeffs, exact.coeffs)):
+            ya = approximate(y)
+            assert abs(x - ya) <= (n + 1) * 1e-15 * max(abs(ya), self.TINY), n
+
+    @staticmethod
+    def _draws(family_id, count=3):
+        info = get_family(family_id)
+        rng = Random(crc32(family_id.encode()))
+        return [draw_params(info, rng) for _ in range(count)]
+
+    @pytest.mark.parametrize("kind", ELEMENTARY_KINDS)
+    def test_elementary(self, kind):
+        family_id = {"exp_arctan": "arctanexp-M"}.get(kind, f"{kind}-M")
+        for pe in self._draws(family_id):
+            h = Elementary(kind, p=pe.p, theta=pe.theta)
+            hf = Elementary(kind, p=approximate(pe.p),
+                            theta=None if pe.theta is None else approximate(pe.theta))
+            self._check(elementary_series(hf, self.N, "f64"), elementary_series(h, self.N, EXACT))
+
+    @pytest.mark.parametrize("base", ["M", "F", "K", "E"])
+    def test_base(self, base):
+        for pe in self._draws(f"exp-{base}"):
+            exact = hyper_base_series(base, self.N, EXACT, a=pe.a, b=pe.b, c=pe.c)
+            fl = hyper_base_series(
+                base, self.N, "f64",
+                **{k: None if v is None else approximate(v)
+                   for k, v in (("a", pe.a), ("b", pe.b), ("c", pe.c))},
+            )
+            self._check(fl, exact)
 
 
 class TestBases:
