@@ -40,7 +40,7 @@ Exact builds evaluate a table in integers (``_integer_rows``): each
 parameter is an integer, or a Gaussian integer, over its denominator, and
 the denominators are cleared by the largest power each parameter reaches.
 The result is the recurrence's integer row polynomials in n, which the
-exact engine steps directly; it never traces the row.  f64 builds evaluate
+exact engine steps directly; it never calls the row.  f64 builds evaluate
 the same row polynomials in long double (complex only when a parameter is),
 and a block of steps' rows as one matrix product with the powers of n, so
 each entry is its correctly rounded double but for rare near-ties where
@@ -77,7 +77,7 @@ from .numerics import (
     is_nonpositive_integer,
     scalar_equals_int,
 )
-from .recurrence_core import ComboSpec, RecurrenceSpec, step_exact
+from .recurrence_core import ComboSpec, RecurrenceSpec, _horner, step_exact
 from .series_oracle import Elementary
 
 __all__ = [
@@ -509,14 +509,6 @@ def _operator(name):
     return _parse(_OPERATORS[name])
 
 
-def _horner(poly, x):
-    """poly (highest power first) at x: a scalar or an index vector."""
-    acc = poly[0]
-    for c in poly[1:]:
-        acc = acc * x + c
-    return acc
-
-
 def _int_parts(x):
     """x as (re, im, q) with integers re, im, q > 0 and x = (re + im i) / q."""
     if isinstance(x, GaussianRational):
@@ -577,10 +569,10 @@ def _shifted(coeffs, s, sign, g):
     return tuple(sign * x for x in reversed(c))
 
 
-def _integer_rows(name, values) -> list:
-    """Operator ``name`` at exact ``values`` as the exact engine's integral
-    groups: one group over P_0(n+1), entry i over it -P_{i+1}(n-i), each a
-    pair (real part, imaginary part) of integer polynomials in n."""
+def _integer_rows(name, values) -> tuple:
+    """Operator ``name`` at exact ``values`` as the exact engine's integer
+    row ``(den, terms)``: den is P_0(n+1), entry i's numerator -P_{i+1}(n-i),
+    each a pair (real part, imaginary part) of integer polynomials in n."""
     re, im = _integer_operator(name, values)
     g = math.gcd(*(x for P in re + (im or []) for x in P))  # the content
     shifts = [(1, 1)] + [(-i, -1) for i in range(len(re) - 1)]  # P_0(n+1), -P_{i+1}(n-i)
@@ -589,12 +581,12 @@ def _integer_rows(name, values) -> list:
         for j, (r, (s, sign)) in enumerate(zip(re, shifts))
     ]
     den, *nums = pairs
-    return ((den, tuple((i, num) for i, num in enumerate(nums) if num != ((0,), (0,)))),)
+    return den, tuple((i, num) for i, num in enumerate(nums) if num != ((0,), (0,)))
 
 
 def _exact_row(integral, k):
-    """row(n) of integral groups at an exact index n: entry i is num_i(n) / den(n)."""
-    ((den, terms),) = integral
+    """row(n) of an integer row at an exact index n: entry i is num_i(n) / den(n)."""
+    den, terms = integral
 
     def row(n):
         d = GaussianRational(_horner(den[0], n), _horner(den[1], n))

@@ -101,12 +101,6 @@ def implementation_name() -> str:
     return "python" if _c_impl() is None else "compiled"
 
 
-def __getattr__(name):
-    if name == "COMPILED":  # resolved on access, so importing never compiles
-        return _c_impl() is not None
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 #: longest operands convolved whole: a series through z^1024.  On a 2-core
 #: x86-64 host (numpy 2.4), one split alone ran 7-12 % faster than
 #: ``np.convolve`` at 769-1281 entries (medians of 1500 interleaved calls),

@@ -200,9 +200,6 @@ class GaussianRational:
     def __bool__(self):
         return not self.is_zero
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
@@ -499,9 +496,6 @@ class ExactBackend:
     def format(self, value) -> str:
         return format_scalar(value)
 
-    def is_zero(self, value) -> bool:
-        return self.coerce(value).is_zero
-
 
 class FloatBackend:
     """Double-precision complex numbers; non-finite values raise."""
@@ -535,13 +529,6 @@ class FloatBackend:
 
     def format(self, value) -> str:
         return format_scalar(value)
-
-    def is_zero(self, value) -> bool:
-        return complex(value) == 0
-
-    @staticmethod
-    def is_finite(value) -> bool:
-        return cmath.isfinite(complex(value))
 
 
 EXACT = ExactBackend()

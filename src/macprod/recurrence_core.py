@@ -1,34 +1,28 @@
 """Generic engine for linear recurrences with index-dependent coefficients.
 
 A :class:`RecurrenceSpec` describes u[n+1] = sum_{i=0}^{k} row(n)[i] * u[n-i]
-for n >= n0, started from the seed values u[0..n0].  A row is plain
-arithmetic on n (+, -, *, / and nonnegative integer powers), which both
-backends rely on.
+for n >= n0, started from the seed values u[0..n0].
 
 The exact path steps integer row polynomials.  A catalogue spec brings them
 along (``RecurrenceSpec.integral``): the families evaluate each product
-operator in integers, one group over P_0(n+1).  For a row that a caller
-passes as a plain callable, the engine traces it once per run instead: it
-calls the row at a symbolic index (``_compile``), so each entry comes back
-as a ratio of polynomials in n; that is the row's own formula, nothing is
-sampled.  Entries over the same denominator form one group, and each
-group's polynomials are scaled to Gaussian-integer coefficients
-(``_integral``), evaluated by Horner's rule at the integer n.  A row that
-compares, branches on or converts n raises :class:`RowContractError`.
+operator in integers, every entry over the one denominator P_0(n+1).  The
+stream steps with them fraction-free (``step_exact``): the window
+u_{n-k} .. u_n is held as integer numerators over one running denominator
+D, a complex row denominator is made real by its conjugate, and the only
+reduction is the gcd of each step's denominator with the new numerator,
+which is cheap because that denominator is a small integer.  It keeps D
+equal to the window's least common denominator in practice, and each output
+is one ``Fraction`` over D, wrapped in :class:`GaussianRational`.  A stream
+whose coefficients and seeds are real carries no imaginary half.  Pi-linear
+seeds q0 + q1*pi step by linearity as two rational streams (the K and E
+streams are pi/2 times a rational stream, arccos-M is rational + pi *
+rational), so :class:`PiLinear` never enters the loop, and a stream whose
+seeds are all zero is not stepped.
 
-Either way the stream steps in integers, fraction-free (``step_exact``): the
-window u_{n-k} .. u_n is held as integer numerators over one running
-denominator D, a complex group denominator is made real by its conjugate,
-and the only reduction is the gcd of each step's new denominator factor
-with the new numerator, which is cheap because that factor is a small
-integer.  It keeps D equal to the window's least common denominator in
-practice, and each output is one ``Fraction`` over D, wrapped in
-:class:`GaussianRational`.  A stream whose coefficients and seeds are real
-carries no imaginary half.  Pi-linear seeds q0 + q1*pi step by linearity as
-two rational streams (the K and E streams are pi/2 times a rational stream,
-arccos-M is rational + pi * rational), so :class:`PiLinear` never enters the
-loop, and a stream whose seeds are all zero is not stepped.  Seeds that are
-not exact scalars step in their own arithmetic.
+A spec without ``integral`` (a plain callable passed by a caller) has its
+row called at each exact index n, as a ``Fraction``, and steps in the
+values' own arithmetic: exact seeds give exact values, and a float entry in
+an exact stream raises ``TypeError``.
 
 The f64 path evaluates the coefficient rows for a block of steps at once and
 hands the sequential stepping to the kernel layer, block by block, so an f64
@@ -77,11 +71,14 @@ _ZERO = GaussianRational(0)
 class RecurrenceSpec:
     """Order, start index, seeds, and coefficient-row function.
 
-    ``row(n)`` returns the k+1 entries for step n and must be plain
-    arithmetic on n; exact entries are ints, Fractions or Gaussian rationals.
-    ``integral``, when given, is the same row as integer polynomial groups
-    (the form ``_integral`` returns); the exact engine then steps with it
-    and never traces ``row``.  The catalogue's builders supply it.
+    ``row(n)`` returns the k+1 entries for step n; exact entries are ints,
+    Fractions or Gaussian rationals.  ``integral``, when given, is the same
+    row in integers, the pair ``(den, terms)``: entry i is num_i(n) / den(n),
+    ``terms`` holds ``(i, num_i)`` for the nonzero entries, and each
+    polynomial is a pair (real part, imaginary part) of integer coefficient
+    tuples, highest power first, a zero part being ``(0,)``.  The exact
+    engine then steps with it and never calls ``row``; the catalogue's
+    builders supply it.
 
     f64 only: with ``interleave`` s > 1 the stream holds s sequences, entry
     s*n + j being entry n of sequence j, and the run returns sequence 0;
@@ -162,264 +159,79 @@ def _singular(den_factors, n: int, cause=None):
     raise err
 
 
-#: what an exact row may do with its index; RowContractError quotes it
-_CONTRACT = (
-    "an exact row must be plain arithmetic on n (+, -, *, / and nonnegative "
-    "integer powers, over ints, Fractions and Gaussian rationals); it may not "
-    "compare, branch on or convert n"
-)
-
-
-class RowContractError(ValueError):
-    """An exact row is not plain arithmetic on its index n."""
-
-
-def _trim(coeffs) -> tuple:
-    coeffs = list(coeffs)
-    while len(coeffs) > 1 and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _padd(x, y):
-    if len(x) < len(y):
-        x, y = y, x
-    return _trim([xi + yi for xi, yi in zip(x, y)] + list(x[len(y):]))
-
-
-def _pmul(x, y):
-    out = [0] * (len(x) + len(y) - 1)
-    for i, xi in enumerate(x):
-        if xi:
-            for j, yj in enumerate(y):
-                out[i + j] = out[i + j] + xi * yj
-    return _trim(out)
-
-
-class _Symbolic:
-    """num(n)/den(n) for polynomials num, den in the index n (coefficients
-    lowest power first): what a row computes when it is called at symbolic n."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=(1,)):
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def lift(value):
-        if isinstance(value, _Symbolic):
-            return value
-        if isinstance(value, (int, Fraction, GaussianRational)):
-            return _Symbolic((value,))
-        return None
-
-    def __add__(self, other):
-        o = self.lift(other)
-        if o is None:
-            return NotImplemented
-        if self.den == o.den:
-            return _Symbolic(_padd(self.num, o.num), self.den)
-        num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
-        return _Symbolic(num, _pmul(self.den, o.den))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Symbolic(tuple(-c for c in self.num), self.den)
-
-    def __pos__(self):
-        return self
-
-    def __sub__(self, other):
-        o = self.lift(other)
-        return NotImplemented if o is None else self + -o
-
-    def __rsub__(self, other):
-        o = self.lift(other)
-        return NotImplemented if o is None else o + -self
-
-    def __mul__(self, other):
-        o = self.lift(other)
-        if o is None:
-            return NotImplemented
-        return _Symbolic(_pmul(self.num, o.num), _pmul(self.den, o.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self.lift(other)
-        if o is None:
-            return NotImplemented
-        return _Symbolic(_pmul(self.num, o.den), _pmul(self.den, o.num))
-
-    def __rtruediv__(self, other):
-        o = self.lift(other)
-        return NotImplemented if o is None else o / self
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        acc = _Symbolic((1,))
-        for _ in range(exponent):
-            acc = acc * self
-        return acc
-
-    def _no_value(self, *other):
-        raise RowContractError(_CONTRACT)
-
-    # n has no truth value and no order: a row that asks for one branches on n
-    __bool__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _no_value
-    __hash__ = None
-
-
-def _compile(spec: RecurrenceSpec) -> list:
-    """The row as groups ``(den, [(i, num), ...])``: entry i is num(n)/den(n).
-
-    The row is called once, at the symbolic index, so the groups are the row's
-    own formula.  Each denominator is scaled monic and entries over the same
-    one share a group; a constant denominator folds into its numerators
-    (``den`` is None).  Zero entries are left out.  Polynomials are stored
-    highest power first, for Horner's rule.
-    """
-    try:
-        row = spec.row(_Symbolic((0, 1)))
-        entries = [_Symbolic.lift(row[i]) for i in range(spec.order + 1)]
-    except ZeroDivisionError as exc:
-        _singular(spec.den_factors, spec.start, exc)
-    except (TypeError, AttributeError) as exc:
-        raise RowContractError(f"{_CONTRACT}; the row raised: {exc}") from exc
-    if any(e is None for e in entries):
-        raise RowContractError(f"{_CONTRACT}; a row entry is not an exact scalar")
-    groups = {}
-    for i, e in enumerate(entries):
-        num, den = e.num, e.den
-        if den[-1]:  # a zero denominator stays, so the first step reports it
-            inv = Fraction(1) / den[-1]
-            num = tuple(c * inv for c in num)
-            den = tuple(c * inv for c in den)
-        if len(num) > 1 or num[0]:
-            groups.setdefault(den, []).append((i, num[::-1]))
-    if not groups:  # every entry is zero: keep one, so the steps yield zeros
-        return [(None, [(0, (0,))])]
-    return [
-        (None if den == (1,) else den[::-1], terms) for den, terms in groups.items()
-    ]
-
-
-def _horner(poly, n):
+def _horner(poly, x):
+    """poly (highest power first) at x: a scalar or an index vector."""
     acc = poly[0]
     for c in poly[1:]:
-        acc = acc * n + c
+        acc = acc * x + c
     return acc
 
 
-def _integral(groups) -> list:
-    """The groups over the Gaussian integers: each polynomial becomes a pair
-    (real part, imaginary part) of integer polynomials, its group scaled by the
-    lcm of the group's coefficient denominators.  A zero part is ``(0,)``."""
-    out = []
-    for den, terms in groups:
-        polys = [
-            [c if isinstance(c, GaussianRational) else GaussianRational(c) for c in poly]
-            for poly in [num for _, num in terms] + [den or (1,)]
-        ]
-        scale = math.lcm(*(x.denominator for poly in polys for c in poly for x in (c.re, c.im)))
-
-        def scaled(xs):
-            xs = tuple(int(x * scale) for x in xs)
-            return xs if any(xs) else (0,)
-
-        *nums, den = [(scaled(c.re for c in poly), scaled(c.im for c in poly)) for poly in polys]
-        if den == ((1,), (0,)):
-            den = None
-        out.append((den, [(i, num) for (i, _), num in zip(terms, nums)]))
-    return out
-
-
-def _step(spec: RecurrenceSpec, groups, u: list, N: int) -> list:
-    """u_{start+1} .. u_N from ``u`` = u_0 .. u_start in the values' own
-    arithmetic, one division per group and step: the path for seeds that are
-    not exact scalars."""
+def _step(spec: RecurrenceSpec, N: int) -> list:
+    """u_{start+1} .. u_N of a spec without ``integral``: the row is called
+    at each exact index n and the step runs in the values' own arithmetic,
+    int and Fraction seeds entering as Gaussian rationals."""
+    u = [GaussianRational(s) if isinstance(s, (int, Fraction)) else s for s in spec.seeds]
     for n in range(spec.start, N):
-        total = None
-        for den, terms in groups:
-            acc = None
-            for i, num in terms:
-                term = _horner(num, n) * u[n - i]
-                acc = term if acc is None else acc + term
-            if den is not None:
-                d = _horner(den, n)
-                if not d:
-                    _singular(spec.den_factors, n)
-                acc = acc / d
-            total = acc if total is None else total + acc
-        u.append(total)
+        try:
+            row = spec.row(Fraction(n))
+        except ZeroDivisionError as exc:
+            _singular(spec.den_factors, n, exc)
+        acc = row[0] * u[n]
+        for i in range(1, spec.order + 1):
+            acc = acc + row[i] * u[n - i]
+        u.append(acc)
     return u[spec.start + 1:]
 
 
 def _stream(integral, window: list, n0: int, N: int, den_factors) -> list:
     """u_{n0+1} .. u_N of one Gaussian-rational stream from the window
-    u_{n0-k} .. u_{n0}, stepped over the ``_integral`` groups in integers.
+    u_{n0-k} .. u_{n0}, stepped over the integer row ``integral``.
 
     The window u_{n-k} .. u_n is held as integer numerators (real, and
     imaginary unless the seeds and every coefficient are real) over one
-    running denominator D.  A step sums c_i(n) * U_{n-i} per group, takes a
-    complex group denominator e + fi to the real e^2 + f^2 through e - fi,
-    and adds the groups over the lcm M of their denominators.  The factor
-    g = gcd(M, new numerator) cancels at once; D and the k older numerators
-    are then scaled by M/g.  Each output is one ``Fraction`` over D.
+    running denominator D.  A step sums c_i(n) * U_{n-i} and takes a complex
+    denominator e + fi to the real e^2 + f^2 through e - fi.  The factor
+    g = gcd(den, new numerator) cancels at once; D and the k older numerators
+    are then scaled by den/g, whatever its sign.  Each output is one
+    ``Fraction`` over D, which normalises the sign.
     """
+    (den_re, den_im), terms = integral
     k = len(window) - 1
     real = not any(s.im for s in window) and all(
-        poly[1] == (0,)
-        for den, terms in integral
-        for poly in [num for _, num in terms] + ([den] if den else [])
+        im == (0,) for im in [den_im] + [b for _, (_, b) in terms]
     )
     D = math.lcm(*(x.denominator for s in window for x in (s.re, s.im)))
     wr = [s.re.numerator * (D // s.re.denominator) for s in window]
     wi = None if real else [s.im.numerator * (D // s.im.denominator) for s in window]
-    groups = [
-        (
-            den and (den[0], den[1] if den[1] != (0,) else None),
-            [(k - i, a, b if b != (0,) else None) for i, (a, b) in terms],
-        )
-        for den, terms in integral
-    ]
+    den_im = None if den_im == (0,) else den_im
+    terms = [(k - i, a, b if b != (0,) else None) for i, (a, b) in terms]
     out_re, out_im = [], []
     for n in range(n0, N):
-        sums = []
-        for den, terms in groups:
-            xr = xi = 0
-            for j, a, b in terms:
-                c = _horner(a, n)
-                xr += c * wr[j]
-                if wi is not None:
-                    xi += c * wi[j]
-                    if b is not None:
-                        d = _horner(b, n)
-                        xr -= d * wi[j]
-                        xi += d * wr[j]
-            m = 1
-            if den is not None:
-                m = _horner(den[0], n)
-                f = 0 if den[1] is None else _horner(den[1], n)
-                if f:  # x / (e + fi) = x (e - fi) / (e^2 + f^2)
-                    xr, xi, m = xr * m + xi * f, xi * m - xr * f, m * m + f * f
-                elif not m:
-                    _singular(den_factors, n)
-            sums.append((xr, xi, m))
-        M = math.lcm(*(m for _, _, m in sums))
-        xr = sum(x * (M // m) for x, _, m in sums)
-        xi = sum(y * (M // m) for _, y, m in sums)
-        g = math.gcd(M, xr, xi)
+        xr = xi = 0
+        for j, a, b in terms:
+            c = _horner(a, n)
+            xr += c * wr[j]
+            if wi is not None:
+                xi += c * wi[j]
+                if b is not None:
+                    d = _horner(b, n)
+                    xr -= d * wi[j]
+                    xi += d * wr[j]
+        m = _horner(den_re, n)
+        f = 0 if den_im is None else _horner(den_im, n)
+        if f:  # x / (e + fi) = x (e - fi) / (e^2 + f^2)
+            xr, xi, m = xr * m + xi * f, xi * m - xr * f, m * m + f * f
+        elif not m:
+            _singular(den_factors, n)
+        g = math.gcd(m, xr, xi)
         if g > 1:
-            M, xr, xi = M // g, xr // g, xi // g
-        D *= M
-        wr = [w * M for w in wr[1:]] + [xr]
+            m, xr, xi = m // g, xr // g, xi // g
+        D *= m
+        wr = [w * m for w in wr[1:]] + [xr]
         out_re.append(Fraction(xr, D))
         if wi is not None:
-            wi = [w * M for w in wi[1:]] + [xi]
+            wi = [w * m for w in wi[1:]] + [xi]
             out_im.append(Fraction(xi, D))
     if wi is None:
         zero = Fraction(0)
@@ -429,7 +241,7 @@ def _stream(integral, window: list, n0: int, N: int, den_factors) -> list:
 
 def step_exact(integral, window: list, n0: int, N: int, den_factors=None) -> list:
     """u_{n0+1} .. u_N from the window u_{n0-k} .. u_{n0} of exact scalars,
-    stepped over ``_integral`` groups.
+    stepped over the integer row ``integral`` (see :class:`RecurrenceSpec`).
 
     q0 + q1*pi steps as two rational streams, so pi never enters the loop,
     and a stream whose window is all zero is not stepped.
@@ -455,15 +267,10 @@ def _run_generic(spec: RecurrenceSpec, N: int) -> list:
     values = list(spec.seeds[: N + 1])
     if N <= spec.start:
         return values
-    integral = spec.integral
-    if integral is None:
-        groups = _compile(spec)
-        seeds = [GaussianRational(s) if isinstance(s, (int, Fraction)) else s for s in spec.seeds]
-        if not all(isinstance(s, (GaussianRational, PiLinear)) for s in seeds):
-            return values + _step(spec, groups, seeds, N)  # any type with + and *
-        integral = _integral(groups)
+    if spec.integral is None:
+        return values + _step(spec, N)
     window = list(spec.seeds[spec.start - spec.order:])
-    return values + step_exact(integral, window, spec.start, N, spec.den_factors)
+    return values + step_exact(spec.integral, window, spec.start, N, spec.den_factors)
 
 
 #: f64 steps per row evaluation.  A run's temporaries then stay a few tens of

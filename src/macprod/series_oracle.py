@@ -103,10 +103,6 @@ class CoeffStream:
     def __getitem__(self, n):
         return self.coeffs[n]
 
-    @property
-    def last_index(self) -> int:
-        return len(self.coeffs) - 1
-
 
 def _check_c(c):
     if is_nonpositive_integer(c):

@@ -122,21 +122,21 @@ class TestSelection:
     def test_pure_python_override(self):
         code = (
             "import macprod.kernels as k; "
-            "print(k.COMPILED, k.implementation_name())"
+            "print(k.implementation_name())"
         )
         env = dict(os.environ, MACPROD_PURE="1")
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
         )
         assert out.returncode == 0
-        assert out.stdout.split() == ["False", "python"]
+        assert out.stdout.split() == ["python"]
 
     def test_default_prefers_compiled_when_built(self):
         if os.environ.get("MACPROD_PURE") == "1":
             pytest.skip("pure-Python override active")
         impls = kernels.implementations()
         if "compiled" in impls:
-            assert kernels.COMPILED
+            assert kernels.implementation_name() == "compiled"
 
     def _fresh_copy_run(self, root, path_env):
         """Run one f64 request on a copy of the package with no build cache;

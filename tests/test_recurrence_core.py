@@ -7,7 +7,7 @@ from zlib import crc32
 import numpy as np
 import pytest
 
-from macprod import _kernels_py, recurrence_core
+from macprod import _kernels_py
 from macprod.families import build, get_family, list_families
 from macprod.numerics import (
     EXACT,
@@ -19,7 +19,6 @@ from macprod.numerics import (
 from macprod.recurrence_core import (
     ComboSpec,
     RecurrenceSpec,
-    RowContractError,
     _F64_BLOCK,
     run,
 )
@@ -229,23 +228,32 @@ class TestErrors:
             run(spec, 12)
 
     @pytest.mark.parametrize(
-        "row",
+        "row, want",
         [
-            lambda n: (gr(1), gr(0)) if n < 5 else (gr(0), gr(1)),
-            lambda n: (1 / n if n else gr(0), gr(0)),
-            lambda n: (n % 2, gr(0)),
-            lambda n: (0.5 * n, gr(0)),
-            lambda n: (gr(1), 0.25),
-            lambda n: (n.numerator, gr(0)),
+            (lambda n: (gr(2), gr(0)) if n < 5 else (gr(0), gr(1)), [1, 1, 2, 4, 8, 16, 8, 16, 8]),
+            (lambda n: (1 / n if n else gr(0), gr(0)), [1, 1] + [gr(1, factorial(n)) for n in range(1, 8)]),
+            (lambda n: (n % 2, gr(1)), [1, 1, 2, 1, 3, 1, 4, 1, 5]),
+            (lambda n: (n.numerator, gr(0)), [1, 1] + [factorial(n) for n in range(1, 8)]),
         ],
-        ids=["compares", "truth-value", "modulo", "float-times-n", "float-entry", "attribute"],
+        ids=["compares", "truth-value", "modulo", "attribute"],
     )
-    def test_row_off_contract_names_it(self, row):
-        spec = RecurrenceSpec(1, 1, (gr(1), gr(1)), row, "exact")
-        with pytest.raises(RowContractError, match="plain arithmetic on n"):
-            run(spec, 12)
+    def test_row_is_called_at_a_concrete_index(self, row, want):
+        # a plain callable is called at each n as a Fraction, so it may
+        # compare, branch on or read attributes of n
+        coeffs = run(RecurrenceSpec(1, 1, (gr(1), gr(1)), row, "exact"), 8).coeffs
+        assert coeffs == tuple(gr(w) if isinstance(w, int) else w for w in want)
+        assert all(type(v) is GaussianRational for v in coeffs)
 
-    def test_row_off_contract_unused_below_start(self):
+    @pytest.mark.parametrize(
+        "row",
+        [lambda n: (0.5 * n, gr(0)), lambda n: (gr(1), 0.25)],
+        ids=["float-times-n", "float-entry"],
+    )
+    def test_float_cannot_enter_an_exact_stream(self, row):
+        with pytest.raises(TypeError):
+            run(RecurrenceSpec(1, 1, (gr(1), gr(1)), row, "exact"), 12)
+
+    def test_row_unused_below_start(self):
         spec = RecurrenceSpec(1, 1, (gr(1), gr(2)), lambda n: (n % 2, 0), "exact")
         assert run(spec, 1).coeffs == (gr(1), gr(2))
 
@@ -291,24 +299,27 @@ class TestExactScalars:
         spec = build(info.id, params)
         at_ip = info.formulation == "combo" and info.h in ("sin", "cos")
         for branch in (spec.left, spec.right) if isinstance(spec, ComboSpec) else (spec,):
-            imaginary = [
-                poly[1]
-                for den, terms in branch.integral
-                for poly in [den] + [num for _, num in terms]
-            ]
+            den, terms = branch.integral
+            imaginary = [poly[1] for poly in [den] + [num for _, num in terms]]
             real = all(im == (0,) for im in imaginary)
             assert real != at_ip, info.id
 
     @pytest.mark.parametrize("info", list_families(), ids=lambda i: i.id)
-    def test_catalogue_requests_never_trace_the_row(self, info, monkeypatch):
-        def traced(*args):
-            raise AssertionError("an exact catalogue request traced its row")
+    def test_catalogue_requests_never_call_the_row(self, info):
+        def row(n):
+            raise AssertionError("an exact catalogue request called its row")
 
-        monkeypatch.setattr(recurrence_core._Symbolic, "__init__", traced)
         params = draw_params(info, Random(crc32(info.id.encode()) + 4))
-        assert len(run(build(info.id, params), 40).coeffs) == 41
-        with pytest.raises(AssertionError, match="traced"):  # a plain callable still is
-            run(RecurrenceSpec(1, 1, (gr(1), gr(1)), lambda n: (1 / (n + 1), 0), "exact"), 4)
+        spec = build(info.id, params)
+        if isinstance(spec, ComboSpec):
+            blind = dataclasses.replace(
+                spec,
+                left=dataclasses.replace(spec.left, row=row),
+                right=dataclasses.replace(spec.right, row=row),
+            )
+        else:
+            blind = dataclasses.replace(spec, row=row)
+        assert run(blind, 40).coeffs == run(spec, 40).coeffs
 
     def test_int_and_fraction_seeds_step_to_gaussian_rationals(self):
         spec = RecurrenceSpec(1, 1, (1, Fraction(1, 2)), lambda n: (n + 1, 1 / (n + 2)), "exact")
@@ -341,16 +352,24 @@ class TestIntegerStepper:
             assert got == want
             assert [repr(v) for v in got] == [repr(v) for v in want]
 
-    # a real row, and one whose denominator (n - s)(n + i) is complex off n = s
+    # a real row, and one whose denominator (n - s)(n + i) is complex off
+    # n = s: the callable, and its integer row over 3 (n - s) (n + i)
     ROWS = {
-        "real": lambda s: lambda n: (1 / (n - s), Fraction(1, 3)),
-        "complex": lambda s: lambda n: (1 / ((n - s) * (n + G(0, 1))), Fraction(1, 3)),
+        "real": lambda s: (
+            lambda n: (1 / (n - s), Fraction(1, 3)),
+            (((3, -3 * s), (0,)), ((0, ((3,), (0,))), (1, ((1, -s), (0,))))),
+        ),
+        "complex": lambda s: (
+            lambda n: (1 / ((n - s) * (n + G(0, 1))), Fraction(1, 3)),
+            (((3, -3 * s, 0), (3, -3 * s)), ((0, ((3,), (0,))), (1, ((1, -s, 0), (1, -s))))),
+        ),
     }
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("at", [1, 7])  # the first step, and a later one
     def test_singular_index(self, kind, at):
-        spec = RecurrenceSpec(1, 1, (gr(1), gr(2)), self.ROWS[kind](at), "exact")
+        row, integral = self.ROWS[kind](at)
+        spec = RecurrenceSpec(1, 1, (gr(1), gr(2)), row, "exact", integral=integral)
         with pytest.raises(SingularIndexError, match=f"n={at}") as exc:
             run(spec, 12)
         assert exc.value.index == at
@@ -362,14 +381,22 @@ class TestIntegerStepper:
         ids=["real", "complex"],
     )
     def test_negative_denominators(self, seeds):
-        # the compiled (monic) denominators n - 41/2, n^2 - 150 and n - 61/2
-        # are negative over the first steps and positive later
+        # the integer row's denominator 7 (2n - 41)(n^2 - 150)(61 - 2n)
+        # changes sign at n = 13, 21 and 31
         def row(n):
             return (
                 (n + 1) / (2 * n - 41), Fraction(2, 7) / (n * n - 150), 1 / (Fraction(61, 2) - n)
             )
 
-        spec = RecurrenceSpec(2, 2, seeds, row, "exact")
+        integral = (
+            ((-28, 1428, -13307, -214200, 2626050), (0,)),
+            (
+                (0, ((-14, 413, 2527, -61950, -64050), (0,))),
+                (1, ((-8, 408, -5002), (0,))),
+                (2, ((28, -574, -4200, 86100), (0,))),
+            ),
+        )
+        spec = RecurrenceSpec(2, 2, seeds, row, "exact", integral=integral)
         got = run(spec, 60).coeffs
         assert got == closure_stream(spec, 60)
         assert [repr(v) for v in got] == [repr(v) for v in closure_stream(spec, 60)]
