@@ -5,14 +5,15 @@ For each case and size, one interleaved loop runs every layer once per
 repetition, so the columns of one record are read at the same moments; each
 column is the best of ``--reps``:
 
-* ``step_<impl>``: ``kernels.recurrence_steps`` over all of the f64 spec's
-  rows, in one call, for each implementation in
-  ``kernels.implementations()`` (``python``, and ``compiled`` when the C loop
-  could be built); absent where the spec has no rows (a tree that stepped
-  coupled sequences in Python);
-* ``run``: ``recurrence_core.run`` on the built f64 spec: row evaluation,
-  stepping and whatever the spec's route adds (the interleaved sequences of
-  ``arcsin-M``, the binomial taps of ``binom-F`` at an integer p);
+* ``step_<impl>``: ``kernels.recurrence_steps`` on the f64 spec's row
+  polynomials over all its steps, in one call, row evaluation and stepping
+  as one layer, for each implementation in ``kernels.implementations()``
+  (``python``, and ``compiled`` when the C loop could be built); absent
+  where the spec carries no row polynomials (a tree that evaluated its rows
+  outside the kernel);
+* ``run``: ``recurrence_core.run`` on the built f64 spec: rows, stepping and
+  whatever the spec's route adds (the interleaved sequences of ``arcsin-M``,
+  the binomial taps of ``binom-F`` at an integer p);
 * ``series``: the oracle's two factor series, ``elementary_series`` and
   ``hyper_base_series``;
 * ``convolve``: ``kernels.convolve`` on those two series, as the oracle calls
@@ -63,21 +64,17 @@ CASES = (
 
 
 def _step_layers(spec, N: int) -> dict:
-    """``step_<impl>`` for every implementation, over the spec's rows."""
-    if not hasattr(spec, "row"):  # coupled sequences stepped in Python
+    """``step_<impl>`` for every implementation, over the spec's row polynomials."""
+    polys = getattr(spec, "polys", None)
+    if polys is None:
         return {}
-    n0, k = spec.start, spec.order
-    M = getattr(spec, "interleave", 1) * N
-    with np.errstate(all="ignore"):
-        raw = spec.row(np.arange(n0, M, dtype=np.float64))
-    rows = np.empty((M - n0, k + 1), dtype=np.complex128)
-    for i in range(k + 1):
-        rows[:, i] = raw[i]
+    n0 = spec.start
+    M = spec.interleave * N
     layers = {}
     for name, impl in kernels.implementations().items():
         u = np.zeros(M + 1, dtype=np.complex128)  # each call rewrites u[n0+1:]
         u[: n0 + 1] = spec.seeds
-        layers[f"step_{name}"] = lambda u=u, impl=impl: kernels.recurrence_steps(rows, u, n0, impl=impl)
+        layers[f"step_{name}"] = lambda u=u, impl=impl: kernels.recurrence_steps(polys, u, n0, impl=impl)
     return layers
 
 

@@ -40,21 +40,22 @@ Exact builds evaluate a table in integers (``_integer_rows``): each
 parameter is an integer, or a Gaussian integer, over its denominator, and
 the denominators are cleared by the largest power each parameter reaches.
 The result is the recurrence's integer row polynomials in n, which the
-exact engine steps directly; it never calls the row.  f64 builds evaluate
-the same row polynomials in long double (complex only when a parameter is),
-and a block of steps' rows as one matrix product with the powers of n, so
-each entry is its correctly rounded double but for rare near-ties where
-long double is wider than double (x87's is).
+exact engine steps directly; it never calls the row.  f64 builds compute
+the same row polynomials' coefficients in long double (complex only when a
+parameter is) and hand them to the f64 kernel, which evaluates each row in
+long double as it steps, so each entry is its correctly rounded double but
+for rare near-ties where long double is wider than double (x87's is).
 
 The exact backend steps the table of every single id.  In f64 the
 high-order singles (sin/cos/sinh/cosh over every base, arcsin-M, arccos-M)
 would amplify roundoff along parasitic solutions, so their f64 requests are
 served by stable formulations: the same exp-X branches for the trig/hyp
 products, four coupled first-order recurrences for the inverse-sine
-products, interleaved into one order-11 recurrence that the f64 kernel
-steps.  binom at a nonnegative integer p is the exp-X stream at p = 0
-convolved with the p + 1 coefficients of (1 - theta z)^p.  Only the exp,
-binom and arctanexp tables are evaluated in f64.
+products, interleaved into one order-11 recurrence with one set of
+polynomials per sequence, which the f64 kernel steps.  binom at a
+nonnegative integer p is the exp-X stream at p = 0 convolved with the
+p + 1 coefficients of (1 - theta z)^p.  Only the exp, binom and arctanexp
+tables are evaluated in f64.
 
 Builders are pure and the returned specs are immutable.
 """
@@ -584,9 +585,9 @@ def _integer_rows(name, values) -> tuple:
     return den, tuple((i, num) for i, num in enumerate(nums) if num != ((0,), (0,)))
 
 
-def _exact_row(integral, k):
+def _exact_row(polys, k):
     """row(n) of an integer row at an exact index n: entry i is num_i(n) / den(n)."""
-    den, terms = integral
+    den, terms = polys
 
     def row(n):
         d = GaussianRational(_horner(den[0], n), _horner(den[1], n))
@@ -638,27 +639,6 @@ def _float_polys(name, values):
     return (terms @ (x**exps).prod(axis=1)).reshape(shape)
 
 
-def _float_row(C):
-    """row(n) for an index vector n from the row polynomials C: all entries
-    at once, as a (k+1, len(n)) array, from one matrix product with the
-    powers of n (two real ones for complex C)."""
-    size, width = C.shape
-    parts = (C.real.copy(), C.imag.copy()) if np.iscomplexobj(C) else (C,)
-
-    def row(n):
-        V = np.empty((width, len(n)), dtype=np.longdouble)  # n^(width-1) .. n^0
-        V[-1] = 1
-        V[-2] = n
-        for j in range(width - 3, -1, -1):
-            np.multiply(V[j + 1], V[-2], out=V[j])
-        R = np.empty((size, len(n)), dtype=C.dtype)
-        for P, out in zip(parts, (R.real, R.imag)):
-            np.matmul(P, V, out=out)
-        return R[1:] * (1 / R[0])
-
-    return row
-
-
 def _arcsin_M_interleaved(a, c, p, s0, g0):
     """Coupled first-order recurrences behind the arcsin/arccos-M product,
     stepped as one order-11 recurrence.
@@ -678,39 +658,32 @@ def _arcsin_M_interleaved(a, c, p, s0, g0):
     whose only singularities are 0 and +-1/p, whereas the order-11 scalar
     recurrence also carries the apparent singularities of the product ODE.
     Each row entry is one of these scalar factors, so an entry near the float
-    range is never scaled up by n on the way.  Returns (u_0..u_11, row).
+    range is never scaled up by n on the way.
+
+    The step that writes entry n of sequence j has stream index
+    m = 4n + j - 1, and its term at lag i reads stream entry m - i.  Times
+    4, its denominator is 4n = m + 1 - j (j = 0, 1) or 4(n + c) =
+    m + 1 - j + 4c (j = 2, 3), and its numerators are constants or p^2 times
+    a degree-1 form in m: one set of polynomials (P_0, then lags 0 .. 11,
+    as (slope, constant)) per sequence.  Returns (u_0..u_11, polys).
     """
-    p2 = p * p
-    ap2 = a * p2
-
-    def factors(j, n):
-        """(lag i, factor) of each term of sequence j's step at n; the term
-        reads stream entry 4n + j - 1 - i."""
-        r, t = 1 / n, 1 / (n + c)
-        if j == 0:
-            return (1, r), (2, r)
-        if j == 1:
-            return (1, r), (7, p2 * (n - 1) * r), (9, -p2 * r)
-        if j == 2:
-            return (1, a * t), (2, t), (3, t)
-        return (1, a * t), (3, t), (7, p2 * (n + c - 1) * t), (9, -ap2 * t), (11, -p2 * t)
-
-    def row(m):
-        """The rows at the consecutive stream indices m: the entries that
-        step sequence j are every fourth one."""
-        if len(m) > 1 and m[-1] - m[0] != len(m) - 1:
-            raise ValueError("the interleaved row takes consecutive stream indices")
-        R = np.zeros((12, len(m)), dtype=np.complex128)
-        for j in range(4):
-            at = slice((j - 1 - int(m[0])) % 4 if len(m) else 0, None, 4)
-            for i, f in factors(j, (m[at] + 1 - j) / 4):
-                R[i, at] = f
-        return R
-
+    x = np.array([a, c, p], dtype=np.clongdouble)
+    if not x.imag.any():
+        x = x.real.copy()
+    A, C, p2 = x[0], x[1], x[2] * x[2]
+    P = np.zeros((4, 13, 2), dtype=x.dtype)
+    P[0, 0], P[0, 2], P[0, 3] = (1, 1), (0, 4), (0, 4)
+    P[1, 0], P[1, 2], P[1, 8], P[1, 10] = (1, 0), (0, 4), (p2, -4 * p2), (0, -4 * p2)
+    P[2, 0], P[2, 2], P[2, 3], P[2, 4] = (1, 4 * C - 1), (0, 4 * A), (0, 4), (0, 4)
+    P[3, 0], P[3, 2], P[3, 4] = (1, 4 * C - 2), (0, 4 * A), (0, 4)
+    P[3, 8], P[3, 10], P[3, 12] = (p2, p2 * (4 * C - 6)), (0, -4 * A * p2), (0, -4 * p2)
+    P.flags.writeable = False
     u = np.zeros(20, dtype=np.complex128)  # stream entries -8 .. 11
     u[8:12] = s0, g0, s0 * a / c, g0 * a / c
-    kernels.recurrence_steps(row(np.arange(3.0, 11.0)).T, u, 11)
-    return tuple(u[8:].tolist()), row
+    bad = kernels.recurrence_steps(P, u, 11, first=3)
+    if bad is not None:  # entries from that step on have no value; the run reports it
+        u[bad + 9:] = np.nan
+    return tuple(u[8:].tolist()), P
 
 
 # ---------------------------------------------------------------------------
@@ -855,20 +828,22 @@ def _spec(info, bk, meta, name, values, seeds, den):
     seeds = [bk.coerce(s) for s in seeds]
     n0 = len(seeds) - 1
     if bk.name == "exact":
-        integral = _integer_rows(name, values)
-        row = _exact_row(integral, k)
-        seeds += step_exact(integral, [bk.zero()] * (k - n0) + seeds, n0, k, den)
+        polys = _integer_rows(name, values)
+        row = _exact_row(polys, k)
+        seeds += step_exact(polys, [bk.zero()] * (k - n0) + seeds, n0, k, den)
     else:
-        integral = None
+        row = None
         # the first steps in long double too: at small n a step can cancel
         C = _float_polys(name, values)
-        row, polys = _float_row(C), C.tolist()
+        P = C.tolist()
         wide = [np.clongdouble(s) for s in seeds]
         with np.errstate(all="ignore"):
             for n in range(n0, k):
-                d = _horner(polys[0], n)
-                wide.append(sum(_horner(polys[i + 1], n) / d * wide[n - i] for i in range(n + 1)))
+                d = _horner(P[0], n)
+                wide.append(sum(_horner(P[i + 1], n) / d * wide[n - i] for i in range(n + 1)))
         seeds = [complex(s) for s in wide]
+        polys = C[np.newaxis]
+        polys.flags.writeable = False
     return RecurrenceSpec(
         order=k,
         start=k,
@@ -877,7 +852,7 @@ def _spec(info, bk, meta, name, values, seeds, den):
         backend=bk.name,
         meta=meta,
         den_factors=den,
-        integral=integral,
+        polys=polys,
     )
 
 
@@ -947,8 +922,10 @@ def _binom_f64(info, params, bk):
 def _mk_arcsin_M_interleaved(info, params, bk):
     a, c, p = params.a, params.c, params.p
     s0, g0 = (bk.zero(), p) if info.h == "arcsin" else (bk.half_pi(), -p)
-    seeds, row = _arcsin_M_interleaved(a, c, p, s0, g0)
-    return RecurrenceSpec(11, 11, seeds, row, bk.name, _meta(info, bk, params), interleave=4)
+    seeds, polys = _arcsin_M_interleaved(a, c, p, s0, g0)
+    return RecurrenceSpec(
+        11, 11, seeds, None, bk.name, _meta(info, bk, params), polys=polys, interleave=4
+    )
 
 
 def _reg(id, base, h, formulation, radius, names, builder, c2=False):

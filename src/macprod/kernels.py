@@ -5,15 +5,24 @@ to the operands' length up to 1025 entries (a series through z^1024), and
 above that a recursive split into halves that never forms the block past
 the cut.
 
-``recurrence_steps`` runs the C loop in ``_STEP_C`` below.  It is compiled
-with the system C compiler on first use, never at import, and cached as
-``__pycache__/_step-<sha256 of the source>.<platform>.so`` next to this file
-(written to a temporary file, then renamed into place), then loaded with
-``ctypes``.  The loop accumulates in ascending index order and spells out
-the complex product without fused multiply-adds, so it agrees bit for bit
-with the pure-Python fallback in ``_kernels_py``.  The fallback runs when
-no compiler is found, when the cache directory cannot be written, or when
-``MACPROD_PURE=1`` is set before import.
+``recurrence_steps`` runs the C loop in ``_STEP_C`` below.  It takes a
+recurrence's row polynomials as data and evaluates them at each step in long
+double: each polynomial as the sum, from 0, of its coefficients times the
+powers of the step index, highest power first (which rounds the leading
+term once less than Horner's scheme), then one reciprocal of the
+denominator (by Smith's method when complex, as numpy divides) and one
+product per entry, rounded once to double.  The step then runs in double.
+Lags whose polynomial is zero are skipped.  The loop returns the first
+index whose denominator vanishes or whose entry is not finite.
+
+The loop is compiled with the system C compiler on first use, never at
+import, and cached as ``__pycache__/_step-<sha256 of the source>.<platform>.so``
+next to this file (written to a temporary file, then renamed into place),
+then loaded with ``ctypes``.  It is compiled without fused multiply-adds and
+keeps every operation's order, so it agrees bit for bit with the fallback
+in ``_kernels_py``, which does the same operations in numpy long double.
+The fallback runs when no compiler is found, when the cache directory
+cannot be written, or when ``MACPROD_PURE=1`` is set before import.
 """
 
 from __future__ import annotations
@@ -29,23 +38,112 @@ from . import _kernels_py
 _PURE = os.environ.get("MACPROD_PURE") == "1"
 
 _STEP_C = r"""
-/* u[n+1] = sum_i rows[n-n0][i] * u[n-i] for n = n0 .. n0+count-1, over
-   complex values stored as interleaved (re, im) doubles */
-void recurrence_steps(const double *rows, double *u, long n0, long count, long width)
+#include <math.h>
+#include <stdlib.h>
+
+/* sum_t p[t] n^(width-1-t), accumulated from 0 in ascending t */
+static long double poly(const long double *p, const long double *pw, long width, long stride)
 {
+    long double acc = 0;
+    for (long t = 0; t < width; t++)
+        acc += p[t * stride] * pw[t];
+    return acc;
+}
+
+/* u[j+1] = sum_i e_i u[j-i] for j = n0 .. n0+count-1, over complex values
+   stored as interleaved (re, im) doubles.  The step at j has index
+   m = m0 + j - n0 and reads polynomial set (m + 1) % sets of c: k + 2
+   polynomials in m of width coefficients, highest power first, long double
+   (re, im) pairs when cplx.  e_i = P_{i+1}(m) * (1 / P_0(m)).  Returns the
+   first m whose P_0 vanishes or whose entry is not finite, u stepped up to
+   it, -1 when every step ran, or -2 when the work space cannot be allocated. */
+long recurrence_steps(const long double *c, int cplx, long sets, long k, long width,
+                      double *u, long n0, long count, long m0)
+{
+    const long stride = cplx ? 2 : 1, size = stride * width;
+    /* the powers m^(width-1) .. m^0, then per set the number of lags whose
+       polynomial is nonzero and those lags */
+    long double *pw = malloc(sizeof(long double) * width);
+    long *lags = malloc(sizeof(long) * sets * (k + 2)), bad = -1;
+    if (pw == NULL || lags == NULL) {
+        free(pw);
+        free(lags);
+        return -2;
+    }
+    for (long s = 0; s < sets; s++) {
+        long *nz = lags + s * (k + 2);
+        nz[0] = 0;
+        for (long i = 0; i <= k; i++) {
+            const long double *p = c + (s * (k + 2) + i + 1) * size;
+            for (long t = 0; t < size; t++)
+                if (p[t] != 0) {
+                    nz[++nz[0]] = i;
+                    break;
+                }
+        }
+    }
+    pw[width - 1] = 1;
     for (long j = 0; j < count; j++) {
-        const double *row = rows + 2 * j * width;
+        const long m = m0 + j, s = (m + 1) % sets, *nz = lags + s * (k + 2);
+        const long double *P = c + s * (k + 2) * size;
+        if (width > 1)
+            pw[width - 2] = m;
+        for (long t = width - 3; t >= 0; t--)
+            pw[t] = pw[t + 1] * pw[width - 2];
+        long double dr = poly(P, pw, width, stride), di = 0, ir, ii = 0;
+        if (cplx) {
+            /* 1 / (dr + di i) by Smith's method, as numpy divides */
+            di = poly(P + 1, pw, width, stride);
+            if (dr == 0 && di == 0) {
+                bad = m;
+                break;
+            }
+            if (fabsl(dr) >= fabsl(di)) {
+                long double rat = di / dr, scl = 1 / (dr + di * rat);
+                ir = scl;
+                ii = (0 - rat) * scl;
+            } else {
+                long double rat = dr / di, scl = 1 / (di + dr * rat);
+                ir = (rat + 0) * scl;
+                ii = -scl;
+            }
+        } else {
+            if (dr == 0) {
+                bad = m;
+                break;
+            }
+            ir = 1 / dr;
+        }
         const double *v = u + 2 * (n0 + j);
         double re = 0.0, im = 0.0;
-        for (long i = 0; i < width; i++) {
-            double ar = row[2 * i], ai = row[2 * i + 1];
+        for (long t = 1; t <= nz[0]; t++) {
+            const long i = nz[t];
+            const long double *p = P + (i + 1) * size;
+            long double nr = poly(p, pw, width, stride);
+            double ar, ai = 0.0;
+            if (cplx) {
+                long double ni = poly(p + 1, pw, width, stride);
+                ar = (double)(nr * ir - ni * ii);
+                ai = (double)(nr * ii + ni * ir);
+            } else {
+                ar = (double)(nr * ir);
+            }
+            if (!isfinite(ar) || !isfinite(ai)) {
+                bad = m;
+                break;
+            }
             double br = v[-2 * i], bi = v[-2 * i + 1];
             re = re + (ar * br - ai * bi);
             im = im + (ar * bi + ai * br);
         }
+        if (bad >= 0)
+            break;
         u[2 * (n0 + j + 1)] = re;
         u[2 * (n0 + j + 1) + 1] = im;
     }
+    free(pw);
+    free(lags);
+    return bad;
 }
 """
 
@@ -79,14 +177,20 @@ def _build():
         fn = ctypes.CDLL(path).recurrence_steps
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
-    fn.restype = None
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_long] * 3
+    fn.restype = ctypes.c_long
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_int] + [ctypes.c_long] * 3
+    fn.argtypes += [ctypes.c_void_p] + [ctypes.c_long] * 3
 
-    def recurrence_steps(rows, u, n0):
+    def recurrence_steps(polys, u, n0, first):
         buf = np.ascontiguousarray(u)
-        fn(rows.ctypes.data, buf.ctypes.data, n0, rows.shape[0], rows.shape[1])
+        sets, size, width = polys.shape
+        bad = fn(polys.ctypes.data, np.iscomplexobj(polys), sets, size - 2, width,
+                 buf.ctypes.data, n0, len(u) - 1 - n0, first)
+        if bad == -2:
+            raise MemoryError("no memory for the f64 kernel's work space")
         if buf is not u:
             u[:] = buf
+        return None if bad < 0 else bad
 
     return types.SimpleNamespace(recurrence_steps=recurrence_steps)
 
@@ -137,16 +241,31 @@ def convolve(a, b) -> np.ndarray:
     return _truncated(a, b)
 
 
-def recurrence_steps(rows, u, n0: int, impl=None) -> None:
-    """Advance u in place: u[n+1] = sum_i rows[n - n0, i] * u[n-i]."""
-    rows = np.ascontiguousarray(rows, dtype=np.complex128)
-    if rows.ndim != 2 or u.dtype != np.complex128:
-        raise ValueError("rows must be 2-D and u complex128")
-    if rows.shape[0] != len(u) - 1 - n0:
-        raise ValueError("row count must cover exactly the steps n0..N-1")
-    if rows.shape[1] > n0 + 1:
-        raise ValueError("a row wider than n0 + 1 reaches before u[0]")
-    (impl or _c_impl() or _kernels_py).recurrence_steps(rows, u, n0)
+def recurrence_steps(polys, u, n0: int, first: int | None = None, impl=None):
+    """Advance u in place from u[n0] to its end over row polynomials.
+
+    ``polys`` has shape (sets, k + 2, width): per set, the polynomials
+    P_0, P_1, ..., P_{k+1} of a step index m, highest power first, long
+    double (complex when any is).  The step that writes u[j+1] has index
+    m = first + j - n0 (``first`` defaults to n0) and reads set (m + 1) %
+    sets, so set s steps the entries of sequence s of an interleaved stream:
+    u[j+1] = sum_i P_{i+1}(m) / P_0(m) * u[j-i].  Returns the first m whose
+    P_0 vanishes or whose entry is not finite in double, u stepped up to it,
+    or None.
+    """
+    polys = np.ascontiguousarray(
+        polys, dtype=np.clongdouble if np.iscomplexobj(polys) else np.longdouble
+    )
+    first = n0 if first is None else first
+    if polys.ndim != 3 or polys.shape[1] < 2 or 0 in polys.shape:
+        raise ValueError("polys must have the shape (sets, k + 2, width)")
+    if u.ndim != 1 or u.dtype != np.complex128:
+        raise ValueError("u must be a complex128 vector")
+    if not polys.shape[1] - 2 <= n0 < len(u):
+        raise ValueError("a step of order k from u[n0] reads u[n0 - k] .. u[n0]")
+    if first < 0:
+        raise ValueError("step indices start at 0")
+    return (impl or _c_impl() or _kernels_py).recurrence_steps(polys, u, n0, first)
 
 
 def implementations():

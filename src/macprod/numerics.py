@@ -437,13 +437,8 @@ def format_scalar(x) -> str:
     raise TypeError(f"unsupported scalar type {type(x).__name__}")
 
 
-def approximate(x, pi_digits: int | None = None) -> complex:
-    """Convert any scalar to a finite double-precision complex number.
-
-    ``pi_digits`` is a precision hint accepted for interface stability;
-    double precision is the only supported output, so hints beyond 17
-    significant digits cannot change the result.
-    """
+def approximate(x) -> complex:
+    """Convert any scalar to a finite double-precision complex number."""
     if isinstance(x, PiLinear):
         value = approximate(x.q0) + approximate(x.q1) * math.pi
     elif isinstance(x, GaussianRational):

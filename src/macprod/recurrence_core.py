@@ -3,9 +3,11 @@
 A :class:`RecurrenceSpec` describes u[n+1] = sum_{i=0}^{k} row(n)[i] * u[n-i]
 for n >= n0, started from the seed values u[0..n0].
 
-The exact path steps integer row polynomials.  A catalogue spec brings them
-along (``RecurrenceSpec.integral``): the families evaluate each product
-operator in integers, every entry over the one denominator P_0(n+1).  The
+Both paths step the row as polynomials in n, which every catalogue spec
+carries (``RecurrenceSpec.polys``): each entry a numerator polynomial over
+one denominator polynomial.  The exact path has them in integers: the
+families evaluate each product operator in integers, every entry over the
+one denominator P_0(n+1).  The
 stream steps with them fraction-free (``step_exact``): the window
 u_{n-k} .. u_n is held as integer numerators over one running denominator
 D, a complex row denominator is made real by its conjugate, and the only
@@ -19,22 +21,21 @@ streams are pi/2 times a rational stream, arccos-M is rational + pi *
 rational), so :class:`PiLinear` never enters the loop, and a stream whose
 seeds are all zero is not stepped.
 
-A spec without ``integral`` (a plain callable passed by a caller) has its
-row called at each exact index n, as a ``Fraction``, and steps in the
+An exact spec without ``polys`` (a plain callable passed by a caller) has
+its row called at each exact index n, as a ``Fraction``, and steps in the
 values' own arithmetic: exact seeds give exact values, and a float entry in
 an exact stream raises ``TypeError``.
 
-The f64 path evaluates the coefficient rows for a block of steps at once and
-hands the sequential stepping to the kernel layer, block by block, so an f64
-row must broadcast over an index vector, returning k+1 rows of entries (the
-catalogue's rows are one long double matrix product per block).  It keeps
-the evaluation order fixed (i ascending), so repeated runs are
-bit-identical.  An f64 spec may also step several coupled sequences as one
-(``interleave``: entry n of sequence j is stream entry interleave*n + j,
-and the run returns sequence 0), or convolve its stream with a polynomial
-factor's coefficients (``taps``); the f64 backend serves products whose
-single recurrence is unstable in floats those ways.  An f64 run returns a
-complex128 array, and a combo's two f64 branches combine as arrays.
+The f64 path hands its long double row polynomials and the whole stream to
+one call of ``kernels.recurrence_steps``, which evaluates each row and steps
+it, and reports the first index whose row is singular or not finite in
+double.  An f64 spec never has a row callable.  It may step several coupled
+sequences as one (``interleave``: entry n of sequence j is stream entry
+interleave*n + j, stepped by its own set of polynomials, and the run returns
+sequence 0), or convolve its stream with a polynomial factor's coefficients
+(``taps``); the f64 backend serves products whose single recurrence is
+unstable in floats those ways.  An f64 run returns a complex128 array, and a
+combo's two f64 branches combine as arrays.
 
 A :class:`ComboSpec` combines two recurrence branches entrywise.
 
@@ -47,6 +48,7 @@ values), so no internal parallelism is attempted.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -63,22 +65,35 @@ from .numerics import (
 )
 from .series_oracle import CoeffStream
 
-COMBINERS = ("(u-v)/2", "(u+v)/2", "(u-v)/(2i)")
+#: per combiner: whether it adds or subtracts the branches, then its scale
+#: on a backend (1/(2i) = -i/2)
+_COMBINE = {
+    "(u-v)/2": (operator.sub, lambda bk: bk.one() / 2),
+    "(u+v)/2": (operator.add, lambda bk: bk.one() / 2),
+    "(u-v)/(2i)": (operator.sub, lambda bk: -bk.imaginary_unit() / 2),
+}
+COMBINERS = tuple(_COMBINE)
 _ZERO = GaussianRational(0)
 
 
 @dataclass(frozen=True)
 class RecurrenceSpec:
-    """Order, start index, seeds, and coefficient-row function.
+    """Order, start index, seeds, and the row as polynomials or a callable.
 
-    ``row(n)`` returns the k+1 entries for step n; exact entries are ints,
-    Fractions or Gaussian rationals.  ``integral``, when given, is the same
-    row in integers, the pair ``(den, terms)``: entry i is num_i(n) / den(n),
-    ``terms`` holds ``(i, num_i)`` for the nonzero entries, and each
-    polynomial is a pair (real part, imaginary part) of integer coefficient
-    tuples, highest power first, a zero part being ``(0,)``.  The exact
-    engine then steps with it and never calls ``row``; the catalogue's
-    builders supply it.
+    ``polys`` is the row as polynomials in the step index n.  Exact: the
+    pair ``(den, terms)`` in integers, entry i being num_i(n) / den(n),
+    ``terms`` holding ``(i, num_i)`` for the nonzero entries, and each
+    polynomial a pair (real part, imaginary part) of integer coefficient
+    tuples, highest power first, a zero part being ``(0,)``; the exact
+    engine then steps with it and never calls ``row``.  f64: an array of
+    shape (interleave, k + 2, width), long double (complex when any
+    coefficient is), per sequence P_0, P_1, ..., P_{k+1} highest power
+    first, entry i being P_{i+1}(n) / P_0(n) (see
+    ``kernels.recurrence_steps``).  The catalogue's builders supply both.
+
+    ``row(n)``, for an exact spec without ``polys``, returns the k+1 entries
+    for step n as ints, Fractions or Gaussian rationals.  An f64 spec has no
+    ``row``.
 
     f64 only: with ``interleave`` s > 1 the stream holds s sequences, entry
     s*n + j being entry n of sequence j, and the run returns sequence 0;
@@ -88,17 +103,26 @@ class RecurrenceSpec:
     order: int
     start: int
     seeds: tuple
-    row: Callable
+    row: Callable | None
     backend: str
     meta: tuple = field(default=())
     den_factors: Callable | None = None
-    integral: tuple | None = None
+    polys: object = None
     interleave: int = 1
     taps: tuple = ()
 
     def __post_init__(self):
         if (self.interleave != 1 or self.taps) and self.backend != "f64":
             raise ValueError("interleave and taps apply to f64 specs only")
+        if self.backend == "f64" and (
+            self.row is not None
+            or np.ndim(self.polys) != 3
+            or np.shape(self.polys)[:2] != (self.interleave, self.order + 2)
+        ):
+            raise ValueError(
+                "an f64 spec steps polys of shape (interleave, order + 2, width), "
+                "not a row callable"
+            )
         if self.order < 1:
             raise ValueError("recurrence order must be positive")
         if self.start < self.order:
@@ -168,7 +192,7 @@ def _horner(poly, x):
 
 
 def _step(spec: RecurrenceSpec, N: int) -> list:
-    """u_{start+1} .. u_N of a spec without ``integral``: the row is called
+    """u_{start+1} .. u_N of an exact spec without ``polys``: the row is called
     at each exact index n and the step runs in the values' own arithmetic,
     int and Fraction seeds entering as Gaussian rationals."""
     u = [GaussianRational(s) if isinstance(s, (int, Fraction)) else s for s in spec.seeds]
@@ -184,9 +208,9 @@ def _step(spec: RecurrenceSpec, N: int) -> list:
     return u[spec.start + 1:]
 
 
-def _stream(integral, window: list, n0: int, N: int, den_factors) -> list:
+def _stream(polys, window: list, n0: int, N: int, den_factors) -> list:
     """u_{n0+1} .. u_N of one Gaussian-rational stream from the window
-    u_{n0-k} .. u_{n0}, stepped over the integer row ``integral``.
+    u_{n0-k} .. u_{n0}, stepped over the integer row ``polys``.
 
     The window u_{n-k} .. u_n is held as integer numerators (real, and
     imaginary unless the seeds and every coefficient are real) over one
@@ -196,7 +220,7 @@ def _stream(integral, window: list, n0: int, N: int, den_factors) -> list:
     are then scaled by den/g, whatever its sign.  Each output is one
     ``Fraction`` over D, which normalises the sign.
     """
-    (den_re, den_im), terms = integral
+    (den_re, den_im), terms = polys
     k = len(window) - 1
     real = not any(s.im for s in window) and all(
         im == (0,) for im in [den_im] + [b for _, (_, b) in terms]
@@ -239,9 +263,9 @@ def _stream(integral, window: list, n0: int, N: int, den_factors) -> list:
     return [GaussianRational(x, y) for x, y in zip(out_re, out_im)]
 
 
-def step_exact(integral, window: list, n0: int, N: int, den_factors=None) -> list:
+def step_exact(polys, window: list, n0: int, N: int, den_factors=None) -> list:
     """u_{n0+1} .. u_N from the window u_{n0-k} .. u_{n0} of exact scalars,
-    stepped over the integer row ``integral`` (see :class:`RecurrenceSpec`).
+    stepped over the integer row ``polys`` (see :class:`RecurrenceSpec`).
 
     q0 + q1*pi steps as two rational streams, so pi never enters the loop,
     and a stream whose window is all zero is not stepped.
@@ -255,7 +279,7 @@ def step_exact(integral, window: list, n0: int, N: int, den_factors=None) -> lis
     if not any(live):  # still step one, so a singular row is reported
         live[0] = True
     streams = [
-        _stream(integral, part, n0, N, den_factors) if on else [_ZERO] * (N - n0)
+        _stream(polys, part, n0, N, den_factors) if on else [_ZERO] * (N - n0)
         for part, on in zip(parts, live)
     ]
     if pi:
@@ -267,44 +291,29 @@ def _run_generic(spec: RecurrenceSpec, N: int) -> list:
     values = list(spec.seeds[: N + 1])
     if N <= spec.start:
         return values
-    if spec.integral is None:
+    if spec.polys is None:
         return values + _step(spec, N)
     window = list(spec.seeds[spec.start - spec.order:])
-    return values + step_exact(spec.integral, window, spec.start, N, spec.den_factors)
-
-
-#: f64 steps per row evaluation.  A run's temporaries then stay a few tens of
-#: KB at any N and are reused from the heap.  Rows for all N steps at once
-#: take about 1 MB at N = 8192, which the allocator hands back to the system
-#: after each run, so the next run faults in ~220 fresh pages: more time than
-#: the C stepping loop takes.
-_F64_BLOCK = 1024
+    return values + step_exact(spec.polys, window, spec.start, N, spec.den_factors)
 
 
 def _run_f64(spec: RecurrenceSpec, N: int) -> np.ndarray:
-    n0, k, s = spec.start, spec.order, spec.interleave
+    n0, s = spec.start, spec.interleave
     M = s * N  # the stream index of u_N
     u = np.zeros(M + 1, dtype=np.complex128)
     m = min(n0, M)
     u[: m + 1] = spec.seeds[: m + 1]
-    for lo in range(n0, M, _F64_BLOCK):
-        hi = min(lo + _F64_BLOCK, M)
-        rows = np.empty((hi - lo, k + 1), dtype=np.complex128)
-        with np.errstate(all="ignore"):
-            raw = spec.row(np.arange(lo, hi, dtype=np.float64))
-            for i in range(k + 1):
-                rows[:, i] = raw[i]
-        bad = ~np.isfinite(rows)
-        if bad.any():
-            _singular(spec.den_factors, lo + int(np.argwhere(bad.any(axis=1))[0][0]))
-        kernels.recurrence_steps(rows, u[lo - k : hi + 1], k)
+    if M > n0:
+        bad = kernels.recurrence_steps(spec.polys, u, n0)
+        if bad is not None:
+            _singular(spec.den_factors, bad)
     if s > 1:
         u = u[::s].copy()
     if spec.taps:
         with np.errstate(all="ignore"):
             u = np.convolve(u, spec.taps)[: N + 1]
-    finite = np.isfinite(u)
-    if M > n0 and not finite.all():
+    finite = np.isfinite(u)  # seeds too: a build's first steps can overflow
+    if not finite.all():
         n_bad = int(np.argmin(finite))
         raise NonFiniteError(
             f"recurrence overflowed to a non-finite value at n={n_bad}",
@@ -314,32 +323,15 @@ def _run_f64(spec: RecurrenceSpec, N: int) -> np.ndarray:
 
 
 def _run_combo(combo: ComboSpec, N: int):
+    """The branches combined entrywise; numpy's complex product is Python's
+    formula, so f64 arrays give the entries Python scalars would."""
     bk = get_backend(combo.backend)
-    if combo.backend == "f64":
-        return _combine_f64(combo, bk, N)
-    left = run(combo.left, N).coeffs
-    right = run(combo.right, N).coeffs
-    half = bk.one() / 2
-    if combo.combiner == "(u-v)/2":
-        values = [(u - v) * half for u, v in zip(left, right)]
-    elif combo.combiner == "(u+v)/2":
-        values = [(u + v) * half for u, v in zip(left, right)]
-    else:  # (u-v)/(2i): multiply by 1/(2i) = -i/2
-        scale = -bk.imaginary_unit() / 2
-        values = [(u - v) * scale for u, v in zip(left, right)]
-    return values
-
-
-def _combine_f64(combo: ComboSpec, bk, N: int) -> np.ndarray:
-    """``_run_combo`` on arrays: numpy's complex product is Python's formula,
-    so the entries are the same bits."""
-    left, right = _run_f64(combo.left, N), _run_f64(combo.right, N)
-    if combo.combiner == "(u-v)/2":
-        values = (left - right) * (bk.one() / 2)
-    elif combo.combiner == "(u+v)/2":
-        values = (left + right) * (bk.one() / 2)
-    else:
-        values = (left - right) * (-bk.imaginary_unit() / 2)
+    combine, scale = _COMBINE[combo.combiner]
+    scale = scale(bk)
+    if combo.backend != "f64":
+        left, right = run(combo.left, N).coeffs, run(combo.right, N).coeffs
+        return [combine(u, v) * scale for u, v in zip(left, right)]
+    values = combine(_run_f64(combo.left, N), _run_f64(combo.right, N)) * scale
     finite = np.isfinite(values)
     if not finite.all():
         n = int(np.argmin(finite))

@@ -210,10 +210,38 @@ def cauchy_product(A: CoeffStream, B: CoeffStream) -> CoeffStream:
         raise ValueError("cauchy_product operands must share one length")
     if A.backend == "f64":
         coeffs = kernels.convolve(A.coeffs, B.coeffs)
+        over = ~np.isfinite(coeffs)
+        if over.any():
+            coeffs[over] = _scaled_convolve(A.coeffs, B.coeffs)[over]
         _finite_or_raise(coeffs, "cauchy_product")
     else:
         coeffs = _exact_cauchy(A.coeffs, B.coeffs)
     return CoeffStream(coeffs, "product", "oracle", A.backend)
+
+
+def _ldexp(x, e) -> np.ndarray:
+    out = np.empty_like(x)
+    out.real, out.imag = np.ldexp(x.real, e), np.ldexp(x.imag, e)
+    return out
+
+
+def _scaled_convolve(a, b) -> np.ndarray:
+    """The truncated product of two f64 series whose terms overflow though
+    some of its entries need not: both factors scaled by 2^(-s n), with
+    s = ceil(max over n >= 1 of log2|x_n| / n) across both (0 where that is
+    not finite), convolved, and scaled back.  Powers of two are exact
+    outside underflow, which moves entry n of the scaled product by at most
+    (n + 1)(max|a'| + max|b'|) 2^-1075; an entry that is not 2^53 times as
+    large is returned as inf."""
+    n = np.arange(len(a))
+    with np.errstate(divide="ignore"):
+        rate = max(np.max(np.log2(np.abs(x[1:])) / n[1:], initial=-np.inf) for x in (a, b))
+    e = -(math.ceil(rate) if np.isfinite(rate) else 0) * n
+    a, b = _ldexp(a, e), _ldexp(b, e)
+    out = kernels.convolve(a, b)
+    floor = np.ldexp(len(a) * (np.abs(a).max() + np.abs(b).max()), -1022)
+    out[~(np.abs(out) >= floor)] = np.inf
+    return _ldexp(out, -e)
 
 
 def _parts(values) -> list:

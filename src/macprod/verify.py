@@ -316,17 +316,7 @@ def sweep(
     reports = []
     for info in infos:
         for _ in range(trials):
-            exact_params = draw_params(info, rng)
-            if bk is EXACT:
-                params = exact_params
-            else:
-                params = Params(
-                    **{
-                        k: (None if getattr(exact_params, k) is None
-                            else approximate(getattr(exact_params, k)))
-                        for k in ("a", "b", "c", "p", "theta")
-                    }
-                )
+            params = draw_params(info, rng)
             try:
                 rep = compare_oracle(info.id, params, N, bk, tolerance)
             except (NonFiniteError, SingularIndexError) as exc:

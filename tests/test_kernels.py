@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from macprod import kernels
+from macprod import _kernels_py, kernels
 from macprod.families import Params, conform_params, elementary_factor, get_family
 from macprod.numerics import EXACT, GaussianRational, approximate
 from macprod.series_oracle import cauchy_product, elementary_series, hyper_base_series
@@ -86,36 +86,106 @@ class TestConvolve:
         assert np.abs(kernels.convolve(x, y) - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def _random_polys(rng, sets, k, width, cplx):
+    """Random row polynomials with P_0 kept away from zero and some lags zero."""
+    P = rng.standard_normal((sets, k + 2, width)).astype(np.longdouble)
+    if cplx:
+        P = P + 1j * rng.standard_normal(P.shape).astype(np.longdouble)
+    P[:, 0, -1] += 8 * np.sign(P[:, 0, -1].real)
+    P[:, 0, :-1] /= 1000  # |P_0(m)| grows with m, so the stream stays bounded
+    P[:, 1:, :-1] /= 1000
+    P[:, 1:] *= 0.25 / (k + 1)
+    P[rng.random((sets, k + 2)) < 0.3] = 0
+    P[:, 0, -1] = np.where(P[:, 0, -1] == 0, 9, P[:, 0, -1])
+    return P
+
+
 class TestRecurrenceSteps:
     def test_known_solution(self):
-        # u[n+1] = u[n]/2 from u[0..1]
-        rows = np.full((10, 2), 0.0, dtype=np.complex128)
-        rows[:, 0] = 0.5
+        # u[n+1] = u[n] / 2 from u[0..1]: P_0 = 2, P_1 = 1, P_2 = 0
+        polys = np.array([[[2], [1], [0]]], dtype=np.longdouble)
         u = np.zeros(12, dtype=np.complex128)
         u[0] = 4.0
         u[1] = 2.0
-        kernels.recurrence_steps(rows, u, 1)
+        assert kernels.recurrence_steps(polys, u, 1) is None
         assert np.allclose(u, 4.0 * 0.5 ** np.arange(12))
 
-    def test_row_count_validation(self):
+    def test_shape_validation(self):
+        u = np.zeros(10, complex)
+        for polys, n0 in (
+            (np.zeros((3, 2)), 1),  # not one set per sequence
+            (np.zeros((1, 1, 2)), 1),  # no P_1
+            (np.ones((1, 4, 2)), 1),  # order 2 from u[1] reaches u[-1]
+            (np.ones((0, 3, 1)), 1),  # no set
+            (np.ones((1, 3, 0)), 1),  # no coefficient
+            (np.ones((1, 3, 1)), 10),  # u[10] is past the end
+        ):
+            with pytest.raises(ValueError):
+                kernels.recurrence_steps(polys, u, n0)
         with pytest.raises(ValueError):
-            kernels.recurrence_steps(
-                np.zeros((3, 2), complex), np.zeros(10, complex), 1
-            )
+            kernels.recurrence_steps(np.ones((1, 3, 1)), u, 1, first=-1)
 
-    def test_implementations_agree_bitwise(self):
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("sets", [1, 4])
+    def test_implementations_agree_bitwise(self, sets, cplx):
         impls = kernels.implementations()
         if len(impls) < 2:
             pytest.skip("compiled kernels unavailable")
-        rng = np.random.default_rng(4)
-        rows = (0.3 * rng.standard_normal((300, 5)) + 0.1j * rng.standard_normal((300, 5)))
+        rng = np.random.default_rng(4 + sets + 2 * cplx)
+        polys = _random_polys(rng, sets, 4, 3, cplx)
         results = []
         for impl in impls.values():
             u = np.zeros(305, dtype=np.complex128)
             u[:5] = [1.0, 0.9, 0.8, 0.7, 0.6]
-            kernels.recurrence_steps(rows, u, 4, impl=impl)
+            assert kernels.recurrence_steps(polys, u, 4, first=7, impl=impl) is None
             results.append(u)
-        assert np.all(results[0] == results[1])
+        assert np.isfinite(results[0]).all()
+        assert np.array_equal(results[0].view(np.uint64), results[1].view(np.uint64))
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_rows_match_the_steps(self, cplx):
+        # the fallback's entries are what the loop multiplies by: one step
+        # from unit vectors reads each entry back
+        rng = np.random.default_rng(7)
+        polys = _random_polys(rng, 2, 3, 2, cplx)
+        polys[1, 2] = 0  # set 1 has no lag 1
+        rows, good = _kernels_py.rows(polys, 5, 6)
+        assert good == 6
+        for impl in kernels.implementations().values():
+            for j in range(6):
+                for i in range(4):
+                    u = np.zeros(5, dtype=np.complex128)
+                    u[3 - i] = 1
+                    kernels.recurrence_steps(polys, u, 3, first=5 + j, impl=impl)
+                    assert u[4] == rows[j, i]
+        assert (rows[1::2, 1] == 0).all()  # set 1 steps m = 6, 8, 10
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("fault", ["denominator", "entry"])
+    def test_first_bad_index(self, fault, cplx):
+        # P_0 = m - 40 vanishes at m = 40; or the entry 1e306 m^2 / P_0 leaves
+        # double: P_0 = 8 from m = 38 (1e306 * 38^2 / 8 > 1.798e308), and
+        # P_0 = 8 + 8i, the parts 1e306 m^2 / 16 and its negative, from m = 54
+        dtype = np.clongdouble if cplx else np.longdouble
+        polys = np.zeros((1, 3, 3), dtype=dtype)
+        if fault == "denominator":
+            polys[0, 0] = 0, 1, -40
+            polys[0, 1] = 0, 0, 1
+            bad = 40
+        else:
+            polys[0, 0] = 0, 0, 8
+            polys[0, 1] = 1e306, 0, 0
+            bad = 54 if cplx else 38
+        if cplx:
+            polys[0, 0] *= 1 + 1j
+        results = []
+        for impl in kernels.implementations().values():
+            u = np.zeros(70, dtype=np.complex128)
+            u[0] = u[1] = 1
+            assert kernels.recurrence_steps(polys, u, 1, impl=impl) == bad
+            assert np.all(u[bad + 1:] == 0) and np.all(u[: bad + 1] != 0)  # stepped up to it
+            results.append(u.view(np.uint64))
+        assert np.array_equal(results[0], results[-1])
 
 
 class TestSelection:

@@ -7,7 +7,7 @@ from zlib import crc32
 import numpy as np
 import pytest
 
-from macprod import _kernels_py
+from macprod import kernels
 from macprod.families import build, get_family, list_families
 from macprod.numerics import (
     EXACT,
@@ -19,7 +19,6 @@ from macprod.numerics import (
 from macprod.recurrence_core import (
     ComboSpec,
     RecurrenceSpec,
-    _F64_BLOCK,
     run,
 )
 from macprod.series_oracle import kummer_series
@@ -30,6 +29,15 @@ G = GaussianRational
 
 def gr(num, den=1):
     return G(Fraction(num, den))
+
+
+def f64_spec(order, seeds, polys, interleave=1, **kw):
+    """An f64 spec from its row polynomials, one set per sequence:
+    P_0, P_1, ..., P_{order+1}, each highest power first (see RecurrenceSpec)."""
+    polys = np.array(polys, dtype=np.longdouble).reshape(interleave, order + 2, -1)
+    return RecurrenceSpec(
+        order, len(seeds) - 1, tuple(seeds), None, "f64", polys=polys, interleave=interleave, **kw
+    )
 
 
 def closure_stream(spec, N):
@@ -88,9 +96,46 @@ class TestRun:
             assert run(scaled, 40).coeffs == tuple(lam * v for v in base)
 
 
-class TestF64Blocks:
-    """f64 rows are evaluated and stepped a block at a time; the stream must
-    equal one Python-loop pass over every row at once."""
+class TestF64Parity:
+    """The C loop and the numpy fallback evaluate the same row polynomials
+    with the same long double operations, so every f64 route (the single
+    tables, the combo branches, binom's taps, the interleaved inverse-sine
+    sequences and its prestep, which runs at build) gives the same bits."""
+
+    @staticmethod
+    def draws(info):
+        rng = Random(crc32(info.id.encode()) ^ 0xF64)
+        for d in range(3):
+            params = draw_params(info, rng)
+            fl = {k: complex(getattr(params, k)) for k in info.param_names}
+            if d == 2:
+                fl = {k: v + (0.375j if k in ("a", "p") else 0) for k, v in fl.items()}
+            yield fl
+
+    @staticmethod
+    def stream(impl, monkeypatch, family, params, N):
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_c_impl", lambda: impl)
+            try:
+                return run(build(family, params, "f64"), N).coeffs.view(np.uint64)
+            except (NonFiniteError, SingularIndexError) as exc:
+                return type(exc), exc.index
+
+    def check(self, monkeypatch, family, params):
+        impls = kernels.implementations()
+        if len(impls) < 2:
+            pytest.skip("compiled kernels unavailable")
+        for N in (64, 2085):  # 2085 crossed two of the former 1024-step blocks
+            got, want = (self.stream(impl, monkeypatch, family, params, N) for impl in impls.values())
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert np.array_equal(got, want), (family, params, N)
+
+    @pytest.mark.parametrize("info", list_families(), ids=lambda i: i.id)
+    def test_implementations_agree_bitwise(self, info, monkeypatch):
+        for params in self.draws(info):
+            self.check(monkeypatch, info.id, params)
 
     @pytest.mark.parametrize(
         "family, params",
@@ -100,19 +145,8 @@ class TestF64Blocks:
             ("binom-K", {"p": 1 / 3, "theta": 0.5}),
         ],
     )
-    def test_equals_one_pass_over_all_rows(self, family, params):
-        spec = build(family, params, "f64")
-        N = 2 * _F64_BLOCK + 37  # crosses two block boundaries
-        n0, k = spec.start, spec.order
-        raw = spec.row(np.arange(n0, N, dtype=np.float64))
-        rows = np.empty((N - n0, k + 1), dtype=np.complex128)
-        for i in range(k + 1):
-            rows[:, i] = raw[i]
-        u = np.zeros(N + 1, dtype=np.complex128)
-        u[: n0 + 1] = spec.seeds
-        _kernels_py.recurrence_steps(rows, u, n0)
-        got = np.array(run(spec, N).coeffs)
-        assert np.array_equal(got.view(np.uint64), u.view(np.uint64))
+    def test_fixed_points_agree_bitwise(self, family, params, monkeypatch):
+        self.check(monkeypatch, family, params)
 
 
 class TestSpecKinds:
@@ -129,16 +163,12 @@ class TestSpecKinds:
     @staticmethod
     def _cosh_sinh(y1_gain=1.0):
         # y0' = y1, y1' = y1_gain * y0 from (1, 0), interleaved: stream entry
-        # 2n is y0[n] = y1[n-1] / n, entry 2n + 1 is y1[n] = y1_gain * y0[n-1] / n
-        def row(m):
-            n = np.floor((m + 1) / 2)
-            odd = (m + 1) % 2 == 1
-            R = np.zeros((3, len(m)), dtype=np.complex128)
-            R[0, ~odd] = 1 / n[~odd]
-            R[2, odd] = y1_gain / n[odd]
-            return R
-
-        return RecurrenceSpec(2, 2, (1 + 0j, 0j, 0j), row, "f64", interleave=2)
+        # 2n is y0[n] = y1[n-1] / n, written by the step at m = 2n - 1 from
+        # lag 0; entry 2n + 1 is y1[n] = y1_gain * y0[n-1] / n, written at
+        # m = 2n from lag 2.  Times 2, as polynomials in m: P_0, lags 0 .. 2
+        y0 = [(1, 1), (0, 2), (0, 0), (0, 0)]
+        y1 = [(1, 0), (0, 0), (0, 0), (0, 2 * y1_gain)]
+        return f64_spec(2, (1 + 0j, 0j, 0j), [y0, y1], interleave=2)
 
     def test_interleaved_sequences_return_the_first(self):
         # y0 = cosh z: 1/n! at even n, 0 at odd n
@@ -156,7 +186,7 @@ class TestSpecKinds:
         assert exc.value.index == 4
 
     def test_taps_convolve_the_stream(self):
-        ones = RecurrenceSpec(1, 1, (1 + 0j, 1 + 0j), lambda n: (1 + 0 * n, 0 * n), "f64")
+        ones = f64_spec(1, (1 + 0j, 1 + 0j), [(1,), (1,), (0,)])
         spec = dataclasses.replace(ones, taps=(1.0, 2.0, 1.0))
         assert run(spec, 5).coeffs.tolist() == [1, 3, 4, 4, 4, 4]
         assert run(spec, 1).coeffs.tolist() == [1, 3]  # more taps than entries
@@ -171,6 +201,17 @@ class TestSpecKinds:
         for extra in ({"interleave": 2}, {"taps": (1, 1)}):
             with pytest.raises(ValueError, match="f64 specs only"):
                 RecurrenceSpec(1, 1, (gr(1), gr(1)), lambda n: (gr(1), gr(0)), "exact", **extra)
+
+    def test_f64_specs_step_polys_not_a_row(self):
+        ones = f64_spec(1, (1 + 0j, 1 + 0j), [(1,), (1,), (0,)])
+        for change in (
+            {"row": lambda n: (1 + 0 * n, 0 * n)},
+            {"polys": None},
+            {"polys": ones.polys[:, :2]},  # one polynomial short of order 1
+            {"interleave": 2},  # one set of polynomials for two sequences
+        ):
+            with pytest.raises(ValueError, match="polys of shape"):
+                dataclasses.replace(ones, **change)
 
 
 class TestValidation:
@@ -216,16 +257,17 @@ class TestErrors:
             run(spec, 12)
 
     def test_singular_index_f64(self):
-        spec = RecurrenceSpec(
-            order=1,
-            start=1,
-            seeds=(1.0 + 0j, 1.0 + 0j),
-            row=lambda n: (1 / (n - 7), 0 * n),
-            backend="f64",
+        # u[n+1] = u[n] / (n - 7)
+        spec = f64_spec(
+            1,
+            (1.0 + 0j, 1.0 + 0j),
+            [(1, -7), (0, 1), (0, 0)],
             den_factors=lambda n: (("n-7", n - 7),),
         )
-        with pytest.raises(SingularIndexError, match="n=7"):
+        with pytest.raises(SingularIndexError, match="n=7: n-7 vanishes") as exc:
             run(spec, 12)
+        assert exc.value.index == 7
+        assert run(spec, 7).coeffs[-1] == pytest.approx(1 / 720)  # steps n = 1 .. 6 ran
 
     @pytest.mark.parametrize(
         "row, want",
@@ -258,16 +300,29 @@ class TestErrors:
         assert run(spec, 1).coeffs == (gr(1), gr(2))
 
     def test_non_finite_f64(self):
-        spec = RecurrenceSpec(
-            order=1,
-            start=1,
-            seeds=(1.0 + 0j, 1.0 + 0j),
-            row=lambda n: (1e200 + 0 * n, 0 * n),
-            backend="f64",
-        )
-        with pytest.raises(NonFiniteError) as exc:
+        # u[n+1] = 1e200 u[n]: u_2 = 1e200, u_3 overflows
+        spec = f64_spec(1, (1.0 + 0j, 1.0 + 0j), [(1,), (1e200,), (0,)])
+        with pytest.raises(NonFiniteError, match="n=3") as exc:
             run(spec, 6)
-        assert exc.value.index is not None
+        assert exc.value.index == 3
+
+    def test_non_finite_seed_f64(self):
+        # the inverse-sine prestep meets an entry beyond double (4 p^2 / m at
+        # m = 4), so the seeds from there on have no value; a run that takes
+        # no step reports them too
+        spec = build("arcsin-M", {"a": 0.5, "c": 1.5, "p": 1e200}, "f64")
+        with pytest.raises(NonFiniteError, match="n=2") as exc:
+            run(spec, 2)
+        assert exc.value.index == 2
+        assert run(spec, 1).coeffs.tolist() == [0, 1e200]
+
+    def test_entry_beyond_double_f64(self):
+        # u[n+1] = 1e308 n u[n]: the entry is a long double, but not a
+        # double from n = 2, which is reported before u overflows at n = 3
+        spec = f64_spec(1, (1.0 + 0j, 1.0 + 0j), [(0, 1), (1e308, 0), (0, 0)])
+        with pytest.raises(SingularIndexError, match="n=2: a row denominator") as exc:
+            run(spec, 6)
+        assert exc.value.index == 2
 
 
 class TestExactScalars:
@@ -299,7 +354,7 @@ class TestExactScalars:
         spec = build(info.id, params)
         at_ip = info.formulation == "combo" and info.h in ("sin", "cos")
         for branch in (spec.left, spec.right) if isinstance(spec, ComboSpec) else (spec,):
-            den, terms = branch.integral
+            den, terms = branch.polys
             imaginary = [poly[1] for poly in [den] + [num for _, num in terms]]
             real = all(im == (0,) for im in imaginary)
             assert real != at_ip, info.id
@@ -368,8 +423,8 @@ class TestIntegerStepper:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("at", [1, 7])  # the first step, and a later one
     def test_singular_index(self, kind, at):
-        row, integral = self.ROWS[kind](at)
-        spec = RecurrenceSpec(1, 1, (gr(1), gr(2)), row, "exact", integral=integral)
+        row, polys = self.ROWS[kind](at)
+        spec = RecurrenceSpec(1, 1, (gr(1), gr(2)), row, "exact", polys=polys)
         with pytest.raises(SingularIndexError, match=f"n={at}") as exc:
             run(spec, 12)
         assert exc.value.index == at
@@ -388,7 +443,7 @@ class TestIntegerStepper:
                 (n + 1) / (2 * n - 41), Fraction(2, 7) / (n * n - 150), 1 / (Fraction(61, 2) - n)
             )
 
-        integral = (
+        polys = (
             ((-28, 1428, -13307, -214200, 2626050), (0,)),
             (
                 (0, ((-14, 413, 2527, -61950, -64050), (0,))),
@@ -396,7 +451,7 @@ class TestIntegerStepper:
                 (2, ((28, -574, -4200, 86100), (0,))),
             ),
         )
-        spec = RecurrenceSpec(2, 2, seeds, row, "exact", integral=integral)
+        spec = RecurrenceSpec(2, 2, seeds, row, "exact", polys=polys)
         got = run(spec, 60).coeffs
         assert got == closure_stream(spec, 60)
         assert [repr(v) for v in got] == [repr(v) for v in closure_stream(spec, 60)]

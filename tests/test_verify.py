@@ -37,6 +37,15 @@ class TestCompareOracle:
         assert rep.verdict == "pass"
         assert rep.max_rel <= 1e-10
 
+    def test_f64_oracle_whose_terms_overflow(self):
+        # the factor (1 + 2z)^-1 reaches 1.8e308 at z^1024 while u_1024 is
+        # about -2.0e307: the oracle scales both factors by 2^-n to form it
+        params = {"a": Fraction(4, 11), "b": Fraction(-5, 3), "c": Fraction(-4, 11),
+                  "p": -1, "theta": -2}
+        rep = compare_oracle("binom-F", params, 1024, "f64")
+        assert rep.verdict == "pass"
+        assert rep.max_rel <= 1e-12
+
     def test_zero_oracle_entries_use_absolute_bound(self):
         # sin stream has u_0 = 0; the metric must stay finite there
         rep = compare_oracle(
