@@ -12,6 +12,7 @@ import argparse
 import cmath
 import json
 import sys
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -233,16 +234,15 @@ def cmd_bench(args) -> int:
         raise ParameterDomainError("--count must be nonnegative")
     if args.reps < 1:
         raise ParameterDomainError("--reps must be at least 1")
-    fields = {}
-    for name in info.param_names:
-        raw = getattr(args, name)
-        fields[name] = bk.parse(raw) if raw is not None else complex(defaults[name])
-    report = verify_mod.bench(args.family, Params(**fields), args.count, args.reps)
+    params = _parse_params(args, bk)
+    missing = [name for name in info.param_names if getattr(params, name) is None]
+    params = replace(params, **{name: complex(defaults[name]) for name in missing})
+    report = verify_mod.bench(args.family, params, args.count, args.reps)
     sys.stdout.write(emit_json(report.to_dict()))
     if kernels.implementation_name() == "python":
         print(
             "note: recurrence stepping ran on the pure-Python fallback "
-            "(MACPROD_PURE=1, or no C compiler)",
+            "(the C loop could not be built: no C compiler, or no writable cache)",
             file=sys.stderr,
         )
     return EXIT_OK

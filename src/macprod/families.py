@@ -40,11 +40,11 @@ Exact builds evaluate a table in integers (``_integer_rows``): each
 parameter is an integer, or a Gaussian integer, over its denominator, and
 the denominators are cleared by the largest power each parameter reaches.
 The result is the recurrence's integer row polynomials in n, which the
-exact engine steps directly; it never calls the row.  f64 builds compute
-the same row polynomials' coefficients in long double (complex only when a
-parameter is) and hand them to the f64 kernel, which evaluates each row in
-long double as it steps, so each entry is its correctly rounded double but
-for rare near-ties where long double is wider than double (x87's is).
+exact engine steps.  f64 builds compute the same row polynomials'
+coefficients in long double (complex only when a parameter is) and hand
+them to the f64 kernel, which evaluates each row in long double as it
+steps, so each entry is its correctly rounded double but for rare
+near-ties where long double is wider than double (x87's is).
 
 The exact backend steps the table of every single id.  In f64 the
 high-order singles (sin/cos/sinh/cosh over every base, arcsin-M, arccos-M)
@@ -57,7 +57,9 @@ nonnegative integer p is the exp-X stream at p = 0 convolved with the
 p + 1 coefficients of (1 - theta z)^p.  Only the exp, binom and arctanexp
 tables are evaluated in f64.
 
-Builders are pure and the returned specs are immutable.
+Builders are pure, and the returned specs are immutable plain data: the
+row polynomials, the seeds, and the factors of the row denominator as named
+polynomials in n (``_den``), so a spec pickles.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ from .numerics import (
     scalar_equals_int,
 )
 from .recurrence_core import ComboSpec, RecurrenceSpec, _horner, step_exact
-from .series_oracle import Elementary
+from .series_oracle import ELLIPTIC_ABC, Elementary
 
 __all__ = [
     "Params",
@@ -145,38 +147,6 @@ _H_TOKEN = {
     "exp_arctan": "arctanexp",
 }
 _TOKEN_H = {v: k for k, v in _H_TOKEN.items()}
-
-
-def _den_low(params):
-    c = params.c
-
-    def factors(n):
-        return (("n+1", n + 1), ("c+n", c + n))
-
-    return factors
-
-
-def _den_high(params):
-    c = params.c
-
-    def factors(n):
-        return (
-            ("c-2", c - 2),
-            ("c", c),
-            ("n", n),
-            ("n+1", n + 1),
-            ("c+n-1", c + n - 1),
-            ("c+n", c + n),
-        )
-
-    return factors
-
-
-def _den_elliptic(params):
-    def factors(n):
-        return (("n", n), ("n+1", n + 1))
-
-    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -585,20 +555,6 @@ def _integer_rows(name, values) -> tuple:
     return den, tuple((i, num) for i, num in enumerate(nums) if num != ((0,), (0,)))
 
 
-def _exact_row(polys, k):
-    """row(n) of an integer row at an exact index n: entry i is num_i(n) / den(n)."""
-    den, terms = polys
-
-    def row(n):
-        d = GaussianRational(_horner(den[0], n), _horner(den[1], n))
-        out = [GaussianRational(0)] * (k + 1)
-        for i, (re, im) in terms:
-            out[i] = GaussianRational(_horner(re, n), _horner(im, n)) / d
-        return tuple(out)
-
-    return row
-
-
 @functools.cache
 def _float_plan(name):
     """Operator ``name``'s recurrence row for f64 builds: the exponents of its
@@ -751,19 +707,6 @@ def _register(info: FamilyInfo, builder: Callable):
     _BUILDERS[info.id] = builder
 
 
-#: fixed Gauss parameters behind each elliptic base: K -> (1/2,1/2,1),
-#: E -> (-1/2,1/2,1); expressed via integer halves to stay backend-generic
-_ELLIPTIC_A_NUM = {"K": 1, "E": -1}
-
-
-def _elliptic_abc(base, bk):
-    two = bk.coerce(2)
-    a = bk.coerce(_ELLIPTIC_A_NUM[base]) / two
-    b = bk.one() / two
-    c = bk.one()
-    return a, b, c
-
-
 #: the operator behind each elementary kind, per base table (M or F)
 _TABLE = {
     "exp": "exp", "binom": "binom", "exp_arctan": "arctanexp",
@@ -783,18 +726,29 @@ def _order(name):
 
 
 def _den(info, params, h=None):
-    """The named factors of P_0(n+1), for the singular-index message."""
-    if info.base in _ELLIPTIC_A_NUM:
-        return _den_elliptic(params)
-    return (_den_high if (h or info.h) in _SECOND_ORDER else _den_low)(params)
+    """The named factors of P_0(n+1), each a polynomial in n (highest power
+    first), for the singular-index message."""
+    if info.base in ELLIPTIC_ABC:
+        return (("n", (1, 0)), ("n+1", (1, 1)))
+    c = params.c
+    if (h or info.h) not in _SECOND_ORDER:
+        return (("n+1", (1, 1)), ("c+n", (1, c)))
+    return (
+        ("c-2", (c - 2,)),
+        ("c", (c,)),
+        ("n", (1, 0)),
+        ("n+1", (1, 1)),
+        ("c+n-1", (1, c - 1)),
+        ("c+n", (1, c)),
+    )
 
 
 def _values(info, params, bk):
     """The table variables of a family: a, b, c (the F table's fixed values
     for K and E), p, theta, and for the sin and arcsin tables w, the signed
     square of the frequency (-p^2 for sinh and cosh)."""
-    if info.base in _ELLIPTIC_A_NUM:
-        a, b, c = (_field(x) for x in _elliptic_abc(info.base, bk))
+    if info.base in ELLIPTIC_ABC:
+        a, b, c = (_field(bk.coerce(x)) for x in ELLIPTIC_ABC[info.base])
     else:
         a, b, c = params.a, params.b, params.c
     values = {"a": a, "b": b, "c": c, "p": params.p, "theta": params.theta}
@@ -823,16 +777,14 @@ def _spec(info, bk, meta, name, values, seeds, den):
     u_0 (u_1) are stepped by the table to u_k, with u below 0 taken as 0,
     and the run steps on from there.  K and E seeds carry pi/2."""
     k = _order(name)
-    if info.base in _ELLIPTIC_A_NUM:
+    if info.base in ELLIPTIC_ABC:
         seeds = [bk.half_pi() * bk.coerce(s) for s in seeds]
     seeds = [bk.coerce(s) for s in seeds]
     n0 = len(seeds) - 1
     if bk.name == "exact":
         polys = _integer_rows(name, values)
-        row = _exact_row(polys, k)
         seeds += step_exact(polys, [bk.zero()] * (k - n0) + seeds, n0, k, den)
     else:
-        row = None
         # the first steps in long double too: at small n a step can cancel
         C = _float_polys(name, values)
         P = C.tolist()
@@ -844,16 +796,7 @@ def _spec(info, bk, meta, name, values, seeds, den):
         seeds = [complex(s) for s in wide]
         polys = C[np.newaxis]
         polys.flags.writeable = False
-    return RecurrenceSpec(
-        order=k,
-        start=k,
-        seeds=tuple(seeds),
-        row=row,
-        backend=bk.name,
-        meta=meta,
-        den_factors=den,
-        polys=polys,
-    )
+    return RecurrenceSpec(k, tuple(seeds), polys, bk.name, meta, den)
 
 
 def _mk_single(info, params, bk):
@@ -923,9 +866,7 @@ def _mk_arcsin_M_interleaved(info, params, bk):
     a, c, p = params.a, params.c, params.p
     s0, g0 = (bk.zero(), p) if info.h == "arcsin" else (bk.half_pi(), -p)
     seeds, polys = _arcsin_M_interleaved(a, c, p, s0, g0)
-    return RecurrenceSpec(
-        11, 11, seeds, None, bk.name, _meta(info, bk, params), polys=polys, interleave=4
-    )
+    return RecurrenceSpec(11, seeds, polys, bk.name, _meta(info, bk, params), interleave=4)
 
 
 def _reg(id, base, h, formulation, radius, names, builder, c2=False):

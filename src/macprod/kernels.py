@@ -21,8 +21,8 @@ next to this file (written to a temporary file, then renamed into place),
 then loaded with ``ctypes``.  It is compiled without fused multiply-adds and
 keeps every operation's order, so it agrees bit for bit with the fallback
 in ``_kernels_py``, which does the same operations in numpy long double.
-The fallback runs when no compiler is found, when the cache directory
-cannot be written, or when ``MACPROD_PURE=1`` is set before import.
+The fallback runs only when the loop cannot be built: no compiler is found,
+or the cache directory cannot be written.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ import types
 import numpy as np
 
 from . import _kernels_py
-
-_PURE = os.environ.get("MACPROD_PURE") == "1"
 
 _STEP_C = r"""
 #include <math.h>
@@ -198,7 +196,7 @@ def _build():
 @functools.cache
 def _c_impl():
     """The compiled implementation, or None; built once per process."""
-    return None if _PURE else _build()
+    return _build()
 
 
 def implementation_name() -> str:

@@ -1,41 +1,37 @@
-"""Generic engine for linear recurrences with index-dependent coefficients.
+"""Generic engine for linear recurrences with polynomial coefficients.
 
 A :class:`RecurrenceSpec` describes u[n+1] = sum_{i=0}^{k} row(n)[i] * u[n-i]
-for n >= n0, started from the seed values u[0..n0].
+for n >= n0, started from the seed values u[0..n0]; n0 is the last seed's
+index.  It is plain data: the row is given as polynomials in n
+(``RecurrenceSpec.polys``), each entry a numerator polynomial over one
+denominator polynomial, and the factors of that denominator are named
+polynomials too, for the message that reports a singular row.
 
-Both paths step the row as polynomials in n, which every catalogue spec
-carries (``RecurrenceSpec.polys``): each entry a numerator polynomial over
-one denominator polynomial.  The exact path has them in integers: the
-families evaluate each product operator in integers, every entry over the
-one denominator P_0(n+1).  The
-stream steps with them fraction-free (``step_exact``): the window
-u_{n-k} .. u_n is held as integer numerators over one running denominator
-D, a complex row denominator is made real by its conjugate, and the only
-reduction is the gcd of each step's denominator with the new numerator,
-which is cheap because that denominator is a small integer.  It keeps D
-equal to the window's least common denominator in practice, and each output
-is one ``Fraction`` over D, wrapped in :class:`GaussianRational`.  A stream
-whose coefficients and seeds are real carries no imaginary half.  Pi-linear
-seeds q0 + q1*pi step by linearity as two rational streams (the K and E
-streams are pi/2 times a rational stream, arccos-M is rational + pi *
-rational), so :class:`PiLinear` never enters the loop, and a stream whose
-seeds are all zero is not stepped.
-
-An exact spec without ``polys`` (a plain callable passed by a caller) has
-its row called at each exact index n, as a ``Fraction``, and steps in the
-values' own arithmetic: exact seeds give exact values, and a float entry in
-an exact stream raises ``TypeError``.
+The exact path has the polynomials in integers: the families evaluate each
+product operator in integers, every entry over the one denominator
+P_0(n+1).  The stream steps with them fraction-free (``step_exact``): the
+window u_{n-k} .. u_n is held as integer numerators over one running
+denominator D, a complex row denominator is made real by its conjugate, and
+the only reduction is the gcd of each step's denominator with the new
+numerator, which is cheap because that denominator is a small integer.  It
+keeps D equal to the window's least common denominator in practice, and
+each output is one ``Fraction`` over D, wrapped in
+:class:`GaussianRational`.  A stream whose coefficients and seeds are real
+carries no imaginary half.  Pi-linear seeds q0 + q1*pi step by linearity as
+two rational streams (the K and E streams are pi/2 times a rational stream,
+arccos-M is rational + pi * rational), so :class:`PiLinear` never enters
+the loop, and a stream whose seeds are all zero is not stepped.
 
 The f64 path hands its long double row polynomials and the whole stream to
 one call of ``kernels.recurrence_steps``, which evaluates each row and steps
 it, and reports the first index whose row is singular or not finite in
-double.  An f64 spec never has a row callable.  It may step several coupled
-sequences as one (``interleave``: entry n of sequence j is stream entry
-interleave*n + j, stepped by its own set of polynomials, and the run returns
-sequence 0), or convolve its stream with a polynomial factor's coefficients
-(``taps``); the f64 backend serves products whose single recurrence is
-unstable in floats those ways.  An f64 run returns a complex128 array, and a
-combo's two f64 branches combine as arrays.
+double.  It may step several coupled sequences as one (``interleave``: entry
+n of sequence j is stream entry interleave*n + j, stepped by its own set of
+polynomials, and the run returns sequence 0), or convolve its stream with a
+polynomial factor's coefficients (``taps``); the f64 backend serves products
+whose single recurrence is unstable in floats those ways.  An f64 run
+returns a complex128 array, and a combo's two f64 branches combine as
+arrays.
 
 A :class:`ComboSpec` combines two recurrence branches entrywise.
 
@@ -51,19 +47,12 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
 from . import kernels
-from .numerics import (
-    GaussianRational,
-    NonFiniteError,
-    PiLinear,
-    SingularIndexError,
-    get_backend,
-)
-from .series_oracle import CoeffStream
+from .numerics import GaussianRational, PiLinear, SingularIndexError, get_backend
+from .series_oracle import CoeffStream, _finite_or_raise
 
 #: per combiner: whether it adds or subtracts the branches, then its scale
 #: on a backend (1/(2i) = -i/2)
@@ -76,24 +65,44 @@ COMBINERS = tuple(_COMBINE)
 _ZERO = GaussianRational(0)
 
 
+def _integer_row(polys, order: int) -> bool:
+    """Whether ``polys`` is an exact row ``(den, terms)`` of that order (see
+    :class:`RecurrenceSpec`)."""
+
+    def poly(p):
+        return (
+            isinstance(p, tuple)
+            and len(p) == 2
+            and all(isinstance(part, tuple) and part and all(isinstance(x, int) for x in part)
+                    for part in p)
+        )
+
+    try:
+        den, terms = polys
+        return poly(den) and all(i in range(order + 1) and poly(num) for i, num in terms)
+    except (TypeError, ValueError):
+        return False
+
+
 @dataclass(frozen=True)
 class RecurrenceSpec:
-    """Order, start index, seeds, and the row as polynomials or a callable.
+    """Order, seeds u_0 .. u_n0, and the row as polynomials in the step index n.
 
-    ``polys`` is the row as polynomials in the step index n.  Exact: the
-    pair ``(den, terms)`` in integers, entry i being num_i(n) / den(n),
-    ``terms`` holding ``(i, num_i)`` for the nonzero entries, and each
-    polynomial a pair (real part, imaginary part) of integer coefficient
-    tuples, highest power first, a zero part being ``(0,)``; the exact
-    engine then steps with it and never calls ``row``.  f64: an array of
-    shape (interleave, k + 2, width), long double (complex when any
-    coefficient is), per sequence P_0, P_1, ..., P_{k+1} highest power
-    first, entry i being P_{i+1}(n) / P_0(n) (see
-    ``kernels.recurrence_steps``).  The catalogue's builders supply both.
+    ``polys`` is the row.  Exact: the pair ``(den, terms)`` in integers,
+    entry i being num_i(n) / den(n), ``terms`` holding ``(i, num_i)`` for the
+    nonzero entries, and each polynomial a pair (real part, imaginary part)
+    of integer coefficient tuples, highest power first, a zero part being
+    ``(0,)``.  f64: an array of shape (interleave, k + 2, width), long
+    double (complex when any coefficient is), per sequence P_0, P_1, ...,
+    P_{k+1} highest power first, entry i being P_{i+1}(n) / P_0(n) (see
+    ``kernels.recurrence_steps``).
 
-    ``row(n)``, for an exact spec without ``polys``, returns the k+1 entries
-    for step n as ints, Fractions or Gaussian rationals.  An f64 spec has no
-    ``row``.
+    ``den_factors`` names the factors of the row denominator, each as
+    ``(name, polynomial in n)`` with the coefficients highest power first,
+    for example ``(("n+1", (1, 1)), ("c+n", (1, c)))``; a singular row is
+    reported with the names of those that vanish.
+
+    The start index n0 is derived: the last seed's index, ``len(seeds) - 1``.
 
     f64 only: with ``interleave`` s > 1 the stream holds s sequences, entry
     s*n + j being entry n of sequence j, and the run returns sequence 0;
@@ -101,39 +110,41 @@ class RecurrenceSpec:
     """
 
     order: int
-    start: int
     seeds: tuple
-    row: Callable | None
+    polys: object
     backend: str
     meta: tuple = field(default=())
-    den_factors: Callable | None = None
-    polys: object = None
+    den_factors: tuple = ()
     interleave: int = 1
     taps: tuple = ()
 
+    @property
+    def start(self) -> int:
+        return len(self.seeds) - 1
+
     def __post_init__(self):
-        if (self.interleave != 1 or self.taps) and self.backend != "f64":
-            raise ValueError("interleave and taps apply to f64 specs only")
-        if self.backend == "f64" and (
-            self.row is not None
-            or np.ndim(self.polys) != 3
-            or np.shape(self.polys)[:2] != (self.interleave, self.order + 2)
-        ):
-            raise ValueError(
-                "an f64 spec steps polys of shape (interleave, order + 2, width), "
-                "not a row callable"
-            )
         if self.order < 1:
             raise ValueError("recurrence order must be positive")
+        if (self.interleave != 1 or self.taps) and self.backend != "f64":
+            raise ValueError("interleave and taps apply to f64 specs only")
+        if self.backend == "f64":
+            if not (
+                isinstance(self.polys, np.ndarray)
+                and self.polys.ndim == 3
+                and self.polys.shape[:2] == (self.interleave, self.order + 2)
+            ):
+                raise ValueError(
+                    "an f64 spec steps an array of polys of shape (interleave, order + 2, width)"
+                )
+        elif not _integer_row(self.polys, self.order):
+            raise ValueError(
+                "an exact spec steps the integer row polys = (den, terms), "
+                "terms holding (i, num_i) for 0 <= i <= order"
+            )
         if self.start < self.order:
             raise ValueError(
-                f"start index {self.start} below order {self.order}: "
-                "the first step would reach before u_0"
-            )
-        if len(self.seeds) != self.start + 1:
-            raise ValueError(
-                f"expected {self.start + 1} seeds (u_0..u_{self.start}), "
-                f"got {len(self.seeds)}"
+                f"start index {self.start} (seeds u_0..u_{self.start}) below order "
+                f"{self.order}: the first step would reach before u_0"
             )
 
 
@@ -164,23 +175,13 @@ def _meta_get(meta, key, default=None):
     return default
 
 
-def _singular(den_factors, n: int, cause=None):
-    names = None
-    if den_factors is not None:
-        zero = []
-        for name, value in den_factors(n):
-            if not value:
-                zero.append(name)
-        names = ", ".join(zero) or None
-    factor = names or "a row denominator"
-    err = SingularIndexError(
-        f"recurrence row is singular at n={n}: {factor} vanishes",
+def _singular(den_factors, n: int):
+    names = ", ".join(name for name, poly in den_factors if not _horner(poly, n)) or None
+    raise SingularIndexError(
+        f"recurrence row is singular at n={n}: {names or 'a row denominator'} vanishes",
         index=n,
         factor=names,
     )
-    if cause is not None:
-        raise err from cause
-    raise err
 
 
 def _horner(poly, x):
@@ -189,23 +190,6 @@ def _horner(poly, x):
     for c in poly[1:]:
         acc = acc * x + c
     return acc
-
-
-def _step(spec: RecurrenceSpec, N: int) -> list:
-    """u_{start+1} .. u_N of an exact spec without ``polys``: the row is called
-    at each exact index n and the step runs in the values' own arithmetic,
-    int and Fraction seeds entering as Gaussian rationals."""
-    u = [GaussianRational(s) if isinstance(s, (int, Fraction)) else s for s in spec.seeds]
-    for n in range(spec.start, N):
-        try:
-            row = spec.row(Fraction(n))
-        except ZeroDivisionError as exc:
-            _singular(spec.den_factors, n, exc)
-        acc = row[0] * u[n]
-        for i in range(1, spec.order + 1):
-            acc = acc + row[i] * u[n - i]
-        u.append(acc)
-    return u[spec.start + 1:]
 
 
 def _stream(polys, window: list, n0: int, N: int, den_factors) -> list:
@@ -263,7 +247,7 @@ def _stream(polys, window: list, n0: int, N: int, den_factors) -> list:
     return [GaussianRational(x, y) for x, y in zip(out_re, out_im)]
 
 
-def step_exact(polys, window: list, n0: int, N: int, den_factors=None) -> list:
+def step_exact(polys, window: list, n0: int, N: int, den_factors=()) -> list:
     """u_{n0+1} .. u_N from the window u_{n0-k} .. u_{n0} of exact scalars,
     stepped over the integer row ``polys`` (see :class:`RecurrenceSpec`).
 
@@ -291,8 +275,6 @@ def _run_generic(spec: RecurrenceSpec, N: int) -> list:
     values = list(spec.seeds[: N + 1])
     if N <= spec.start:
         return values
-    if spec.polys is None:
-        return values + _step(spec, N)
     window = list(spec.seeds[spec.start - spec.order:])
     return values + step_exact(spec.polys, window, spec.start, N, spec.den_factors)
 
@@ -312,13 +294,7 @@ def _run_f64(spec: RecurrenceSpec, N: int) -> np.ndarray:
     if spec.taps:
         with np.errstate(all="ignore"):
             u = np.convolve(u, spec.taps)[: N + 1]
-    finite = np.isfinite(u)  # seeds too: a build's first steps can overflow
-    if not finite.all():
-        n_bad = int(np.argmin(finite))
-        raise NonFiniteError(
-            f"recurrence overflowed to a non-finite value at n={n_bad}",
-            index=n_bad,
-        )
+    _finite_or_raise(u, "recurrence")  # seeds too: a build's first steps can overflow
     return u
 
 
@@ -332,10 +308,7 @@ def _run_combo(combo: ComboSpec, N: int):
         left, right = run(combo.left, N).coeffs, run(combo.right, N).coeffs
         return [combine(u, v) * scale for u, v in zip(left, right)]
     values = combine(_run_f64(combo.left, N), _run_f64(combo.right, N)) * scale
-    finite = np.isfinite(values)
-    if not finite.all():
-        n = int(np.argmin(finite))
-        raise NonFiniteError(f"combo produced a non-finite entry at n={n}", index=n)
+    _finite_or_raise(values, "combo")
     return values
 
 

@@ -52,6 +52,13 @@ ELEMENTARY_KINDS = (
     "exp_arctan",
 )
 
+#: the Gauss parameters (a, b, c) behind each elliptic base:
+#: K(sqrt z) = (pi/2) F(1/2, 1/2; 1; z) and E(sqrt z) = (pi/2) F(-1/2, 1/2; 1; z)
+ELLIPTIC_ABC = {
+    "K": (Fraction(1, 2), Fraction(1, 2), 1),
+    "E": (Fraction(-1, 2), Fraction(1, 2), 1),
+}
+
 #: kinds whose only parameter is p
 _P_ONLY = frozenset(k for k in ELEMENTARY_KINDS if k != "binom")
 
@@ -356,23 +363,16 @@ def unit_stream(N: int, backend="exact") -> CoeffStream:
 def hyper_base_series(base: str, N: int, backend="exact", a=None, b=None, c=None) -> CoeffStream:
     """Oracle stream of the bare special-function factor.
 
-    M and F take their parameters from the caller; the elliptic bases fix
-    them, since K(sqrt z) = (pi/2) F(1/2,1/2;1;z) and
-    E(sqrt z) = (pi/2) F(-1/2,1/2;1;z).
+    M and F take their parameters from the caller; the elliptic bases are
+    pi/2 times F at their fixed parameters (``ELLIPTIC_ABC``).
     """
     bk = get_backend(backend)
     if base == "M":
         return kummer_series(a, c, N, bk)
     if base == "F":
         return gauss_series(a, b, c, N, bk)
-    if base in ("K", "E"):
-        if bk is EXACT:
-            half = Fraction(1, 2)
-            aa = half if base == "K" else -half
-            inner = gauss_series(aa, half, 1, N, bk)
-        else:
-            aa = 0.5 if base == "K" else -0.5
-            inner = gauss_series(complex(aa), complex(0.5), complex(1.0), N, bk)
+    if base in ELLIPTIC_ABC:
+        inner = gauss_series(*ELLIPTIC_ABC[base], N, bk)
         stream = scale_stream(inner, bk.half_pi())
         return CoeffStream(stream.coeffs, base, "oracle", bk.name)
     raise ParameterDomainError(f"unknown base {base!r}")

@@ -31,7 +31,13 @@ from .families import (
 )
 from .numerics import EXACT, NonFiniteError, SingularIndexError, approximate, get_backend
 from .recurrence_core import run
-from .series_oracle import cauchy_product, elementary_series, hyper_base_series, scale_stream
+from .series_oracle import (
+    ELLIPTIC_ABC,
+    cauchy_product,
+    elementary_series,
+    hyper_base_series,
+    scale_stream,
+)
 
 DEFAULT_TOLERANCE = 1e-8
 
@@ -214,15 +220,7 @@ def compare_formulations(
         info = get_family(family_id)
         pp = conform_params(params, bk)
         got = recurrence_stream(family_id, pp, N, bk)
-        two = bk.coerce(2)
-        half = bk.one() / two
-        f_params = Params(
-            a=(half if info.base == "K" else -half),
-            b=half,
-            c=bk.one(),
-            p=pp.p,
-            theta=pp.theta,
-        )
+        f_params = Params(*ELLIPTIC_ABC[info.base], p=pp.p, theta=pp.theta)
         f_stream = recurrence_stream(other, f_params, N, bk)
         want = scale_stream(f_stream, bk.half_pi())
     else:

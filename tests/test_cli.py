@@ -1,14 +1,11 @@
 import json
 import math
-import os
-import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-import macprod
 from macprod import cli, kernels
 from macprod.families import build, list_families
 from macprod.recurrence_core import run
@@ -374,20 +371,26 @@ class TestBenchCommand:
         assert doc["N"] == 16
 
 
-    def test_fallback_noted_on_stderr_only(self, capsys):
-        argv = ["bench", "--family", "exp-M", "--count", "16", "--reps", "1"]
-        src = os.path.dirname(os.path.dirname(macprod.__file__))
-        env = dict(os.environ, MACPROD_PURE="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "macprod.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
+    def test_rejects_parameters_the_family_does_not_take(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bench", "--family", "exp-M", "--count", "16", "--reps", "1",
+            "--theta=2", "--b=3",
         )
-        assert proc.returncode == 0
-        lines = proc.stderr.splitlines()
+        assert code == 2
+        assert out == ""
+        assert err == "error: family exp-M does not take parameter(s) b, theta\n"
+
+    def test_fallback_noted_on_stderr_only(self, capsys, monkeypatch):
+        # the C loop cannot be built: the fallback runs and says so
+        argv = ["bench", "--family", "exp-M", "--count", "16", "--reps", "1"]
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_c_impl", lambda: None)
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        lines = err.splitlines()
         assert len(lines) == 1 and "pure-Python fallback" in lines[0]
-        doc = json.loads(proc.stdout)
-        assert proc.stdout == cli.emit_json(doc)
+        doc = json.loads(out)
+        assert out == cli.emit_json(doc)
         assert doc["family"] == "exp-M" and doc["N"] == 16
         if kernels.implementation_name() == "compiled":
             _, out, err = run_cli(capsys, *argv)

@@ -654,7 +654,7 @@ class TestFloatFidelity:
             spec = build(family_id, fl, "f64")
             got = _kernels_py.rows(spec.polys, spec.start, 200 - spec.start)[0].T
             want = [
-                [complex(float(x.re), float(x.im)) for x in exact.row(n)]
+                [complex(float(x.re), float(x.im)) for x in exact_row(exact, n)]
                 for n in range(spec.start, 200)
             ]
             pairs = [(got[i, j], w[i]) for j, w in enumerate(want) for i in range(len(w))]
@@ -664,6 +664,20 @@ class TestFloatFidelity:
             same += sum(x == y for x, y in pairs)
             total += len(pairs)
         assert same >= 0.99 * total
+
+
+def exact_row(spec, n):
+    """The row entries num_i(n) / den(n) of an exact spec's integer polys."""
+    den, terms = spec.polys
+
+    def at(poly):
+        re, im = (sum(c * n**e for e, c in enumerate(reversed(part))) for part in poly)
+        return GaussianRational(re, im)
+
+    row = [GaussianRational(0)] * (spec.order + 1)
+    for i, num in terms:
+        row[i] = at(num) / at(den)
+    return row
 
 
 class TestMeta:

@@ -189,21 +189,7 @@ class TestRecurrenceSteps:
 
 
 class TestSelection:
-    def test_pure_python_override(self):
-        code = (
-            "import macprod.kernels as k; "
-            "print(k.implementation_name())"
-        )
-        env = dict(os.environ, MACPROD_PURE="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert out.returncode == 0
-        assert out.stdout.split() == ["python"]
-
     def test_default_prefers_compiled_when_built(self):
-        if os.environ.get("MACPROD_PURE") == "1":
-            pytest.skip("pure-Python override active")
         impls = kernels.implementations()
         if "compiled" in impls:
             assert kernels.implementation_name() == "compiled"
@@ -222,7 +208,6 @@ class TestSelection:
             "'--a=1/2', '--b=1/3', '--c=5/4', '--p=1']); print(k.implementation_name())"
         )
         env = dict(os.environ, PYTHONPATH=str(root), PATH=path_env, PYTHONDONTWRITEBYTECODE="1")
-        env.pop("MACPROD_PURE", None)
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
         )

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 from fractions import Fraction
 from math import factorial
 from random import Random
@@ -35,16 +36,39 @@ def f64_spec(order, seeds, polys, interleave=1, **kw):
     """An f64 spec from its row polynomials, one set per sequence:
     P_0, P_1, ..., P_{order+1}, each highest power first (see RecurrenceSpec)."""
     polys = np.array(polys, dtype=np.longdouble).reshape(interleave, order + 2, -1)
-    return RecurrenceSpec(
-        order, len(seeds) - 1, tuple(seeds), None, "f64", polys=polys, interleave=interleave, **kw
-    )
+    return RecurrenceSpec(order, tuple(seeds), polys, "f64", interleave=interleave, **kw)
 
 
-def closure_stream(spec, N):
-    """Reference: call the row at every step and step in the public scalars."""
+#: the exact row of u[n+1] = u[n]: entry 0 is 1 over the denominator 1
+ONES = (((1,), (0,)), ((0, ((1,), (0,))),))
+
+
+def poly_row(polys, order):
+    """The row of an exact spec's integer polys as a callable: entry i at n is
+    num_i(n) / den(n), each polynomial summed term by term."""
+    den, terms = polys
+
+    def at(poly, n):
+        re, im = (sum(c * n**e for e, c in enumerate(reversed(part))) for part in poly)
+        return G(re, im)
+
+    def row(n):
+        d = at(den, n)
+        out = [G(0)] * (order + 1)
+        for i, num in terms:
+            out[i] = at(num, n) / d
+        return out
+
+    return row
+
+
+def closure_stream(spec, N, row=None):
+    """Reference: evaluate the row at every step as a Fraction n and step in
+    the public scalars.  The row defaults to the spec's own integer polys."""
+    row_at = row or poly_row(spec.polys, spec.order)
     values = list(spec.seeds)
     for n in range(spec.start, N):
-        row = [EXACT.coerce(b) for b in spec.row(Fraction(n))]
+        row = [EXACT.coerce(b) for b in row_at(Fraction(n))]
         acc = row[0] * values[n]
         for i in range(1, spec.order + 1):
             acc = acc + row[i] * values[n - i]
@@ -200,51 +224,101 @@ class TestSpecKinds:
     def test_interleave_and_taps_are_f64_only(self):
         for extra in ({"interleave": 2}, {"taps": (1, 1)}):
             with pytest.raises(ValueError, match="f64 specs only"):
-                RecurrenceSpec(1, 1, (gr(1), gr(1)), lambda n: (gr(1), gr(0)), "exact", **extra)
+                RecurrenceSpec(1, (gr(1), gr(1)), ONES, "exact", **extra)
 
     def test_f64_specs_step_polys_not_a_row(self):
         ones = f64_spec(1, (1 + 0j, 1 + 0j), [(1,), (1,), (0,)])
         for change in (
-            {"row": lambda n: (1 + 0 * n, 0 * n)},
             {"polys": None},
+            {"polys": ONES},
             {"polys": ones.polys[:, :2]},  # one polynomial short of order 1
             {"interleave": 2},  # one set of polynomials for two sequences
         ):
             with pytest.raises(ValueError, match="polys of shape"):
                 dataclasses.replace(ones, **change)
 
+    def test_exact_specs_step_an_integer_row(self):
+        spec = RecurrenceSpec(1, (gr(1), gr(1)), ONES, "exact")
+        den, terms = ONES
+        for polys in (
+            None,
+            lambda n: (gr(1), gr(0)),  # a row callable
+            f64_spec(1, (1 + 0j, 1 + 0j), [(1,), (1,), (0,)]).polys,
+            (den,),  # no terms
+            (((Fraction(1, 2),), (0,)), terms),  # a Fraction coefficient
+            (((1,), (0.0,)), terms),  # a float coefficient
+            ((1,), terms),  # a den without its imaginary part
+            (den, ((2, ((1,), (0,))),)),  # an entry beyond order 1
+            (den, ((0, ((), (0,))),)),  # an empty polynomial
+        ):
+            with pytest.raises(ValueError, match=r"polys = \(den, terms\)"):
+                dataclasses.replace(spec, polys=polys)
+
+    def test_start_is_the_last_seed_index(self):
+        spec = RecurrenceSpec(1, (gr(1), gr(1), gr(2)), ONES, "exact")
+        assert spec.start == 2
+        assert run(spec, 5).coeffs == (gr(1), gr(1), gr(2), gr(2), gr(2), gr(2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.start = 1
+
+    @staticmethod
+    def outcome(spec, N):
+        """The stream as comparable data (f64 bits), or the error's type and index."""
+        try:
+            coeffs = run(spec, N).coeffs
+        except (NonFiniteError, SingularIndexError) as exc:
+            return type(exc), exc.index
+        if isinstance(coeffs, np.ndarray):
+            return coeffs.view(np.uint64).tolist()
+        return [repr(v) for v in coeffs]
+
+    @pytest.mark.parametrize("backend", ["exact", "f64"])
+    @pytest.mark.parametrize("info", list_families(), ids=lambda i: i.id)
+    def test_specs_are_plain_data_that_pickle(self, info, backend):
+        params = draw_params(info, Random(crc32(info.id.encode()) + 5))
+        if backend == "f64":
+            params = {k: complex(getattr(params, k)) for k in info.param_names}
+        spec = build(info.id, params, backend)
+        branches = (spec.left, spec.right) if isinstance(spec, ComboSpec) else ()
+        for s in (spec,) + branches:
+            for f in dataclasses.fields(s):
+                assert not callable(getattr(s, f.name)), (info.id, f.name)
+            copy = pickle.loads(pickle.dumps(s))
+            assert self.outcome(copy, 64) == self.outcome(s, 64), info.id
+
 
 class TestValidation:
-    def _row(self, n):
-        return (gr(1), gr(1))
+    ROW = (((1,), (0,)), ((0, ((1,), (0,))), (1, ((1,), (0,)))))  # u[n+1] = u[n] + u[n-1]
 
     def test_seed_count(self):
         with pytest.raises(ValueError, match="seeds"):
-            RecurrenceSpec(1, 1, (gr(1),), self._row, "exact")
+            RecurrenceSpec(1, (gr(1),), self.ROW, "exact")
 
     def test_start_below_order(self):
         with pytest.raises(ValueError, match="start"):
-            RecurrenceSpec(2, 1, (gr(1), gr(1)), self._row, "exact")
+            RecurrenceSpec(2, (gr(1), gr(1)), self.ROW, "exact")
 
     def test_order_positive(self):
         with pytest.raises(ValueError, match="order"):
-            RecurrenceSpec(0, 1, (gr(1), gr(1)), self._row, "exact")
+            RecurrenceSpec(0, (gr(1), gr(1)), self.ROW, "exact")
 
     def test_unknown_combiner(self):
-        spec = RecurrenceSpec(1, 1, (gr(1), gr(1)), self._row, "exact")
+        spec = RecurrenceSpec(1, (gr(1), gr(1)), self.ROW, "exact")
         with pytest.raises(ValueError, match="combiner"):
             ComboSpec(spec, spec, "(u*v)")
 
 
 class TestErrors:
+    # u[n+1] = u[n] / (n - 7)
+    OVER_N_MINUS_7 = (((1, -7), (0,)), ((0, ((1,), (0,))),))
+
     def test_singular_index_exact(self):
         spec = RecurrenceSpec(
             order=1,
-            start=1,
             seeds=(gr(1), gr(1)),
-            row=lambda n: (1 / (n - 7), 0),
+            polys=self.OVER_N_MINUS_7,
             backend="exact",
-            den_factors=lambda n: (("n-7", n - 7),),
+            den_factors=(("n-7", (1, -7)),),
         )
         with pytest.raises(SingularIndexError, match="n=7") as exc:
             run(spec, 12)
@@ -252,7 +326,7 @@ class TestErrors:
         assert "n-7" in str(exc.value)
 
     def test_singular_index_exact_with_zero_seeds(self):
-        spec = RecurrenceSpec(1, 1, (gr(0), gr(0)), lambda n: (1 / (n - 7), 0), "exact")
+        spec = RecurrenceSpec(1, (gr(0), gr(0)), self.OVER_N_MINUS_7, "exact")
         with pytest.raises(SingularIndexError, match="n=7"):
             run(spec, 12)
 
@@ -262,42 +336,12 @@ class TestErrors:
             1,
             (1.0 + 0j, 1.0 + 0j),
             [(1, -7), (0, 1), (0, 0)],
-            den_factors=lambda n: (("n-7", n - 7),),
+            den_factors=(("n-7", (1, -7)),),
         )
         with pytest.raises(SingularIndexError, match="n=7: n-7 vanishes") as exc:
             run(spec, 12)
         assert exc.value.index == 7
         assert run(spec, 7).coeffs[-1] == pytest.approx(1 / 720)  # steps n = 1 .. 6 ran
-
-    @pytest.mark.parametrize(
-        "row, want",
-        [
-            (lambda n: (gr(2), gr(0)) if n < 5 else (gr(0), gr(1)), [1, 1, 2, 4, 8, 16, 8, 16, 8]),
-            (lambda n: (1 / n if n else gr(0), gr(0)), [1, 1] + [gr(1, factorial(n)) for n in range(1, 8)]),
-            (lambda n: (n % 2, gr(1)), [1, 1, 2, 1, 3, 1, 4, 1, 5]),
-            (lambda n: (n.numerator, gr(0)), [1, 1] + [factorial(n) for n in range(1, 8)]),
-        ],
-        ids=["compares", "truth-value", "modulo", "attribute"],
-    )
-    def test_row_is_called_at_a_concrete_index(self, row, want):
-        # a plain callable is called at each n as a Fraction, so it may
-        # compare, branch on or read attributes of n
-        coeffs = run(RecurrenceSpec(1, 1, (gr(1), gr(1)), row, "exact"), 8).coeffs
-        assert coeffs == tuple(gr(w) if isinstance(w, int) else w for w in want)
-        assert all(type(v) is GaussianRational for v in coeffs)
-
-    @pytest.mark.parametrize(
-        "row",
-        [lambda n: (0.5 * n, gr(0)), lambda n: (gr(1), 0.25)],
-        ids=["float-times-n", "float-entry"],
-    )
-    def test_float_cannot_enter_an_exact_stream(self, row):
-        with pytest.raises(TypeError):
-            run(RecurrenceSpec(1, 1, (gr(1), gr(1)), row, "exact"), 12)
-
-    def test_row_unused_below_start(self):
-        spec = RecurrenceSpec(1, 1, (gr(1), gr(2)), lambda n: (n % 2, 0), "exact")
-        assert run(spec, 1).coeffs == (gr(1), gr(2))
 
     def test_non_finite_f64(self):
         # u[n+1] = 1e200 u[n]: u_2 = 1e200, u_3 overflows
@@ -359,25 +403,10 @@ class TestExactScalars:
             real = all(im == (0,) for im in imaginary)
             assert real != at_ip, info.id
 
-    @pytest.mark.parametrize("info", list_families(), ids=lambda i: i.id)
-    def test_catalogue_requests_never_call_the_row(self, info):
-        def row(n):
-            raise AssertionError("an exact catalogue request called its row")
-
-        params = draw_params(info, Random(crc32(info.id.encode()) + 4))
-        spec = build(info.id, params)
-        if isinstance(spec, ComboSpec):
-            blind = dataclasses.replace(
-                spec,
-                left=dataclasses.replace(spec.left, row=row),
-                right=dataclasses.replace(spec.right, row=row),
-            )
-        else:
-            blind = dataclasses.replace(spec, row=row)
-        assert run(blind, 40).coeffs == run(spec, 40).coeffs
-
     def test_int_and_fraction_seeds_step_to_gaussian_rationals(self):
-        spec = RecurrenceSpec(1, 1, (1, Fraction(1, 2)), lambda n: (n + 1, 1 / (n + 2)), "exact")
+        # entries n + 1 and 1 / (n + 2): (n + 1)(n + 2) and 1 over n + 2
+        polys = (((1, 2), (0,)), ((0, ((1, 3, 2), (0,))), (1, ((1,), (0,)))))
+        spec = RecurrenceSpec(1, (1, Fraction(1, 2)), polys, "exact")
         coeffs = run(spec, 4).coeffs
         assert coeffs[:2] == (1, Fraction(1, 2))
         assert all(type(v) is GaussianRational for v in coeffs[2:])
@@ -424,11 +453,11 @@ class TestIntegerStepper:
     @pytest.mark.parametrize("at", [1, 7])  # the first step, and a later one
     def test_singular_index(self, kind, at):
         row, polys = self.ROWS[kind](at)
-        spec = RecurrenceSpec(1, 1, (gr(1), gr(2)), row, "exact", polys=polys)
+        spec = RecurrenceSpec(1, (gr(1), gr(2)), polys, "exact")
         with pytest.raises(SingularIndexError, match=f"n={at}") as exc:
             run(spec, 12)
         assert exc.value.index == at
-        assert run(spec, at).coeffs == closure_stream(spec, at)
+        assert run(spec, at).coeffs == closure_stream(spec, at, row)
 
     @pytest.mark.parametrize(
         "seeds",
@@ -451,10 +480,11 @@ class TestIntegerStepper:
                 (2, ((28, -574, -4200, 86100), (0,))),
             ),
         )
-        spec = RecurrenceSpec(2, 2, seeds, row, "exact", polys=polys)
+        spec = RecurrenceSpec(2, seeds, polys, "exact")
+        want = closure_stream(spec, 60, row)
         got = run(spec, 60).coeffs
-        assert got == closure_stream(spec, 60)
-        assert [repr(v) for v in got] == [repr(v) for v in closure_stream(spec, 60)]
+        assert got == want
+        assert [repr(v) for v in got] == [repr(v) for v in want]
 
     @pytest.mark.parametrize("family_id", ["arccos-M", "exp-K"])
     def test_pi_linear_steps_as_two_rational_streams(self, family_id):
@@ -475,46 +505,6 @@ class TestIntegerStepper:
         assert all(type(v) is PiLinear for v in stepped)
         assert [v.q0 for v in stepped] == part("q0")
         assert [v.q1 for v in stepped] == part("q1")
-
-
-class TestOperationCount:
-    class Counter:
-        mults = 0
-
-        def __init__(self, v):
-            self.v = v
-
-        def _unwrap(self, other):
-            return other.v if isinstance(other, TestOperationCount.Counter) else other
-
-        def __mul__(self, other):
-            TestOperationCount.Counter.mults += 1
-            return TestOperationCount.Counter(self.v * self._unwrap(other))
-
-        __rmul__ = __mul__
-
-        def __add__(self, other):
-            return TestOperationCount.Counter(self.v + self._unwrap(other))
-
-        __radd__ = __add__
-
-    @pytest.mark.parametrize("order", [1, 3, 5])
-    def test_multiplications_per_step(self, order):
-        Counter = self.Counter
-
-        def row(n):
-            return tuple(Fraction(1, 2) for _ in range(order + 1))
-
-        seeds = tuple(Counter(Fraction(1)) for _ in range(order + 1))
-        spec = RecurrenceSpec(order, order, seeds, row, "exact")
-        counts = {}
-        for N in (order + 10, order + 30):
-            Counter.mults = 0
-            run(spec, N)
-            counts[N] = Counter.mults
-        steps = 20
-        slope = (counts[order + 30] - counts[order + 10]) / steps
-        assert slope == order + 1
 
 
 class TestCombo:
