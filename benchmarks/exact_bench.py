@@ -60,7 +60,10 @@ VALUES = {"a": Fraction(1, 3), "b": Fraction(-5, 4), "c": Fraction(7, 5), "p": F
 
 
 def _branches(spec):
-    return (spec.left, spec.right) if isinstance(spec, recurrence_core.ComboSpec) else (spec,)
+    """The branches a run steps: a conjugate combo steps its left one only."""
+    if not isinstance(spec, recurrence_core.ComboSpec):
+        return (spec,)
+    return (spec.left,) if getattr(spec, "conjugate", False) else (spec.left, spec.right)
 
 
 #: which engine the checkout on PYTHONPATH has

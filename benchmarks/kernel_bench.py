@@ -53,9 +53,11 @@ from macprod.series_oracle import elementary_series, hyper_base_series
 
 VALUES = {"a": Fraction(1, 2), "b": Fraction(1, 3), "c": Fraction(5, 4), "p": Fraction(1)}
 #: (family, parameters that differ from VALUES); binom-F at an integer p takes
-#: the taps route, at theta = 3/2 where its own recurrence is unstable
+#: the taps route, at theta = 3/2 where its own recurrence is unstable, and
+#: sin-F the exp-F branches at +-ip
 CASES = (
     ("exp-F", {}),
+    ("sin-F", {}),
     ("arctanexp-F", {}),
     ("arcsin-M", {}),
     ("binom-F", {"p": Fraction(2), "theta": Fraction(3, 2)}),

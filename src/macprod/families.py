@@ -34,7 +34,9 @@ products:
   (e^(ipz) -+ e^(-ipz))/(2i or 2), so every sin/cos/sinh/cosh product is
   the base's exp-X product at +q and at -q, combined entrywise, with q = ip
   for sin/cos and q = p for sinh/cosh.  The ``-combo`` ids are built that
-  way from the exp tables (``_mk_branches``).
+  way from the exp tables (``_mk_branches``).  At real parameters the sin/cos
+  branch at -ip is the complex conjugate of the one at +ip, and only that
+  one is stepped.
 
 Exact builds evaluate a table in integers (``_integer_rows``): each
 parameter is an integer, or a Gaussian integer, over its denominator, and
@@ -80,7 +82,7 @@ from .numerics import (
     is_nonpositive_integer,
     scalar_equals_int,
 )
-from .recurrence_core import ComboSpec, RecurrenceSpec, _horner, step_exact
+from .recurrence_core import ComboSpec, RecurrenceSpec, _horner, conjugated, step_exact
 from .series_oracle import ELLIPTIC_ABC, Elementary
 
 __all__ = [
@@ -820,11 +822,20 @@ _COMBINER = {"sinh": "(u-v)/2", "cosh": "(u+v)/2", "sin": "(u-v)/(2i)", "cos": "
 
 def _mk_branches(info, params, bk):
     """A sin/cos/sinh/cosh product as the exp-X product at +q and at -q,
-    combined entrywise: q = ip for sin and cos, q = p for sinh and cosh."""
+    combined entrywise: q = ip for sin and cos, q = p for sinh and cosh.
+
+    For sin and cos at real parameters the branch at -ip is the complex
+    conjugate of the one at +ip, so it is that branch conjugated, and the
+    run steps one branch."""
     meta = _meta(info, bk, params)
-    q = bk.imaginary_unit() * params.p if info.h in ("sin", "cos") else params.p
-    left, right = (_exp_spec(info, params, bk, meta, s) for s in (q, -q))
-    return ComboSpec(left, right, _COMBINER[info.h], meta)
+    combiner = _COMBINER[info.h]
+    trig = info.h in ("sin", "cos")
+    q = bk.imaginary_unit() * params.p if trig else params.p
+    left = _exp_spec(info, params, bk, meta, q)
+    values = [getattr(params, name) for name in params.present()]
+    if trig and all(x == x.conjugate() for x in values):
+        return ComboSpec(left, conjugated(left), combiner, meta, conjugate=True)
+    return ComboSpec(left, _exp_spec(info, params, bk, meta, -q), combiner, meta)
 
 
 def _f64_route(f64_builder):

@@ -3,7 +3,8 @@
 ``convolve`` is the oracle's truncated Cauchy product: ``np.convolve`` cut
 to the operands' length up to 1025 entries (a series through z^1024), and
 above that a recursive split into halves that never forms the block past
-the cut.
+the cut.  Two real operands are multiplied in float64, anything else in
+complex128.
 
 ``recurrence_steps`` runs the C loop in ``_STEP_C`` below.  It takes a
 recurrence's row polynomials as data and evaluates them at each step in long
@@ -204,39 +205,48 @@ def implementation_name() -> str:
 
 
 #: longest operands convolved whole: a series through z^1024.  On a 2-core
-#: x86-64 host (numpy 2.4), one split alone ran 7-12 % faster than
-#: ``np.convolve`` at 769-1281 entries (medians of 1500 interleaved calls),
-#: 20-26 % at 1537-2049, and the recursion about half the time from 4097.
-#: Yet in f64 ``verify`` requests at N = 1024, splitting at 1025 entries
-#: made the whole request 0.1-1.8 % slower in 6 of 7 alternating benchmark
-#: pairs (median 0.7 %) and changed nothing in the seventh.
+#: x86-64 host (numpy 2.4, medians of interleaved calls), one split of two
+#: float64 operands against ``np.convolve``: 12-13 % slower at 769 entries,
+#: 0-5 % slower at 1025, between 7 % faster and 5 % slower at 1281, and
+#: 14-15 % faster at 1537, 19 % at 2049, 40 % at 4097; of two complex128
+#: operands, 3-8 % faster at 769-1025 and 16-24 % faster from 1537.  Most
+#: oracle products are real, and in f64 ``verify`` requests at N = 1024
+#: splitting real products at 1025 entries did not help: 3.36 against
+#: 3.38 ms and 3.28 against 3.15 ms a request (medians of 12 and 20
+#: alternated passes over every id).
 _CONV_WHOLE = 1025
 
 
 def _truncated(a, b) -> np.ndarray:
-    """The first len(a) entries of a * b.  Longer operands split in halves,
-    a = a0 + z^h a1 and b = b0 + z^h b1 with 2h >= len(a), so the a1 b1 block
-    lies past the cut and is never formed: a0 b0 whole, the cross terms as
-    two truncated products of half the length, about half the work of
-    ``np.convolve``."""
+    """The first len(a) entries of a * b, in the operands' dtype.  Longer
+    operands split in halves, a = a0 + z^h a1 and b = b0 + z^h b1 with
+    2h >= len(a), so the a1 b1 block lies past the cut and is never formed:
+    a0 b0 whole, the cross terms as two truncated products of half the
+    length, about half the work of ``np.convolve``."""
     n = len(a)
     if n <= _CONV_WHOLE:
         return np.convolve(a, b)[:n]
     h = (n + 1) // 2
     m = n - h
-    out = np.zeros(n, dtype=np.complex128)
+    out = np.zeros(n, dtype=a.dtype)
     out[: 2 * h - 1] = np.convolve(a[:h], b[:h])[:n]
     out[h:] += _truncated(a[:m], b[h:]) + _truncated(a[h:], b[:m])
     return out
 
 
 def convolve(a, b) -> np.ndarray:
-    """Truncated Cauchy product of two equal-length complex128 arrays."""
+    """Truncated Cauchy product of two equal-length complex128 arrays, as
+    complex128.  When both are real it is formed from their float64 real
+    parts, and every imaginary part is +0.0."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     if a.shape != b.shape:
         raise ValueError("convolve operands must share one length")
-    return _truncated(a, b)
+    if a.imag.any() or b.imag.any():
+        return _truncated(a, b)
+    out = np.zeros(len(a), dtype=np.complex128)
+    out.real = _truncated(a.real.copy(), b.real.copy())
+    return out
 
 
 def recurrence_steps(polys, u, n0: int, first: int | None = None, impl=None):

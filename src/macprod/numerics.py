@@ -167,6 +167,9 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
+    def conjugate(self):
+        return GaussianRational(self.re, -self.im)
+
     def __pos__(self):
         return self
 
@@ -294,6 +297,9 @@ class PiLinear:
 
     def __neg__(self):
         return PiLinear(-self.q0, -self.q1)
+
+    def conjugate(self):
+        return PiLinear(self.q0.conjugate(), self.q1.conjugate())
 
     def __pos__(self):
         return self

@@ -33,7 +33,10 @@ whose single recurrence is unstable in floats those ways.  An f64 run
 returns a complex128 array, and a combo's two f64 branches combine as
 arrays.
 
-A :class:`ComboSpec` combines two recurrence branches entrywise.
+A :class:`ComboSpec` combines two recurrence branches entrywise.  When the
+right branch is the complex conjugate of the left (a sin/cos product at
+real parameters: the exp-X branches at +ip and -ip), it says so, and a run
+steps the left branch alone.
 
 ``run`` is the one entry point: it accepts every spec kind and dispatches on
 it.  It is a pure function over immutable specs; concurrent runs are safe.
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -54,12 +57,17 @@ from . import kernels
 from .numerics import GaussianRational, PiLinear, SingularIndexError, get_backend
 from .series_oracle import CoeffStream, _finite_or_raise
 
-#: per combiner: whether it adds or subtracts the branches, then its scale
-#: on a backend (1/(2i) = -i/2)
+_FRACTION_ZERO = Fraction(0)
+#: per combiner: whether it adds or subtracts the branches, its scale on a
+#: backend (1/(2i) = -i/2), and what it makes of an exact u and its
+#: conjugate, as the (real, imaginary) parts of the result from those of u:
+#: (u + conj u)/2 = Re u, (u - conj u)/2 = i Im u, (u - conj u)/(2i) = Im u
 _COMBINE = {
-    "(u-v)/2": (operator.sub, lambda bk: bk.one() / 2),
-    "(u+v)/2": (operator.add, lambda bk: bk.one() / 2),
-    "(u-v)/(2i)": (operator.sub, lambda bk: -bk.imaginary_unit() / 2),
+    "(u-v)/2": (operator.sub, lambda bk: bk.one() / 2, lambda re, im: (_FRACTION_ZERO, im)),
+    "(u+v)/2": (operator.add, lambda bk: bk.one() / 2, lambda re, im: (re, _FRACTION_ZERO)),
+    "(u-v)/(2i)": (
+        operator.sub, lambda bk: -bk.imaginary_unit() / 2, lambda re, im: (im, _FRACTION_ZERO)
+    ),
 }
 COMBINERS = tuple(_COMBINE)
 _ZERO = GaussianRational(0)
@@ -147,21 +155,86 @@ class RecurrenceSpec:
                 f"{self.order}: the first step would reach before u_0"
             )
 
+    def _fields(self):
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other):
+        """Field by field; f64 polys by shape, dtype and value, so -0.0
+        equals 0.0."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(map(_same, self._fields(), other._fields()))
+
+    def __hash__(self):
+        return hash(tuple(map(_hashable, self._fields())))
+
+
+def _same(x, y) -> bool:
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return (
+            isinstance(x, np.ndarray)
+            and isinstance(y, np.ndarray)
+            and x.shape == y.shape
+            and x.dtype == y.dtype
+            and (x is y or np.array_equal(x, y))
+        )
+    return x == y
+
+
+def _hashable(x):
+    """x, or an array as its shape, dtype and the bytes of its values plus
+    +0 (which makes every zero +0.0) rounded to double, which are equal for
+    arrays that are equal by value."""
+    if not isinstance(x, np.ndarray):
+        return x
+    double = np.complex128 if np.iscomplexobj(x) else np.float64
+    return x.shape, x.dtype.str, (x + 0).astype(double).tobytes()
+
+
+def conjugated(spec: RecurrenceSpec) -> RecurrenceSpec:
+    """The spec whose stream is the complex conjugate of ``spec``'s: its
+    seeds, row polynomials and taps conjugated."""
+    if spec.backend == "f64":
+        polys = np.conj(spec.polys)
+        polys.flags.writeable = False
+    else:
+        den, terms = spec.polys
+        polys = (_conj_poly(den), tuple((i, _conj_poly(num)) for i, num in terms))
+    return replace(
+        spec,
+        seeds=tuple(s.conjugate() for s in spec.seeds),
+        polys=polys,
+        taps=tuple(t.conjugate() for t in spec.taps),
+    )
+
+
+def _conj_poly(poly):
+    re, im = poly
+    return re, tuple(-x for x in im)
+
 
 @dataclass(frozen=True)
 class ComboSpec:
-    """Two recurrence branches combined entrywise."""
+    """Two recurrence branches combined entrywise.
+
+    With ``conjugate`` the right branch is ``conjugated(left)``, and a run
+    steps the left branch only: f64 combines it with its conjugate, and
+    exact reads the result from its real and imaginary parts.
+    """
 
     left: RecurrenceSpec
     right: RecurrenceSpec
     combiner: str
     meta: tuple = field(default=())
+    conjugate: bool = False
 
     def __post_init__(self):
         if self.combiner not in COMBINERS:
             raise ValueError(f"unknown combiner {self.combiner!r}")
         if self.left.backend != self.right.backend:
             raise ValueError("combo branches must share one backend")
+        if self.conjugate and self.right != conjugated(self.left):
+            raise ValueError("a conjugate combo's right branch is its left branch conjugated")
 
     @property
     def backend(self):
@@ -300,14 +373,24 @@ def _run_f64(spec: RecurrenceSpec, N: int) -> np.ndarray:
 
 def _run_combo(combo: ComboSpec, N: int):
     """The branches combined entrywise; numpy's complex product is Python's
-    formula, so f64 arrays give the entries Python scalars would."""
+    formula, so f64 arrays give the entries Python scalars would.  A
+    conjugate combo steps its left branch only."""
     bk = get_backend(combo.backend)
-    combine, scale = _COMBINE[combo.combiner]
+    combine, scale, parts = _COMBINE[combo.combiner]
     scale = scale(bk)
     if combo.backend != "f64":
-        left, right = run(combo.left, N).coeffs, run(combo.right, N).coeffs
+        left = run(combo.left, N).coeffs
+        if combo.conjugate:
+            return [
+                GaussianRational(*parts(u.re, u.im)) if type(u) is GaussianRational
+                else combine(u, u.conjugate()) * scale
+                for u in left
+            ]
+        right = run(combo.right, N).coeffs
         return [combine(u, v) * scale for u, v in zip(left, right)]
-    values = combine(_run_f64(combo.left, N), _run_f64(combo.right, N)) * scale
+    u = _run_f64(combo.left, N)
+    v = u.conj() if combo.conjugate else _run_f64(combo.right, N)
+    values = combine(u, v) * scale
     _finite_or_raise(values, "combo")
     return values
 

@@ -80,10 +80,25 @@ class TestConvolve:
         im = np.convolve(parts[0], parts[3])[:N] + np.convolve(parts[1], parts[2])[:N]
         got = kernels.convolve(a, b)
         assert np.array_equal(got.real, re) and np.array_equal(got.imag, im)
+        # one real operand keeps the complex product
+        got = kernels.convolve(parts[0].astype(np.complex128), b)
+        re, im = np.convolve(parts[0], parts[2])[:N], np.convolve(parts[0], parts[3])[:N]
+        assert np.array_equal(got.real, re) and np.array_equal(got.imag, im)
         # and rounded operands stay within a few ulps of the largest entry
         x, y = _random_complex(rng, N), _random_complex(rng, N)
         want = np.convolve(x, y)[:N]
         assert np.abs(kernels.convolve(x, y) - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("N", [40, kernels._CONV_WHOLE + 1, 4097])
+    def test_real_operands_give_the_real_product(self, N):
+        # two real operands multiply in float64; integers below 2^10 keep
+        # every partial sum exact, so the result is the integer product
+        rng = np.random.default_rng(N + 1)
+        x, y = rng.integers(-1024, 1024, size=(2, N))
+        got = kernels.convolve(x.astype(np.complex128), y.astype(np.complex128))
+        assert got.dtype == np.complex128
+        assert np.array_equal(got.real, np.convolve(x, y)[:N])
+        assert not got.imag.any() and not np.signbit(got.imag).any()
 
 
 def _random_polys(rng, sets, k, width, cplx):

@@ -8,7 +8,7 @@ from zlib import crc32
 import numpy as np
 import pytest
 
-from macprod import kernels
+from macprod import kernels, recurrence_core
 from macprod.families import build, get_family, list_families
 from macprod.numerics import (
     EXACT,
@@ -16,6 +16,8 @@ from macprod.numerics import (
     NonFiniteError,
     PiLinear,
     SingularIndexError,
+    approximate,
+    get_backend,
 )
 from macprod.recurrence_core import (
     ComboSpec,
@@ -529,3 +531,132 @@ class TestCombo:
         combo = build("sin-M-combo", {"a": Fraction(1, 2), "c": Fraction(4, 3), "p": 2})
         stream = run(combo, 16)
         assert all(v.im == 0 for v in stream.coeffs)
+
+
+class TestConjugateBranches:
+    """At real a, b, c and p the sin/cos branch at -ip is the conjugate of the
+    one at +ip: a run steps one branch, and its result keeps every bit of
+    the two branches stepped apart and combined."""
+
+    EXACT_IDS = ("sin-M-combo", "cos-M-combo", "sin-F-combo", "cos-F-combo")
+    F64_IDS = EXACT_IDS + tuple(f"{h}-{b}" for b in "MFKE" for h in ("sin", "cos"))
+
+    @staticmethod
+    def draws(family, backend):
+        """Real draws at a negative p, at p = 0 and at a positive p."""
+        info = get_family(family)
+        params = draw_params(info, Random(crc32(family.encode()) + 7))
+        magnitude = abs(params.p) or Fraction(3, 2)
+        for p in (-magnitude, Fraction(0), magnitude + Fraction(1, 3)):
+            values = {k: getattr(params, k) for k in info.param_names} | {"p": p}
+            yield {k: complex(v) for k, v in values.items()} if backend == "f64" else values
+
+    @staticmethod
+    def two_branches(family, params, backend, N):
+        """The parent formula: the exp-X branches at +ip and -ip, each built
+        and stepped on its own, combined entrywise."""
+        info = get_family(family)
+        bk = get_backend(backend)
+        q = bk.imaginary_unit() * bk.coerce(params["p"])
+        exp_id = f"exp-{info.base}"
+        u, v = (run(build(exp_id, dict(params, p=s), backend), N).coeffs for s in (q, -q))
+        combine, scale, _ = recurrence_core._COMBINE[build(family, params, backend).combiner]
+        if backend == "f64":
+            return combine(u, v) * scale(bk)
+        return [combine(x, y) * scale(bk) for x, y in zip(u, v)]
+
+    @staticmethod
+    def bits(coeffs):
+        if isinstance(coeffs, np.ndarray):
+            return coeffs.view(np.uint64).tolist()
+        return [(type(v), v.re, v.im, type(v.re), type(v.im)) for v in coeffs]
+
+    def check(self, family, backend, N, monkeypatch):
+        stepped = []
+        for name in ("_run_generic", "_run_f64"):
+            step = getattr(recurrence_core, name)
+
+            def counted(spec, n, step=step):
+                stepped.append(spec)
+                return step(spec, n)
+
+            monkeypatch.setattr(recurrence_core, name, counted)
+        for params in self.draws(family, backend):
+            spec = build(family, params, backend)
+            assert spec.conjugate and spec.right == recurrence_core.conjugated(spec.left)
+            stepped.clear()
+            got = run(spec, N).coeffs
+            assert stepped == [spec.left], (family, params)
+            want = self.two_branches(family, params, backend, N)
+            assert self.bits(got) == self.bits(want), (family, params, N)
+
+    @pytest.mark.parametrize("N", [64, 1024])
+    @pytest.mark.parametrize("family", EXACT_IDS)
+    def test_exact_combos(self, family, N, monkeypatch):
+        self.check(family, "exact", N, monkeypatch)
+
+    @pytest.mark.parametrize("N", [64, 1024])
+    @pytest.mark.parametrize("family", F64_IDS)
+    def test_f64_routes(self, family, N, monkeypatch):
+        self.check(family, "f64", N, monkeypatch)
+
+    @pytest.mark.parametrize("backend", ["exact", "f64"])
+    @pytest.mark.parametrize("family", EXACT_IDS)
+    def test_complex_p_steps_both_branches(self, family, backend):
+        info = get_family(family)
+        params = draw_params(info, Random(crc32(family.encode()) + 8))
+        params = {k: getattr(params, k) for k in info.param_names}
+        params["p"] = G(params["p"], Fraction(2, 5))
+        if backend == "f64":
+            params = {k: complex(approximate(v)) for k, v in params.items()}
+        spec = build(family, params, backend)
+        assert not spec.conjugate
+        assert spec.right != recurrence_core.conjugated(spec.left)
+        got = run(spec, 64).coeffs
+        assert self.bits(got) == self.bits(self.two_branches(family, params, backend, 64))
+
+    def test_right_branch_must_be_the_conjugate(self):
+        spec = build("sin-M-combo", {"a": Fraction(1, 2), "c": Fraction(4, 3), "p": 2})
+        other = build("sin-M-combo", {"a": Fraction(1, 2), "c": Fraction(4, 3), "p": 3})
+        with pytest.raises(ValueError, match="conjugate"):
+            ComboSpec(spec.left, other.right, spec.combiner, conjugate=True)
+        with pytest.raises(ValueError, match="conjugate"):
+            ComboSpec(spec.left, spec.left, spec.combiner, conjugate=True)
+
+
+class TestSpecEquality:
+    """Specs compare and hash by value; f64 polys by shape, dtype and value."""
+
+    EXP_M = {"a": 0.5, "c": 1.5, "p": 1.0}
+
+    @pytest.mark.parametrize("family", ["exp-M", "sin-M-combo", "sinh-F-combo"])
+    def test_f64_builds(self, family):
+        info = get_family(family)
+        params = {k: self.EXP_M.get(k, 0.25) for k in info.param_names}
+        one, two = (build(family, params, "f64") for _ in range(2))
+        assert one == two and hash(one) == hash(two)
+        assert len({one, two}) == 1
+        other = build(family, dict(params, p=2.0), "f64")
+        assert one != other
+
+    @pytest.mark.parametrize("family", ["exp-M", "sin-M-combo", "arcsin-M"])
+    def test_exact_builds(self, family):
+        info = get_family(family)
+        params = {k: {"c": Fraction(3, 2)}.get(k, Fraction(1, 2)) for k in info.param_names}
+        one, two = build(family, params), build(family, params)
+        assert one == two and hash(one) == hash(two)
+        assert one != build(family, dict(params, p=Fraction(2)))
+
+    def test_signed_zero_shape_and_dtype(self):
+        polys = [[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]
+        spec = f64_spec(1, (0.0, 1.0), polys)
+        signed = f64_spec(1, (-0.0, 1.0), [[1.0, 1.0], [-0.0, 1.0], [1.0, -0.0]])
+        assert np.signbit(signed.polys).any()
+        assert spec == signed and hash(spec) == hash(signed)
+        assert spec != f64_spec(1, (0.0, 1.0), [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        assert spec != f64_spec(1, (0.0, 1.0), [[1.0, 1.0], [0.0, 1.0], [1.0, 0.5]])
+        cplx = dataclasses.replace(spec, polys=np.array(spec.polys, dtype=np.clongdouble))
+        assert spec != cplx
+        # conjugating a real array flips the sign of every imaginary zero
+        flipped = dataclasses.replace(cplx, polys=np.conj(cplx.polys))
+        assert cplx == flipped and hash(cplx) == hash(flipped)
