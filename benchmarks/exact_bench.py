@@ -5,16 +5,11 @@ repetition, so the columns of one record are read at the same moments; it
 reports, best of ``--reps``:
 
 * ``build``: ``families.build``;
-* ``rows``: turning the row into per-step coefficients.  With integer tables
-  this is the table evaluation, ``families._integer_rows`` for each branch,
-  which ``build`` contains (it steps the seeds with the tables); with
-  compiled rows it is the one ``recurrence_core._compile`` call per branch,
-  which ``run`` contains; on an engine with neither, the row closure
-  evaluated at every step index;
+* ``rows``: the table evaluations, ``families._integer_rows`` for each
+  branch, which ``build`` contains (it steps the seeds with the rows);
 * ``wrap``: rebuilding the public Gaussian-rational (and pi-linear) values
   from their Fraction parts, which is what materialisation costs;
-* ``step``: ``run`` minus ``wrap``, and minus ``rows`` where ``run``
-  contains them;
+* ``step``: ``run`` minus ``wrap``;
 * ``run``: ``recurrence_core.run`` on the built spec;
 * ``request``: ``macprod coeffs --backend exact`` in this process, output
   captured, from argument parsing to JSON text;
@@ -59,37 +54,26 @@ FAMILIES = (
 VALUES = {"a": Fraction(1, 3), "b": Fraction(-5, 4), "c": Fraction(7, 5), "p": Fraction(3, 2)}
 
 
-def _branches(spec):
+def branches(spec):
     """The branches a run steps: a conjugate combo steps its left one only."""
     if not isinstance(spec, recurrence_core.ComboSpec):
         return (spec,)
-    return (spec.left,) if getattr(spec, "conjugate", False) else (spec.left, spec.right)
+    return (spec.left,) if spec.conjugate else (spec.left, spec.right)
 
 
-#: which engine the checkout on PYTHONPATH has
-ENGINE = (
-    "integer tables" if hasattr(families, "_integer_rows")
-    else "compiled rows" if hasattr(recurrence_core, "_compile")
-    else "row closures"
-)
-
-
-def _rows_fn(family: str, params: dict, spec, N: int):
-    if ENGINE == "integer tables":  # the table evaluations one build makes
-        evaluate, calls = families._integer_rows, []
-        families._integer_rows = lambda *args: calls.append(args) or evaluate(*args)
-        try:
-            build(family, params)
-        finally:
-            families._integer_rows = evaluate
-        return lambda: [evaluate(*args) for args in calls]
-    if ENGINE == "compiled rows":
-        return lambda: [recurrence_core._compile(b) for b in _branches(spec)]
-    return lambda: [b.row(Fraction(n)) for b in _branches(spec) for n in range(b.start, N)]
+def _rows_fn(family: str, params: dict):
+    """The table evaluations one build makes."""
+    evaluate, calls = families._integer_rows, []
+    families._integer_rows = lambda *args: calls.append(args) or evaluate(*args)
+    try:
+        build(family, params)
+    finally:
+        families._integer_rows = evaluate
+    return lambda: [evaluate(*args) for args in calls]
 
 
 def _wrap_fn(spec, N: int):
-    stepped = [v for b in _branches(spec) for v in recurrence_core.run(b, N).coeffs[b.start + 1:]]
+    stepped = [v for b in branches(spec) for v in recurrence_core.run(b, N).coeffs[b.start + 1:]]
 
     def gaussian(g):
         return GaussianRational(g.re, g.im)
@@ -125,7 +109,7 @@ def measure(family: str, N: int, reps: int) -> dict:
     spec = build(family, params)
     layers = {
         "build": lambda: build(family, params),
-        "rows": _rows_fn(family, params, spec, N),
+        "rows": _rows_fn(family, params),
         "wrap": _wrap_fn(spec, N),
         "run": lambda: recurrence_core.run(spec, N),
         "request": lambda: _request(_argv(family, N)),
@@ -149,8 +133,7 @@ def measure(family: str, N: int, reps: int) -> dict:
             f"incoherent record for {family} at N = {N}: request "
             f"{ms['request'] * 1e3:.3f} ms < run {ms['run'] * 1e3:.3f} ms; rerun"
         )
-    rows_in_run = 0.0 if ENGINE == "integer tables" else ms["rows"]
-    ms["step"] = max(ms["run"] - rows_in_run - ms["wrap"], 0.0)
+    ms["step"] = max(ms["run"] - ms["wrap"], 0.0)
     record = {"family": family, "N": N}
     record.update({f"{k}_ms": None if k in failed else round(v * 1e3, 3) for k, v in ms.items()})
     return record | ({"failed": failed} if failed else {})
@@ -165,8 +148,7 @@ def main() -> int:
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    engine = ENGINE
-    print(f"exact engine: {engine}; f64 kernels: {kernels.implementation_name()}")
+    print(f"f64 kernels: {kernels.implementation_name()}")
     cols = ("build", "rows", "step", "wrap", "run", "request", "oracle")
     print(f"{'family':12s} {'N':>4s} " + " ".join(f"{c:>9s}" for c in cols) + "   (ms)")
     results = []
@@ -184,7 +166,6 @@ def main() -> int:
         record.setdefault("benchmark", "exact-rows")
         record.setdefault("params", {k: str(v) for k, v in VALUES.items()})
         record.setdefault("runs", {})[args.label] = {
-            "engine": engine,
             "kernels": kernels.implementation_name(),
             "python": platform.python_version(),
             "numpy": np.__version__,

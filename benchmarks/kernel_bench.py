@@ -1,16 +1,17 @@
-"""Time the f64 layers: factor series, stepping, the whole run, the oracle's
-convolution, a verify request.
+"""Time the f64 layers: build, stepping, the whole run, factor series, the
+oracle's convolution, a verify request.
 
 For each case and size, one interleaved loop runs every layer once per
 repetition, so the columns of one record are read at the same moments; each
 column is the best of ``--reps``:
 
-* ``step_<impl>``: ``kernels.recurrence_steps`` on the f64 spec's row
-  polynomials over all its steps, in one call, row evaluation and stepping
-  as one layer, for each implementation in ``kernels.implementations()``
-  (``python``, and ``compiled`` when the C loop could be built); absent
-  where the spec carries no row polynomials (a tree that evaluated its rows
-  outside the kernel);
+* ``build``: ``families.build`` of the f64 spec;
+* ``step_<impl>``: ``kernels.recurrence_steps`` on the row polynomials of
+  each branch ``run`` steps (a combo's two, or a conjugate combo's left one
+  only), one call per branch over all its steps, row evaluation and
+  stepping as one layer, for each implementation in
+  ``kernels.implementations()`` (``python``, and ``compiled`` when the C
+  loop could be built);
 * ``run``: ``recurrence_core.run`` on the built f64 spec: rows, stepping and
   whatever the spec's route adds (the interleaved sequences of ``arcsin-M``,
   the binomial taps of ``binom-F`` at an integer p);
@@ -46,6 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
+from exact_bench import branches
 from macprod import cli, kernels, recurrence_core
 from macprod.families import build, conform_params, elementary_factor, get_family
 from macprod.numerics import get_backend
@@ -66,18 +68,18 @@ CASES = (
 
 
 def _step_layers(spec, N: int) -> dict:
-    """``step_<impl>`` for every implementation, over the spec's row polynomials."""
-    polys = getattr(spec, "polys", None)
-    if polys is None:
-        return {}
-    n0 = spec.start
-    M = spec.interleave * N
-    layers = {}
-    for name, impl in kernels.implementations().items():
-        u = np.zeros(M + 1, dtype=np.complex128)  # each call rewrites u[n0+1:]
-        u[: n0 + 1] = spec.seeds
-        layers[f"step_{name}"] = lambda u=u, impl=impl: kernels.recurrence_steps(polys, u, n0, impl=impl)
-    return layers
+    """``step_<impl>`` for every implementation, over the branches ``run`` steps."""
+    steps = []
+    for b in branches(spec):
+        u = np.zeros(b.interleave * N + 1, dtype=np.complex128)  # each call rewrites u[start+1:]
+        u[: b.start + 1] = b.seeds
+        steps.append((b.polys, u, b.start))
+    return {
+        f"step_{name}": lambda impl=impl: [
+            kernels.recurrence_steps(polys, u, n0, impl=impl) for polys, u, n0 in steps
+        ]
+        for name, impl in kernels.implementations().items()
+    }
 
 
 def _layers(family: str, values: dict, N: int) -> dict:
@@ -86,7 +88,7 @@ def _layers(family: str, values: dict, N: int) -> dict:
     info = get_family(family)
     params = conform_params({k: values[k] for k in info.param_names}, bk)
     spec = build(family, params, bk)
-    layers = _step_layers(spec, N)
+    layers = {"build": lambda: build(family, params, bk), **_step_layers(spec, N)}
     layers["run"] = lambda: recurrence_core.run(spec, N)
     factor = elementary_factor(info, params)
 

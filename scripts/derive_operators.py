@@ -337,7 +337,7 @@ def check_table(name, P) -> list:
     from macprod import families
 
     problems = []
-    names, size, _, _, monomials = families._operator(name)
+    names, size, _, _, monomials = families._parse(families._OPERATORS[name])
     xs = variables(name)
     if names != tuple(NAMES[x] for x in xs):
         problems.append(f"{name}: table variables {names}")

@@ -38,6 +38,7 @@ from .numerics import (
     SingularIndexError,
     format_scalar,
     get_backend,
+    parse_scalar,
 )
 from .recurrence_core import run
 
@@ -63,7 +64,7 @@ def _parse_params(args, bk) -> Params:
     fields = {}
     for name in _PARAM_FLAGS:
         raw = getattr(args, name)
-        fields[name] = None if raw is None else bk.parse(raw)
+        fields[name] = None if raw is None else parse_scalar(raw, bk)
     return Params(**fields)
 
 
@@ -140,7 +141,7 @@ def cmd_coeffs(args) -> int:
         doc = {
             "family": info.id,
             "base": info.base,
-            "params": dict(params_snapshot(params, bk)),
+            "params": dict(params_snapshot(params)),
             "backend": bk.name,
             "normalized": bool(args.normalized),
             "coeffs": records,
@@ -171,7 +172,7 @@ def cmd_eval(args) -> int:
     if args.count < 0:
         raise ParameterDomainError("--count must be nonnegative")
     params = _parse_params(args, bk)
-    z = bk.parse(args.z)
+    z = parse_scalar(args.z, bk)
     stream = run(build(args.family, params, bk), args.count)
     radius = _numeric_radius(info, params)
     if abs(z) >= radius:

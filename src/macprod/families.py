@@ -38,15 +38,18 @@ products:
   branch at -ip is the complex conjugate of the one at +ip, and only that
   one is stepped.
 
-Exact builds evaluate a table in integers (``_integer_rows``): each
-parameter is an integer, or a Gaussian integer, over its denominator, and
-the denominators are cleared by the largest power each parameter reaches.
-The result is the recurrence's integer row polynomials in n, which the
-exact engine steps.  f64 builds compute the same row polynomials'
-coefficients in long double (complex only when a parameter is) and hand
-them to the f64 kernel, which evaluates each row in long double as it
-steps, so each entry is its correctly rounded double but for rare
-near-ties where long double is wider than double (x87's is).
+Both backends get a table's row from one plan (``_plan``), made once per
+table: an integer matrix that maps the values of the table's monomials to
+the coefficients of P_0(n+1), -P_1(n), -P_2(n-1), ... as polynomials in n,
+with the Taylor shift and the signs applied.  Exact builds
+(``_integer_rows``) put in the monomials' values as Gaussian integers,
+each parameter's denominator cleared by the largest power it reaches, and
+get the integer row polynomials the exact engine steps.  f64 builds
+(``_float_polys``) put them in as long doubles (complex only when a
+parameter is) and hand the row polynomials to the f64 kernel, which
+evaluates each row in long double as it steps, so each entry is its
+correctly rounded double but for rare near-ties where long double is wider
+than double (x87's is).
 
 The exact backend steps the table of every single id.  In f64 the
 high-order singles (sin/cos/sinh/cosh over every base, arcsin-M, arccos-M)
@@ -68,9 +71,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -78,6 +82,7 @@ from . import kernels
 from .numerics import (
     GaussianRational,
     ParameterDomainError,
+    format_scalar,
     get_backend,
     is_nonpositive_integer,
     scalar_equals_int,
@@ -460,7 +465,6 @@ _OPERATORS = {
 }
 
 
-@functools.cache
 def _parse(entry):
     """(variables, number of P_j, theta degree, highest exponent of each
     variable, monomials).  A monomial is its exponents with the (j, t, coef)
@@ -478,8 +482,53 @@ def _parse(entry):
     return names, len(polys), degree, top, monomials
 
 
-def _operator(name):
-    return _parse(_OPERATORS[name])
+class _Plan(NamedTuple):
+    """An operator's recurrence row as a linear map of its monomials' values:
+    one matrix row per coefficient of P_0(n+1), -P_1(n), -P_2(n-1), ..."""
+
+    names: tuple  # the variables
+    top: tuple  # the highest exponent of each variable
+    exps: tuple  # per monomial, the exponent of each variable
+    exps_array: np.ndarray  # exps as an integer array
+    gather: Callable  # the monomial value of each nonzero entry, row by row
+    factors: tuple  # the nonzero entries, row by row
+    spans: tuple  # per row, its (start, end) in factors
+    wide: np.ndarray  # the whole matrix, in long double
+    width: int  # coefficients per polynomial: the theta degree + 1
+
+    def times(self, values):
+        """The matrix times the integer ``values`` of the monomials."""
+        products = list(map(operator.mul, self.factors, self.gather(values)))
+        return [sum(products[a:b]) for a, b in self.spans]
+
+
+@functools.cache
+def _plan(entry):
+    """Operator ``entry``'s row: the integer matrix that maps the values of
+    its monomials to the coefficients of P_0(n+1), -P_1(n), -P_2(n-1), ...
+    as polynomials in n, highest power first (each P_j Taylor-shifted by
+    1 - j).  Both backends evaluate this one matrix.  The cache is keyed on
+    the entry itself, so a replaced table gets a plan of its own."""
+    names, size, degree, top, monomials = _parse(entry)
+    width = degree + 1
+    terms = np.zeros((size, width, len(monomials)), dtype=np.int64)
+    for m, (_, uses) in enumerate(monomials):
+        for j, t, coef in uses:
+            terms[j, degree - t, m] = -coef if j else coef
+    for j in range(size):
+        s = 1 - j  # P(n + s) = sum_i a_i (n + s)^(degree - i)
+        shift = [[math.comb(degree - i, degree - r) * s ** (r - i) if i <= r else 0
+                  for i in range(width)] for r in range(width)]
+        terms[j] = np.array(shift, dtype=np.int64) @ terms[j]
+    matrix = terms.reshape(size * width, -1)
+    rows, cols = np.nonzero(matrix)  # row-major
+    ends = np.searchsorted(rows, np.arange(len(matrix)), side="right").tolist()
+    exps = tuple(exps for exps, _ in monomials)
+    return _Plan(
+        names, top, exps, np.array(exps), operator.itemgetter(*cols.tolist()),
+        tuple(matrix[rows, cols].tolist()), tuple(zip([0] + ends[:-1], ends)),
+        matrix.astype(np.longdouble), width,
+    )
 
 
 def _int_parts(x):
@@ -491,91 +540,47 @@ def _int_parts(x):
     return x.numerator, 0, x.denominator
 
 
-def _integer_operator(name, values):
-    """The P_j of operator ``name`` at exact ``values``, scaled by prod q^E
-    over the variables (denominator q, highest exponent E): per P_j its
-    theta-coefficients, lowest power first, as the integer lists of the real
-    and of the imaginary parts (None for a real operator)."""
-    names, size, degree, top, monomials = _operator(name)
-    parts = [_int_parts(values[x]) for x in names]
-    re = [[0] * (degree + 1) for _ in range(size)]
-    if not any(im for _, im, _ in parts):
-        # x^e q^(E-e): each term is then one coefficient times these powers
-        powers = [[r**e * q ** (E - e) for e in range(E + 1)] for (r, _, q), E in zip(parts, top)]
-        for exps, uses in monomials:
-            x = 1
-            for pw, e in zip(powers, exps):
-                x *= pw[e]
-            for j, t, coef in uses:
-                re[j][t] += coef * x
-        return re, None
-    im = [[0] * (degree + 1) for _ in range(size)]
-    powers = []
-    for (r, i, q), E in zip(parts, top):
-        pw, xr, xi = [], 1, 0
-        for e in range(E + 1):
-            pw.append((xr * q ** (E - e), xi * q ** (E - e)))
-            xr, xi = xr * r - xi * i, xr * i + xi * r
-        powers.append(pw)
-    for exps, uses in monomials:
-        xr, xi = 1, 0
-        for pw, e in zip(powers, exps):
-            yr, yi = pw[e]
-            xr, xi = xr * yr - xi * yi, xr * yi + xi * yr
-        for j, t, coef in uses:
-            re[j][t] += coef * xr
-            im[j][t] += coef * xi
-    return re, im
-
-
-def _shifted(coeffs, s, sign, g):
-    """sign * P(n + s) / g, highest power first, for P given lowest power
-    first (Taylor shift by Horner's scheme); a zero polynomial is (0,)."""
-    if not any(coeffs):
-        return (0,)
-    c = [x // g for x in coeffs] if g > 1 else list(coeffs)
-    for i in range(len(c) - 1 if s else 0):
-        for k in range(len(c) - 2, i - 1, -1):
-            c[k] += s * c[k + 1]
-    while len(c) > 1 and not c[-1]:
-        c.pop()
-    return tuple(sign * x for x in reversed(c))
+def _trim(coeffs):
+    """A polynomial, highest power first, without leading zeros; zero is (0,)."""
+    k = 0
+    while k < len(coeffs) - 1 and not coeffs[k]:
+        k += 1
+    return tuple(coeffs[k:])
 
 
 def _integer_rows(name, values) -> tuple:
     """Operator ``name`` at exact ``values`` as the exact engine's integer
     row ``(den, terms)``: den is P_0(n+1), entry i's numerator -P_{i+1}(n-i),
-    each a pair (real part, imaginary part) of integer polynomials in n."""
-    re, im = _integer_operator(name, values)
-    g = math.gcd(*(x for P in re + (im or []) for x in P))  # the content
-    shifts = [(1, 1)] + [(-i, -1) for i in range(len(re) - 1)]  # P_0(n+1), -P_{i+1}(n-i)
-    pairs = [
-        (_shifted(r, s, sign, g), (0,) if im is None else _shifted(im[j], s, sign, g))
-        for j, (r, (s, sign)) in enumerate(zip(re, shifts))
-    ]
-    den, *nums = pairs
+    each a pair (real part, imaginary part) of integer polynomials in n.
+
+    Each parameter is an integer, or a Gaussian integer, over its
+    denominator q.  Scaled by prod q^E over the variables (highest exponent
+    E), every monomial value is a Gaussian integer; its real and imaginary
+    parts go through the plan's matrix, and the rows are divided by their
+    content."""
+    plan = _plan(_OPERATORS[name])
+    powers = []  # per variable, x^e q^(E-e) for e = 0 .. E, as (re, im)
+    for (r, i, q), E in zip((_int_parts(values[x]) for x in plan.names), plan.top):
+        pw, xr, xi = [], 1, 0
+        for e in range(E + 1):
+            pw.append((xr * q ** (E - e), xi * q ** (E - e)))
+            xr, xi = xr * r - xi * i, xr * i + xi * r
+        powers.append(pw)
+    re, im = [], []
+    for exps in plan.exps:
+        xr, xi = 1, 0
+        for pw, e in zip(powers, exps):
+            yr, yi = pw[e]
+            xr, xi = xr * yr - xi * yi, xr * yi + xi * yr
+        re.append(xr)
+        im.append(xi)
+    re, im = plan.times(re), plan.times(im)
+    g = math.gcd(*re, *im)  # the content
+    if g > 1:
+        re, im = [x // g for x in re], [x // g for x in im]
+    w = plan.width
+    den, *nums = [(_trim(re[k:k + w]), _trim(im[k:k + w])) for k in range(0, len(re), w)]
     return den, tuple((i, num) for i, num in enumerate(nums) if num != ((0,), (0,)))
-
-
-@functools.cache
-def _float_plan(name):
-    """Operator ``name``'s recurrence row for f64 builds: the exponents of its
-    monomials, and the integer matrix that maps the monomials' values to the
-    coefficients of P_0(n+1), -P_1(n), -P_2(n-1), ... as polynomials in n,
-    highest power first (each P_j Taylor-shifted by 1 - j)."""
-    names, size, degree, _, monomials = _operator(name)
-    width = degree + 1
-    terms = np.zeros((size, width, len(monomials)), dtype=np.int64)
-    for m, (_, uses) in enumerate(monomials):
-        for j, t, coef in uses:
-            terms[j, degree - t, m] = -coef if j else coef
-    for j in range(size):
-        s = 1 - j  # P(n + s) = sum_i a_i (n + s)^(degree - i)
-        shift = [[math.comb(degree - i, degree - r) * s ** (r - i) if i <= r else 0
-                  for i in range(width)] for r in range(width)]
-        terms[j] = np.array(shift, dtype=np.int64) @ terms[j]
-    exps = np.array([exps for exps, _ in monomials])
-    return exps, terms.reshape(size * width, -1).astype(np.longdouble), (size, width)
 
 
 def _float_polys(name, values):
@@ -587,14 +592,14 @@ def _float_polys(name, values):
     double (64-bit significand), every row entry comes out as its correctly
     rounded double but for rare near-ties; where long double is no wider
     than double, the arithmetic is double's."""
-    exps, terms, shape = _float_plan(name)
-    xs = [values[x] for x in _operator(name)[0]]
+    plan = _plan(_OPERATORS[name])
+    xs = [values[x] for x in plan.names]
     if any(x.imag for x in xs):
         x = np.array(xs, dtype=np.clongdouble)
     else:
         x = np.array([x.real for x in xs], dtype=np.longdouble)
     # numpy raises to a small integer power by repeated products, also in complex
-    return (terms @ (x**exps).prod(axis=1)).reshape(shape)
+    return (plan.wide @ (x**plan.exps_array).prod(axis=1)).reshape(-1, plan.width)
 
 
 def _arcsin_M_interleaved(a, c, p, s0, g0):
@@ -674,19 +679,19 @@ def _validate(info: FamilyInfo, params: Params):
             )
 
 
-def params_snapshot(params: Params, bk):
+def params_snapshot(params: Params):
     """(name, formatted value) for every parameter that is set."""
     return tuple(
-        (name, bk.format(getattr(params, name))) for name in params.present()
+        (name, format_scalar(getattr(params, name))) for name in params.present()
     )
 
 
-def _meta(info: FamilyInfo, bk, params: Params):
+def _meta(info: FamilyInfo, params: Params):
     return (
         ("family", info.id),
         ("base", info.base),
         ("radius", info.radius),
-        ("params", params_snapshot(params, bk)),
+        ("params", params_snapshot(params)),
     )
 
 
@@ -760,16 +765,20 @@ def _values(info, params, bk):
     return values
 
 
+def _h01(h, p, bk):
+    """The first two Maclaurin coefficients h_0, h_1 of a second-order h."""
+    return {
+        "sin": (bk.zero(), p), "sinh": (bk.zero(), p), "arcsin": (bk.zero(), p),
+        "cos": (bk.one(), bk.zero()), "cosh": (bk.one(), bk.zero()),
+        "arccos": (bk.half_pi(), -p),
+    }[h]
+
+
 def _seeds(info, values, bk):
     """u_0, and for a second-order h u_1 = h_1 + h_0 m_1: the table steps the rest."""
     if info.h not in _SECOND_ORDER:
         return [bk.one()]
-    p = values["p"]
-    h0, h1 = {
-        "sin": (bk.zero(), p), "sinh": (bk.zero(), p), "arcsin": (bk.zero(), p),
-        "cos": (bk.one(), bk.zero()), "cosh": (bk.one(), bk.zero()),
-        "arccos": (bk.half_pi(), -p),
-    }[info.h]
+    h0, h1 = _h01(info.h, values["p"], bk)
     m1 = values["a"] * (values["b"] if info.base != "M" else 1) / values["c"]
     return [h0, h1 + h0 * m1]
 
@@ -804,7 +813,7 @@ def _spec(info, bk, meta, name, values, seeds, den):
 def _mk_single(info, params, bk):
     """The family's own table, stepped from its u_0 (u_1)."""
     values = _values(info, params, bk)
-    meta = _meta(info, bk, params)
+    meta = _meta(info, params)
     name = _table(info.h, info.base)
     return _spec(info, bk, meta, name, values, _seeds(info, values, bk), _den(info, params))
 
@@ -827,7 +836,7 @@ def _mk_branches(info, params, bk):
     For sin and cos at real parameters the branch at -ip is the complex
     conjugate of the one at +ip, so it is that branch conjugated, and the
     run steps one branch."""
-    meta = _meta(info, bk, params)
+    meta = _meta(info, params)
     combiner = _COMBINER[info.h]
     trig = info.h in ("sin", "cos")
     q = bk.imaginary_unit() * params.p if trig else params.p
@@ -869,15 +878,14 @@ def _binom_f64(info, params, bk):
     q = int(p.real)
     j = np.arange(q)
     taps = np.cumprod(np.concatenate(([1], -params.theta * (q - j) / (j + 1))))
-    base = _exp_spec(info, params, bk, _meta(info, bk, params), bk.zero())
+    base = _exp_spec(info, params, bk, _meta(info, params), bk.zero())
     return replace(base, taps=tuple(taps.tolist()))
 
 
 def _mk_arcsin_M_interleaved(info, params, bk):
     a, c, p = params.a, params.c, params.p
-    s0, g0 = (bk.zero(), p) if info.h == "arcsin" else (bk.half_pi(), -p)
-    seeds, polys = _arcsin_M_interleaved(a, c, p, s0, g0)
-    return RecurrenceSpec(11, seeds, polys, bk.name, _meta(info, bk, params), interleave=4)
+    seeds, polys = _arcsin_M_interleaved(a, c, p, *_h01(info.h, p, bk))
+    return RecurrenceSpec(11, seeds, polys, bk.name, _meta(info, params), interleave=4)
 
 
 def _reg(id, base, h, formulation, radius, names, builder, c2=False):

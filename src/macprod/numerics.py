@@ -491,12 +491,6 @@ class ExactBackend:
             f"{type(value).__name__} value cannot enter the exact backend implicitly"
         )
 
-    def parse(self, text: str):
-        return parse_scalar(text, self)
-
-    def format(self, value) -> str:
-        return format_scalar(value)
-
 
 class FloatBackend:
     """Double-precision complex numbers; non-finite values raise."""
@@ -524,12 +518,6 @@ class FloatBackend:
         if not cmath.isfinite(value):
             raise NonFiniteError("non-finite value offered to the f64 backend")
         return value
-
-    def parse(self, text: str):
-        return parse_scalar(text, self)
-
-    def format(self, value) -> str:
-        return format_scalar(value)
 
 
 EXACT = ExactBackend()

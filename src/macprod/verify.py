@@ -181,7 +181,7 @@ def compare_oracle(
     got = run(spec, N)
     want = oracle_stream(family_id, pp, N, bk)
     return _compare_streams(
-        got, want, bk, tolerance, family_id, params_snapshot(pp, bk), "oracle"
+        got, want, bk, tolerance, family_id, params_snapshot(pp), "oracle"
     )
 
 
@@ -226,7 +226,7 @@ def compare_formulations(
     else:
         raise CatalogueError(f"unknown pairing {pairing!r}")
     return _compare_streams(
-        got, want, bk, tolerance, family_id, params_snapshot(pp, bk), pairing
+        got, want, bk, tolerance, family_id, params_snapshot(pp), pairing
     )
 
 
@@ -320,7 +320,7 @@ def sweep(
             except (NonFiniteError, SingularIndexError) as exc:
                 rep = DeviationReport(
                     family=info.id,
-                    params=params_snapshot(conform_params(params, bk), bk),
+                    params=params_snapshot(conform_params(params, bk)),
                     N=N,
                     backend=bk.name,
                     max_abs=float("inf"),

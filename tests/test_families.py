@@ -334,6 +334,43 @@ class TestKnownTableDeviation:
             assert rep.max_abs > 0
 
 
+class TestReplacedTable:
+    """A replaced operator entry reaches the exact and the f64 builds alike.
+
+    Each family is built from the shipped table first, so a cache that kept
+    that table would serve it again.  The replacement changes one
+    coefficient of P_1; both backends must then step it, agreeing with each
+    other and not with the shipped table.
+    """
+
+    VALUES = {"a": Fraction(1, 3), "b": Fraction(-5, 4), "c": Fraction(7, 5),
+              "p": Fraction(3, 4), "theta": Fraction(2, 3)}
+    N = 12
+
+    @pytest.mark.parametrize(
+        "name", [f"{t}-{b}" for t in ("exp", "binom", "arctanexp") for b in ("M", "F")]
+    )
+    def test_both_backends_step_the_replaced_table(self, name, monkeypatch):
+        from macprod import families
+        from macprod.recurrence_core import run
+
+        params = {k: self.VALUES[k] for k in get_family(name).param_names}
+
+        def streams():
+            exact = [approximate(u) for u in run(build(name, params), self.N).coeffs]
+            return np.array(exact), run(build(name, params, "f64"), self.N).coeffs
+
+        shipped, _ = streams()
+        names, *polys = families._OPERATORS[name]
+        coef, rest = polys[1].split(" ", 1)
+        mutant = (names, polys[0], f"{int(coef) + 1} {rest}", *polys[2:])
+        monkeypatch.setitem(families._OPERATORS, name, mutant)
+        exact, f64 = streams()
+        scale = np.abs(exact).max()
+        assert np.abs(exact - shipped).max() > 1e-6 * scale
+        assert np.abs(f64 - exact).max() <= 1e-13 * scale
+
+
 class TestSingularRows:
     """Past the validator a row can vanish; the table's stepped seeds say where."""
 
