@@ -9,8 +9,11 @@ reports, best of ``--reps``:
   branch, which ``build`` contains (it steps the seeds with the rows);
 * ``wrap``: rebuilding the public Gaussian-rational (and pi-linear) values
   from their Fraction parts, which is what materialisation costs;
-* ``step``: ``run`` minus ``wrap``;
-* ``run``: ``recurrence_core.run`` on the built spec;
+* ``step``: ``branches`` minus ``wrap``;
+* ``branches``: ``recurrence_core.run`` on each branch a run steps (the
+  spec itself for a single recurrence);
+* ``run``: ``recurrence_core.run`` on the built spec; for a combo, ``run``
+  minus ``branches`` is the combine step;
 * ``request``: ``macprod coeffs --backend exact`` in this process, output
   captured, from argument parsing to JSON text;
 * ``oracle``: the exact ``series_oracle.cauchy_product`` of the family's two
@@ -49,7 +52,8 @@ from macprod.numerics import EXACT, GaussianRational, PiLinear
 from macprod.series_oracle import cauchy_product, elementary_series, hyper_base_series
 
 FAMILIES = (
-    "exp-F", "arctanexp-F", "sin-M-combo", "sin-F", "sinh-F", "arcsin-M", "exp-K", "sin-K"
+    "exp-F", "arctanexp-F", "sin-M-combo", "sinh-M-combo", "sin-F", "sinh-F", "arcsin-M",
+    "exp-K", "sin-K",
 )
 VALUES = {"a": Fraction(1, 3), "b": Fraction(-5, 4), "c": Fraction(7, 5), "p": Fraction(3, 2)}
 
@@ -111,6 +115,7 @@ def measure(family: str, N: int, reps: int) -> dict:
         "build": lambda: build(family, params),
         "rows": _rows_fn(family, params),
         "wrap": _wrap_fn(spec, N),
+        "branches": lambda: [recurrence_core.run(b, N) for b in branches(spec)],
         "run": lambda: recurrence_core.run(spec, N),
         "request": lambda: _request(_argv(family, N)),
         "oracle": _oracle_fn(family, params, N),
@@ -133,7 +138,7 @@ def measure(family: str, N: int, reps: int) -> dict:
             f"incoherent record for {family} at N = {N}: request "
             f"{ms['request'] * 1e3:.3f} ms < run {ms['run'] * 1e3:.3f} ms; rerun"
         )
-    ms["step"] = max(ms["run"] - ms["wrap"], 0.0)
+    ms["step"] = max(ms["branches"] - ms["wrap"], 0.0)
     record = {"family": family, "N": N}
     record.update({f"{k}_ms": None if k in failed else round(v * 1e3, 3) for k, v in ms.items()})
     return record | ({"failed": failed} if failed else {})
@@ -149,7 +154,7 @@ def main() -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
 
     print(f"f64 kernels: {kernels.implementation_name()}")
-    cols = ("build", "rows", "step", "wrap", "run", "request", "oracle")
+    cols = ("build", "rows", "step", "wrap", "branches", "run", "request", "oracle")
     print(f"{'family':12s} {'N':>4s} " + " ".join(f"{c:>9s}" for c in cols) + "   (ms)")
     results = []
     for N in sizes:

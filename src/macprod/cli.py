@@ -4,6 +4,11 @@ sweeps, benchmarks, and the family catalogue.
 Standard output carries data only (JSON, CSV, or plain scalars); every
 diagnostic goes to standard error.  Exit codes: 0 success, 1 verification
 finding, 2 validation or parse failure, 3 numeric failure.
+
+numpy is imported where an f64 path begins (an f64 build, run, oracle,
+comparison or output, and so ``eval`` and ``bench``), never at start-up:
+``list``, ``--help``, validation errors and exact ``coeffs`` and ``verify``
+run without it.
 """
 
 from __future__ import annotations
@@ -16,9 +21,6 @@ from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
-import numpy as np
-
-from . import kernels
 from . import verify as verify_mod
 from .families import (
     CatalogueError,
@@ -113,6 +115,8 @@ def _normalized(coeffs, bk):
     half_pi = bk.half_pi()
     if bk.name == "exact":
         return tuple(v / half_pi for v in coeffs)
+    import numpy as np
+
     out = np.empty_like(coeffs)
     out.real = (coeffs.real + coeffs.imag * 0.0) / half_pi.real
     out.imag = (coeffs.imag - coeffs.real * 0.0) / half_pi.real
@@ -240,6 +244,8 @@ def cmd_bench(args) -> int:
     params = replace(params, **{name: complex(defaults[name]) for name in missing})
     report = verify_mod.bench(args.family, params, args.count, args.reps)
     sys.stdout.write(emit_json(report.to_dict()))
+    from . import kernels
+
     if kernels.implementation_name() == "python":
         print(
             "note: recurrence stepping ran on the pure-Python fallback "

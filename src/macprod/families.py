@@ -41,7 +41,9 @@ products:
 Both backends get a table's row from one plan (``_plan``), made once per
 table: an integer matrix that maps the values of the table's monomials to
 the coefficients of P_0(n+1), -P_1(n), -P_2(n-1), ... as polynomials in n,
-with the Taylor shift and the signs applied.  Exact builds
+with the Taylor shift and the signs applied.  The plan is built in Python
+integers, and its long double copy is made on its first f64 use, so exact
+builds never import numpy.  Exact builds
 (``_integer_rows``) put in the monomials' values as Gaussian integers,
 each parameter's denominator cleared by the largest power it reaches, and
 get the integer row polynomials the exact engine steps.  f64 builds
@@ -74,11 +76,8 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable
 
-import numpy as np
-
-from . import kernels
 from .numerics import (
     GaussianRational,
     ParameterDomainError,
@@ -482,24 +481,51 @@ def _parse(entry):
     return names, len(polys), degree, top, monomials
 
 
-class _Plan(NamedTuple):
+class _Plan:
     """An operator's recurrence row as a linear map of its monomials' values:
-    one matrix row per coefficient of P_0(n+1), -P_1(n), -P_2(n-1), ..."""
+    one matrix row per coefficient of P_0(n+1), -P_1(n), -P_2(n-1), ...
 
-    names: tuple  # the variables
-    top: tuple  # the highest exponent of each variable
-    exps: tuple  # per monomial, the exponent of each variable
-    exps_array: np.ndarray  # exps as an integer array
-    gather: Callable  # the monomial value of each nonzero entry, row by row
-    factors: tuple  # the nonzero entries, row by row
-    spans: tuple  # per row, its (start, end) in factors
-    wide: np.ndarray  # the whole matrix, in long double
-    width: int  # coefficients per polynomial: the theta degree + 1
+    The matrix is held as Python integers, its nonzero entries row by row;
+    its long double copy and the exponent array are made on first f64 use."""
+
+    def __init__(self, names, top, exps, cols, factors, spans, width):
+        self.names = names  # the variables
+        self.top = top  # the highest exponent of each variable
+        self.exps = exps  # per monomial, the exponent of each variable
+        self.cols = cols  # the monomial of each nonzero entry, row by row
+        self.gather = operator.itemgetter(*cols)  # the values at those monomials
+        self.factors = factors  # the nonzero entries, row by row
+        self.spans = spans  # per row, its (start, end) in factors
+        self.width = width  # coefficients per polynomial: the theta degree + 1
 
     def times(self, values):
         """The matrix times the integer ``values`` of the monomials."""
         products = list(map(operator.mul, self.factors, self.gather(values)))
         return [sum(products[a:b]) for a, b in self.spans]
+
+    def matrix(self):
+        """The whole integer matrix, as a list of rows."""
+        rows = []
+        for a, b in self.spans:
+            row = [0] * len(self.exps)
+            for m, x in zip(self.cols[a:b], self.factors[a:b]):
+                row[m] = x
+            rows.append(row)
+        return rows
+
+    @functools.cached_property
+    def wide(self):
+        """The whole matrix in long double."""
+        import numpy as np
+
+        return np.array(self.matrix(), dtype=np.int64).astype(np.longdouble)
+
+    @functools.cached_property
+    def exps_array(self):
+        """``exps`` as an integer array."""
+        import numpy as np
+
+        return np.array(self.exps)
 
 
 @functools.cache
@@ -511,24 +537,27 @@ def _plan(entry):
     the entry itself, so a replaced table gets a plan of its own."""
     names, size, degree, top, monomials = _parse(entry)
     width = degree + 1
-    terms = np.zeros((size, width, len(monomials)), dtype=np.int64)
+    # (n + s)^t = sum_l C(t, l) s^l n^(t-l), n^(t-l) at row offset degree - t + l
+    shift = [[[(degree - t + l, math.comb(t, l) * (1 - j) ** l) for l in range(t + 1)]
+              for t in range(width)] for j in range(size)]
+    rows = [{} for _ in range(size * width)]  # per row, monomial -> entry
     for m, (_, uses) in enumerate(monomials):
         for j, t, coef in uses:
-            terms[j, degree - t, m] = -coef if j else coef
-    for j in range(size):
-        s = 1 - j  # P(n + s) = sum_i a_i (n + s)^(degree - i)
-        shift = [[math.comb(degree - i, degree - r) * s ** (r - i) if i <= r else 0
-                  for i in range(width)] for r in range(width)]
-        terms[j] = np.array(shift, dtype=np.int64) @ terms[j]
-    matrix = terms.reshape(size * width, -1)
-    rows, cols = np.nonzero(matrix)  # row-major
-    ends = np.searchsorted(rows, np.arange(len(matrix)), side="right").tolist()
+            coef = -coef if j else coef
+            for r, x in shift[j][t]:
+                if x:
+                    row = rows[j * width + r]
+                    row[m] = row.get(m, 0) + coef * x
+    cols, factors, spans = [], [], []
+    for row in rows:  # monomials enter each row in increasing order
+        start = len(factors)
+        for m, x in row.items():
+            if x:
+                cols.append(m)
+                factors.append(x)
+        spans.append((start, len(factors)))
     exps = tuple(exps for exps, _ in monomials)
-    return _Plan(
-        names, top, exps, np.array(exps), operator.itemgetter(*cols.tolist()),
-        tuple(matrix[rows, cols].tolist()), tuple(zip([0] + ends[:-1], ends)),
-        matrix.astype(np.longdouble), width,
-    )
+    return _Plan(names, top, exps, tuple(cols), tuple(factors), tuple(spans), width)
 
 
 def _int_parts(x):
@@ -556,8 +585,8 @@ def _integer_rows(name, values) -> tuple:
     Each parameter is an integer, or a Gaussian integer, over its
     denominator q.  Scaled by prod q^E over the variables (highest exponent
     E), every monomial value is a Gaussian integer; its real and imaginary
-    parts go through the plan's matrix, and the rows are divided by their
-    content."""
+    parts go through the plan's matrix (the imaginary ones only when some
+    is nonzero), and the rows are divided by their content."""
     plan = _plan(_OPERATORS[name])
     powers = []  # per variable, x^e q^(E-e) for e = 0 .. E, as (re, im)
     for (r, i, q), E in zip((_int_parts(values[x]) for x in plan.names), plan.top):
@@ -574,7 +603,8 @@ def _integer_rows(name, values) -> tuple:
             xr, xi = xr * yr - xi * yi, xr * yi + xi * yr
         re.append(xr)
         im.append(xi)
-    re, im = plan.times(re), plan.times(im)
+    re = plan.times(re)
+    im = plan.times(im) if any(im) else [0] * len(re)
     g = math.gcd(*re, *im)  # the content
     if g > 1:
         re, im = [x // g for x in re], [x // g for x in im]
@@ -592,6 +622,8 @@ def _float_polys(name, values):
     double (64-bit significand), every row entry comes out as its correctly
     rounded double but for rare near-ties; where long double is no wider
     than double, the arithmetic is double's."""
+    import numpy as np
+
     plan = _plan(_OPERATORS[name])
     xs = [values[x] for x in plan.names]
     if any(x.imag for x in xs):
@@ -630,6 +662,10 @@ def _arcsin_M_interleaved(a, c, p, s0, g0):
     a degree-1 form in m: one set of polynomials (P_0, then lags 0 .. 11,
     as (slope, constant)) per sequence.  Returns (u_0..u_11, polys).
     """
+    import numpy as np
+
+    from . import kernels
+
     x = np.array([a, c, p], dtype=np.clongdouble)
     if not x.imag.any():
         x = x.real.copy()
@@ -796,6 +832,8 @@ def _spec(info, bk, meta, name, values, seeds, den):
         polys = _integer_rows(name, values)
         seeds += step_exact(polys, [bk.zero()] * (k - n0) + seeds, n0, k, den)
     else:
+        import numpy as np
+
         # the first steps in long double too: at small n a step can cancel
         C = _float_polys(name, values)
         P = C.tolist()
@@ -872,6 +910,8 @@ def _binom_f64(info, params, bk):
     convolve it with the p + 1 coefficients of (1 - theta z)^p:
     u_n = sum_{j <= min(n, p)} C(p, j) (-theta)^j b_{n-j}.
     """
+    import numpy as np
+
     p = params.p
     if p.imag or p.real < 0 or not p.real.is_integer():
         return _mk_single(info, params, bk)

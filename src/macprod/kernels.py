@@ -24,6 +24,10 @@ keeps every operation's order, so it agrees bit for bit with the fallback
 in ``_kernels_py``, which does the same operations in numpy long double.
 The fallback runs only when the loop cannot be built: no compiler is found,
 or the cache directory cannot be written.
+
+This module and ``_kernels_py`` serve f64 paths only; the rest of the
+package imports them inside the f64 functions that call them, so an exact
+command loads neither them nor numpy.
 """
 
 from __future__ import annotations

@@ -38,6 +38,9 @@ right branch is the complex conjugate of the left (a sin/cos product at
 real parameters: the exp-X branches at +ip and -ip), it says so, and a run
 steps the left branch alone.
 
+Only the f64 path imports numpy and the kernels, when it first runs; exact
+specs are built, compared, hashed and stepped without them.
+
 ``run`` is the one entry point: it accepts every spec kind and dispatches on
 it.  It is a pure function over immutable specs; concurrent runs are safe.
 A single run is inherently sequential (each step consumes the previous k+1
@@ -48,25 +51,23 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
-import numpy as np
-
-from . import kernels
 from .numerics import GaussianRational, PiLinear, SingularIndexError, get_backend
 from .series_oracle import CoeffStream, _finite_or_raise
 
 _FRACTION_ZERO = Fraction(0)
 #: per combiner: whether it adds or subtracts the branches, its scale on a
-#: backend (1/(2i) = -i/2), and what it makes of an exact u and its
-#: conjugate, as the (real, imaginary) parts of the result from those of u:
-#: (u + conj u)/2 = Re u, (u - conj u)/2 = i Im u, (u - conj u)/(2i) = Im u
+#: backend (1/(2i) = -i/2), and the exact result's (real, imaginary) parts
+#: from those of h = (u +- v)/2: h itself, or -i h for (u - v)/(2i) (a zero
+#: part is not negated: that would make a new Fraction)
 _COMBINE = {
-    "(u-v)/2": (operator.sub, lambda bk: bk.one() / 2, lambda re, im: (_FRACTION_ZERO, im)),
-    "(u+v)/2": (operator.add, lambda bk: bk.one() / 2, lambda re, im: (re, _FRACTION_ZERO)),
+    "(u-v)/2": (operator.sub, lambda bk: bk.one() / 2, lambda re, im: (re, im)),
+    "(u+v)/2": (operator.add, lambda bk: bk.one() / 2, lambda re, im: (re, im)),
     "(u-v)/(2i)": (
-        operator.sub, lambda bk: -bk.imaginary_unit() / 2, lambda re, im: (im, _FRACTION_ZERO)
+        operator.sub, lambda bk: -bk.imaginary_unit() / 2, lambda re, im: (im, -re if re else re)
     ),
 }
 COMBINERS = tuple(_COMBINE)
@@ -136,6 +137,8 @@ class RecurrenceSpec:
         if (self.interleave != 1 or self.taps) and self.backend != "f64":
             raise ValueError("interleave and taps apply to f64 specs only")
         if self.backend == "f64":
+            import numpy as np
+
             if not (
                 isinstance(self.polys, np.ndarray)
                 and self.polys.ndim == 3
@@ -169,8 +172,17 @@ class RecurrenceSpec:
         return hash(tuple(map(_hashable, self._fields())))
 
 
+def _numpy_if_array(*xs):
+    """numpy when one of ``xs`` is a numpy array, else None.  Arrays occur
+    in f64 specs only, which have loaded numpy, so exact specs compare and
+    hash without importing it."""
+    np = sys.modules.get("numpy")
+    return np if np is not None and any(isinstance(x, np.ndarray) for x in xs) else None
+
+
 def _same(x, y) -> bool:
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+    np = _numpy_if_array(x, y)
+    if np is not None:
         return (
             isinstance(x, np.ndarray)
             and isinstance(y, np.ndarray)
@@ -185,7 +197,8 @@ def _hashable(x):
     """x, or an array as its shape, dtype and the bytes of its values plus
     +0 (which makes every zero +0.0) rounded to double, which are equal for
     arrays that are equal by value."""
-    if not isinstance(x, np.ndarray):
+    np = _numpy_if_array(x)
+    if np is None:
         return x
     double = np.complex128 if np.iscomplexobj(x) else np.float64
     return x.shape, x.dtype.str, (x + 0).astype(double).tobytes()
@@ -195,6 +208,8 @@ def conjugated(spec: RecurrenceSpec) -> RecurrenceSpec:
     """The spec whose stream is the complex conjugate of ``spec``'s: its
     seeds, row polynomials and taps conjugated."""
     if spec.backend == "f64":
+        import numpy as np
+
         polys = np.conj(spec.polys)
         polys.flags.writeable = False
     else:
@@ -352,7 +367,11 @@ def _run_generic(spec: RecurrenceSpec, N: int) -> list:
     return values + step_exact(spec.polys, window, spec.start, N, spec.den_factors)
 
 
-def _run_f64(spec: RecurrenceSpec, N: int) -> np.ndarray:
+def _run_f64(spec: RecurrenceSpec, N: int):
+    import numpy as np
+
+    from . import kernels
+
     n0, s = spec.start, spec.interleave
     M = s * N  # the stream index of u_N
     u = np.zeros(M + 1, dtype=np.complex128)
@@ -371,23 +390,36 @@ def _run_f64(spec: RecurrenceSpec, N: int) -> np.ndarray:
     return u
 
 
+def _half(combine, x, y):
+    """combine(x, y) / 2 of two Fractions; 0 at once when both are 0 (the
+    imaginary parts of real branches)."""
+    return combine(x, y) / 2 if x or y else _FRACTION_ZERO
+
+
 def _run_combo(combo: ComboSpec, N: int):
     """The branches combined entrywise; numpy's complex product is Python's
-    formula, so f64 arrays give the entries Python scalars would.  A
-    conjugate combo steps its left branch only."""
+    formula, so f64 arrays give the entries Python scalars would.  Exact
+    Gaussian-rational entries combine on their ``Fraction`` parts, to the
+    values and types of the Gaussian-rational formula.  A conjugate combo
+    steps its left branch only: (u + conj u)/2 = Re u, (u - conj u)/2 =
+    i Im u."""
     bk = get_backend(combo.backend)
     combine, scale, parts = _COMBINE[combo.combiner]
     scale = scale(bk)
     if combo.backend != "f64":
         left = run(combo.left, N).coeffs
-        if combo.conjugate:
-            return [
-                GaussianRational(*parts(u.re, u.im)) if type(u) is GaussianRational
-                else combine(u, u.conjugate()) * scale
-                for u in left
-            ]
-        right = run(combo.right, N).coeffs
-        return [combine(u, v) * scale for u, v in zip(left, right)]
+        right = left if combo.conjugate else run(combo.right, N).coeffs
+        out = []
+        for u, v in zip(left, right):
+            if type(u) is not GaussianRational or type(v) is not GaussianRational:
+                out.append(combine(u, u.conjugate() if combo.conjugate else v) * scale)
+                continue
+            if combo.conjugate:
+                half = (u.re, _FRACTION_ZERO) if combine is operator.add else (_FRACTION_ZERO, u.im)
+            else:
+                half = (_half(combine, u.re, v.re), _half(combine, u.im, v.im))
+            out.append(GaussianRational(*parts(*half)))
+        return out
     u = _run_f64(combo.left, N)
     v = u.conj() if combo.conjugate else _run_f64(combo.right, N)
     values = combine(u, v) * scale

@@ -14,7 +14,8 @@ f[n+1] = (-p*f[n] - (n-1)*f[n-1]) / (n+1); this is independent of the
 five-term product recurrences it is later used to check.
 
 An exact stream holds a tuple of exact scalars, an f64 stream a read-only
-complex128 array.
+complex128 array.  numpy is imported by the f64 functions only, so the exact
+oracle runs without it.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from . import kernels
 from .numerics import (
     EXACT,
     GaussianRational,
@@ -88,7 +86,7 @@ class CoeffStream:
     """A finite prefix u_0..u_N of a Maclaurin coefficient sequence: a tuple
     in the exact backend, a read-only complex128 array in f64."""
 
-    coeffs: tuple | np.ndarray
+    coeffs: object  # tuple (exact) or numpy.ndarray (f64)
     base: str  # "M" | "F" | "K" | "E" | "elementary" | "product"
     provenance: str  # "oracle" | "recurrence"
     backend: str  # "exact" | "f64"
@@ -96,6 +94,8 @@ class CoeffStream:
 
     def __post_init__(self):
         if self.backend == "f64":
+            import numpy as np
+
             coeffs = np.asarray(self.coeffs, dtype=np.complex128)
             coeffs.flags.writeable = False
         else:
@@ -120,6 +120,8 @@ def _check_c(c):
 
 def _finite_or_raise(values, what: str):
     """Raise NonFiniteError naming the first non-finite entry of an f64 sequence."""
+    import numpy as np
+
     finite = np.isfinite(values)
     if not finite.all():
         n = int(np.argmin(finite))
@@ -137,6 +139,8 @@ def _term_series(bk, N: int, first, ratio, start: int = 0, step: int = 1):
             ratios = map(ratio, range(start, N - step + 1, step))
             out[start::step] = itertools.accumulate(ratios, operator.mul, initial=first)
         return out
+    import numpy as np
+
     out = np.zeros(N + 1, dtype=np.complex128)
     if start <= N:
         terms = np.empty(len(out[start::step]), dtype=np.complex128)
@@ -216,6 +220,10 @@ def cauchy_product(A: CoeffStream, B: CoeffStream) -> CoeffStream:
     if len(A) != len(B):
         raise ValueError("cauchy_product operands must share one length")
     if A.backend == "f64":
+        import numpy as np
+
+        from . import kernels
+
         coeffs = kernels.convolve(A.coeffs, B.coeffs)
         over = ~np.isfinite(coeffs)
         if over.any():
@@ -226,13 +234,15 @@ def cauchy_product(A: CoeffStream, B: CoeffStream) -> CoeffStream:
     return CoeffStream(coeffs, "product", "oracle", A.backend)
 
 
-def _ldexp(x, e) -> np.ndarray:
+def _ldexp(x, e):
+    import numpy as np
+
     out = np.empty_like(x)
     out.real, out.imag = np.ldexp(x.real, e), np.ldexp(x.imag, e)
     return out
 
 
-def _scaled_convolve(a, b) -> np.ndarray:
+def _scaled_convolve(a, b):
     """The truncated product of two f64 series whose terms overflow though
     some of its entries need not: both factors scaled by 2^(-s n), with
     s = ceil(max over n >= 1 of log2|x_n| / n) across both (0 where that is
@@ -240,6 +250,10 @@ def _scaled_convolve(a, b) -> np.ndarray:
     outside underflow, which moves entry n of the scaled product by at most
     (n + 1)(max|a'| + max|b'|) 2^-1075; an entry that is not 2^53 times as
     large is returned as inf."""
+    import numpy as np
+
+    from . import kernels
+
     n = np.arange(len(a))
     with np.errstate(divide="ignore"):
         rate = max(np.max(np.log2(np.abs(x[1:])) / n[1:], initial=-np.inf) for x in (a, b))

@@ -5,6 +5,8 @@ tolerance would only hide bugs); f64 comparisons use the relative metric
 |x - y| / max(1, |y|) with the oracle value as y, which degrades to an
 absolute bound where the oracle entry vanishes.
 
+Exact comparisons run without numpy; the f64 comparison imports it.
+
 Every report computation is a pure function, so distinct (family, params)
 reports may be computed concurrently; sweeps emit reports in deterministic
 catalogue order regardless.
@@ -16,8 +18,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-
-import numpy as np
 
 from .families import (
     CatalogueError,
@@ -128,6 +128,8 @@ def _compare_streams(got, want, backend, tolerance, family, params, comparison):
                 max_abs = max(max_abs, dx)
         verdict = "pass" if first is None else "fail"
     else:
+        import numpy as np
+
         m = min(len(got), len(want))
         x, y = got.coeffs[:m], want.coeffs[:m]
         with np.errstate(invalid="ignore", over="ignore"):

@@ -411,3 +411,58 @@ class TestListCommand:
         assert "k=11" in arcsin_line and "n0=11" in arcsin_line
         sinh_line = next(l for l in out.splitlines() if l.startswith("sinh-F "))
         assert "k=9" in sinh_line and "n0=9" in sinh_line
+
+
+class TestExactStartsWithoutNumpy:
+    """Exact commands never import numpy: listing, help, validation errors,
+    exact ``coeffs`` of every id and an exact ``verify`` sweep run in one
+    fresh process without loading it.  An f64 ``coeffs`` that follows in the
+    same process prints what it prints in a fresh one."""
+
+    VALUES = {"a": "1/3", "b": "-5/4", "c": "7/3", "p": "1/2", "theta": "2/3"}
+    F64 = ["coeffs", "--family", "sin-F", "--backend", "f64", "--count", "65",
+           "--a=1/3", "--b=-5/4", "--c=7/3", "--p=1/2"]
+    SCRIPT = """
+import contextlib, io, sys
+import macprod
+from macprod import cli
+
+def call(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+values = {values!r}
+assert call("list")[0] == 0
+assert call("--help")[0] == 0
+assert call("coeffs", "--family", "exp-F", "--count", "0", "--a=1", "--b=1", "--c=1", "--p=1")[0] == 2
+assert call("coeffs", "--family", "exp-M", "--count", "3", "--a=x", "--c=1", "--p=1")[0] == 2
+for info in macprod.list_families():
+    flags = [f"--{{name}}={{values[name]}}" for name in info.param_names]
+    assert call("coeffs", "--family", info.id, "--count", "41", *flags)[0] == 0, info.id
+assert call("verify", "--trials", "1")[0] == 0
+print("numpy" in sys.modules)
+code, out = call(*{f64!r})
+assert code == 0
+sys.stdout.write(out)
+"""
+
+    def test_exact_commands_leave_numpy_unloaded(self):
+        import os
+        import subprocess
+
+        import macprod
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(macprod.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        script = self.SCRIPT.format(values=self.VALUES, f64=self.F64)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        loaded, f64_out = proc.stdout.split("\n", 1)
+        assert loaded == "False"
+        fresh = subprocess.run([sys.executable, "-m", "macprod.cli", *self.F64],
+                               capture_output=True, text=True, env=env, timeout=300)
+        assert fresh.returncode == 0, fresh.stderr
+        assert f64_out == fresh.stdout

@@ -1,4 +1,5 @@
 import cmath
+import math
 from fractions import Fraction
 from random import Random
 from zlib import crc32
@@ -222,6 +223,7 @@ OPERATOR_CASES = [
     if not (table == "arcsin" and base == "F")
     for h in kinds
 ]
+OPERATOR_NAMES = sorted({f"{table}-{base}" for table, _, base in OPERATOR_CASES})
 
 
 class TestOperators:
@@ -369,6 +371,50 @@ class TestReplacedTable:
         scale = np.abs(exact).max()
         assert np.abs(exact - shipped).max() > 1e-6 * scale
         assert np.abs(f64 - exact).max() <= 1e-13 * scale
+
+
+class TestPlan:
+    """``families._plan`` builds each operator's matrix in Python integers.
+
+    It must equal the int64 computation it replaced (per P_j, a binomial
+    shift matrix times the table's terms), its nonzero entries must give
+    that matrix's product, and its long double copy, made on first f64 use,
+    must equal it.
+    """
+
+    @staticmethod
+    def int64_matrix(entry):
+        from macprod import families
+
+        _, size, degree, _, monomials = families._parse(entry)
+        width = degree + 1
+        terms = np.zeros((size, width, len(monomials)), dtype=np.int64)
+        for m, (_, uses) in enumerate(monomials):
+            for j, t, coef in uses:
+                terms[j, degree - t, m] = -coef if j else coef
+        for j in range(size):
+            s = 1 - j
+            shift = [[math.comb(degree - i, degree - r) * s ** (r - i) if i <= r else 0
+                      for i in range(width)] for r in range(width)]
+            terms[j] = np.array(shift, dtype=np.int64) @ terms[j]
+        return terms.reshape(size * width, -1)
+
+    @pytest.mark.parametrize("name", OPERATOR_NAMES)
+    def test_matrix_equals_the_int64_computation(self, name):
+        from macprod import families
+
+        entry = families._OPERATORS[name]
+        plan = families._plan(entry)
+        want = self.int64_matrix(entry)
+        got = plan.matrix()
+        assert got == want.tolist()
+        assert all(type(x) is int for row in got for x in row)
+        rng = Random(crc32(name.encode()))
+        values = [rng.randint(-10**30, 10**30) for _ in plan.exps]
+        assert plan.times(values) == [sum(x * v for x, v in zip(row, values)) for row in got]
+        assert plan.wide.dtype == np.longdouble and plan.wide.shape == want.shape
+        assert np.array_equal(plan.wide, want) and plan.wide is plan.wide
+        assert np.array_equal(plan.exps_array, np.array(plan.exps))
 
 
 class TestSingularRows:
