@@ -14,6 +14,9 @@ reports, best of ``--reps``:
   spec itself for a single recurrence);
 * ``run``: ``recurrence_core.run`` on the built spec; for a combo, ``run``
   minus ``branches`` is the combine step;
+* ``text``: the stream to the ``coeffs`` JSON text, which is
+  ``cli.cmd_coeffs`` with its build and run handing over the built spec and
+  the run's stream (serialisation and the envelope, no stepping);
 * ``request``: ``macprod coeffs --backend exact`` in this process, output
   captured, from argument parsing to JSON text;
 * ``oracle``: the exact ``series_oracle.cauchy_product`` of the family's two
@@ -108,6 +111,24 @@ def _request(argv):
         cli.main(argv)
 
 
+def _text_fn(spec, argv, N: int):
+    """``cmd_coeffs`` from the stream on: its build and run return the spec
+    and the stream made beforehand."""
+    args = cli._build_parser().parse_args(argv)
+    stream = recurrence_core.run(spec, N)
+
+    def text():
+        build, run = cli.build, cli.run
+        cli.build, cli.run = (lambda *_: spec), (lambda *_: stream)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                args.func(args)
+        finally:
+            cli.build, cli.run = build, run
+
+    return text
+
+
 def measure(family: str, N: int, reps: int) -> dict:
     params = {name: VALUES[name] for name in get_family(family).param_names}
     spec = build(family, params)
@@ -117,6 +138,7 @@ def measure(family: str, N: int, reps: int) -> dict:
         "wrap": _wrap_fn(spec, N),
         "branches": lambda: [recurrence_core.run(b, N) for b in branches(spec)],
         "run": lambda: recurrence_core.run(spec, N),
+        "text": _text_fn(spec, _argv(family, N), N),
         "request": lambda: _request(_argv(family, N)),
         "oracle": _oracle_fn(family, params, N),
     }
@@ -154,7 +176,7 @@ def main() -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
 
     print(f"f64 kernels: {kernels.implementation_name()}")
-    cols = ("build", "rows", "step", "wrap", "branches", "run", "request", "oracle")
+    cols = ("build", "rows", "step", "wrap", "branches", "run", "text", "request", "oracle")
     print(f"{'family':12s} {'N':>4s} " + " ".join(f"{c:>9s}" for c in cols) + "   (ms)")
     results = []
     for N in sizes:

@@ -32,7 +32,6 @@ from .families import (
 )
 from .numerics import (
     BackendMismatchError,
-    GaussianRational,
     NonFiniteError,
     ParameterDomainError,
     ParseError,
@@ -81,31 +80,43 @@ def _int_text(n: int) -> str:
 
 
 def _fraction_text(x: Fraction) -> str:
-    num = _int_text(x.numerator)
-    return num if x.denominator == 1 else f"{num}/{_int_text(x.denominator)}"
+    """x as "N" or "N/D"; ``str`` of a Fraction is that text."""
+    try:
+        return str(x)
+    except ValueError:
+        num = _int_text(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{_int_text(x.denominator)}"
 
 
-def _decompose_exact(value):
-    if isinstance(value, PiLinear):
-        q0, q1 = value.q0, value.q1
-    elif isinstance(value, GaussianRational):
-        q0, q1 = value, GaussianRational(0)
+def _exact_texts(v) -> tuple:
+    """The texts of an exact entry's parts: re, im, pi_re, pi_im."""
+    if isinstance(v, PiLinear):
+        q0, q1 = v.q0, v.q1
+        return tuple(map(_fraction_text, (q0.re, q0.im, q1.re, q1.im)))
+    return _fraction_text(v.re), _fraction_text(v.im), "0", "0"
+
+
+#: one coefficient record from its index n and the texts of its parts (re,
+#: im, and for exact pi_re, pi_im), per (format, exact); JSON keys sorted
+_RECORDS = {
+    ("json", True): '{{"im":"{2}","n":{0},"pi_im":"{4}","pi_re":"{3}","re":"{1}"}}',
+    ("json", False): '{{"im":{2},"n":{0},"re":{1}}}',
+    ("csv", True): "{0},{1},{2},{3},{4}",
+    ("csv", False): "{0},{1},{2}",
+}
+
+
+def _coeff_lines(coeffs, exact: bool, fmt: str) -> list:
+    """One line of text per coefficient, written straight from its parts:
+    exact parts as rational strings, f64 parts as ``repr`` of the float,
+    which is also how ``json`` writes a finite float (a run never returns a
+    non-finite entry: it raises instead)."""
+    if exact:
+        texts = map(_exact_texts, coeffs)
     else:
-        q0, q1 = GaussianRational(Fraction(value)), GaussianRational(0)
-    return tuple(_fraction_text(x) for x in (q0.re, q0.im, q1.re, q1.im))
-
-
-def _coeff_records(coeffs, backend_name):
-    if backend_name == "exact":
-        records = []
-        for n, v in enumerate(coeffs):
-            re_s, im_s, pre, pim = _decompose_exact(v)
-            records.append({"n": n, "re": re_s, "im": im_s, "pi_re": pre, "pi_im": pim})
-        return records
-    return [
-        {"n": n, "re": re, "im": im}
-        for n, (re, im) in enumerate(zip(coeffs.real.tolist(), coeffs.imag.tolist()))
-    ]
+        texts = zip(map(repr, coeffs.real.tolist()), map(repr, coeffs.imag.tolist()))
+    record = _RECORDS[fmt, exact].format
+    return [record(n, *parts) for n, parts in enumerate(texts)]
 
 
 def _normalized(coeffs, bk):
@@ -140,7 +151,8 @@ def cmd_coeffs(args) -> int:
     params = _parse_params(args, bk)
     stream = run(build(args.family, params, bk), args.count - 1)
     coeffs = _normalized(stream.coeffs, bk) if args.normalized else stream.coeffs
-    records = _coeff_records(coeffs, bk.name)
+    exact = bk.name == "exact"
+    lines = _coeff_lines(coeffs, exact, args.format)
     if args.format == "json":
         doc = {
             "family": info.id,
@@ -148,15 +160,13 @@ def cmd_coeffs(args) -> int:
             "params": dict(params_snapshot(params)),
             "backend": bk.name,
             "normalized": bool(args.normalized),
-            "coeffs": records,
+            "coeffs": [],
         }
-        sys.stdout.write(emit_json(doc))
+        head, _, tail = emit_json(doc).partition('"coeffs":[]')
+        sys.stdout.write(f'{head}"coeffs":[{",".join(lines)}]{tail}')
     else:
-        cols = ["n", "re", "im"] + (["pi_re", "pi_im"] if bk.name == "exact" else [])
-        lines = [",".join(cols)]
-        for rec in records:
-            lines.append(",".join(repr(rec[c]) if isinstance(rec[c], float) else str(rec[c]) for c in cols))
-        sys.stdout.write("\n".join(lines) + "\n")
+        cols = "n,re,im" + (",pi_re,pi_im" if exact else "")
+        sys.stdout.write("\n".join([cols, *lines]) + "\n")
     return EXIT_OK
 
 

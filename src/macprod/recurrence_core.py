@@ -9,18 +9,21 @@ polynomials too, for the message that reports a singular row.
 
 The exact path has the polynomials in integers: the families evaluate each
 product operator in integers, every entry over the one denominator
-P_0(n+1).  The stream steps with them fraction-free (``step_exact``): the
-window u_{n-k} .. u_n is held as integer numerators over one running
-denominator D, a complex row denominator is made real by its conjugate, and
-the only reduction is the gcd of each step's denominator with the new
-numerator, which is cheap because that denominator is a small integer.  It
-keeps D equal to the window's least common denominator in practice, and
-each output is one ``Fraction`` over D, wrapped in
-:class:`GaussianRational`.  A stream whose coefficients and seeds are real
-carries no imaginary half.  Pi-linear seeds q0 + q1*pi step by linearity as
-two rational streams (the K and E streams are pi/2 times a rational stream,
-arccos-M is rational + pi * rational), so :class:`PiLinear` never enters
-the loop, and a stream whose seeds are all zero is not stepped.
+P_0(n+1).  A run evaluates each of them once over its whole index range
+(Horner over the list of n), and the stream steps with those values
+fraction-free (``step_exact``): the window u_{n-k} .. u_n is held as
+integer numerators over one running denominator D, a complex row
+denominator is made real by its conjugate, and the only reduction is the
+gcd of each step's denominator with the new numerator, which is cheap
+because that denominator is a small integer.  It keeps D equal to the
+window's least common denominator in practice.  The loop only multiplies
+and reduces; the outputs are made at the end, each part one ``Fraction``
+over its step's D, wrapped in :class:`GaussianRational`.  A stream whose
+coefficients and seeds are real carries no imaginary half.  Pi-linear seeds
+q0 + q1*pi step by linearity as two rational streams over the same row
+values (the K and E streams are pi/2 times a rational stream, arccos-M is
+rational + pi * rational), so :class:`PiLinear` never enters the loop, and
+a stream whose seeds are all zero is not stepped.
 
 The f64 path hands its long double row polynomials and the whole stream to
 one call of ``kernels.recurrence_steps``, which evaluates each row and steps
@@ -36,7 +39,8 @@ arrays.
 A :class:`ComboSpec` combines two recurrence branches entrywise.  When the
 right branch is the complex conjugate of the left (a sin/cos product at
 real parameters: the exp-X branches at +ip and -ip), it says so, and a run
-steps the left branch alone.
+steps the left branch alone; exact forms only the part of each entry its
+combiner reads (the imaginary part for sin, the real part for cos).
 
 Only the f64 path imports numpy and the kernels, when it first runs; exact
 specs are built, compared, hashed and stepped without them.
@@ -280,42 +284,66 @@ def _horner(poly, x):
     return acc
 
 
-def _stream(polys, window: list, n0: int, N: int, den_factors) -> list:
+def _at_each(poly, ns) -> list:
+    """poly (highest power first) at every n of ``ns``, by Horner over the list."""
+    acc = [poly[0]] * len(ns)
+    for c in poly[1:]:
+        acc = [a * n + c for a, n in zip(acc, ns)]
+    return acc
+
+
+def _row_values(polys, order: int, n0: int, N: int):
+    """The integer row at n = n0 .. N-1, each polynomial evaluated once over
+    the range: the denominator's real and imaginary parts, and per step the
+    numerators' real and imaginary parts in the order of the window entries
+    they multiply, u_{n-k} first (a missing entry is 0).  An imaginary part
+    that is zero throughout is None."""
+    (den_re, den_im), terms = polys
+    ns = range(n0, N)
+    zero = [0] * len(ns)
+    re, im = [zero] * (order + 1), [zero] * (order + 1)
+    for i, (a, b) in terms:
+        re[order - i] = _at_each(a, ns)
+        if b != (0,):
+            im[order - i] = _at_each(b, ns)
+    return (
+        _at_each(den_re, ns),
+        None if den_im == (0,) else _at_each(den_im, ns),
+        list(zip(*re)),
+        None if all(col is zero for col in im) else list(zip(*im)),
+    )
+
+
+def _stream(rows, window: list, n0: int, den_factors):
     """u_{n0+1} .. u_N of one Gaussian-rational stream from the window
-    u_{n0-k} .. u_{n0}, stepped over the integer row ``polys``.
+    u_{n0-k} .. u_{n0}, stepped over the row values ``rows`` (see
+    ``_row_values``), as integer numerators of the real and imaginary parts
+    (None for a real stream) and their denominators.
 
     The window u_{n-k} .. u_n is held as integer numerators (real, and
     imaginary unless the seeds and every coefficient are real) over one
     running denominator D.  A step sums c_i(n) * U_{n-i} and takes a complex
     denominator e + fi to the real e^2 + f^2 through e - fi.  The factor
     g = gcd(den, new numerator) cancels at once; D and the k older numerators
-    are then scaled by den/g, whatever its sign.  Each output is one
-    ``Fraction`` over D, which normalises the sign.
+    are then scaled by den/g, whatever its sign.  Entry n's value is its
+    numerators over that step's D.
     """
-    (den_re, den_im), terms = polys
-    k = len(window) - 1
-    real = not any(s.im for s in window) and all(
-        im == (0,) for im in [den_im] + [b for _, (_, b) in terms]
-    )
+    den_re, den_im, row_re, row_im = rows
+    real = den_im is None and row_im is None and not any(s.im for s in window)
     D = math.lcm(*(x.denominator for s in window for x in (s.re, s.im)))
     wr = [s.re.numerator * (D // s.re.denominator) for s in window]
     wi = None if real else [s.im.numerator * (D // s.im.denominator) for s in window]
-    den_im = None if den_im == (0,) else den_im
-    terms = [(k - i, a, b if b != (0,) else None) for i, (a, b) in terms]
-    out_re, out_im = [], []
-    for n in range(n0, N):
-        xr = xi = 0
-        for j, a, b in terms:
-            c = _horner(a, n)
-            xr += c * wr[j]
-            if wi is not None:
-                xi += c * wi[j]
-                if b is not None:
-                    d = _horner(b, n)
-                    xr -= d * wi[j]
-                    xi += d * wr[j]
-        m = _horner(den_re, n)
-        f = 0 if den_im is None else _horner(den_im, n)
+    out_re, out_im, dens = [], None if real else [], []
+    steps = len(den_re)
+    for n, m, f, a, b in zip(
+        range(n0, n0 + steps), den_re, den_im or [0] * steps, row_re, row_im or [None] * steps
+    ):
+        xr, xi = sum(map(operator.mul, a, wr)), 0
+        if wi is not None:
+            xi = sum(map(operator.mul, a, wi))
+            if b is not None:
+                xr -= sum(map(operator.mul, b, wi))
+                xi += sum(map(operator.mul, b, wr))
         if f:  # x / (e + fi) = x (e - fi) / (e^2 + f^2)
             xr, xi, m = xr * m + xi * f, xi * m - xr * f, m * m + f * f
         elif not m:
@@ -324,47 +352,78 @@ def _stream(polys, window: list, n0: int, N: int, den_factors) -> list:
         if g > 1:
             m, xr, xi = m // g, xr // g, xi // g
         D *= m
-        wr = [w * m for w in wr[1:]] + [xr]
-        out_re.append(Fraction(xr, D))
+        wr = [w * m for w in wr[1:]]
+        wr.append(xr)
+        out_re.append(xr)
         if wi is not None:
-            wi = [w * m for w in wi[1:]] + [xi]
-            out_im.append(Fraction(xi, D))
-    if wi is None:
-        zero = Fraction(0)
-        return [GaussianRational(x, zero) for x in out_re]
-    return [GaussianRational(x, y) for x, y in zip(out_re, out_im)]
+            wi = [w * m for w in wi[1:]]
+            wi.append(xi)
+            out_im.append(xi)
+        dens.append(D)
+    return out_re, out_im, dens
 
 
-def step_exact(polys, window: list, n0: int, N: int, den_factors=()) -> list:
+def _values(stream, part=None) -> list:
+    """The entries of a ``_stream`` as Gaussian rationals, each part one
+    ``Fraction`` over its step's D, which normalises it; or with ``part``
+    ("re" or "im") only the ``Fraction`` of that part."""
+    re, im, dens = stream
+    if part is not None:
+        nums = re if part == "re" else im
+        return [_FRACTION_ZERO] * len(dens) if nums is None else list(map(Fraction, nums, dens))
+    if im is None:
+        return [GaussianRational(x, _FRACTION_ZERO) for x in map(Fraction, re, dens)]
+    return list(map(GaussianRational, map(Fraction, re, dens), map(Fraction, im, dens)))
+
+
+def _part(v, part):
+    """The ``Fraction`` of an exact value's part ("re" or "im"), a pair of
+    them (q0's, q1's) for a pi-linear value."""
+    if isinstance(v, PiLinear):
+        return getattr(v.q0, part), getattr(v.q1, part)
+    return getattr(v if isinstance(v, GaussianRational) else GaussianRational(v), part)
+
+
+def step_exact(polys, window: list, n0: int, N: int, den_factors=(), part=None) -> list:
     """u_{n0+1} .. u_N from the window u_{n0-k} .. u_{n0} of exact scalars,
-    stepped over the integer row ``polys`` (see :class:`RecurrenceSpec`).
+    stepped over the integer row ``polys`` (see :class:`RecurrenceSpec`),
+    each row polynomial evaluated once for the whole run.  With ``part``
+    ("re" or "im") only that part of each entry is formed (see ``_part``).
 
-    q0 + q1*pi steps as two rational streams, so pi never enters the loop,
-    and a stream whose window is all zero is not stepped.
+    q0 + q1*pi steps as two rational streams over the same row values, so
+    pi never enters the loop, and a stream whose window is all zero is not
+    stepped.
     """
     window = [GaussianRational(s) if isinstance(s, (int, Fraction)) else s for s in window]
     pi = any(isinstance(s, PiLinear) for s in window)
     parts = [[s.q0 if isinstance(s, PiLinear) else s for s in window]]
     if pi:
         parts.append([s.q1 if isinstance(s, PiLinear) else _ZERO for s in window])
-    live = [any(part) for part in parts]
+    live = [any(p) for p in parts]
     if not any(live):  # still step one, so a singular row is reported
         live[0] = True
+    rows = _row_values(polys, len(window) - 1, n0, N)
+    zero = _ZERO if part is None else _FRACTION_ZERO
     streams = [
-        _stream(polys, part, n0, N, den_factors) if on else [_ZERO] * (N - n0)
-        for part, on in zip(parts, live)
+        _values(_stream(rows, p, n0, den_factors), part) if on else [zero] * (N - n0)
+        for p, on in zip(parts, live)
     ]
-    if pi:
+    if not pi:
+        return streams[0]
+    if part is None:
         return [PiLinear(q0, q1) for q0, q1 in zip(*streams)]
-    return streams[0]
+    return list(zip(*streams))
 
 
-def _run_generic(spec: RecurrenceSpec, N: int) -> list:
+def _run_generic(spec: RecurrenceSpec, N: int, part=None) -> list:
+    """u_0 .. u_N, or with ``part`` only that part of each entry (``_part``)."""
     values = list(spec.seeds[: N + 1])
+    if part is not None:
+        values = [_part(v, part) for v in values]
     if N <= spec.start:
         return values
     window = list(spec.seeds[spec.start - spec.order:])
-    return values + step_exact(spec.polys, window, spec.start, N, spec.den_factors)
+    return values + step_exact(spec.polys, window, spec.start, N, spec.den_factors, part)
 
 
 def _run_f64(spec: RecurrenceSpec, N: int):
@@ -396,28 +455,39 @@ def _half(combine, x, y):
     return combine(x, y) / 2 if x or y else _FRACTION_ZERO
 
 
+def _conjugate_combo(spec: RecurrenceSpec, N: int, combine, parts) -> list:
+    """A conjugate combo from its left branch u alone: (u + conj u)/2 = Re u
+    and (u - conj u)/2 = i Im u, so only u's real part (for +) or its
+    imaginary part (for -) is formed, and a pi-linear entry combines part
+    by part."""
+    add = combine is operator.add
+
+    def entry(x):
+        if type(x) is tuple:
+            return PiLinear(entry(x[0]), entry(x[1]))
+        return GaussianRational(*parts(*((x, _FRACTION_ZERO) if add else (_FRACTION_ZERO, x))))
+
+    return [entry(x) for x in _run_generic(spec, N, "re" if add else "im")]
+
+
 def _run_combo(combo: ComboSpec, N: int):
     """The branches combined entrywise; numpy's complex product is Python's
     formula, so f64 arrays give the entries Python scalars would.  Exact
     Gaussian-rational entries combine on their ``Fraction`` parts, to the
     values and types of the Gaussian-rational formula.  A conjugate combo
-    steps its left branch only: (u + conj u)/2 = Re u, (u - conj u)/2 =
-    i Im u."""
+    steps its left branch only."""
     bk = get_backend(combo.backend)
     combine, scale, parts = _COMBINE[combo.combiner]
     scale = scale(bk)
     if combo.backend != "f64":
-        left = run(combo.left, N).coeffs
-        right = left if combo.conjugate else run(combo.right, N).coeffs
+        if combo.conjugate:
+            return _conjugate_combo(combo.left, N, combine, parts)
         out = []
-        for u, v in zip(left, right):
+        for u, v in zip(run(combo.left, N).coeffs, run(combo.right, N).coeffs):
             if type(u) is not GaussianRational or type(v) is not GaussianRational:
-                out.append(combine(u, u.conjugate() if combo.conjugate else v) * scale)
+                out.append(combine(u, v) * scale)
                 continue
-            if combo.conjugate:
-                half = (u.re, _FRACTION_ZERO) if combine is operator.add else (_FRACTION_ZERO, u.im)
-            else:
-                half = (_half(combine, u.re, v.re), _half(combine, u.im, v.im))
+            half = (_half(combine, u.re, v.re), _half(combine, u.im, v.im))
             out.append(GaussianRational(*parts(*half)))
         return out
     u = _run_f64(combo.left, N)

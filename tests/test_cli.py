@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from macprod import cli, kernels
-from macprod.families import build, list_families
+from macprod.families import build, get_family, list_families, params_snapshot
+from macprod.numerics import GaussianRational, PiLinear, get_backend
 from macprod.recurrence_core import run
 
 
@@ -118,6 +119,161 @@ class TestCoeffs:
         assert len(den) > 4300
         want = run(build("exp-F", params), 1024).coeffs[1024]
         assert Fraction(int(Decimal(num)), int(Decimal(den))) == want.re
+
+
+def _fraction_text(x):
+    num = cli._int_text(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{cli._int_text(x.denominator)}"
+
+
+def _dict_records(coeffs, backend_name):
+    """One dict per entry, as ``coeffs`` built them before the record
+    writer: the reference its text is checked against."""
+    if backend_name == "exact":
+        records = []
+        for n, v in enumerate(coeffs):
+            if isinstance(v, PiLinear):
+                q0, q1 = v.q0, v.q1
+            elif isinstance(v, GaussianRational):
+                q0, q1 = v, GaussianRational(0)
+            else:
+                q0, q1 = GaussianRational(Fraction(v)), GaussianRational(0)
+            re_s, im_s, pre, pim = (_fraction_text(x) for x in (q0.re, q0.im, q1.re, q1.im))
+            records.append({"n": n, "re": re_s, "im": im_s, "pi_re": pre, "pi_im": pim})
+        return records
+    return [
+        {"n": n, "re": re, "im": im}
+        for n, (re, im) in enumerate(zip(coeffs.real.tolist(), coeffs.imag.tolist()))
+    ]
+
+
+def _dict_csv(records, exact):
+    cols = ["n", "re", "im"] + (["pi_re", "pi_im"] if exact else [])
+    lines = [",".join(cols)]
+    for rec in records:
+        lines.append(",".join(repr(rec[c]) if isinstance(rec[c], float) else str(rec[c]) for c in cols))
+    return "\n".join(lines) + "\n"
+
+
+def reference_coeffs(argv):
+    """What ``coeffs`` printed before the record writer: the dict records
+    through ``emit_json`` (JSON) or joined by column (CSV)."""
+    args = cli._build_parser().parse_args(argv)
+    bk = get_backend(args.backend)
+    info = get_family(args.family)
+    params = cli._parse_params(args, bk)
+    stream = run(build(args.family, params, bk), args.count - 1)
+    coeffs = cli._normalized(stream.coeffs, bk) if args.normalized else stream.coeffs
+    records = _dict_records(coeffs, bk.name)
+    if args.format == "csv":
+        return _dict_csv(records, bk.name == "exact")
+    doc = {
+        "family": info.id,
+        "base": info.base,
+        "params": dict(params_snapshot(params)),
+        "backend": bk.name,
+        "normalized": bool(args.normalized),
+        "coeffs": records,
+    }
+    return cli.emit_json(doc)
+
+
+class TestRecordWriter:
+    """Each coefficient record is written as text straight from the entry's
+    parts; the text equals what the dict records printed through
+    ``emit_json`` (JSON) or the column join (CSV)."""
+
+    POINTS = {
+        "real": {"a": "1/3", "b": "-5/4", "c": "7/5", "p": "3/2", "theta": "2/3"},
+        "complex": {"a": "1/3+1/2i", "b": "-5/4", "c": "7/5-1/3i", "p": "3/2+2i",
+                    "theta": "2/3-1/5i"},
+    }
+
+    def argv(self, info, point, *extra, count=41, backend="exact"):
+        flags = [f"--{name}={self.POINTS[point][name]}" for name in info.param_names]
+        return ["coeffs", "--family", info.id, "--count", str(count), "--backend", backend,
+                *flags, *extra]
+
+    def check(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out == reference_coeffs(argv)
+        return out
+
+    @pytest.mark.parametrize("point", ["real", "complex"])
+    @pytest.mark.parametrize("info", list_families(), ids=lambda i: i.id)
+    def test_exact_json(self, capsys, info, point):
+        self.check(capsys, self.argv(info, point))
+
+    @pytest.mark.parametrize("info", list_families(), ids=lambda i: i.id)
+    def test_csv(self, capsys, info):
+        self.check(capsys, self.argv(info, "complex", "--format", "csv"))
+        self.check(capsys, self.argv(info, "real", "--format", "csv", count=65, backend="f64"))
+
+    @pytest.mark.parametrize("backend", ["exact", "f64"])
+    @pytest.mark.parametrize(
+        "info", [i for i in list_families() if i.base in ("K", "E")], ids=lambda i: i.id
+    )
+    def test_normalized(self, capsys, info, backend):
+        for point in self.POINTS:
+            self.check(capsys, self.argv(info, point, "--normalized", backend=backend))
+
+    @pytest.mark.parametrize("point", ["real", "complex"])
+    def test_arccos_pi_parts(self, capsys, point):
+        out = self.check(capsys, self.argv(get_family("arccos-M"), point))
+        coeffs = json.loads(out)["coeffs"]
+        assert coeffs[0]["pi_re"] == "1/2"
+        assert all(c["pi_re"] != "0" for c in coeffs[:3])
+        assert (point == "complex") == any(c["pi_im"] != "0" for c in coeffs)
+
+    def test_entries_past_the_int_digit_limit(self, capsys):
+        argv = self.argv(get_family("exp-F"), "real", count=1025)
+        out = self.check(capsys, argv)
+        assert len(json.loads(out)["coeffs"][1024]["re"]) > 2 * 4300
+        csv = argv + ["--format", "csv"]
+        self.check(capsys, csv)
+
+    def test_f64_extreme_floats(self):
+        import numpy as np
+
+        # a signed zero, the least subnormal and the largest finite double
+        coeffs = np.array([
+            complex(-0.0, 5e-324), complex(1.7976931348623157e308, -0.0),
+            complex(-5e-324, -1.7976931348623157e308), complex(0.1, 1 / 3),
+        ])
+        records = _dict_records(coeffs, "f64")
+        json_lines = cli._coeff_lines(coeffs, False, "json")
+        assert "[" + ",".join(json_lines) + "]" == cli.emit_json(records)[:-1]
+        assert json_lines[0] == '{"im":5e-324,"n":0,"re":-0.0}'
+        csv_lines = cli._coeff_lines(coeffs, False, "csv")
+        assert "\n".join(["n,re,im", *csv_lines]) + "\n" == _dict_csv(records, False)
+
+    @pytest.mark.parametrize(
+        "family, flags, frequency",
+        [
+            ("exp-M", ["--a=1", "--c=2"], "--p=1e155"),
+            ("exp-M", ["--a=1", "--c=2"], "--p=1e300"),
+            ("sinh-M-combo", ["--a=1", "--c=2"], "--p=1e155"),
+            ("sin-M-combo", ["--a=1", "--c=2"], "--p=1e155"),
+            ("exp-K", ["--normalized"], "--p=1e155"),
+            ("binom-M", ["--a=1", "--c=2", "--p=3"], "--theta=1e155"),
+            ("arcsin-M", ["--a=1/2", "--c=5/4"], "--p=30"),
+        ],
+    )
+    def test_non_finite_never_reaches_the_writer(self, capsys, monkeypatch, family, flags,
+                                                 frequency):
+        # an f64 run raises on a non-finite entry, so the request exits 3
+        # before any record is written; at a small frequency it is written
+        # from a finite array
+        written = []
+        write = cli._coeff_lines
+        monkeypatch.setattr(cli, "_coeff_lines", lambda *a: written.append(a) or write(*a))
+        argv = ["coeffs", "--family", family, "--backend", "f64", "--count", "400", *flags]
+        code, out, _ = run_cli(capsys, *argv, frequency)
+        assert (code, out, written) == (3, "", [])
+        code, out, _ = run_cli(capsys, *argv, frequency.split("=")[0] + "=1/3")
+        assert code == 0 and out and len(written) == 1
+        assert all(math.isfinite(x) for x in written[0][0].view(float).tolist())
 
 
 class TestFloatOutputBytes:

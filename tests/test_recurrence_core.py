@@ -20,6 +20,7 @@ from macprod.numerics import (
     get_backend,
 )
 from macprod.recurrence_core import (
+    COMBINERS,
     ComboSpec,
     RecurrenceSpec,
     run,
@@ -509,6 +510,102 @@ class TestIntegerStepper:
         assert [v.q1 for v in stepped] == part("q1")
 
 
+class TestRowsPerRun:
+    """A run evaluates each row polynomial once over its index range; a row
+    that turns singular mid-run is still reported at its n, with the same
+    message, after the entries before it were stepped."""
+
+    @pytest.mark.parametrize("info", list_families(), ids=lambda i: i.id)
+    def test_row_values_are_the_polynomials_at_each_n(self, info):
+        spec = build(info.id, TestIntegerStepper.draw(info, "complex"))
+        for branch in (spec.left, spec.right) if isinstance(spec, ComboSpec) else (spec,):
+            (den_re, den_im), terms = branch.polys
+            k, n0, N = branch.order, branch.start, branch.start + 23
+            got = recurrence_core._row_values(branch.polys, k, n0, N)
+            at = recurrence_core._horner
+            assert got[0] == [at(den_re, n) for n in range(n0, N)]
+            assert got[1] == (None if den_im == (0,) else [at(den_im, n) for n in range(n0, N)])
+            for part, rows in zip((0, 1), got[2:]):
+                want = [[0] * (k + 1) for _ in range(n0, N)]
+                for i, num in terms:
+                    for t, n in enumerate(range(n0, N)):
+                        want[t][k - i] = at(num[part], n)
+                if rows is None:
+                    assert all(not any(row) for row in want)
+                else:
+                    assert [list(row) for row in rows] == want
+            assert recurrence_core._row_values(branch.polys, k, n0, n0)[::2] == ([], [])
+
+    # u[n+1] = u[n] / (n - 7) + u[n-1] / 3, and the same over a complex
+    # denominator 3 (n - 7)(n + i)
+    ROWS = {
+        "real": (((3, -21), (0,)), ((0, ((3,), (0,))), (1, ((1, -7), (0,))))),
+        "complex": (((3, -21, 0), (3, -21)), ((0, ((3,), (0,))), (1, ((1, -7, 0), (1, -7))))),
+    }
+    SEEDS = {
+        "real": (gr(1), gr(2)),
+        "complex": (gr(1), G(Fraction(1, 2), Fraction(-2, 7))),
+        "pi": (PiLinear(gr(1), gr(1, 2)), PiLinear(gr(2), gr(-1, 3))),
+        "zero": (gr(0), gr(0)),
+    }
+    MESSAGE = "recurrence row is singular at n=7: n-7 vanishes"
+
+    def spec(self, row, seeds):
+        return RecurrenceSpec(1, self.SEEDS[seeds], self.ROWS[row], "exact",
+                              den_factors=(("n-7", (1, -7)),))
+
+    def raises_at_7(self, spec, N=12):
+        with pytest.raises(SingularIndexError) as exc:
+            run(spec, N)
+        assert str(exc.value) == self.MESSAGE
+        assert (exc.value.index, exc.value.factor) == (7, "n-7")
+
+    @pytest.mark.parametrize("seeds", ["real", "complex", "pi", "zero"])
+    @pytest.mark.parametrize("row", ["real", "complex"])
+    def test_singular_mid_run(self, row, seeds):
+        spec = self.spec(row, seeds)
+        self.raises_at_7(spec)
+        self.raises_at_7(spec, 8)
+        out = run(spec, 7).coeffs  # u_2 .. u_7 were stepped before n = 7
+        assert len(out) == 8 and out == closure_stream(spec, 7)
+
+    @pytest.mark.parametrize("combiner", COMBINERS)
+    @pytest.mark.parametrize("row", ["real", "complex"])
+    def test_singular_mid_run_in_a_combo(self, row, combiner):
+        left = self.spec(row, "complex")
+        right = recurrence_core.conjugated(left)
+        for combo in (ComboSpec(left, right, combiner), ComboSpec(left, right, combiner,
+                                                                  conjugate=True)):
+            self.raises_at_7(combo)
+            assert len(run(combo, 7).coeffs) == 8
+
+
+class TestConjugatePiLinear:
+    """A conjugate combo forms only the part its combiner reads, a pi-linear
+    entry part by part, to the values and types of the Gaussian-rational
+    formula on the branch and its conjugate."""
+
+    @pytest.mark.parametrize("combiner", COMBINERS)
+    @pytest.mark.parametrize("family", ["sin-M-combo", "cos-F-combo"])
+    def test_equals_the_formula(self, family, combiner):
+        info = get_family(family)
+        params = draw_params(info, Random(crc32(family.encode()) + 9))
+        left = build(family, {k: getattr(params, k) for k in info.param_names}).left
+        for seeds in (
+            tuple(PiLinear(s, s * gr(1, 2)) for s in left.seeds),  # a K/E-like stream
+            tuple(PiLinear(gr(0), s) for s in left.seeds),
+            left.seeds,
+        ):
+            branch = dataclasses.replace(left, seeds=seeds)
+            combo = ComboSpec(branch, recurrence_core.conjugated(branch), combiner,
+                              conjugate=True)
+            combine, scale, _ = recurrence_core._COMBINE[combiner]
+            u = run(branch, 40).coeffs
+            want = [combine(x, x.conjugate()) * scale(EXACT) for x in u]
+            got = run(combo, 40).coeffs
+            assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
 class TestCombo:
     def test_sinh_at_zero_p_vanishes(self):
         combo = build("sinh-M-combo", {"a": 1, "c": 3, "p": 0})
@@ -576,9 +673,9 @@ class TestConjugateBranches:
         for name in ("_run_generic", "_run_f64"):
             step = getattr(recurrence_core, name)
 
-            def counted(spec, n, step=step):
+            def counted(spec, n, *part, step=step):
                 stepped.append(spec)
-                return step(spec, n)
+                return step(spec, n, *part)
 
             monkeypatch.setattr(recurrence_core, name, counted)
         for params in self.draws(family, backend):
