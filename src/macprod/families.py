@@ -577,11 +577,19 @@ def _trim(coeffs):
     return tuple(coeffs[k:])
 
 
-def _gaussian_monomials(plan, parts):
-    """The real and imaginary parts of each monomial's value from the
-    variables' (re, im, q): x^e q^(E-e) multiplied as Gaussian integers."""
+def _integer_rows(name, values) -> tuple:
+    """Operator ``name`` at exact ``values`` as the exact engine's integer
+    row ``(den, terms)``: den is P_0(n+1), entry i's numerator -P_{i+1}(n-i),
+    each a pair (real part, imaginary part) of integer polynomials in n.
+
+    Each parameter is an integer, or a Gaussian integer, over its
+    denominator q.  Scaled by prod q^E over the variables (highest exponent
+    E), every monomial value is a Gaussian integer; its real and imaginary
+    parts go through the plan's matrix (the imaginary ones only when some
+    is nonzero), and the rows are divided by their content."""
+    plan = _plan(_OPERATORS[name])
     powers = []  # per variable, x^e q^(E-e) for e = 0 .. E, as (re, im)
-    for (r, i, q), E in zip(parts, plan.top):
+    for (r, i, q), E in zip((_int_parts(values[x]) for x in plan.names), plan.top):
         pw, xr, xi = [], 1, 0
         for e in range(E + 1):
             pw.append((xr * q ** (E - e), xi * q ** (E - e)))
@@ -595,30 +603,8 @@ def _gaussian_monomials(plan, parts):
             xr, xi = xr * yr - xi * yi, xr * yi + xi * yr
         re.append(xr)
         im.append(xi)
-    return re, im
-
-
-def _integer_rows(name, values) -> tuple:
-    """Operator ``name`` at exact ``values`` as the exact engine's integer
-    row ``(den, terms)``: den is P_0(n+1), entry i's numerator -P_{i+1}(n-i),
-    each a pair (real part, imaginary part) of integer polynomials in n.
-
-    Each parameter is an integer, or a Gaussian integer, over its
-    denominator q.  Scaled by prod q^E over the variables (highest exponent
-    E), every monomial value is a Gaussian integer; its real and imaginary
-    parts go through the plan's matrix (the imaginary ones only when some
-    is nonzero), and the rows are divided by their content.  At real
-    parameters the values are plain integers."""
-    plan = _plan(_OPERATORS[name])
-    parts = [_int_parts(values[x]) for x in plan.names]
-    if not any(i for _, i, _ in parts):
-        powers = [[r**e * q ** (E - e) for e in range(E + 1)] for (r, _, q), E in zip(parts, plan.top)]
-        re = plan.times([math.prod(map(operator.getitem, powers, exps)) for exps in plan.exps])
-        im = [0] * len(re)
-    else:
-        re, im = _gaussian_monomials(plan, parts)
-        re = plan.times(re)
-        im = plan.times(im) if any(im) else [0] * len(re)
+    re = plan.times(re)
+    im = plan.times(im) if any(im) else [0] * len(re)
     g = math.gcd(*re, *im)  # the content
     if g > 1:
         re, im = [x // g for x in re], [x // g for x in im]

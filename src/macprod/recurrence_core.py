@@ -9,21 +9,18 @@ polynomials too, for the message that reports a singular row.
 
 The exact path has the polynomials in integers: the families evaluate each
 product operator in integers, every entry over the one denominator
-P_0(n+1).  A run evaluates each of them once over its whole index range
-(Horner over the list of n), and the stream steps with those values
-fraction-free (``step_exact``): the window u_{n-k} .. u_n is held as
-integer numerators over one running denominator D, a complex row
-denominator is made real by its conjugate, and the only reduction is the
-gcd of each step's denominator with the new numerator, which is cheap
-because that denominator is a small integer.  It keeps D equal to the
-window's least common denominator in practice.  The loop only multiplies
-and reduces; the outputs are made at the end, each part one ``Fraction``
-over its step's D, wrapped in :class:`GaussianRational`.  A stream whose
-coefficients and seeds are real carries no imaginary half.  Pi-linear seeds
-q0 + q1*pi step by linearity as two rational streams over the same row
-values (the K and E streams are pi/2 times a rational stream, arccos-M is
-rational + pi * rational), so :class:`PiLinear` never enters the loop, and
-a stream whose seeds are all zero is not stepped.
+P_0(n+1).  The stream steps with them fraction-free (``step_exact``): the
+window u_{n-k} .. u_n is held as integer numerators over one running
+denominator D, a complex row denominator is made real by its conjugate, and
+the only reduction is the gcd of each step's denominator with the new
+numerator, which is cheap because that denominator is a small integer.  It
+keeps D equal to the window's least common denominator in practice, and
+each output part is one ``Fraction`` over its step's D, wrapped in
+:class:`GaussianRational`.  A stream whose coefficients and seeds are real
+carries no imaginary half.  Pi-linear seeds q0 + q1*pi step by linearity as
+two rational streams (the K and E streams are pi/2 times a rational stream,
+arccos-M is rational + pi * rational), so :class:`PiLinear` never enters
+the loop, and a stream whose seeds are all zero is not stepped.
 
 The f64 path hands its long double row polynomials and the whole stream to
 one call of ``kernels.recurrence_steps``, which evaluates each row and steps
@@ -284,41 +281,11 @@ def _horner(poly, x):
     return acc
 
 
-def _at_each(poly, ns) -> list:
-    """poly (highest power first) at every n of ``ns``, by Horner over the list."""
-    acc = [poly[0]] * len(ns)
-    for c in poly[1:]:
-        acc = [a * n + c for a, n in zip(acc, ns)]
-    return acc
-
-
-def _row_values(polys, order: int, n0: int, N: int):
-    """The integer row at n = n0 .. N-1, each polynomial evaluated once over
-    the range: the denominator's real and imaginary parts, and per step the
-    numerators' real and imaginary parts in the order of the window entries
-    they multiply, u_{n-k} first (a missing entry is 0).  An imaginary part
-    that is zero throughout is None."""
-    (den_re, den_im), terms = polys
-    ns = range(n0, N)
-    zero = [0] * len(ns)
-    re, im = [zero] * (order + 1), [zero] * (order + 1)
-    for i, (a, b) in terms:
-        re[order - i] = _at_each(a, ns)
-        if b != (0,):
-            im[order - i] = _at_each(b, ns)
-    return (
-        _at_each(den_re, ns),
-        None if den_im == (0,) else _at_each(den_im, ns),
-        list(zip(*re)),
-        None if all(col is zero for col in im) else list(zip(*im)),
-    )
-
-
-def _stream(rows, window: list, n0: int, den_factors):
+def _stream(polys, window: list, n0: int, N: int, den_factors):
     """u_{n0+1} .. u_N of one Gaussian-rational stream from the window
-    u_{n0-k} .. u_{n0}, stepped over the row values ``rows`` (see
-    ``_row_values``), as integer numerators of the real and imaginary parts
-    (None for a real stream) and their denominators.
+    u_{n0-k} .. u_{n0}, stepped over the integer row ``polys``, as integer
+    numerators of the real and imaginary parts (None for a real stream) and
+    their denominators.
 
     The window u_{n-k} .. u_n is held as integer numerators (real, and
     imaginary unless the seeds and every coefficient are real) over one
@@ -328,22 +295,30 @@ def _stream(rows, window: list, n0: int, den_factors):
     are then scaled by den/g, whatever its sign.  Entry n's value is its
     numerators over that step's D.
     """
-    den_re, den_im, row_re, row_im = rows
-    real = den_im is None and row_im is None and not any(s.im for s in window)
+    (den_re, den_im), terms = polys
+    k = len(window) - 1
+    real = not any(s.im for s in window) and all(
+        im == (0,) for im in [den_im] + [b for _, (_, b) in terms]
+    )
     D = math.lcm(*(x.denominator for s in window for x in (s.re, s.im)))
     wr = [s.re.numerator * (D // s.re.denominator) for s in window]
     wi = None if real else [s.im.numerator * (D // s.im.denominator) for s in window]
+    den_im = None if den_im == (0,) else den_im
+    terms = [(k - i, a, b if b != (0,) else None) for i, (a, b) in terms]
     out_re, out_im, dens = [], None if real else [], []
-    steps = len(den_re)
-    for n, m, f, a, b in zip(
-        range(n0, n0 + steps), den_re, den_im or [0] * steps, row_re, row_im or [None] * steps
-    ):
-        xr, xi = sum(map(operator.mul, a, wr)), 0
-        if wi is not None:
-            xi = sum(map(operator.mul, a, wi))
-            if b is not None:
-                xr -= sum(map(operator.mul, b, wi))
-                xi += sum(map(operator.mul, b, wr))
+    for n in range(n0, N):
+        xr = xi = 0
+        for j, a, b in terms:
+            c = _horner(a, n)
+            xr += c * wr[j]
+            if wi is not None:
+                xi += c * wi[j]
+                if b is not None:
+                    d = _horner(b, n)
+                    xr -= d * wi[j]
+                    xi += d * wr[j]
+        m = _horner(den_re, n)
+        f = 0 if den_im is None else _horner(den_im, n)
         if f:  # x / (e + fi) = x (e - fi) / (e^2 + f^2)
             xr, xi, m = xr * m + xi * f, xi * m - xr * f, m * m + f * f
         elif not m:
@@ -352,12 +327,10 @@ def _stream(rows, window: list, n0: int, den_factors):
         if g > 1:
             m, xr, xi = m // g, xr // g, xi // g
         D *= m
-        wr = [w * m for w in wr[1:]]
-        wr.append(xr)
+        wr = [w * m for w in wr[1:]] + [xr]
         out_re.append(xr)
         if wi is not None:
-            wi = [w * m for w in wi[1:]]
-            wi.append(xi)
+            wi = [w * m for w in wi[1:]] + [xi]
             out_im.append(xi)
         dens.append(D)
     return out_re, out_im, dens
@@ -376,23 +349,14 @@ def _values(stream, part=None) -> list:
     return list(map(GaussianRational, map(Fraction, re, dens), map(Fraction, im, dens)))
 
 
-def _part(v, part):
-    """The ``Fraction`` of an exact value's part ("re" or "im"), a pair of
-    them (q0's, q1's) for a pi-linear value."""
-    if isinstance(v, PiLinear):
-        return getattr(v.q0, part), getattr(v.q1, part)
-    return getattr(v if isinstance(v, GaussianRational) else GaussianRational(v), part)
-
-
 def step_exact(polys, window: list, n0: int, N: int, den_factors=(), part=None) -> list:
     """u_{n0+1} .. u_N from the window u_{n0-k} .. u_{n0} of exact scalars,
-    stepped over the integer row ``polys`` (see :class:`RecurrenceSpec`),
-    each row polynomial evaluated once for the whole run.  With ``part``
-    ("re" or "im") only that part of each entry is formed (see ``_part``).
+    stepped over the integer row ``polys`` (see :class:`RecurrenceSpec`).
+    With ``part`` ("re" or "im"), for a window without pi, only the
+    ``Fraction`` of that part of each entry is formed.
 
-    q0 + q1*pi steps as two rational streams over the same row values, so
-    pi never enters the loop, and a stream whose window is all zero is not
-    stepped.
+    q0 + q1*pi steps as two rational streams, so pi never enters the loop,
+    and a stream whose window is all zero is not stepped.
     """
     window = [GaussianRational(s) if isinstance(s, (int, Fraction)) else s for s in window]
     pi = any(isinstance(s, PiLinear) for s in window)
@@ -402,24 +366,23 @@ def step_exact(polys, window: list, n0: int, N: int, den_factors=(), part=None) 
     live = [any(p) for p in parts]
     if not any(live):  # still step one, so a singular row is reported
         live[0] = True
-    rows = _row_values(polys, len(window) - 1, n0, N)
     zero = _ZERO if part is None else _FRACTION_ZERO
     streams = [
-        _values(_stream(rows, p, n0, den_factors), part) if on else [zero] * (N - n0)
+        _values(_stream(polys, p, n0, N, den_factors), part) if on else [zero] * (N - n0)
         for p, on in zip(parts, live)
     ]
-    if not pi:
-        return streams[0]
-    if part is None:
+    if pi:
         return [PiLinear(q0, q1) for q0, q1 in zip(*streams)]
-    return list(zip(*streams))
+    return streams[0]
 
 
 def _run_generic(spec: RecurrenceSpec, N: int, part=None) -> list:
-    """u_0 .. u_N, or with ``part`` only that part of each entry (``_part``)."""
+    """u_0 .. u_N, or with ``part`` only that part of each entry (seeds
+    without pi)."""
     values = list(spec.seeds[: N + 1])
     if part is not None:
-        values = [_part(v, part) for v in values]
+        values = [getattr(v if isinstance(v, GaussianRational) else GaussianRational(v), part)
+                  for v in values]
     if N <= spec.start:
         return values
     window = list(spec.seeds[spec.start - spec.order:])
@@ -458,16 +421,12 @@ def _half(combine, x, y):
 def _conjugate_combo(spec: RecurrenceSpec, N: int, combine, parts) -> list:
     """A conjugate combo from its left branch u alone: (u + conj u)/2 = Re u
     and (u - conj u)/2 = i Im u, so only u's real part (for +) or its
-    imaginary part (for -) is formed, and a pi-linear entry combines part
-    by part."""
+    imaginary part (for -) is formed."""
     add = combine is operator.add
-
-    def entry(x):
-        if type(x) is tuple:
-            return PiLinear(entry(x[0]), entry(x[1]))
-        return GaussianRational(*parts(*((x, _FRACTION_ZERO) if add else (_FRACTION_ZERO, x))))
-
-    return [entry(x) for x in _run_generic(spec, N, "re" if add else "im")]
+    return [
+        GaussianRational(*parts(*((x, _FRACTION_ZERO) if add else (_FRACTION_ZERO, x))))
+        for x in _run_generic(spec, N, "re" if add else "im")
+    ]
 
 
 def _run_combo(combo: ComboSpec, N: int):
@@ -475,12 +434,13 @@ def _run_combo(combo: ComboSpec, N: int):
     formula, so f64 arrays give the entries Python scalars would.  Exact
     Gaussian-rational entries combine on their ``Fraction`` parts, to the
     values and types of the Gaussian-rational formula.  A conjugate combo
-    steps its left branch only."""
+    steps its left branch only; one with pi-linear seeds, which no family
+    builds, steps both."""
     bk = get_backend(combo.backend)
     combine, scale, parts = _COMBINE[combo.combiner]
     scale = scale(bk)
     if combo.backend != "f64":
-        if combo.conjugate:
+        if combo.conjugate and not any(isinstance(s, PiLinear) for s in combo.left.seeds):
             return _conjugate_combo(combo.left, N, combine, parts)
         out = []
         for u, v in zip(run(combo.left, N).coeffs, run(combo.right, N).coeffs):

@@ -510,31 +510,9 @@ class TestIntegerStepper:
         assert [v.q1 for v in stepped] == part("q1")
 
 
-class TestRowsPerRun:
-    """A run evaluates each row polynomial once over its index range; a row
-    that turns singular mid-run is still reported at its n, with the same
-    message, after the entries before it were stepped."""
-
-    @pytest.mark.parametrize("info", list_families(), ids=lambda i: i.id)
-    def test_row_values_are_the_polynomials_at_each_n(self, info):
-        spec = build(info.id, TestIntegerStepper.draw(info, "complex"))
-        for branch in (spec.left, spec.right) if isinstance(spec, ComboSpec) else (spec,):
-            (den_re, den_im), terms = branch.polys
-            k, n0, N = branch.order, branch.start, branch.start + 23
-            got = recurrence_core._row_values(branch.polys, k, n0, N)
-            at = recurrence_core._horner
-            assert got[0] == [at(den_re, n) for n in range(n0, N)]
-            assert got[1] == (None if den_im == (0,) else [at(den_im, n) for n in range(n0, N)])
-            for part, rows in zip((0, 1), got[2:]):
-                want = [[0] * (k + 1) for _ in range(n0, N)]
-                for i, num in terms:
-                    for t, n in enumerate(range(n0, N)):
-                        want[t][k - i] = at(num[part], n)
-                if rows is None:
-                    assert all(not any(row) for row in want)
-                else:
-                    assert [list(row) for row in rows] == want
-            assert recurrence_core._row_values(branch.polys, k, n0, n0)[::2] == ([], [])
+class TestSingularMidRun:
+    """A row that turns singular mid-run is reported at its n, with the
+    same message, after the entries before it were stepped."""
 
     # u[n+1] = u[n] / (n - 7) + u[n-1] / 3, and the same over a complex
     # denominator 3 (n - 7)(n + i)
@@ -580,10 +558,11 @@ class TestRowsPerRun:
             assert len(run(combo, 7).coeffs) == 8
 
 
-class TestConjugatePiLinear:
-    """A conjugate combo forms only the part its combiner reads, a pi-linear
-    entry part by part, to the values and types of the Gaussian-rational
-    formula on the branch and its conjugate."""
+class TestConjugateParts:
+    """A conjugate combo forms only the part its combiner reads (one with
+    pi-linear seeds, which no family builds, steps both branches), to the
+    values and types of the Gaussian-rational formula on the branch and its
+    conjugate."""
 
     @pytest.mark.parametrize("combiner", COMBINERS)
     @pytest.mark.parametrize("family", ["sin-M-combo", "cos-F-combo"])
