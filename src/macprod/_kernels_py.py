@@ -23,8 +23,8 @@ def rows(polys, first, count):
     """The entries P_{i+1}(m) * (1 / P_0(m)) of the steps m = first ..
     first+count-1 over ``polys`` (see ``kernels.recurrence_steps``), each
     rounded once to double, as a (count, k+1) complex128 array, zero at the
-    lags whose polynomial is zero; and the number of steps before the first
-    whose P_0 vanishes or whose entry is not finite."""
+    lags whose polynomial is zero (inf or NaN where an entry leaves double);
+    and the number of steps before the first whose P_0 vanishes."""
     sets, size, width = polys.shape
     cplx = np.iscomplexobj(polys)
     out = np.zeros((count, size - 1), dtype=np.complex128)
@@ -39,16 +39,15 @@ def rows(polys, first, count):
             for t in range(width - 3, -1, -1):
                 V[t] = V[t + 1] * V[-2]
             dr = _poly(P[0].real, V)
+            di = _poly(P[0].imag, V) if cplx else 0
+            bad[j] = (dr == 0) & (di == 0)
             if cplx:  # 1 / (dr + di i) by Smith's method, as numpy divides
-                di = _poly(P[0].imag, V)
-                bad[j] |= (dr == 0) & (di == 0)
                 big = abs(dr) >= abs(di)
                 rat = np.where(big, di / dr, dr / di)
                 scl = 1 / np.where(big, dr + di * rat, di + dr * rat)
                 ir = np.where(big, scl, (rat + 0) * scl)
                 ii = np.where(big, (0 - rat) * scl, -scl)
             else:
-                bad[j] |= dr == 0
                 ir = 1 / dr
             for i in range(size - 1):
                 if not P[i + 1].any():
@@ -56,14 +55,10 @@ def rows(polys, first, count):
                 nr = _poly(P[i + 1].real, V)
                 if cplx:
                     ni = _poly(P[i + 1].imag, V)
-                    er = (nr * ir - ni * ii).astype(np.float64)
-                    ei = (nr * ii + ni * ir).astype(np.float64)
-                    out.imag[j, i] = ei
-                    bad[j] |= ~np.isfinite(ei)
+                    out.real[j, i] = nr * ir - ni * ii
+                    out.imag[j, i] = nr * ii + ni * ir
                 else:
-                    er = (nr * ir).astype(np.float64)
-                out.real[j, i] = er
-                bad[j] |= ~np.isfinite(er)
+                    out.real[j, i] = nr * ir
     return out, int(np.argmax(bad)) if bad.any() else count
 
 

@@ -18,8 +18,6 @@ import cmath
 import json
 import sys
 from dataclasses import replace
-from decimal import Decimal
-from fractions import Fraction
 
 from . import verify as verify_mod
 from .families import (
@@ -38,6 +36,7 @@ from .numerics import (
     PiLinear,
     SingularIndexError,
     format_scalar,
+    fraction_text,
     get_backend,
     parse_scalar,
 )
@@ -69,31 +68,12 @@ def _parse_params(args, bk) -> Params:
     return Params(**fields)
 
 
-def _int_text(n: int) -> str:
-    """n in decimal.  ``str`` refuses ints past the interpreter's digit limit
-    (4300 by default); ``Decimal`` has none, so long entries print without
-    changing that process-wide limit."""
-    try:
-        return str(n)
-    except ValueError:
-        return str(Decimal(n))
-
-
-def _fraction_text(x: Fraction) -> str:
-    """x as "N" or "N/D"; ``str`` of a Fraction is that text."""
-    try:
-        return str(x)
-    except ValueError:
-        num = _int_text(x.numerator)
-        return num if x.denominator == 1 else f"{num}/{_int_text(x.denominator)}"
-
-
 def _exact_texts(v) -> tuple:
     """The texts of an exact entry's parts: re, im, pi_re, pi_im."""
     if isinstance(v, PiLinear):
         q0, q1 = v.q0, v.q1
-        return tuple(map(_fraction_text, (q0.re, q0.im, q1.re, q1.im)))
-    return _fraction_text(v.re), _fraction_text(v.im), "0", "0"
+        return tuple(map(fraction_text, (q0.re, q0.im, q1.re, q1.im)))
+    return fraction_text(v.re), fraction_text(v.im), "0", "0"
 
 
 #: one coefficient record from its index n and the texts of its parts (re,

@@ -679,9 +679,7 @@ def _arcsin_M_interleaved(a, c, p, s0, g0):
     P.flags.writeable = False
     u = np.zeros(20, dtype=np.complex128)  # stream entries -8 .. 11
     u[8:12] = s0, g0, s0 * a / c, g0 * a / c
-    bad = kernels.recurrence_steps(P, u, 11, first=3)
-    if bad is not None:  # entries from that step on have no value; the run reports it
-        u[bad + 9:] = np.nan
+    kernels.recurrence_steps(P, u, 11, first=3)  # its P_0, 4n or 4(n + c), never vanishes
     return tuple(u[8:].tolist()), P
 
 
@@ -917,7 +915,8 @@ def _binom_f64(info, params, bk):
         return _mk_single(info, params, bk)
     q = int(p.real)
     j = np.arange(q)
-    taps = np.cumprod(np.concatenate(([1], -params.theta * (q - j) / (j + 1))))
+    with np.errstate(all="ignore"):  # taps past double are inf or NaN; the run reports them
+        taps = np.cumprod(np.concatenate(([1], -params.theta * (q - j) / (j + 1))))
     base = _exp_spec(info, params, bk, _meta(info, params), bk.zero())
     return replace(base, taps=tuple(taps.tolist()))
 

@@ -13,8 +13,10 @@ powers of the step index, highest power first (which rounds the leading
 term once less than Horner's scheme), then one reciprocal of the
 denominator (by Smith's method when complex, as numpy divides) and one
 product per entry, rounded once to double.  The step then runs in double.
-Lags whose polynomial is zero are skipped.  The loop returns the first
-index whose denominator vanishes or whose entry is not finite.
+Lags whose polynomial is zero are skipped.  The loop stops only at the
+first index whose denominator vanishes.  A row entry or value past double
+becomes inf or NaN and is stepped on, so every value that reads it is not
+finite either; the caller's one finiteness check of the output reports it.
 
 The loop is compiled with the system C compiler on first use, never at
 import, and cached as ``__pycache__/_step-<sha256 of the source>.<platform>.so``
@@ -58,8 +60,10 @@ static long double poly(const long double *p, const long double *pw, long width,
    m = m0 + j - n0 and reads polynomial set (m + 1) % sets of c: k + 2
    polynomials in m of width coefficients, highest power first, long double
    (re, im) pairs when cplx.  e_i = P_{i+1}(m) * (1 / P_0(m)).  Returns the
-   first m whose P_0 vanishes or whose entry is not finite, u stepped up to
-   it, -1 when every step ran, or -2 when the work space cannot be allocated. */
+   first m whose P_0 vanishes, u stepped up to it, -1 when every step ran,
+   or -2 when the work space cannot be allocated.  An entry or value past
+   double is stepped on as inf or NaN, which IEEE arithmetic carries into
+   every later value that reads it. */
 long recurrence_steps(const long double *c, int cplx, long sets, long k, long width,
                       double *u, long n0, long count, long m0)
 {
@@ -93,29 +97,23 @@ long recurrence_steps(const long double *c, int cplx, long sets, long k, long wi
             pw[width - 2] = m;
         for (long t = width - 3; t >= 0; t--)
             pw[t] = pw[t + 1] * pw[width - 2];
-        long double dr = poly(P, pw, width, stride), di = 0, ir, ii = 0;
-        if (cplx) {
-            /* 1 / (dr + di i) by Smith's method, as numpy divides */
-            di = poly(P + 1, pw, width, stride);
-            if (dr == 0 && di == 0) {
-                bad = m;
-                break;
-            }
-            if (fabsl(dr) >= fabsl(di)) {
-                long double rat = di / dr, scl = 1 / (dr + di * rat);
-                ir = scl;
-                ii = (0 - rat) * scl;
-            } else {
-                long double rat = dr / di, scl = 1 / (di + dr * rat);
-                ir = (rat + 0) * scl;
-                ii = -scl;
-            }
-        } else {
-            if (dr == 0) {
-                bad = m;
-                break;
-            }
+        long double dr = poly(P, pw, width, stride), ir, ii = 0;
+        long double di = cplx ? poly(P + 1, pw, width, stride) : 0;
+        if (dr == 0 && di == 0) {
+            bad = m;
+            break;
+        }
+        if (!cplx) {
             ir = 1 / dr;
+        } else if (fabsl(dr) >= fabsl(di)) {
+            /* 1 / (dr + di i) by Smith's method, as numpy divides */
+            long double rat = di / dr, scl = 1 / (dr + di * rat);
+            ir = scl;
+            ii = (0 - rat) * scl;
+        } else {
+            long double rat = dr / di, scl = 1 / (di + dr * rat);
+            ir = (rat + 0) * scl;
+            ii = -scl;
         }
         const double *v = u + 2 * (n0 + j);
         double re = 0.0, im = 0.0;
@@ -131,16 +129,10 @@ long recurrence_steps(const long double *c, int cplx, long sets, long k, long wi
             } else {
                 ar = (double)(nr * ir);
             }
-            if (!isfinite(ar) || !isfinite(ai)) {
-                bad = m;
-                break;
-            }
             double br = v[-2 * i], bi = v[-2 * i + 1];
             re = re + (ar * br - ai * bi);
             im = im + (ar * bi + ai * br);
         }
-        if (bad >= 0)
-            break;
         u[2 * (n0 + j + 1)] = re;
         u[2 * (n0 + j + 1) + 1] = im;
     }
@@ -262,8 +254,8 @@ def recurrence_steps(polys, u, n0: int, first: int | None = None, impl=None):
     m = first + j - n0 (``first`` defaults to n0) and reads set (m + 1) %
     sets, so set s steps the entries of sequence s of an interleaved stream:
     u[j+1] = sum_i P_{i+1}(m) / P_0(m) * u[j-i].  Returns the first m whose
-    P_0 vanishes or whose entry is not finite in double, u stepped up to it,
-    or None.
+    P_0 vanishes, u stepped up to it, or None.  An entry or value past double
+    is stepped on as inf or NaN, which carries into every value that reads it.
     """
     polys = np.ascontiguousarray(
         polys, dtype=np.clongdouble if np.iscomplexobj(polys) else np.longdouble

@@ -37,6 +37,7 @@ __all__ = [
     "pochhammer",
     "parse_scalar",
     "format_scalar",
+    "fraction_text",
     "approximate",
     "get_backend",
     "EXACT",
@@ -414,6 +415,28 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _int_text(n: int) -> str:
+    """n in decimal.  ``str`` refuses ints past the interpreter's digit limit
+    (4300 by default); ``Decimal`` has none, so long values print without
+    changing that process-wide limit."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(n))
+
+
+def fraction_text(x) -> str:
+    """An int or Fraction as "N" or "N/D", at any length; ``str`` of a
+    Fraction is that text."""
+    try:
+        return str(x)
+    except ValueError:
+        num = _int_text(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{_int_text(x.denominator)}"
+
+
 def format_scalar(x) -> str:
     """Render a scalar in the same grammar :func:`parse_scalar` accepts.
 
@@ -427,13 +450,11 @@ def format_scalar(x) -> str:
         return f"({format_scalar(x.q0)})+({format_scalar(x.q1)})pi"
     if isinstance(x, GaussianRational):
         if not x.im:
-            return str(x.re)
+            return fraction_text(x.re)
         sign = "+" if x.im > 0 else "-"
-        return f"{x.re}{sign}{abs(x.im)}i"
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
+        return f"{fraction_text(x.re)}{sign}{fraction_text(abs(x.im))}i"
+    if isinstance(x, (Fraction, int)):
+        return fraction_text(x)
     if isinstance(x, (complex, float)):
         z = complex(x)
         if z.imag == 0.0:

@@ -24,14 +24,16 @@ the loop, and a stream whose seeds are all zero is not stepped.
 
 The f64 path hands its long double row polynomials and the whole stream to
 one call of ``kernels.recurrence_steps``, which evaluates each row and steps
-it, and reports the first index whose row is singular or not finite in
-double.  It may step several coupled sequences as one (``interleave``: entry
-n of sequence j is stream entry interleave*n + j, stepped by its own set of
-polynomials, and the run returns sequence 0), or convolve its stream with a
-polynomial factor's coefficients (``taps``); the f64 backend serves products
-whose single recurrence is unstable in floats those ways.  An f64 run
-returns a complex128 array, and a combo's two f64 branches combine as
-arrays.
+it, and reports the first index whose row denominator vanishes.  Any other
+failure is an entry or value past double, which IEEE arithmetic carries as
+inf or NaN into every value computed from it, so one finiteness check of the
+output reports it at its first non-finite coefficient.  It may step several
+coupled sequences as one (``interleave``: entry n of sequence j is stream
+entry interleave*n + j, stepped by its own set of polynomials, and the run
+returns sequence 0), or convolve its stream with a polynomial factor's
+coefficients (``taps``); the f64 backend serves products whose single
+recurrence is unstable in floats those ways.  An f64 run returns a
+complex128 array, and a combo's two f64 branches combine as arrays.
 
 A :class:`ComboSpec` combines two recurrence branches entrywise.  When the
 right branch is the complex conjugate of the left (a sin/cos product at

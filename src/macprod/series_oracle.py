@@ -57,9 +57,6 @@ ELLIPTIC_ABC = {
     "E": (Fraction(-1, 2), Fraction(1, 2), 1),
 }
 
-#: kinds whose only parameter is p
-_P_ONLY = frozenset(k for k in ELEMENTARY_KINDS if k != "binom")
-
 
 @dataclass(frozen=True)
 class Elementary:

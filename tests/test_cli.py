@@ -1,15 +1,19 @@
 import json
 import math
+import os
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from macprod import cli, kernels
+from macprod import cli, kernels, numerics
 from macprod.families import build, get_family, list_families, params_snapshot
-from macprod.numerics import GaussianRational, PiLinear, get_backend
+from macprod.numerics import GaussianRational, PiLinear, format_scalar, get_backend
 from macprod.recurrence_core import run
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
 def run_cli(capsys, *argv):
@@ -120,10 +124,21 @@ class TestCoeffs:
         want = run(build("exp-F", params), 1024).coeffs[1024]
         assert Fraction(int(Decimal(num)), int(Decimal(den))) == want.re
 
+    def test_format_scalar_is_the_writers_text(self):
+        # str() of an exact scalar and the record writer share one formatter,
+        # which prints parts past the int digit limit
+        big = GaussianRational(Fraction(10**5000, 3), Fraction(-(10**5000) - 1, 7))
+        lines = cli._coeff_lines([big, PiLinear(1, big)], True, "csv")
+        _, re, im, _, _ = lines[0].split(",")
+        assert str(big) == format_scalar(big) == f"{re}{im}i"
+        _, re, im, pi_re, pi_im = lines[1].split(",")
+        assert (re, im) == ("1", "0")
+        assert format_scalar(PiLinear(1, big)) == f"(1)+({pi_re}{pi_im}i)pi"
+
 
 def _fraction_text(x):
-    num = cli._int_text(x.numerator)
-    return num if x.denominator == 1 else f"{num}/{cli._int_text(x.denominator)}"
+    num = numerics._int_text(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{numerics._int_text(x.denominator)}"
 
 
 def _dict_records(coeffs, backend_name):
@@ -274,6 +289,31 @@ class TestRecordWriter:
         code, out, _ = run_cli(capsys, *argv, frequency.split("=")[0] + "=1/3")
         assert code == 0 and out and len(written) == 1
         assert all(math.isfinite(x) for x in written[0][0].view(float).tolist())
+
+
+class TestOverflowMessage:
+    """An f64 overflow is reported once, at the first coefficient past
+    double, and nothing else reaches stderr."""
+
+    @pytest.mark.parametrize(
+        "family, flags",
+        [
+            ("exp-M", ["--a=1", "--c=2", "--p=1e155"]),
+            ("sinh-M-combo", ["--a=1", "--c=2", "--p=1e155"]),
+            ("exp-K", ["--normalized", "--p=1e155"]),
+            ("arcsin-M", ["--a=1/2", "--c=5/4", "--p=1e155"]),
+            ("arctanexp-M", ["--a=1/2", "--c=5/4", "--p=1e155"]),
+            ("binom-M", ["--a=1", "--c=2", "--p=3", "--theta=1e155"]),
+        ],
+    )
+    def test_first_non_finite_coefficient(self, family, flags):
+        proc = subprocess.run(
+            [sys.executable, "-m", "macprod.cli", "coeffs", "--family", family,
+             "--backend", "f64", "--count", "8", *flags],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=300,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "numeric failure: recurrence produced a non-finite entry at n=2\n"
 
 
 class TestFloatOutputBytes:

@@ -178,9 +178,12 @@ class TestRecurrenceSteps:
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("fault", ["denominator", "entry"])
     def test_first_bad_index(self, fault, cplx):
-        # P_0 = m - 40 vanishes at m = 40; or the entry 1e306 m^2 / P_0 leaves
-        # double: P_0 = 8 from m = 38 (1e306 * 38^2 / 8 > 1.798e308), and
-        # P_0 = 8 + 8i, the parts 1e306 m^2 / 16 and its negative, from m = 54
+        # P_0 = m - 40 vanishes at m = 40, and the loop stops there; or the
+        # entry 1e306 m^2 / P_0 leaves double and the loop steps on: P_0 = 8
+        # from m = 38 (1e306 * 38^2 / 8 > 1.798e308), and P_0 = 8 + 8i, the
+        # parts 1e306 m^2 / 16 and its negative, from m = 54.  From
+        # u = (1, 0, ...) every value is 0 until that entry, so no value
+        # overflows first, and the values are not finite from the one it writes
         dtype = np.clongdouble if cplx else np.longdouble
         polys = np.zeros((1, 3, 3), dtype=dtype)
         if fault == "denominator":
@@ -196,10 +199,17 @@ class TestRecurrenceSteps:
         results = []
         for impl in kernels.implementations().values():
             u = np.zeros(70, dtype=np.complex128)
-            u[0] = u[1] = 1
-            assert kernels.recurrence_steps(polys, u, 1, impl=impl) == bad
-            assert np.all(u[bad + 1:] == 0) and np.all(u[: bad + 1] != 0)  # stepped up to it
-            results.append(u.view(np.uint64))
+            if fault == "denominator":
+                u[0] = u[1] = 1
+                assert kernels.recurrence_steps(polys, u, 1, impl=impl) == bad
+                assert np.all(u[bad + 1:] == 0) and np.all(u[: bad + 1] != 0)  # stepped up to it
+                results.append(u.view(np.uint64))
+            else:
+                u[0] = 1
+                assert kernels.recurrence_steps(polys, u, 1, impl=impl) is None
+                finite = np.isfinite(u)
+                assert finite[: bad + 1].all() and not finite[bad + 1:].any()
+                results.append(finite)
         assert np.array_equal(results[0], results[-1])
 
 

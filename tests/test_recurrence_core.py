@@ -365,11 +365,12 @@ class TestErrors:
 
     def test_entry_beyond_double_f64(self):
         # u[n+1] = 1e308 n u[n]: the entry is a long double, but not a
-        # double from n = 2, which is reported before u overflows at n = 3
+        # double from n = 2; no denominator vanishes, so the run steps on and
+        # reports u_3, the first value past double
         spec = f64_spec(1, (1.0 + 0j, 1.0 + 0j), [(0, 1), (1e308, 0), (0, 0)])
-        with pytest.raises(SingularIndexError, match="n=2: a row denominator") as exc:
+        with pytest.raises(NonFiniteError, match="n=3") as exc:
             run(spec, 6)
-        assert exc.value.index == 2
+        assert exc.value.index == 3
 
 
 class TestExactScalars:
