@@ -62,10 +62,29 @@ VALUES = {"a": Fraction(1, 3), "b": Fraction(-5, 4), "c": Fraction(7, 5), "p": F
 
 
 def branches(spec):
-    """The branches a run steps: a conjugate combo steps its left one only."""
+    """The branches a run steps: a one-branch combo (``right`` None, the
+    conjugate of ``left``) steps its left one only."""
     if not isinstance(spec, recurrence_core.ComboSpec):
         return (spec,)
-    return (spec.left,) if spec.conjugate else (spec.left, spec.right)
+    return (spec.left,) if spec.right is None else (spec.left, spec.right)
+
+
+def write_json(path, benchmark: str, values: dict, label: str, reps: int, results: list):
+    """Merge one run into the JSON file at ``path`` under ``label``."""
+    path = Path(path)
+    record = json.loads(path.read_text()) if path.exists() else {}
+    record.setdefault("benchmark", benchmark)
+    record.setdefault("params", {k: str(v) for k, v in values.items()})
+    record.setdefault("runs", {})[label] = {
+        "kernels": kernels.implementation_name(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "nproc": os.cpu_count(),
+        "reps": reps,
+        "results": results,
+    }
+    path.write_text(json.dumps(record, indent=1) + "\n")
 
 
 def _rows_fn(family: str, params: dict):
@@ -188,20 +207,7 @@ def main() -> int:
             ))
 
     if args.json:
-        path = Path(args.json)
-        record = json.loads(path.read_text()) if path.exists() else {}
-        record.setdefault("benchmark", "exact-rows")
-        record.setdefault("params", {k: str(v) for k, v in VALUES.items()})
-        record.setdefault("runs", {})[args.label] = {
-            "kernels": kernels.implementation_name(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "nproc": os.cpu_count(),
-            "reps": args.reps,
-            "results": results,
-        }
-        path.write_text(json.dumps(record, indent=1) + "\n")
+        write_json(args.json, "exact-rows", VALUES, args.label, args.reps, results)
     return 0
 
 

@@ -7,11 +7,11 @@ column is the best of ``--reps``:
 
 * ``build``: ``families.build`` of the f64 spec;
 * ``step_<impl>``: ``kernels.recurrence_steps`` on the row polynomials of
-  each branch ``run`` steps (a combo's two, or a conjugate combo's left one
-  only), one call per branch over all its steps, row evaluation and
-  stepping as one layer, for each implementation in
-  ``kernels.implementations()`` (``python``, and ``compiled`` when the C
-  loop could be built);
+  each branch ``run`` steps (a combo's two, or the left one of a one-branch
+  combo, whose right branch is its conjugate), one call per branch over all
+  its steps, row evaluation and stepping as one layer, for each
+  implementation in ``kernels.implementations()`` (``python``, and
+  ``compiled`` when the C loop could be built);
 * ``run``: ``recurrence_core.run`` on the built f64 spec: rows, stepping and
   whatever the spec's route adds (the interleaved sequences of ``arcsin-M``,
   the binomial taps of ``binom-F`` at an integer p);
@@ -38,16 +38,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import json
-import os
-import platform
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
-from exact_bench import branches
+from exact_bench import branches, write_json
 from macprod import cli, kernels, recurrence_core
 from macprod.families import build, conform_params, elementary_factor, get_family
 from macprod.numerics import get_backend
@@ -150,20 +146,7 @@ def main() -> int:
             print(f"{family:12s} p={r['params']['p']:>3s} {N:>5d}  {cols}   (ms)")
 
     if args.json:
-        path = Path(args.json)
-        record = json.loads(path.read_text()) if path.exists() else {}
-        record.setdefault("benchmark", "f64-kernels")
-        record.setdefault("params", {k: str(v) for k, v in VALUES.items()})
-        record.setdefault("runs", {})[args.label] = {
-            "kernels": kernels.implementation_name(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "nproc": os.cpu_count(),
-            "reps": args.reps,
-            "results": results,
-        }
-        path.write_text(json.dumps(record, indent=1) + "\n")
+        write_json(args.json, "f64-kernels", VALUES, args.label, args.reps, results)
     return 0
 
 

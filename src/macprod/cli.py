@@ -190,9 +190,13 @@ def cmd_verify(args) -> int:
         raise ParameterDomainError("--count must be nonnegative")
     if args.trials < 1:
         raise ParameterDomainError("--trials must be at least 1")
+    if not args.tolerance >= 0:
+        raise ParameterDomainError("--tolerance must be a nonnegative number")
     explicit = [n for n in _PARAM_FLAGS if getattr(args, n) is not None]
+    if explicit and args.family is None:
+        raise ParameterDomainError(f"--{explicit[0]} needs --family")
     reports = []
-    if args.family is not None and explicit:
+    if explicit:
         params = _parse_params(args, bk)
         reports.append(
             verify_mod.compare_oracle(

@@ -35,8 +35,8 @@ products:
   the base's exp-X product at +q and at -q, combined entrywise, with q = ip
   for sin/cos and q = p for sinh/cosh.  The ``-combo`` ids are built that
   way from the exp tables (``_mk_branches``).  At real parameters the sin/cos
-  branch at -ip is the complex conjugate of the one at +ip, and only that
-  one is stepped.
+  branch at -ip is the complex conjugate of the one at +ip, so the combo
+  carries the +ip branch alone, and only it is stepped.
 
 Both backends get a table's row from one plan (``_plan``), made once per
 table: an integer matrix that maps the values of the table's monomials to
@@ -86,7 +86,7 @@ from .numerics import (
     is_nonpositive_integer,
     scalar_equals_int,
 )
-from .recurrence_core import ComboSpec, RecurrenceSpec, _horner, conjugated, step_exact
+from .recurrence_core import ComboSpec, RecurrenceSpec, _horner, step_exact
 from .series_oracle import ELLIPTIC_ABC, Elementary
 
 __all__ = [
@@ -870,8 +870,8 @@ def _mk_branches(info, params, bk):
     combined entrywise: q = ip for sin and cos, q = p for sinh and cosh.
 
     For sin and cos at real parameters the branch at -ip is the complex
-    conjugate of the one at +ip, so it is that branch conjugated, and the
-    run steps one branch."""
+    conjugate of the one at +ip, so the combo carries that one branch alone
+    (its right branch None), and the run steps it."""
     meta = _meta(info, params)
     combiner = _COMBINER[info.h]
     trig = info.h in ("sin", "cos")
@@ -879,7 +879,7 @@ def _mk_branches(info, params, bk):
     left = _exp_spec(info, params, bk, meta, q)
     values = [getattr(params, name) for name in params.present()]
     if trig and all(x == x.conjugate() for x in values):
-        return ComboSpec(left, conjugated(left), combiner, meta, conjugate=True)
+        return ComboSpec(left, None, combiner, meta)
     return ComboSpec(left, _exp_spec(info, params, bk, meta, -q), combiner, meta)
 
 

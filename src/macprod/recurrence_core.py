@@ -35,14 +35,15 @@ coefficients (``taps``); the f64 backend serves products whose single
 recurrence is unstable in floats those ways.  An f64 run returns a
 complex128 array, and a combo's two f64 branches combine as arrays.
 
-A :class:`ComboSpec` combines two recurrence branches entrywise.  When the
-right branch is the complex conjugate of the left (a sin/cos product at
-real parameters: the exp-X branches at +ip and -ip), it says so, and a run
+A :class:`ComboSpec` combines two recurrence branches entrywise.  A sin/cos
+product at real parameters (the exp-X branches at +ip and -ip) carries one
+branch: its right branch is the complex conjugate of the left, and a run
 steps the left branch alone; exact forms only the part of each entry its
 combiner reads (the imaginary part for sin, the real part for cos).
 
 Only the f64 path imports numpy and the kernels, when it first runs; exact
-specs are built, compared, hashed and stepped without them.
+specs are built and stepped without them.  Specs compare and hash by
+identity.
 
 ``run`` is the one entry point: it accepts every spec kind and dispatches on
 it.  It is a pure function over immutable specs; concurrent runs are safe.
@@ -54,8 +55,7 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .numerics import GaussianRational, PiLinear, SingularIndexError, get_backend
@@ -96,7 +96,7 @@ def _integer_row(polys, order: int) -> bool:
         return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecurrenceSpec:
     """Order, seeds u_0 .. u_n0, and the row as polynomials in the step index n.
 
@@ -161,98 +161,29 @@ class RecurrenceSpec:
                 f"{self.order}: the first step would reach before u_0"
             )
 
-    def _fields(self):
-        return tuple(getattr(self, f.name) for f in fields(self))
 
-    def __eq__(self, other):
-        """Field by field; f64 polys by shape, dtype and value, so -0.0
-        equals 0.0."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(map(_same, self._fields(), other._fields()))
-
-    def __hash__(self):
-        return hash(tuple(map(_hashable, self._fields())))
-
-
-def _numpy_if_array(*xs):
-    """numpy when one of ``xs`` is a numpy array, else None.  Arrays occur
-    in f64 specs only, which have loaded numpy, so exact specs compare and
-    hash without importing it."""
-    np = sys.modules.get("numpy")
-    return np if np is not None and any(isinstance(x, np.ndarray) for x in xs) else None
-
-
-def _same(x, y) -> bool:
-    np = _numpy_if_array(x, y)
-    if np is not None:
-        return (
-            isinstance(x, np.ndarray)
-            and isinstance(y, np.ndarray)
-            and x.shape == y.shape
-            and x.dtype == y.dtype
-            and (x is y or np.array_equal(x, y))
-        )
-    return x == y
-
-
-def _hashable(x):
-    """x, or an array as its shape, dtype and the bytes of its values plus
-    +0 (which makes every zero +0.0) rounded to double, which are equal for
-    arrays that are equal by value."""
-    np = _numpy_if_array(x)
-    if np is None:
-        return x
-    double = np.complex128 if np.iscomplexobj(x) else np.float64
-    return x.shape, x.dtype.str, (x + 0).astype(double).tobytes()
-
-
-def conjugated(spec: RecurrenceSpec) -> RecurrenceSpec:
-    """The spec whose stream is the complex conjugate of ``spec``'s: its
-    seeds, row polynomials and taps conjugated."""
-    if spec.backend == "f64":
-        import numpy as np
-
-        polys = np.conj(spec.polys)
-        polys.flags.writeable = False
-    else:
-        den, terms = spec.polys
-        polys = (_conj_poly(den), tuple((i, _conj_poly(num)) for i, num in terms))
-    return replace(
-        spec,
-        seeds=tuple(s.conjugate() for s in spec.seeds),
-        polys=polys,
-        taps=tuple(t.conjugate() for t in spec.taps),
-    )
-
-
-def _conj_poly(poly):
-    re, im = poly
-    return re, tuple(-x for x in im)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComboSpec:
     """Two recurrence branches combined entrywise.
 
-    With ``conjugate`` the right branch is ``conjugated(left)``, and a run
-    steps the left branch only: f64 combines it with its conjugate, and
-    exact reads the result from its real and imaginary parts.
+    ``right`` None is the complex conjugate of ``left``, and a run steps the
+    left branch only: f64 combines it with its conjugate, and exact reads
+    the result from its real or imaginary part, so its seeds carry no pi.
     """
 
     left: RecurrenceSpec
-    right: RecurrenceSpec
+    right: RecurrenceSpec | None
     combiner: str
     meta: tuple = field(default=())
-    conjugate: bool = False
 
     def __post_init__(self):
         if self.combiner not in COMBINERS:
             raise ValueError(f"unknown combiner {self.combiner!r}")
-        if self.left.backend != self.right.backend:
+        if self.right is None:
+            if any(isinstance(s, PiLinear) for s in self.left.seeds):
+                raise ValueError("a one-branch combo's seeds must not carry pi")
+        elif self.left.backend != self.right.backend:
             raise ValueError("combo branches must share one backend")
-        if self.conjugate and self.right != conjugated(self.left):
-            raise ValueError("a conjugate combo's right branch is its left branch conjugated")
 
     @property
     def backend(self):
@@ -435,17 +366,16 @@ def _run_combo(combo: ComboSpec, N: int):
     """The branches combined entrywise; numpy's complex product is Python's
     formula, so f64 arrays give the entries Python scalars would.  Exact
     Gaussian-rational entries combine on their ``Fraction`` parts, to the
-    values and types of the Gaussian-rational formula.  A conjugate combo
-    steps its left branch only; one with pi-linear seeds, which no family
-    builds, steps both."""
+    values and types of the Gaussian-rational formula.  A one-branch combo
+    steps its left branch only."""
     bk = get_backend(combo.backend)
     combine, scale, parts = _COMBINE[combo.combiner]
     scale = scale(bk)
     if combo.backend != "f64":
-        if combo.conjugate and not any(isinstance(s, PiLinear) for s in combo.left.seeds):
+        if combo.right is None:
             return _conjugate_combo(combo.left, N, combine, parts)
         out = []
-        for u, v in zip(run(combo.left, N).coeffs, run(combo.right, N).coeffs):
+        for u, v in zip(_run_generic(combo.left, N), _run_generic(combo.right, N)):
             if type(u) is not GaussianRational or type(v) is not GaussianRational:
                 out.append(combine(u, v) * scale)
                 continue
@@ -453,7 +383,7 @@ def _run_combo(combo: ComboSpec, N: int):
             out.append(GaussianRational(*parts(*half)))
         return out
     u = _run_f64(combo.left, N)
-    v = u.conj() if combo.conjugate else _run_f64(combo.right, N)
+    v = u.conj() if combo.right is None else _run_f64(combo.right, N)
     values = combine(u, v) * scale
     _finite_or_raise(values, "combo")
     return values

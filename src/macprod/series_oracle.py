@@ -78,10 +78,11 @@ class Elementary:
             raise ParameterDomainError(f"{self.kind} takes no theta parameter")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoeffStream:
     """A finite prefix u_0..u_N of a Maclaurin coefficient sequence: a tuple
-    in the exact backend, a read-only complex128 array in f64."""
+    in the exact backend, a read-only complex128 array in f64.  Streams
+    compare and hash by identity; compare their ``coeffs``."""
 
     coeffs: object  # tuple (exact) or numpy.ndarray (f64)
     base: str  # "M" | "F" | "K" | "E" | "elementary" | "product"

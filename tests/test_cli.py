@@ -439,6 +439,11 @@ class TestExitCodes:
             (("verify", "--family", "exp-M", "--count", "-1"), "--count"),
             (("verify", "--trials", "0"), "--trials"),
             (("verify", "--trials", "-2", "--family", "exp-M"), "--trials"),
+            (("verify", "--p=1", "--count", "4", "--trials", "1"), "--family"),
+            (("verify", "--backend", "f64", "--tolerance", "nan", "--family", "exp-M"),
+             "--tolerance"),
+            (("verify", "--backend", "f64", "--tolerance=-1", "--family", "exp-M"),
+             "--tolerance"),
             (("bench", "--family", "exp-M", "--count", "-3"), "--count"),
             (("bench", "--family", "exp-M", "--count", "8", "--reps", "0"), "--reps"),
         ],

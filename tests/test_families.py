@@ -74,7 +74,8 @@ class TestCatalogue:
     @pytest.mark.parametrize("info", list_families(), ids=lambda info: info.id)
     def test_exact_spec_shape_matches_catalogue(self, info):
         spec = build(info.id, {k: Fraction(1, 3) for k in info.param_names})
-        for s in (spec.left, spec.right) if isinstance(spec, ComboSpec) else (spec,):
+        branches = (spec.left, spec.right) if isinstance(spec, ComboSpec) else (spec,)
+        for s in (b for b in branches if b is not None):
             assert (s.order, s.start) == (info.order, info.start)
 
     def test_unknown_family(self):

@@ -79,6 +79,14 @@ def closure_stream(spec, N, row=None):
     return tuple(values)
 
 
+def run_branches(spec):
+    """The branches a run of ``spec`` steps: a combo's two, a one-branch
+    combo's left one, or the spec itself."""
+    if not isinstance(spec, ComboSpec):
+        return (spec,)
+    return (spec.left,) if spec.right is None else (spec.left, spec.right)
+
+
 class TestRun:
     def test_exp_M_prefix(self):
         spec = build("exp-M", {"a": 1, "c": 2, "p": 1})
@@ -282,7 +290,7 @@ class TestSpecKinds:
         if backend == "f64":
             params = {k: complex(getattr(params, k)) for k in info.param_names}
         spec = build(info.id, params, backend)
-        branches = (spec.left, spec.right) if isinstance(spec, ComboSpec) else ()
+        branches = run_branches(spec) if isinstance(spec, ComboSpec) else ()
         for s in (spec,) + branches:
             for f in dataclasses.fields(s):
                 assert not callable(getattr(s, f.name)), (info.id, f.name)
@@ -388,7 +396,7 @@ class TestExactScalars:
     def test_equals_stepping_the_row_closure(self, info):
         params = draw_params(info, Random(crc32(info.id.encode()) + 1))
         spec = build(info.id, params)
-        for branch in (spec.left, spec.right) if isinstance(spec, ComboSpec) else (spec,):
+        for branch in run_branches(spec):
             want = closure_stream(branch, 30)
             got = run(branch, 30).coeffs
             assert got == want
@@ -401,7 +409,7 @@ class TestExactScalars:
         params = draw_params(info, Random(crc32(info.id.encode()) + 2))
         spec = build(info.id, params)
         at_ip = info.formulation == "combo" and info.h in ("sin", "cos")
-        for branch in (spec.left, spec.right) if isinstance(spec, ComboSpec) else (spec,):
+        for branch in run_branches(spec):
             den, terms = branch.polys
             imaginary = [poly[1] for poly in [den] + [num for _, num in terms]]
             real = all(im == (0,) for im in imaginary)
@@ -434,7 +442,7 @@ class TestIntegerStepper:
     @pytest.mark.parametrize("info", list_families(), ids=lambda i: i.id)
     def test_equals_stepping_the_row_closure_at_256(self, info, kind):
         spec = build(info.id, self.draw(info, kind))
-        for branch in (spec.left, spec.right) if isinstance(spec, ComboSpec) else (spec,):
+        for branch in run_branches(spec):
             want = closure_stream(branch, 256)
             got = run(branch, 256).coeffs
             assert got == want
@@ -552,38 +560,45 @@ class TestSingularMidRun:
     @pytest.mark.parametrize("row", ["real", "complex"])
     def test_singular_mid_run_in_a_combo(self, row, combiner):
         left = self.spec(row, "complex")
-        right = recurrence_core.conjugated(left)
-        for combo in (ComboSpec(left, right, combiner), ComboSpec(left, right, combiner,
-                                                                  conjugate=True)):
+        for combo in (ComboSpec(left, left, combiner), ComboSpec(left, None, combiner)):
             self.raises_at_7(combo)
             assert len(run(combo, 7).coeffs) == 8
 
 
 class TestConjugateParts:
-    """A conjugate combo forms only the part its combiner reads (one with
-    pi-linear seeds, which no family builds, steps both branches), to the
+    """A one-branch combo forms only the part its combiner reads, to the
     values and types of the Gaussian-rational formula on the branch and its
-    conjugate."""
+    conjugate; it cannot be built with pi-linear seeds."""
+
+    @staticmethod
+    def left(family):
+        info = get_family(family)
+        params = draw_params(info, Random(crc32(family.encode()) + 9))
+        return build(family, {k: getattr(params, k) for k in info.param_names}).left
 
     @pytest.mark.parametrize("combiner", COMBINERS)
     @pytest.mark.parametrize("family", ["sin-M-combo", "cos-F-combo"])
     def test_equals_the_formula(self, family, combiner):
-        info = get_family(family)
-        params = draw_params(info, Random(crc32(family.encode()) + 9))
-        left = build(family, {k: getattr(params, k) for k in info.param_names}).left
+        branch = self.left(family)
+        combo = ComboSpec(branch, None, combiner)
+        combine, scale, _ = recurrence_core._COMBINE[combiner]
+        u = run(branch, 40).coeffs
+        want = [combine(x, x.conjugate()) * scale(EXACT) for x in u]
+        got = run(combo, 40).coeffs
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+
+    @pytest.mark.parametrize("combiner", COMBINERS)
+    @pytest.mark.parametrize("family", ["sin-M-combo", "cos-F-combo"])
+    def test_pi_linear_seeds_are_rejected(self, family, combiner):
+        left = self.left(family)
         for seeds in (
             tuple(PiLinear(s, s * gr(1, 2)) for s in left.seeds),  # a K/E-like stream
             tuple(PiLinear(gr(0), s) for s in left.seeds),
-            left.seeds,
         ):
             branch = dataclasses.replace(left, seeds=seeds)
-            combo = ComboSpec(branch, recurrence_core.conjugated(branch), combiner,
-                              conjugate=True)
-            combine, scale, _ = recurrence_core._COMBINE[combiner]
-            u = run(branch, 40).coeffs
-            want = [combine(x, x.conjugate()) * scale(EXACT) for x in u]
-            got = run(combo, 40).coeffs
-            assert [repr(v) for v in got] == [repr(v) for v in want]
+            with pytest.raises(ValueError, match="pi"):
+                ComboSpec(branch, None, combiner)
+            ComboSpec(branch, branch, combiner)  # two branches may carry pi
 
 
 class TestCombo:
@@ -660,7 +675,7 @@ class TestConjugateBranches:
             monkeypatch.setattr(recurrence_core, name, counted)
         for params in self.draws(family, backend):
             spec = build(family, params, backend)
-            assert spec.conjugate and spec.right == recurrence_core.conjugated(spec.left)
+            assert spec.right is None
             stepped.clear()
             got = run(spec, N).coeffs
             assert stepped == [spec.left], (family, params)
@@ -687,53 +702,32 @@ class TestConjugateBranches:
         if backend == "f64":
             params = {k: complex(approximate(v)) for k, v in params.items()}
         spec = build(family, params, backend)
-        assert not spec.conjugate
-        assert spec.right != recurrence_core.conjugated(spec.left)
+        assert spec.right is not None
         got = run(spec, 64).coeffs
         assert self.bits(got) == self.bits(self.two_branches(family, params, backend, 64))
 
-    def test_right_branch_must_be_the_conjugate(self):
-        spec = build("sin-M-combo", {"a": Fraction(1, 2), "c": Fraction(4, 3), "p": 2})
-        other = build("sin-M-combo", {"a": Fraction(1, 2), "c": Fraction(4, 3), "p": 3})
-        with pytest.raises(ValueError, match="conjugate"):
-            ComboSpec(spec.left, other.right, spec.combiner, conjugate=True)
-        with pytest.raises(ValueError, match="conjugate"):
-            ComboSpec(spec.left, spec.left, spec.combiner, conjugate=True)
-
 
 class TestSpecEquality:
-    """Specs compare and hash by value; f64 polys by shape, dtype and value."""
+    """Specs, combos and streams compare and hash by identity, so ``==`` and
+    ``hash`` never raise, f64 arrays included: a value equals itself, and
+    two builds are two values."""
 
-    EXP_M = {"a": 0.5, "c": 1.5, "p": 1.0}
+    PARAMS = {"a": Fraction(1, 2), "b": Fraction(1, 3), "c": Fraction(3, 2), "p": Fraction(2)}
 
-    @pytest.mark.parametrize("family", ["exp-M", "sin-M-combo", "sinh-F-combo"])
-    def test_f64_builds(self, family):
+    @pytest.mark.parametrize("backend", ["exact", "f64"])
+    @pytest.mark.parametrize("family", ["exp-M", "sin-M-combo", "sinh-F-combo", "arcsin-M"])
+    def test_builds_and_streams(self, family, backend):
         info = get_family(family)
-        params = {k: self.EXP_M.get(k, 0.25) for k in info.param_names}
-        one, two = (build(family, params, "f64") for _ in range(2))
-        assert one == two and hash(one) == hash(two)
-        assert len({one, two}) == 1
-        other = build(family, dict(params, p=2.0), "f64")
-        assert one != other
-
-    @pytest.mark.parametrize("family", ["exp-M", "sin-M-combo", "arcsin-M"])
-    def test_exact_builds(self, family):
-        info = get_family(family)
-        params = {k: {"c": Fraction(3, 2)}.get(k, Fraction(1, 2)) for k in info.param_names}
-        one, two = build(family, params), build(family, params)
-        assert one == two and hash(one) == hash(two)
-        assert one != build(family, dict(params, p=Fraction(2)))
-
-    def test_signed_zero_shape_and_dtype(self):
-        polys = [[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]
-        spec = f64_spec(1, (0.0, 1.0), polys)
-        signed = f64_spec(1, (-0.0, 1.0), [[1.0, 1.0], [-0.0, 1.0], [1.0, -0.0]])
-        assert np.signbit(signed.polys).any()
-        assert spec == signed and hash(spec) == hash(signed)
-        assert spec != f64_spec(1, (0.0, 1.0), [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-        assert spec != f64_spec(1, (0.0, 1.0), [[1.0, 1.0], [0.0, 1.0], [1.0, 0.5]])
-        cplx = dataclasses.replace(spec, polys=np.array(spec.polys, dtype=np.clongdouble))
-        assert spec != cplx
-        # conjugating a real array flips the sign of every imaginary zero
-        flipped = dataclasses.replace(cplx, polys=np.conj(cplx.polys))
-        assert cplx == flipped and hash(cplx) == hash(flipped)
+        params = {k: self.PARAMS[k] for k in info.param_names}
+        if backend == "f64":
+            params = {k: complex(v) for k, v in params.items()}
+        one, two = (build(family, params, backend) for _ in range(2))
+        values = [one, two, run(one, 4), run(one, 4)]
+        if isinstance(one, ComboSpec):
+            values += [b for b in (one.left, one.right, two.left) if b is not None]
+        for x in values:
+            assert x == x and hash(x) == hash(x)
+        for i, x in enumerate(values):
+            for y in values[i + 1:]:
+                assert x != y
+        assert len(set(values)) == len(values)
