@@ -1,0 +1,122 @@
+"""Fingerprint the CLI's outputs, to show that two trees answer alike.
+
+Every request runs once, in this process, through ``macprod.cli.main``, with
+stdout and stderr captured.  Requests fall into groups; for each group the
+script prints its call count and one sha256 over every call's (argv, exit
+code, stdout, stderr), in order.  A call that raises records the exception's
+type and message in place of the exit code.  The groups are:
+
+* ``<workload>@<seed>``: every request that ``perfbench/run.py``'s
+  ``generate`` builds for the gated workloads ``f64-small``,
+  ``exact-tables`` and ``f64-verify`` at each seed (perfbench is imported,
+  never changed);
+* a matrix over the 38 catalogue ids, three ``verify.draw_params`` draws
+  each per seed: ``coeffs-exact-json`` and ``coeffs-exact-csv`` (``coeffs
+  --backend exact`` at N = 40), ``coeffs-f64`` (``coeffs --backend f64`` at
+  N = 64), ``verify-exact`` (``verify --backend exact`` at N = 40),
+  ``verify-f64`` (``verify --backend f64`` at N = 1024), and
+  ``coeffs-normalized`` (``coeffs --normalized`` at N = 40, exact and f64,
+  for the K and E ids).
+
+Run it once per tree, with that tree's ``src`` first on ``PYTHONPATH``, and
+compare the digests; the first line names the ``macprod`` it imported:
+
+    PYTHONPATH=src python benchmarks/fingerprint.py [--seeds 991,992,993]
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+from random import Random
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("f64-small", "exact-tables", "f64-verify")
+DRAWS = 3
+
+
+def _call(main, argv) -> list:
+    """[argv, exit code or the exception, stdout, stderr] of one CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        except Exception as exc:  # noqa: BLE001 - recorded, not hidden
+            rc = f"{type(exc).__name__}: {exc}"
+    return [argv, rc, out.getvalue(), err.getvalue()]
+
+
+def workload_groups(seeds) -> dict:
+    """The argv of every request perfbench's gated workloads send, per group."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import run as perfbench
+
+    groups = {}
+    for seed in seeds:
+        for name in WORKLOADS:
+            passes = perfbench.generate(name, perfbench.WORKLOADS[name], seed)
+            groups[f"{name}@{seed}"] = [req.argv for reqs in passes for req in reqs]
+    return groups
+
+
+def matrix_groups(seeds) -> dict:
+    """The argv of the matrix: each mode over every id and draw."""
+    from macprod.families import list_families
+    from macprod.verify import draw_params
+
+    modes = {
+        "coeffs-exact-json": ["coeffs", "--backend", "exact", "--count", "41"],
+        "coeffs-exact-csv": ["coeffs", "--backend", "exact", "--count", "41", "--format", "csv"],
+        "coeffs-f64": ["coeffs", "--backend", "f64", "--count", "65"],
+        "verify-exact": ["verify", "--backend", "exact", "--count", "40"],
+        "verify-f64": ["verify", "--backend", "f64", "--count", "1024"],
+    }
+    groups = {mode: [] for mode in modes}
+    groups["coeffs-normalized"] = []
+    for seed in seeds:
+        rng = Random(f"fingerprint:{seed}")
+        for info in list_families():
+            for _ in range(DRAWS):
+                params = draw_params(info, rng)
+                flags = [f"--{k}={getattr(params, k)}" for k in params.present()]
+                tail = ["--family", info.id] + flags
+                for mode, head in modes.items():
+                    groups[mode].append(head + tail)
+                if info.base in ("K", "E"):
+                    for backend in ("exact", "f64"):
+                        groups["coeffs-normalized"].append(
+                            ["coeffs", "--backend", backend, "--count", "41", "--normalized"]
+                            + tail
+                        )
+    return groups
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", default="991,992,993", help="comma-separated seeds")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+
+    import macprod
+    from macprod.cli import main as cli_main
+
+    print(f"macprod: {Path(macprod.__file__).resolve().parent}")
+    groups = {**workload_groups(seeds), **matrix_groups(seeds)}
+    width = max(map(len, groups))
+    for name, argvs in groups.items():
+        digest = hashlib.sha256()
+        for call in argvs:
+            digest.update(json.dumps(_call(cli_main, call)).encode() + b"\n")
+        print(f"{name.ljust(width)}  {len(argvs):5d}  {digest.hexdigest()}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

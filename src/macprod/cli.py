@@ -186,31 +186,37 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     bk = get_backend(args.backend)
+    # --seed, --trials and --tolerance default to None, so that a flag the
+    # user gives and the request does not read is refused
+    trials = 3 if args.trials is None else args.trials
+    tolerance = verify_mod.DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
     if args.count < 0:
         raise ParameterDomainError("--count must be nonnegative")
-    if args.trials < 1:
+    if trials < 1:
         raise ParameterDomainError("--trials must be at least 1")
-    if not args.tolerance >= 0:
+    if not tolerance >= 0:
         raise ParameterDomainError("--tolerance must be a nonnegative number")
     explicit = [n for n in _PARAM_FLAGS if getattr(args, n) is not None]
     if explicit and args.family is None:
         raise ParameterDomainError(f"--{explicit[0]} needs --family")
-    reports = []
+    sweep_only = [f"--{n}" for n in ("seed", "trials") if getattr(args, n) is not None]
+    if explicit and sweep_only:
+        raise ParameterDomainError(
+            f"{' and '.join(sweep_only)} apply to a sweep; explicit parameters run one comparison"
+        )
+    if bk.name == "exact" and args.tolerance is not None:
+        raise ParameterDomainError("--tolerance applies to f64; exact comparisons demand equality")
     if explicit:
         params = _parse_params(args, bk)
-        reports.append(
-            verify_mod.compare_oracle(
-                args.family, params, args.count, bk, args.tolerance
-            )
-        )
+        reports = [verify_mod.compare_oracle(args.family, params, args.count, bk, tolerance)]
     else:
         families = None if args.family is None else [args.family]
         reports = verify_mod.sweep(
-            args.seed,
-            args.trials,
+            1 if args.seed is None else args.seed,
+            trials,
             args.count,
             bk,
-            args.tolerance,
+            tolerance,
             families=families,
         )
     failures = 0
@@ -303,12 +309,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="compare recurrences against the oracle")
-    p_verify.add_argument("--seed", type=int, default=1)
-    p_verify.add_argument("--trials", type=int, default=3)
+    p_verify.add_argument("--seed", type=int, help="sweeps only (default 1)")
+    p_verify.add_argument("--trials", type=int, help="sweeps only (default 3)")
     p_verify.add_argument("--count", type=int, default=40, help="highest index N")
     p_verify.add_argument("--backend", choices=("exact", "f64"), default="exact")
     p_verify.add_argument(
-        "--tolerance", type=float, default=verify_mod.DEFAULT_TOLERANCE
+        "--tolerance", type=float,
+        help=f"f64 only (default {verify_mod.DEFAULT_TOLERANCE:g})",
     )
     p_verify.add_argument("--family", default=None)
     _add_param_flags(p_verify)

@@ -61,8 +61,8 @@ products, four coupled first-order recurrences for the inverse-sine
 products, interleaved into one order-11 recurrence with one set of
 polynomials per sequence, which the f64 kernel steps.  binom at a
 nonnegative integer p is the exp-X stream at p = 0 convolved with the
-p + 1 coefficients of (1 - theta z)^p.  Only the exp, binom and arctanexp
-tables are evaluated in f64.
+coefficients of (1 - theta z)^p, of which a run forms the min(p, N) + 1 it
+reads.  Only the exp, binom and arctanexp tables are evaluated in f64.
 
 Builders are pure, and the returned specs are immutable plain data: the
 row polynomials, the seeds, and the factors of the row denominator as named
@@ -127,17 +127,21 @@ class Params:
 
 @dataclass(frozen=True)
 class FamilyInfo:
-    """Catalogue row: identity, arity, order, start index, radius note."""
+    """Catalogue row: identity, arity, order, radius note."""
 
     id: str
     base: str  # "M" | "F" | "K" | "E"
     h: str  # elementary kind (series_oracle naming)
     formulation: str  # "single" | "combo"
     order: int
-    start: int
     radius: str  # "entire" | "1" | "1/|theta|" | "1/|p|"
     param_names: tuple
     c_excludes_2: bool = False
+
+    @property
+    def start(self) -> int:
+        """The start index n0: a build steps its seeds up to u_k, k the order."""
+        return self.order
 
 
 # id fragment for each elementary kind
@@ -720,15 +724,6 @@ def params_snapshot(params: Params):
     )
 
 
-def _meta(info: FamilyInfo, params: Params):
-    return (
-        ("family", info.id),
-        ("base", info.base),
-        ("radius", info.radius),
-        ("params", params_snapshot(params)),
-    )
-
-
 def _field(value):
     """A real exact value as a plain Fraction, anything else unchanged: the
     table evaluation then stays in integers, not Gaussian integers."""
@@ -817,7 +812,7 @@ def _seeds(info, values, bk):
     return [h0, h1 + h0 * m1]
 
 
-def _spec(info, bk, meta, name, values, seeds, den):
+def _spec(info, bk, name, values, seeds, den):
     """A single recurrence from operator ``name`` at ``values``: the seeds
     u_0 (u_1) are stepped by the table to u_k, with u below 0 taken as 0,
     and the run steps on from there.  K and E seeds carry pi/2."""
@@ -843,22 +838,21 @@ def _spec(info, bk, meta, name, values, seeds, den):
         seeds = [complex(s) for s in wide]
         polys = C[np.newaxis]
         polys.flags.writeable = False
-    return RecurrenceSpec(k, tuple(seeds), polys, bk.name, meta, den)
+    return RecurrenceSpec(k, tuple(seeds), polys, bk.name, den)
 
 
 def _mk_single(info, params, bk):
     """The family's own table, stepped from its u_0 (u_1)."""
     values = _values(info, params, bk)
-    meta = _meta(info, params)
     name = _table(info.h, info.base)
-    return _spec(info, bk, meta, name, values, _seeds(info, values, bk), _den(info, params))
+    return _spec(info, bk, name, values, _seeds(info, values, bk), _den(info, params))
 
 
-def _exp_spec(info, params, bk, meta, p):
-    """The base's exp-X recurrence at frequency p, under ``info``'s meta."""
+def _exp_spec(info, params, bk, p):
+    """The base's exp-X recurrence at frequency p."""
     values = dict(_values(info, params, bk), p=p)
     name = _table("exp", info.base)
-    return _spec(info, bk, meta, name, values, [bk.one()], _den(info, params, "exp"))
+    return _spec(info, bk, name, values, [bk.one()], _den(info, params, "exp"))
 
 
 #: how the branches exp(+-pz) (sinh, cosh) or exp(+-ipz) (sin, cos) combine
@@ -872,15 +866,14 @@ def _mk_branches(info, params, bk):
     For sin and cos at real parameters the branch at -ip is the complex
     conjugate of the one at +ip, so the combo carries that one branch alone
     (its right branch None), and the run steps it."""
-    meta = _meta(info, params)
     combiner = _COMBINER[info.h]
     trig = info.h in ("sin", "cos")
     q = bk.imaginary_unit() * params.p if trig else params.p
-    left = _exp_spec(info, params, bk, meta, q)
+    left = _exp_spec(info, params, bk, q)
     values = [getattr(params, name) for name in params.present()]
     if trig and all(x == x.conjugate() for x in values):
-        return ComboSpec(left, None, combiner, meta)
-    return ComboSpec(left, _exp_spec(info, params, bk, meta, -q), combiner, meta)
+        return ComboSpec(left, None, combiner)
+    return ComboSpec(left, _exp_spec(info, params, bk, -q), combiner)
 
 
 def _f64_route(f64_builder):
@@ -905,33 +898,28 @@ def _binom_f64(info, params, bk):
     the base, while the other one grows like theta^n: for |theta| > 1 forward
     stepping loses every digit without an error (Gautschi, SIAM Rev. 1967).
     Those requests step the exp-X recurrence at p = 0 (the base series b) and
-    convolve it with the p + 1 coefficients of (1 - theta z)^p:
-    u_n = sum_{j <= min(n, p)} C(p, j) (-theta)^j b_{n-j}.
+    convolve it with the coefficients of (1 - theta z)^p:
+    u_n = sum_{j <= min(n, p)} C(p, j) (-theta)^j b_{n-j}.  The run forms
+    only the min(p, N) + 1 of them it reads, so a huge p costs no more.
     """
-    import numpy as np
-
     p = params.p
     if p.imag or p.real < 0 or not p.real.is_integer():
         return _mk_single(info, params, bk)
-    q = int(p.real)
-    j = np.arange(q)
-    with np.errstate(all="ignore"):  # taps past double are inf or NaN; the run reports them
-        taps = np.cumprod(np.concatenate(([1], -params.theta * (q - j) / (j + 1))))
-    base = _exp_spec(info, params, bk, _meta(info, params), bk.zero())
-    return replace(base, taps=tuple(taps.tolist()))
+    base = _exp_spec(info, params, bk, bk.zero())
+    return replace(base, binomial=(int(p.real), params.theta))
 
 
 def _mk_arcsin_M_interleaved(info, params, bk):
     a, c, p = params.a, params.c, params.p
     seeds, polys = _arcsin_M_interleaved(a, c, p, *_h01(info.h, p, bk))
-    return RecurrenceSpec(11, seeds, polys, bk.name, _meta(info, params), interleave=4)
+    return RecurrenceSpec(11, seeds, polys, bk.name, interleave=4)
 
 
 def _reg(id, base, h, formulation, radius, names, builder, c2=False):
-    """Register a family; its order and start are its table's order (the exp
-    table's for a combo)."""
+    """Register a family; its order is its table's (the exp table's for a
+    combo)."""
     k = _order(_table("exp" if formulation == "combo" else h, base))
-    _register(FamilyInfo(id, base, h, formulation, k, k, radius, names, c2), builder)
+    _register(FamilyInfo(id, base, h, formulation, k, radius, names, c2), builder)
 
 
 _TRIG_HYP = ("sin", "cos", "sinh", "cosh")

@@ -27,7 +27,6 @@ __all__ = [
     "Rational",
     "GaussianRational",
     "PiLinear",
-    "Scalar",
     "ParseError",
     "BackendMismatchError",
     "NonFiniteError",
@@ -326,10 +325,6 @@ class PiLinear:
         return format_scalar(self)
 
 
-#: Anything the two backends produce.
-Scalar = GaussianRational | PiLinear | complex
-
-
 def pochhammer(x, n: int):
     """Rising factorial x(x+1)...(x+n-1); the empty product (n=0) is 1."""
     if n < 0:
@@ -465,13 +460,16 @@ def format_scalar(x) -> str:
 
 
 def approximate(x) -> complex:
-    """Convert any scalar to a finite double-precision complex number."""
+    """Convert any scalar to a finite double-precision complex number;
+    NonFiniteError where it has none (an exact part past double)."""
     if isinstance(x, PiLinear):
         value = approximate(x.q0) + approximate(x.q1) * math.pi
-    elif isinstance(x, GaussianRational):
-        value = complex(float(x.re), float(x.im))
-    elif isinstance(x, (int, Fraction)):
-        value = complex(float(x), 0.0)
+    elif isinstance(x, (GaussianRational, int, Fraction)):
+        re, im = (x.re, x.im) if isinstance(x, GaussianRational) else (x, 0)
+        try:
+            value = complex(float(re), float(im))
+        except OverflowError:  # float() of an int or Fraction past double
+            value = math.inf
     elif isinstance(x, (complex, float)):
         value = complex(x)
     else:

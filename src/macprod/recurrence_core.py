@@ -30,8 +30,8 @@ inf or NaN into every value computed from it, so one finiteness check of the
 output reports it at its first non-finite coefficient.  It may step several
 coupled sequences as one (``interleave``: entry n of sequence j is stream
 entry interleave*n + j, stepped by its own set of polynomials, and the run
-returns sequence 0), or convolve its stream with a polynomial factor's
-coefficients (``taps``); the f64 backend serves products whose single
+returns sequence 0), or convolve its stream with the coefficients of a
+binomial factor (``binomial``); the f64 backend serves products whose single
 recurrence is unstable in floats those ways.  An f64 run returns a
 complex128 array, and a combo's two f64 branches combine as arrays.
 
@@ -55,10 +55,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .numerics import GaussianRational, PiLinear, SingularIndexError, get_backend
+from .numerics import F64, GaussianRational, PiLinear, SingularIndexError
 from .series_oracle import CoeffStream, _finite_or_raise
 
 _FRACTION_ZERO = Fraction(0)
@@ -118,17 +118,17 @@ class RecurrenceSpec:
 
     f64 only: with ``interleave`` s > 1 the stream holds s sequences, entry
     s*n + j being entry n of sequence j, and the run returns sequence 0;
-    with ``taps`` it returns the stream convolved with them, cut at u_N.
+    with ``binomial`` = (p, theta), p a nonnegative integer, it returns the
+    stream convolved with the coefficients of (1 - theta z)^p, cut at u_N.
     """
 
     order: int
     seeds: tuple
     polys: object
     backend: str
-    meta: tuple = field(default=())
     den_factors: tuple = ()
     interleave: int = 1
-    taps: tuple = ()
+    binomial: tuple = ()
 
     @property
     def start(self) -> int:
@@ -137,8 +137,8 @@ class RecurrenceSpec:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("recurrence order must be positive")
-        if (self.interleave != 1 or self.taps) and self.backend != "f64":
-            raise ValueError("interleave and taps apply to f64 specs only")
+        if (self.interleave != 1 or self.binomial) and self.backend != "f64":
+            raise ValueError("interleave and binomial apply to f64 specs only")
         if self.backend == "f64":
             import numpy as np
 
@@ -164,37 +164,34 @@ class RecurrenceSpec:
 
 @dataclass(frozen=True, eq=False)
 class ComboSpec:
-    """Two recurrence branches combined entrywise.
+    """Two recurrence branches combined entrywise by ``combiner``.
 
     ``right`` None is the complex conjugate of ``left``, and a run steps the
     left branch only: f64 combines it with its conjugate, and exact reads
-    the result from its real or imaginary part, so its seeds carry no pi.
+    the result from its real or imaginary part.  Exact branches carry
+    Gaussian-rational seeds, never pi (the exact combos are the ``-combo``
+    ids over M and F, seeded with 1), and combine on the entries'
+    ``Fraction`` parts.
     """
 
     left: RecurrenceSpec
     right: RecurrenceSpec | None
     combiner: str
-    meta: tuple = field(default=())
 
     def __post_init__(self):
         if self.combiner not in COMBINERS:
             raise ValueError(f"unknown combiner {self.combiner!r}")
-        if self.right is None:
-            if any(isinstance(s, PiLinear) for s in self.left.seeds):
-                raise ValueError("a one-branch combo's seeds must not carry pi")
-        elif self.left.backend != self.right.backend:
+        right = self.right or self.left
+        if self.left.backend != right.backend:
             raise ValueError("combo branches must share one backend")
+        if self.backend != "f64" and any(
+            type(s) is not GaussianRational for b in (self.left, right) for s in b.seeds
+        ):
+            raise ValueError("a combo's exact seeds must be Gaussian rationals, without pi")
 
     @property
     def backend(self):
         return self.left.backend
-
-
-def _meta_get(meta, key, default=None):
-    for k, v in meta:
-        if k == key:
-            return v
-    return default
 
 
 def _singular(den_factors, n: int):
@@ -338,11 +335,20 @@ def _run_f64(spec: RecurrenceSpec, N: int):
             _singular(spec.den_factors, bad)
     if s > 1:
         u = u[::s].copy()
-    if spec.taps:
-        with np.errstate(all="ignore"):
-            u = np.convolve(u, spec.taps)[: N + 1]
+    if spec.binomial:
+        with np.errstate(all="ignore"):  # taps past double are inf or NaN: reported below
+            u = np.convolve(u, _binomial_taps(*spec.binomial, N))[: N + 1]
     _finite_or_raise(u, "recurrence")  # seeds too: a build's first steps can overflow
     return u
+
+
+def _binomial_taps(p: int, theta, N: int):
+    """C(p, j) (-theta)^j for j <= min(p, N): the coefficients of
+    (1 - theta z)^p that a run through u_N reads."""
+    import numpy as np
+
+    j = np.arange(min(p, N))
+    return np.cumprod(np.concatenate(([1], -theta * (float(p) - j) / (j + 1))))
 
 
 def _half(combine, x, y):
@@ -365,26 +371,21 @@ def _conjugate_combo(spec: RecurrenceSpec, N: int, combine, parts) -> list:
 def _run_combo(combo: ComboSpec, N: int):
     """The branches combined entrywise; numpy's complex product is Python's
     formula, so f64 arrays give the entries Python scalars would.  Exact
-    Gaussian-rational entries combine on their ``Fraction`` parts, to the
-    values and types of the Gaussian-rational formula.  A one-branch combo
-    steps its left branch only."""
-    bk = get_backend(combo.backend)
+    entries (Gaussian rationals: a combo's seeds carry no pi) combine on
+    their ``Fraction`` parts, to the values and types of the
+    Gaussian-rational formula.  A one-branch combo steps its left branch
+    only."""
     combine, scale, parts = _COMBINE[combo.combiner]
-    scale = scale(bk)
     if combo.backend != "f64":
         if combo.right is None:
             return _conjugate_combo(combo.left, N, combine, parts)
-        out = []
-        for u, v in zip(_run_generic(combo.left, N), _run_generic(combo.right, N)):
-            if type(u) is not GaussianRational or type(v) is not GaussianRational:
-                out.append(combine(u, v) * scale)
-                continue
-            half = (_half(combine, u.re, v.re), _half(combine, u.im, v.im))
-            out.append(GaussianRational(*parts(*half)))
-        return out
+        return [
+            GaussianRational(*parts(_half(combine, u.re, v.re), _half(combine, u.im, v.im)))
+            for u, v in zip(_run_generic(combo.left, N), _run_generic(combo.right, N))
+        ]
     u = _run_f64(combo.left, N)
     v = u.conj() if combo.right is None else _run_f64(combo.right, N)
-    values = combine(u, v) * scale
+    values = combine(u, v) * scale(F64)
     _finite_or_raise(values, "combo")
     return values
 
@@ -399,10 +400,4 @@ def run(spec, N: int) -> CoeffStream:
         values = _run_f64(spec, N)
     else:
         values = _run_generic(spec, N)
-    return CoeffStream(
-        values,
-        _meta_get(spec.meta, "base", "product"),
-        "recurrence",
-        spec.backend,
-        spec.meta,
-    )
+    return CoeffStream(values, spec.backend)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .numerics import (
@@ -80,15 +80,13 @@ class Elementary:
 
 @dataclass(frozen=True, eq=False)
 class CoeffStream:
-    """A finite prefix u_0..u_N of a Maclaurin coefficient sequence: a tuple
-    in the exact backend, a read-only complex128 array in f64.  Streams
-    compare and hash by identity; compare their ``coeffs``."""
+    """A finite prefix u_0..u_N of a Maclaurin coefficient sequence and the
+    backend that computed it, which fixes its form: a tuple in the exact
+    backend, a read-only complex128 array in f64.  Streams compare and hash
+    by identity; compare their ``coeffs``."""
 
     coeffs: object  # tuple (exact) or numpy.ndarray (f64)
-    base: str  # "M" | "F" | "K" | "E" | "elementary" | "product"
-    provenance: str  # "oracle" | "recurrence"
     backend: str  # "exact" | "f64"
-    params: tuple = field(default=())
 
     def __post_init__(self):
         if self.backend == "f64":
@@ -149,10 +147,10 @@ def _term_series(bk, N: int, first, ratio, start: int = 0, step: int = 1):
     return out
 
 
-def _oracle(values, base: str, bk, what: str) -> CoeffStream:
+def _oracle(values, bk, what: str) -> CoeffStream:
     if bk is not EXACT:
         _finite_or_raise(values, what)
-    return CoeffStream(values, base, "oracle", bk.name)
+    return CoeffStream(values, bk.name)
 
 
 def kummer_series(a, c, N: int, backend=None) -> CoeffStream:
@@ -161,7 +159,7 @@ def kummer_series(a, c, N: int, backend=None) -> CoeffStream:
     _check_c(c)
     a, c = bk.coerce(a), bk.coerce(c)
     out = _term_series(bk, N, bk.one(), lambda k: (a + k) / ((c + k) * (k + 1)))
-    return _oracle(out, "M", bk, "kummer_series")
+    return _oracle(out, bk, "kummer_series")
 
 
 def gauss_series(a, b, c, N: int, backend=None) -> CoeffStream:
@@ -170,7 +168,7 @@ def gauss_series(a, b, c, N: int, backend=None) -> CoeffStream:
     _check_c(c)
     a, b, c = bk.coerce(a), bk.coerce(b), bk.coerce(c)
     out = _term_series(bk, N, bk.one(), lambda k: (a + k) * (b + k) / ((c + k) * (k + 1)))
-    return _oracle(out, "F", bk, "gauss_series")
+    return _oracle(out, bk, "gauss_series")
 
 
 def elementary_series(h: Elementary, N: int, backend=None) -> CoeffStream:
@@ -206,7 +204,7 @@ def elementary_series(h: Elementary, N: int, backend=None) -> CoeffStream:
             out.append((-p * out[n] - (n - 1) * out[n - 1]) / (n + 1))
     else:  # pragma: no cover - guarded by Elementary validation
         raise ParameterDomainError(f"unknown elementary kind {kind!r}")
-    return _oracle(out, "elementary", bk, f"elementary_series({kind})")
+    return _oracle(out, bk, f"elementary_series({kind})")
 
 
 def cauchy_product(A: CoeffStream, B: CoeffStream) -> CoeffStream:
@@ -229,7 +227,7 @@ def cauchy_product(A: CoeffStream, B: CoeffStream) -> CoeffStream:
         _finite_or_raise(coeffs, "cauchy_product")
     else:
         coeffs = _exact_cauchy(A.coeffs, B.coeffs)
-    return CoeffStream(coeffs, "product", "oracle", A.backend)
+    return CoeffStream(coeffs, A.backend)
 
 
 def _ldexp(x, e):
@@ -362,14 +360,7 @@ def scale_stream(A: CoeffStream, s) -> CoeffStream:
         _finite_or_raise(coeffs, "scale_stream")
     else:
         coeffs = tuple(s * v for v in A.coeffs)
-    return CoeffStream(coeffs, A.base, A.provenance, A.backend, A.params)
-
-
-def unit_stream(N: int, backend="exact") -> CoeffStream:
-    """The multiplicative identity (1, 0, 0, ...) for convolution."""
-    bk = get_backend(backend)
-    coeffs = (bk.one(),) + (bk.zero(),) * N
-    return CoeffStream(coeffs, "elementary", "oracle", bk.name)
+    return CoeffStream(coeffs, A.backend)
 
 
 def hyper_base_series(base: str, N: int, backend="exact", a=None, b=None, c=None) -> CoeffStream:
@@ -384,7 +375,5 @@ def hyper_base_series(base: str, N: int, backend="exact", a=None, b=None, c=None
     if base == "F":
         return gauss_series(a, b, c, N, bk)
     if base in ELLIPTIC_ABC:
-        inner = gauss_series(*ELLIPTIC_ABC[base], N, bk)
-        stream = scale_stream(inner, bk.half_pi())
-        return CoeffStream(stream.coeffs, base, "oracle", bk.name)
+        return scale_stream(gauss_series(*ELLIPTIC_ABC[base], N, bk), bk.half_pi())
     raise ParameterDomainError(f"unknown base {base!r}")

@@ -10,7 +10,7 @@ import pytest
 
 from macprod import cli, kernels, numerics
 from macprod.families import build, get_family, list_families, params_snapshot
-from macprod.numerics import GaussianRational, PiLinear, format_scalar, get_backend
+from macprod.numerics import GaussianRational, PiLinear, approximate, format_scalar, get_backend
 from macprod.recurrence_core import run
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -417,6 +417,22 @@ class TestExitCodes:
         assert code == 3
         assert "numeric" in err
 
+    def test_binomial_at_huge_integer_p(self, capsys):
+        # p = 1e100 takes the polynomial route; only the taps through u_N are
+        # formed, and u_4 = C(p, 4) / 16 is past double
+        flags = ("--backend", "f64", "--family", "binom-M", "--a=1", "--c=2", "--p=1e100",
+                 "--theta=1/2")
+        code, out, _ = run_cli(capsys, "coeffs", *flags, "--count", "4")
+        assert code == 0
+        got = [complex(r["re"], r["im"]) for r in json.loads(out)["coeffs"]]
+        exact = run(build("binom-M", {"a": 1, "c": 2, "p": Fraction(1e100),
+                                      "theta": Fraction(1, 2)}), 3).coeffs
+        for x, y in zip(got, exact):
+            assert abs(x - approximate(y)) <= 1e-12 * abs(approximate(y))
+        code, out, err = run_cli(capsys, "coeffs", *flags, "--count", "8")
+        assert (code, out) == (3, "")
+        assert err == "numeric failure: recurrence produced a non-finite entry at n=4\n"
+
     def test_overflow_on_interleaved_route_is_3(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -444,6 +460,11 @@ class TestExitCodes:
              "--tolerance"),
             (("verify", "--backend", "f64", "--tolerance=-1", "--family", "exp-M"),
              "--tolerance"),
+            (("verify", "--family", "exp-M", "--a=1", "--c=2", "--p=1", "--trials", "5",
+              "--seed", "3", "--count", "8"), "--trials"),
+            (("verify", "--family", "exp-M", "--a=1", "--c=2", "--p=1", "--seed", "3"),
+             "--seed"),
+            (("verify", "--backend", "exact", "--tolerance", "0.5"), "--tolerance"),
             (("bench", "--family", "exp-M", "--count", "-3"), "--count"),
             (("bench", "--family", "exp-M", "--count", "8", "--reps", "0"), "--reps"),
         ],

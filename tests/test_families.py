@@ -17,6 +17,7 @@ from macprod.families import (
     build_M_family,
     get_family,
     list_families,
+    params_snapshot,
 )
 from macprod.numerics import (
     EXACT,
@@ -88,7 +89,7 @@ class TestCatalogue:
         combo = build_F_family("sin", "combo", {"a": 1, "b": 1, "c": 1, "p": 1})
         assert isinstance(combo, ComboSpec)
         ell = build_elliptic_family("K", "exp", {"p": 1})
-        assert ell.meta[0] == ("family", "exp-K")
+        assert ell.seeds[0] == EXACT.half_pi()
         with pytest.raises(CatalogueError):
             build_M_family("exp", "combo", {"a": 1, "c": 2, "p": 1})
         with pytest.raises(CatalogueError):
@@ -563,7 +564,6 @@ class TestFloatRoutes:
             assert (fl.order, fl.start, fl.interleave) == (11, 11, 4)
         else:
             assert isinstance(fl, ComboSpec)
-        assert dict(fl.meta)["family"] == family_id
 
     @pytest.mark.parametrize("family_id", INVERSE_SINE)
     def test_inverse_sine_overflow_names_the_coefficient_index(self, family_id):
@@ -581,10 +581,22 @@ class TestFloatRoutes:
         info = get_family(family_id)
         params = {k: 0.5 for k in info.param_names} | {"p": 2.0, "theta": 3.0}
         spec = build(family_id, params, "f64")
-        assert spec.taps == (1, -6, 9)  # (1 - 3z)^2
+        assert spec.binomial == (2, 3)  # (1 - 3z)^2
         exp_params = {k: v for k, v in params.items() if k != "theta"}
         base = build(f"exp-{info.base}", dict(exp_params, p=0.0), "f64")
         assert (spec.order, spec.start, spec.seeds) == (base.order, base.start, base.seeds)
+
+    @pytest.mark.parametrize("family_id", ["binom-M", "binom-F", "binom-K", "binom-E"])
+    def test_binomial_at_huge_integer_p_forms_only_the_taps_it_reads(self, family_id):
+        # p + 1 taps would take 8 GB at p = 1e9; a run through u_7 forms 8
+        info = get_family(family_id)
+        values = {"a": Fraction(1), "b": Fraction(1, 3), "c": Fraction(2),
+                  "p": Fraction(10**9), "theta": Fraction(1, 2)}
+        params = {k: values[k] for k in info.param_names}
+        exact = recurrence_stream(family_id, params, 7, "exact")
+        fl = recurrence_stream(family_id, {k: complex(v) for k, v in params.items()}, 7, "f64")
+        for x, y in zip(fl.coeffs, exact.coeffs):
+            assert abs(x - approximate(y)) <= 1e-12 * abs(approximate(y))
 
     @pytest.mark.parametrize("family_id", REROUTED)
     def test_rerouted_finite_at_8192(self, family_id):
@@ -772,8 +784,6 @@ class TestMeta:
         assert get_family("arcsin-M").radius == "1/|p|"
         assert get_family("arccos-M").radius == "1/|p|"
 
-    def test_params_snapshot_in_meta(self):
-        spec = build("exp-M", {"a": 1, "c": 2, "p": Fraction(1, 3)})
-        meta = dict(spec.meta)
-        assert meta["family"] == "exp-M"
-        assert dict(meta["params"]) == {"a": "1", "c": "2", "p": "1/3"}
+    def test_params_snapshot(self):
+        params = Params(a=GaussianRational(1), c=GaussianRational(2), p=Fraction(1, 3))
+        assert params_snapshot(params) == (("a", "1"), ("c", "2"), ("p", "1/3"))

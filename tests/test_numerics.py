@@ -187,6 +187,20 @@ class TestApproximate:
         scale = max(1.0, abs(rhs))
         assert abs(lhs - rhs) <= 4 * 2.220446049250313e-16 * scale
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            Fraction(10**400, 3),
+            10**400,
+            GaussianRational(1, Fraction(10**400)),
+            PiLinear(0, GaussianRational(-(10**400))),
+        ],
+    )
+    def test_past_double_is_non_finite(self, x):
+        # float() of an int or Fraction past double raises OverflowError
+        with pytest.raises(NonFiniteError):
+            approximate(x)
+
     def test_one_way_only(self):
         with pytest.raises(BackendMismatchError):
             F64.coerce(GaussianRational(1))

@@ -103,12 +103,6 @@ class TestRun:
         assert run(spec, spec.start).coeffs == spec.seeds
         assert run(spec, 0).coeffs == spec.seeds[:1]
 
-    def test_provenance(self):
-        spec = build("exp-M", {"a": 1, "c": 2, "p": 1})
-        stream = run(spec, 5)
-        assert stream.provenance == "recurrence"
-        assert stream.base == "M"
-
     def test_determinism_exact(self):
         spec = build("sin-F", {"a": 1, "b": Fraction(1, 3), "c": Fraction(5, 4), "p": 2})
         assert run(spec, 30).coeffs == run(spec, 30).coeffs
@@ -193,7 +187,6 @@ class TestSpecKinds:
         assert stream.coeffs == tuple(
             gr(2**n, factorial(n)) if n % 2 else gr(0) for n in range(13)
         )
-        assert stream.provenance == "recurrence"
 
     @staticmethod
     def _cosh_sinh(y1_gain=1.0):
@@ -211,7 +204,6 @@ class TestSpecKinds:
         assert len(stream) == 13
         want = [1 / factorial(n) if n % 2 == 0 else 0 for n in range(13)]
         assert np.allclose(stream.coeffs, want, rtol=1e-15, atol=0)
-        assert stream.provenance == "recurrence"
 
     def test_interleaved_overflow_names_the_sequence_index(self):
         # with y1_gain = 1e300, y1[1] = 1e300 and y0[2] = 5e299, so y1[3]
@@ -220,11 +212,11 @@ class TestSpecKinds:
             run(self._cosh_sinh(1e300), 6)
         assert exc.value.index == 4
 
-    def test_taps_convolve_the_stream(self):
+    def test_binomial_convolves_the_stream(self):
         ones = f64_spec(1, (1 + 0j, 1 + 0j), [(1,), (1,), (0,)])
-        spec = dataclasses.replace(ones, taps=(1.0, 2.0, 1.0))
+        spec = dataclasses.replace(ones, binomial=(2, -1.0))  # (1 + z)^2
         assert run(spec, 5).coeffs.tolist() == [1, 3, 4, 4, 4, 4]
-        assert run(spec, 1).coeffs.tolist() == [1, 3]  # more taps than entries
+        assert run(spec, 1).coeffs.tolist() == [1, 3]  # p above N: the taps through u_1
 
     def test_f64_streams_are_read_only_arrays(self):
         stream = run(build("exp-F", {"a": 0.5, "b": 0.25, "c": 1.5, "p": 1.0}, "f64"), 8)
@@ -232,8 +224,8 @@ class TestSpecKinds:
         with pytest.raises(ValueError, match="read-only"):
             stream.coeffs[0] = 0
 
-    def test_interleave_and_taps_are_f64_only(self):
-        for extra in ({"interleave": 2}, {"taps": (1, 1)}):
+    def test_interleave_and_binomial_are_f64_only(self):
+        for extra in ({"interleave": 2}, {"binomial": (1, 1)}):
             with pytest.raises(ValueError, match="f64 specs only"):
                 RecurrenceSpec(1, (gr(1), gr(1)), ONES, "exact", **extra)
 
@@ -568,7 +560,7 @@ class TestSingularMidRun:
 class TestConjugateParts:
     """A one-branch combo forms only the part its combiner reads, to the
     values and types of the Gaussian-rational formula on the branch and its
-    conjugate; it cannot be built with pi-linear seeds."""
+    conjugate.  No combo can be built with pi-linear seeds."""
 
     @staticmethod
     def left(family):
@@ -596,9 +588,11 @@ class TestConjugateParts:
             tuple(PiLinear(gr(0), s) for s in left.seeds),
         ):
             branch = dataclasses.replace(left, seeds=seeds)
+            for right in (None, branch, left):
+                with pytest.raises(ValueError, match="pi"):
+                    ComboSpec(branch, right, combiner)
             with pytest.raises(ValueError, match="pi"):
-                ComboSpec(branch, None, combiner)
-            ComboSpec(branch, branch, combiner)  # two branches may carry pi
+                ComboSpec(left, branch, combiner)  # pi on the right branch alone
 
 
 class TestCombo:

@@ -26,7 +26,6 @@ from macprod.series_oracle import (
     hyper_base_series,
     kummer_series,
     scale_stream,
-    unit_stream,
 )
 from macprod.verify import draw_params
 
@@ -35,6 +34,12 @@ G = GaussianRational
 
 def gr(num, den=1):
     return G(Fraction(num, den))
+
+
+def unit(N, backend="exact"):
+    """The identity (1, 0, 0, ...) of the Cauchy product, through z^N."""
+    one, zero = (gr(1), gr(0)) if backend == "exact" else (1 + 0j, 0j)
+    return CoeffStream((one,) + (zero,) * N, backend)
 
 
 class TestKummer:
@@ -91,7 +96,7 @@ class TestElementary:
 
     def test_exp_arctan_at_zero(self):
         s = elementary_series(Elementary("exp_arctan", p=gr(0)), 6)
-        assert s.coeffs == unit_stream(6).coeffs
+        assert s.coeffs == unit(6).coeffs
 
     def test_arcsin_entry_five(self):
         p = gr(2, 5)
@@ -117,7 +122,7 @@ class TestElementary:
         half_pi = EXACT.half_pi()
         expect = tuple(
             half_pi * u - v
-            for u, v in zip(unit_stream(9).coeffs, arcsin.coeffs)
+            for u, v in zip(unit(9).coeffs, arcsin.coeffs)
         )
         assert arccos.coeffs == expect
 
@@ -131,7 +136,7 @@ class TestElementary:
                 cauchy_product(sin, sin).coeffs, cauchy_product(cos, cos).coeffs
             )
         )
-        assert total == unit_stream(24).coeffs
+        assert total == unit(24).coeffs
 
     def test_arity_validation(self):
         with pytest.raises(ParameterDomainError):
@@ -146,7 +151,7 @@ def random_stream(rng, N):
     coeffs = tuple(
         G(Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(N + 1)
     )
-    return CoeffStream(coeffs, "elementary", "oracle", "exact")
+    return CoeffStream(coeffs, "exact")
 
 
 class TestCauchyProduct:
@@ -164,7 +169,7 @@ class TestCauchyProduct:
     def test_identity(self):
         rng = Random(3)
         A = random_stream(rng, 12)
-        assert cauchy_product(A, unit_stream(12)).coeffs == A.coeffs
+        assert cauchy_product(A, unit(12)).coeffs == A.coeffs
 
     def test_commutative_associative(self):
         rng = Random(4)
@@ -193,7 +198,7 @@ class TestCauchyProduct:
             if pi_from is not None and n >= pi_from:
                 v = PiLinear(v, G(rational(), rational()) if n == pi_from else G(0))
             coeffs.append(v)
-        return CoeffStream(tuple(coeffs), "elementary", "oracle", "exact")
+        return CoeffStream(tuple(coeffs), "exact")
 
     @pytest.mark.parametrize("pi_a, pi_b", [(None, None), (3, None), (None, 0), (5, 6)])
     def test_equals_termwise_sum(self, pi_a, pi_b):
@@ -215,19 +220,14 @@ class TestCauchyProduct:
             cauchy_product(A, B)
 
     def test_backend_mismatch(self):
-        A = unit_stream(4, "exact")
-        B = unit_stream(4, "f64")
+        A = unit(4, "exact")
+        B = unit(4, "f64")
         with pytest.raises(ValueError, match="backend"):
             cauchy_product(A, B)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            cauchy_product(unit_stream(4), unit_stream(5))
-
-    def test_provenance(self):
-        prod = cauchy_product(unit_stream(3), unit_stream(3))
-        assert prod.provenance == "oracle"
-        assert prod.base == "product"
+            cauchy_product(unit(4), unit(5))
 
 
 class TestFiniteChecks:
@@ -269,15 +269,15 @@ class TestFiniteChecks:
 
     def test_product_names_first_overflow(self):
         # entries 0..2 are 1, 1e300 and 1e10; entry 3 is 1e300 * 1e10
-        A = CoeffStream((1 + 0j, 1e300 + 0j, 0j, 0j, 1j), "elementary", "oracle", "f64")
-        B = CoeffStream((1 + 0j, 0j, 1e10j, 0j, 0j), "M", "oracle", "f64")
+        A = CoeffStream((1 + 0j, 1e300 + 0j, 0j, 0j, 1j), "f64")
+        B = CoeffStream((1 + 0j, 0j, 1e10j, 0j, 0j), "f64")
         with pytest.raises(NonFiniteError, match="cauchy_product.*at n=3") as exc:
             cauchy_product(A, B)
         assert exc.value.index == 3
 
     def test_finite_product_passes(self):
-        A = CoeffStream((1 + 0j, 1e300 + 0j, 0j), "elementary", "oracle", "f64")
-        B = CoeffStream((1 + 0j, 1 + 0j, 0j), "M", "oracle", "f64")
+        A = CoeffStream((1 + 0j, 1e300 + 0j, 0j), "f64")
+        B = CoeffStream((1 + 0j, 1 + 0j, 0j), "f64")
         assert cauchy_product(A, B).coeffs.tolist() == [1 + 0j, 1e300 + 1 + 0j, 1e300 + 0j]
 
 

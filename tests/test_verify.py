@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from macprod.families import CatalogueError
-from macprod.numerics import ParameterDomainError
+from macprod.numerics import GaussianRational, ParameterDomainError
 from macprod.series_oracle import CoeffStream
 from macprod.verify import (
     BenchReport,
@@ -68,12 +68,22 @@ def _scalar_fields(got, want, tolerance):
     return max_abs, max_rel, first, "pass" if max_rel <= tolerance else "fail"
 
 
+class TestExactReport:
+    def test_mismatch_past_double_is_infinite(self):
+        big = GaussianRational(10**400)
+        want = CoeffStream((GaussianRational(1), big, GaussianRational(2)), "exact")
+        got = CoeffStream((GaussianRational(1), big + 1, GaussianRational(3)), "exact")
+        rep = _compare_streams(got, want, "exact", 0.0, "exp-M", (), "oracle")
+        assert (rep.verdict, rep.first_mismatch) == ("fail", 1)
+        assert rep.max_abs == rep.max_rel == float("inf")
+
+
 class TestF64Report:
     TOL = 1e-8
 
     def _report(self, got, want):
         def stream(v):
-            return CoeffStream(tuple(v), "M", "recurrence", "f64")
+            return CoeffStream(tuple(v), "f64")
 
         return _compare_streams(stream(got), stream(want), "f64", self.TOL, "exp-M", (), "oracle")
 
