@@ -5,7 +5,8 @@ with ``PYTHONPATH`` pointing at one tree's ``src``, and is timed from the
 start of the process to its exit: interpreter start, imports, the request
 and the output.  The commands are those of the north-star sizes:
 
-* ``list``;
+* ``list``, ``--help`` and a ``coeffs`` of an unknown family (exit 2):
+  start-up alone, with no numeric work;
 * ``coeffs`` in f64 at N = 64, 1024, 8192, and exact at N = 40 and 256;
 * ``verify`` of one family against the oracle, at the same sizes;
 * ``bench`` (f64 only) at N = 64, 1024, 8192.
@@ -49,8 +50,13 @@ EXACT_SIZES = (40, 256)
 
 
 def commands() -> list:
-    """(name, backend, N, argv) per timed command; backend None for ``list``."""
-    out = [("list", None, None, ["list"])]
+    """(name, backend, N, argv) per timed command; backend and N None for the
+    start-up commands."""
+    out = [
+        ("list", None, None, ["list"]),
+        ("--help", None, None, ["--help"]),
+        ("coeffs", None, None, ["coeffs", "--family", "no-such-id", "--count", "41", *FLAGS]),
+    ]
     for backend, sizes in (("f64", F64_SIZES), ("exact", EXACT_SIZES)):
         for N in sizes:
             out.append(("coeffs", backend, N, ["coeffs", "--family", FAMILY, "--backend", backend,

@@ -3,76 +3,46 @@
 Coefficient streams come from explicit linear recurrences (one family per
 supported product) and are cross-checked against an independent Cauchy-product
 oracle, in exact Gaussian-rational(+pi) arithmetic and in f64.
+
+Every module is imported where its work begins, never ahead of it: numpy
+where an f64 path begins, the engine (``recurrence_core``, which brings the
+``series_oracle`` for its streams) where a build or run begins, and the
+referee (``verify``) where a comparison begins.  So ``import macprod`` loads
+no submodule, and each name in ``__all__`` is imported from its submodule
+the first time it is read.
 """
 
-from .families import (
-    Params,
-    build,
-    build_elliptic_family,
-    build_F_family,
-    build_M_family,
-    get_family,
-    list_families,
-)
-from .numerics import (
-    EXACT,
-    F64,
-    GaussianRational,
-    PiLinear,
-    Rational,
-    approximate,
-    format_scalar,
-    get_backend,
-    parse_scalar,
-    pochhammer,
-)
-from .recurrence_core import ComboSpec, RecurrenceSpec, run
-from .series_oracle import (
-    CoeffStream,
-    Elementary,
-    cauchy_product,
-    elementary_series,
-    gauss_series,
-    hyper_base_series,
-    kummer_series,
-)
-from .verify import BenchReport, DeviationReport, bench, compare_formulations, compare_oracle, sweep
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Params",
-    "build",
-    "build_M_family",
-    "build_F_family",
-    "build_elliptic_family",
-    "get_family",
-    "list_families",
-    "EXACT",
-    "F64",
-    "GaussianRational",
-    "PiLinear",
-    "Rational",
-    "approximate",
-    "format_scalar",
-    "get_backend",
-    "parse_scalar",
-    "pochhammer",
-    "RecurrenceSpec",
-    "ComboSpec",
-    "run",
-    "CoeffStream",
-    "Elementary",
-    "cauchy_product",
-    "elementary_series",
-    "gauss_series",
-    "hyper_base_series",
-    "kummer_series",
-    "DeviationReport",
-    "BenchReport",
-    "compare_oracle",
-    "compare_formulations",
-    "bench",
-    "sweep",
-    "__version__",
-]
+#: each exported name, by the submodule that defines it
+_SOURCES = {
+    "families": ("Params", "build", "build_M_family", "build_F_family",
+                 "build_elliptic_family", "get_family", "list_families"),
+    "numerics": ("EXACT", "F64", "GaussianRational", "PiLinear", "Rational", "approximate",
+                 "format_scalar", "get_backend", "parse_scalar", "pochhammer"),
+    "recurrence_core": ("RecurrenceSpec", "ComboSpec", "run"),
+    "series_oracle": ("CoeffStream", "Elementary", "cauchy_product", "elementary_series",
+                      "gauss_series", "hyper_base_series", "kummer_series"),
+    "verify": ("DeviationReport", "BenchReport", "compare_oracle", "compare_formulations",
+               "bench", "sweep"),
+}
+_SOURCE = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = [*_SOURCE, "__version__"]
+
+
+def __getattr__(name):
+    """Import an exported name from its submodule on first access, and keep it."""
+    try:
+        module = _SOURCE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -5,21 +5,23 @@ Standard output carries data only (JSON, CSV, or plain scalars); every
 diagnostic goes to standard error.  Exit codes: 0 success, 1 verification
 finding, 2 validation or parse failure, 3 numeric failure.
 
-numpy is imported where an f64 path begins (an f64 build, run, oracle,
-comparison or output, and so ``eval`` and ``bench``), never at start-up:
-``list``, ``--help``, validation errors and exact ``coeffs`` and ``verify``
-run without it.
+Each module is imported where its work begins, never at start-up: numpy
+where an f64 path begins (an f64 build, run, oracle, comparison or output,
+and so ``eval`` and ``bench``), the engine (``recurrence_core``, which
+brings the ``series_oracle``) where a build or run begins, and the referee
+(``verify``) where a comparison begins.  So ``list``, ``--help`` and
+validation errors load only this module, ``families`` and ``numerics``;
+``coeffs`` and ``eval`` add the engine, and only ``verify`` and ``bench``
+load the referee.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import sys
 from dataclasses import replace
 
-from . import verify as verify_mod
 from .families import (
     CatalogueError,
     Params,
@@ -29,6 +31,7 @@ from .families import (
     params_snapshot,
 )
 from .numerics import (
+    DEFAULT_TOLERANCE,
     BackendMismatchError,
     NonFiniteError,
     ParameterDomainError,
@@ -40,7 +43,6 @@ from .numerics import (
     get_backend,
     parse_scalar,
 )
-from .recurrence_core import run
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -114,8 +116,18 @@ def _normalized(coeffs, bk):
     return out
 
 
+def run(spec, N: int):
+    """The engine's ``run``, imported where a build is first run.  It stays a
+    name of this module, so a tracer can wrap ``cli.run``."""
+    from .recurrence_core import run
+
+    return run(spec, N)
+
+
 def emit_json(doc) -> str:
     """Canonical one-line JSON (sorted keys, no spaces); byte-stable on round-trip."""
+    import json
+
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -189,7 +201,7 @@ def cmd_verify(args) -> int:
     # --seed, --trials and --tolerance default to None, so that a flag the
     # user gives and the request does not read is refused
     trials = 3 if args.trials is None else args.trials
-    tolerance = verify_mod.DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
+    tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
     if args.count < 0:
         raise ParameterDomainError("--count must be nonnegative")
     if trials < 1:
@@ -206,12 +218,14 @@ def cmd_verify(args) -> int:
         )
     if bk.name == "exact" and args.tolerance is not None:
         raise ParameterDomainError("--tolerance applies to f64; exact comparisons demand equality")
+    from . import verify
+
     if explicit:
         params = _parse_params(args, bk)
-        reports = [verify_mod.compare_oracle(args.family, params, args.count, bk, tolerance)]
+        reports = [verify.compare_oracle(args.family, params, args.count, bk, tolerance)]
     else:
         families = None if args.family is None else [args.family]
-        reports = verify_mod.sweep(
+        reports = verify.sweep(
             1 if args.seed is None else args.seed,
             trials,
             args.count,
@@ -242,10 +256,10 @@ def cmd_bench(args) -> int:
     params = _parse_params(args, bk)
     missing = [name for name in info.param_names if getattr(params, name) is None]
     params = replace(params, **{name: complex(defaults[name]) for name in missing})
-    report = verify_mod.bench(args.family, params, args.count, args.reps)
-    sys.stdout.write(emit_json(report.to_dict()))
-    from . import kernels
+    from . import kernels, verify
 
+    report = verify.bench(args.family, params, args.count, args.reps)
+    sys.stdout.write(emit_json(report.to_dict()))
     if kernels.implementation_name() == "python":
         print(
             "note: recurrence stepping ran on the pure-Python fallback "
@@ -315,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--backend", choices=("exact", "f64"), default="exact")
     p_verify.add_argument(
         "--tolerance", type=float,
-        help=f"f64 only (default {verify_mod.DEFAULT_TOLERANCE:g})",
+        help=f"f64 only (default {DEFAULT_TOLERANCE:g})",
     )
     p_verify.add_argument("--family", default=None)
     _add_param_flags(p_verify)

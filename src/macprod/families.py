@@ -76,7 +76,6 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
 
 from .numerics import (
     GaussianRational,
@@ -86,8 +85,6 @@ from .numerics import (
     is_nonpositive_integer,
     scalar_equals_int,
 )
-from .recurrence_core import ComboSpec, RecurrenceSpec, _horner, step_exact
-from .series_oracle import ELLIPTIC_ABC, Elementary
 
 __all__ = [
     "Params",
@@ -764,6 +761,8 @@ def _order(name):
 def _den(info, params, h=None):
     """The named factors of P_0(n+1), each a polynomial in n (highest power
     first), for the singular-index message."""
+    from .series_oracle import ELLIPTIC_ABC
+
     if info.base in ELLIPTIC_ABC:
         return (("n", (1, 0)), ("n+1", (1, 1)))
     c = params.c
@@ -783,6 +782,8 @@ def _values(info, params, bk):
     """The table variables of a family: a, b, c (the F table's fixed values
     for K and E), p, theta, and for the sin and arcsin tables w, the signed
     square of the frequency (-p^2 for sinh and cosh)."""
+    from .series_oracle import ELLIPTIC_ABC
+
     if info.base in ELLIPTIC_ABC:
         a, b, c = (_field(bk.coerce(x)) for x in ELLIPTIC_ABC[info.base])
     else:
@@ -816,6 +817,9 @@ def _spec(info, bk, name, values, seeds, den):
     """A single recurrence from operator ``name`` at ``values``: the seeds
     u_0 (u_1) are stepped by the table to u_k, with u below 0 taken as 0,
     and the run steps on from there.  K and E seeds carry pi/2."""
+    from .recurrence_core import RecurrenceSpec, _horner, step_exact
+    from .series_oracle import ELLIPTIC_ABC
+
     k = _order(name)
     if info.base in ELLIPTIC_ABC:
         seeds = [bk.half_pi() * bk.coerce(s) for s in seeds]
@@ -866,6 +870,8 @@ def _mk_branches(info, params, bk):
     For sin and cos at real parameters the branch at -ip is the complex
     conjugate of the one at +ip, so the combo carries that one branch alone
     (its right branch None), and the run steps it."""
+    from .recurrence_core import ComboSpec
+
     combiner = _COMBINER[info.h]
     trig = info.h in ("sin", "cos")
     q = bk.imaginary_unit() * params.p if trig else params.p
@@ -910,6 +916,8 @@ def _binom_f64(info, params, bk):
 
 
 def _mk_arcsin_M_interleaved(info, params, bk):
+    from .recurrence_core import RecurrenceSpec
+
     a, c, p = params.a, params.c, params.p
     seeds, polys = _arcsin_M_interleaved(a, c, p, *_h01(info.h, p, bk))
     return RecurrenceSpec(11, seeds, polys, bk.name, interleave=4)
@@ -1026,6 +1034,8 @@ def build_elliptic_family(kind: str, h: str, params, backend="exact"):
 
 def elementary_factor(info: FamilyInfo, params: Params) -> Elementary:
     """The h(z) factor of a family, as an oracle-side description."""
+    from .series_oracle import Elementary
+
     if info.h == "binom":
         return Elementary("binom", p=params.p, theta=params.theta)
     return Elementary(info.h, p=params.p)

@@ -147,15 +147,17 @@ def _build():
     """Compile and load _STEP_C; None without a compiler or a writable cache."""
     import ctypes
     import hashlib
-    import subprocess
     import sysconfig
-    import tempfile
 
     cache = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
     digest = hashlib.sha256(_STEP_C.encode()).hexdigest()[:16]
     path = os.path.join(cache, f"_step-{digest}.{sysconfig.get_platform()}.so")
     try:
         if not os.path.exists(path):
+            # only a cache miss compiles, so only it pays for these imports
+            import subprocess
+            import tempfile
+
             os.makedirs(cache, exist_ok=True)
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
             os.close(fd)
@@ -166,11 +168,13 @@ def _build():
                     input=_STEP_C, text=True, capture_output=True, check=True, timeout=120,
                 )
                 os.replace(tmp, path)
+            except subprocess.SubprocessError:
+                return None
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
         fn = ctypes.CDLL(path).recurrence_steps
-    except (OSError, AttributeError, subprocess.SubprocessError):
+    except (OSError, AttributeError):
         return None
     fn.restype = ctypes.c_long
     fn.argtypes = [ctypes.c_void_p, ctypes.c_int] + [ctypes.c_long] * 3

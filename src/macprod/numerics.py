@@ -42,6 +42,7 @@ __all__ = [
     "EXACT",
     "F64",
     "BACKENDS",
+    "DEFAULT_TOLERANCE",
 ]
 
 # The exact real scalar: arbitrary-precision, eagerly normalised, den > 0.
@@ -542,6 +543,10 @@ class FloatBackend:
 EXACT = ExactBackend()
 F64 = FloatBackend()
 BACKENDS = {"exact": EXACT, "f64": F64}
+
+#: the default bound of an f64 comparison, on |x - y| / max(1, |y|); it lives
+#: here so the CLI's help can quote it without loading the referee
+DEFAULT_TOLERANCE = 1e-8
 
 
 def get_backend(backend):

@@ -688,3 +688,109 @@ sys.stdout.write(out)
                                capture_output=True, text=True, env=env, timeout=300)
         assert fresh.returncode == 0, fresh.stderr
         assert f64_out == fresh.stdout
+
+
+class TestStartImports:
+    """Each command imports only the modules it runs, checked in fresh
+    processes: ``list``, ``--help`` and validation errors load neither the
+    engine, the oracle nor the referee; ``coeffs`` loads no referee; and
+    ``import macprod`` loads no submodule until a name is read."""
+
+    FLAGS = ["--a=1/3", "--b=-5/4", "--c=7/5", "--p=3/2"]
+    SCRIPT = """
+import contextlib, io, json, sys
+from macprod import cli
+
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main({argv!r})
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+    def fresh(self, code):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=SRC), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def command(self, *argv):
+        """(exit code, the modules loaded) of one ``cli.main`` call in a fresh process."""
+        code, modules = self.fresh(self.SCRIPT.format(argv=list(argv)))
+        return code, set(modules)
+
+    @pytest.mark.parametrize("argv, want", [
+        (["list"], 0),
+        (["--help"], 0),
+        (["verify", "--help"], 0),
+        (["coeffs", "--family", "no-such-id", "--count", "3"], 2),
+        (["coeffs", "--family", "exp-M", "--count", "3", "--a=x", "--c=1", "--p=1"], 2),
+    ])
+    def test_catalogue_help_and_errors_load_no_engine(self, argv, want):
+        code, modules = self.command(*argv)
+        assert code == want
+        assert {m for m in modules if m.startswith("macprod.")} == {
+            "macprod.cli", "macprod.families", "macprod.numerics"}
+        assert "numpy" not in modules
+
+    @pytest.mark.parametrize("backend", ["exact", "f64"])
+    def test_coeffs_loads_no_referee(self, backend):
+        code, modules = self.command("coeffs", "--family", "exp-F", "--backend", backend,
+                                     "--count", "41", *self.FLAGS)
+        assert code == 0
+        assert {"macprod.recurrence_core", "macprod.series_oracle"} <= modules
+        assert "macprod.verify" not in modules
+
+    def test_verify_help_quotes_the_referees_default_tolerance(self, capsys):
+        from macprod import verify
+
+        code, out, _ = run_cli(capsys, "verify", "--help")
+        assert code == 0
+        assert f"(default {verify.DEFAULT_TOLERANCE:g})" in " ".join(out.split())
+        assert verify.DEFAULT_TOLERANCE is numerics.DEFAULT_TOLERANCE
+
+    def test_import_macprod_loads_no_submodule(self):
+        code = "import json, sys, macprod; print(json.dumps(sorted(sys.modules)))"
+        assert [m for m in self.fresh(code) if m.startswith("macprod")] == ["macprod"]
+
+
+class TestPackageExports:
+    """``macprod`` exports the names of its submodules, each imported on first access."""
+
+    SOURCES = {
+        "families": ["Params", "build", "build_M_family", "build_F_family",
+                     "build_elliptic_family", "get_family", "list_families"],
+        "numerics": ["EXACT", "F64", "GaussianRational", "PiLinear", "Rational", "approximate",
+                     "format_scalar", "get_backend", "parse_scalar", "pochhammer"],
+        "recurrence_core": ["RecurrenceSpec", "ComboSpec", "run"],
+        "series_oracle": ["CoeffStream", "Elementary", "cauchy_product", "elementary_series",
+                          "gauss_series", "hyper_base_series", "kummer_series"],
+        "verify": ["DeviationReport", "BenchReport", "compare_oracle", "compare_formulations",
+                   "bench", "sweep"],
+    }
+
+    def test_every_export_is_its_submodules_object(self):
+        import importlib
+
+        import macprod
+
+        names = [name for names in self.SOURCES.values() for name in names]
+        assert macprod.__all__ == [*names, "__version__"]
+        for module, names in self.SOURCES.items():
+            mod = importlib.import_module(f"macprod.{module}")
+            for name in names:
+                assert getattr(macprod, name) is getattr(mod, name), name
+        assert set(macprod.__all__) <= set(dir(macprod))
+
+    def test_star_import_binds_every_export(self):
+        import macprod
+
+        namespace = {}
+        exec("from macprod import *", namespace)
+        for name in macprod.__all__:
+            assert namespace[name] is getattr(macprod, name), name
+
+    def test_other_names_raise_attribute_error(self):
+        import macprod
+
+        with pytest.raises(AttributeError, match="nope"):
+            macprod.nope
+        assert not hasattr(macprod, "__nope__")

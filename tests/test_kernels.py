@@ -219,6 +219,24 @@ class TestSelection:
         if "compiled" in impls:
             assert kernels.implementation_name() == "compiled"
 
+    def test_built_loop_loads_without_subprocess(self):
+        # only a cache miss compiles, so a process that finds the loop built
+        # never imports subprocess
+        if kernels._c_impl() is None:
+            pytest.skip("the C loop cannot be built here")
+        code = (
+            "import contextlib, io, sys; from macprod import cli, kernels\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['coeffs', '--family', 'exp-F', '--backend', 'f64', '--count',"
+            " '40', '--a=1/2', '--b=1/3', '--c=5/4', '--p=1'])\n"
+            "print(code, kernels.implementation_name(), 'subprocess' in sys.modules)"
+        )
+        src = os.path.dirname(os.path.dirname(kernels.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["0", "compiled", "False"]
+
     def _fresh_copy_run(self, root, path_env):
         """Run one f64 request on a copy of the package with no build cache;
         return (stdout lines, files added to the copy)."""

@@ -233,3 +233,23 @@ class TestBench:
             "oracle_time",
             "ratio",
         }
+
+    def test_no_repetition_times_first_use(self, monkeypatch):
+        # loading the C loop, made 0.2 s slower here, happens before timing
+        import time
+
+        from macprod import kernels
+
+        build = kernels._build
+
+        def slow_build():
+            time.sleep(0.2)
+            return build()
+
+        monkeypatch.setattr(kernels, "_build", slow_build)
+        kernels._c_impl.cache_clear()
+        try:
+            rep = bench("exp-F", {"a": 0.5, "b": 1 / 3, "c": 1.25, "p": 1.0}, 64, repetitions=1)
+        finally:
+            kernels._c_impl.cache_clear()
+        assert rep.recurrence_time < 0.1
