@@ -50,9 +50,10 @@ from pathlib import Path
 import numpy as np
 
 from macprod import cli, families, kernels, recurrence_core
-from macprod.families import build, conform_params, elementary_factor, get_family
+from macprod.families import build, conform_params, get_family
 from macprod.numerics import EXACT, GaussianRational, PiLinear
 from macprod.series_oracle import cauchy_product, elementary_series, hyper_base_series
+from macprod.verify import elementary_factor
 
 FAMILIES = (
     "exp-F", "arctanexp-F", "sin-M-combo", "sinh-M-combo", "sin-F", "sinh-F", "arcsin-M",

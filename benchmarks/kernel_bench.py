@@ -45,9 +45,10 @@ import numpy as np
 
 from exact_bench import branches, write_json
 from macprod import cli, kernels, recurrence_core
-from macprod.families import build, conform_params, elementary_factor, get_family
+from macprod.families import build, conform_params, get_family
 from macprod.numerics import get_backend
 from macprod.series_oracle import elementary_series, hyper_base_series
+from macprod.verify import elementary_factor
 
 VALUES = {"a": Fraction(1, 2), "b": Fraction(1, 3), "c": Fraction(5, 4), "p": Fraction(1)}
 #: (family, parameters that differ from VALUES); binom-F at an integer p takes

@@ -5,11 +5,13 @@ supported product) and are cross-checked against an independent Cauchy-product
 oracle, in exact Gaussian-rational(+pi) arithmetic and in f64.
 
 Every module is imported where its work begins, never ahead of it: numpy
-where an f64 path begins, the engine (``recurrence_core``, which brings the
-``series_oracle`` for its streams) where a build or run begins, and the
-referee (``verify``) where a comparison begins.  So ``import macprod`` loads
-no submodule, and each name in ``__all__`` is imported from its submodule
-the first time it is read.
+where an f64 path begins, the engine (``recurrence_core``) where a build or
+run begins, and the referee (``verify``, which brings the ``series_oracle``)
+where a comparison begins.  The recurrence path (``families``,
+``recurrence_core``, ``kernels``) and the oracle share only ``numerics``,
+which holds the stream type both return; ``verify`` is the one module that
+imports both.  So ``import macprod`` loads no submodule, and each name in
+``__all__`` is imported from its submodule the first time it is read.
 """
 
 import importlib
@@ -20,11 +22,11 @@ __version__ = "0.1.0"
 _SOURCES = {
     "families": ("Params", "build", "build_M_family", "build_F_family",
                  "build_elliptic_family", "get_family", "list_families"),
-    "numerics": ("EXACT", "F64", "GaussianRational", "PiLinear", "Rational", "approximate",
-                 "format_scalar", "get_backend", "parse_scalar", "pochhammer"),
+    "numerics": ("CoeffStream", "EXACT", "F64", "GaussianRational", "PiLinear", "Rational",
+                 "approximate", "format_scalar", "get_backend", "parse_scalar", "pochhammer"),
     "recurrence_core": ("RecurrenceSpec", "ComboSpec", "run"),
-    "series_oracle": ("CoeffStream", "Elementary", "cauchy_product", "elementary_series",
-                      "gauss_series", "hyper_base_series", "kummer_series"),
+    "series_oracle": ("Elementary", "cauchy_product", "elementary_series", "gauss_series",
+                      "hyper_base_series", "kummer_series"),
     "verify": ("DeviationReport", "BenchReport", "compare_oracle", "compare_formulations",
                "bench", "sweep"),
 }

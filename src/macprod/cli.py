@@ -7,12 +7,12 @@ finding, 2 validation or parse failure, 3 numeric failure.
 
 Each module is imported where its work begins, never at start-up: numpy
 where an f64 path begins (an f64 build, run, oracle, comparison or output,
-and so ``eval`` and ``bench``), the engine (``recurrence_core``, which
-brings the ``series_oracle``) where a build or run begins, and the referee
-(``verify``) where a comparison begins.  So ``list``, ``--help`` and
+and so ``eval`` and ``bench``), the engine (``recurrence_core``) where a
+build or run begins, and the referee (``verify``, which brings the
+``series_oracle``) where a comparison begins.  So ``list``, ``--help`` and
 validation errors load only this module, ``families`` and ``numerics``;
-``coeffs`` and ``eval`` add the engine, and only ``verify`` and ``bench``
-load the referee.
+``coeffs`` and ``eval`` add the engine but not the oracle, and only
+``verify`` and ``bench`` load the referee and the oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .families import (
     CatalogueError,
     Params,
     build,
+    disc_radius,
     get_family,
     list_families,
     params_snapshot,
@@ -162,16 +163,6 @@ def cmd_coeffs(args) -> int:
     return EXIT_OK
 
 
-def _numeric_radius(info, params) -> float:
-    """The disc radius as a number; "1/|theta|" and "1/|p|" read the f64 params."""
-    if info.radius == "entire":
-        return float("inf")
-    if info.radius == "1":
-        return 1.0
-    t = abs(getattr(params, info.radius[3:-1]))
-    return float("inf") if t == 0 else 1.0 / t
-
-
 def cmd_eval(args) -> int:
     bk = get_backend("f64")
     info = get_family(args.family)
@@ -180,7 +171,7 @@ def cmd_eval(args) -> int:
     params = _parse_params(args, bk)
     z = parse_scalar(args.z, bk)
     stream = run(build(args.family, params, bk), args.count)
-    radius = _numeric_radius(info, params)
+    radius = disc_radius(info, params)
     if abs(z) >= radius:
         print(
             f"warning: |z| = {abs(z):.6g} is outside the stated disc "

@@ -12,8 +12,9 @@ whole catalogue (``_OPERATORS``): exp, binom, arctanexp and sin over M and
 F, and arcsin over M.  They come from D-finite closure of h's ODE with
 Kummer's or Gauss's equation; ``scripts/derive_operators.py`` rebuilds and
 checks them, and checks the paper's closed-form seeds against them.
-Nothing is derived from the convolution oracle, so :mod:`macprod.verify`
-can use the oracle as an independent referee.
+Nothing is derived from the convolution oracle, and nothing here imports
+it, not even the elliptic parameters, so :mod:`macprod.verify` can use the
+oracle as an independent referee.
 
 A family keeps only u_0 (exp, binom, arctanexp) or u_0 and u_1 (trig/hyp,
 arcsin, arccos); the builder steps the table to the catalogued start index,
@@ -28,8 +29,8 @@ products:
   in the signed square w of the frequency: w = p^2 builds sin and cos,
   w = -p^2 builds sinh and cosh, so the arithmetic stays real at real p.
 * K(sqrt z) = (pi/2) F(1/2, 1/2; 1; z) and E(sqrt z) = (pi/2) F(-1/2, 1/2;
-  1; z).  Every K and E id is built from the F tables at those (a, b, c),
-  and its seeds carry the factor pi/2.
+  1; z).  Every K and E id is built from the F tables at those (a, b, c)
+  (``_ELLIPTIC_ABC``), and its seeds carry the factor pi/2.
 * sinh(pz), cosh(pz) = (e^(pz) -+ e^(-pz))/2 and sin(pz), cos(pz) =
   (e^(ipz) -+ e^(-ipz))/(2i or 2), so every sin/cos/sinh/cosh product is
   the base's exp-X product at +q and at -q, combined entrywise, with q = ip
@@ -96,9 +97,7 @@ __all__ = [
     "build_M_family",
     "build_F_family",
     "build_elliptic_family",
-    "elementary_factor",
 ]
-
 
 
 class CatalogueError(KeyError):
@@ -131,7 +130,7 @@ class FamilyInfo:
     h: str  # elementary kind (series_oracle naming)
     formulation: str  # "single" | "combo"
     order: int
-    radius: str  # "entire" | "1" | "1/|theta|" | "1/|p|"
+    radius: str  # "entire" | "1" | "1/|theta|" | "1/|p|" | "min(1,1/|theta|)"
     param_names: tuple
     c_excludes_2: bool = False
 
@@ -154,6 +153,13 @@ _H_TOKEN = {
     "exp_arctan": "arctanexp",
 }
 _TOKEN_H = {v: k for k, v in _H_TOKEN.items()}
+
+#: the F table's (a, b, c) behind each elliptic base (see the module
+#: docstring); the oracle keeps its own, so the referee never reads the tables'
+_ELLIPTIC_ABC = {
+    "K": (Fraction(1, 2), Fraction(1, 2), 1),
+    "E": (Fraction(-1, 2), Fraction(1, 2), 1),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -730,10 +736,10 @@ def _field(value):
 
 
 _REGISTRY: dict[str, FamilyInfo] = {}
-_BUILDERS: dict[str, Callable] = {}
+_BUILDERS = {}  # family id -> builder(info, params, bk)
 
 
-def _register(info: FamilyInfo, builder: Callable):
+def _register(info: FamilyInfo, builder):
     if info.id in _REGISTRY:
         raise ValueError(f"duplicate family id {info.id}")
     _REGISTRY[info.id] = info
@@ -758,15 +764,12 @@ def _order(name):
     return len(_OPERATORS[name]) - 3  # the first entry names the variables
 
 
-def _den(info, params, h=None):
-    """The named factors of P_0(n+1), each a polynomial in n (highest power
-    first), for the singular-index message."""
-    from .series_oracle import ELLIPTIC_ABC
-
-    if info.base in ELLIPTIC_ABC:
-        return (("n", (1, 0)), ("n+1", (1, 1)))
-    c = params.c
-    if (h or info.h) not in _SECOND_ORDER:
+def _den(h, values):
+    """The named factors of P_0(n+1) for the table of ``h`` at the table
+    ``values``, each a polynomial in n (highest power first), for the
+    singular-index message."""
+    c = values["c"]
+    if h not in _SECOND_ORDER:
         return (("n+1", (1, 1)), ("c+n", (1, c)))
     return (
         ("c-2", (c - 2,)),
@@ -782,10 +785,8 @@ def _values(info, params, bk):
     """The table variables of a family: a, b, c (the F table's fixed values
     for K and E), p, theta, and for the sin and arcsin tables w, the signed
     square of the frequency (-p^2 for sinh and cosh)."""
-    from .series_oracle import ELLIPTIC_ABC
-
-    if info.base in ELLIPTIC_ABC:
-        a, b, c = (_field(bk.coerce(x)) for x in ELLIPTIC_ABC[info.base])
+    if info.base in _ELLIPTIC_ABC:
+        a, b, c = (_field(bk.coerce(x)) for x in _ELLIPTIC_ABC[info.base])
     else:
         a, b, c = params.a, params.b, params.c
     values = {"a": a, "b": b, "c": c, "p": params.p, "theta": params.theta}
@@ -818,10 +819,9 @@ def _spec(info, bk, name, values, seeds, den):
     u_0 (u_1) are stepped by the table to u_k, with u below 0 taken as 0,
     and the run steps on from there.  K and E seeds carry pi/2."""
     from .recurrence_core import RecurrenceSpec, _horner, step_exact
-    from .series_oracle import ELLIPTIC_ABC
 
     k = _order(name)
-    if info.base in ELLIPTIC_ABC:
+    if info.base in _ELLIPTIC_ABC:
         seeds = [bk.half_pi() * bk.coerce(s) for s in seeds]
     seeds = [bk.coerce(s) for s in seeds]
     n0 = len(seeds) - 1
@@ -849,14 +849,14 @@ def _mk_single(info, params, bk):
     """The family's own table, stepped from its u_0 (u_1)."""
     values = _values(info, params, bk)
     name = _table(info.h, info.base)
-    return _spec(info, bk, name, values, _seeds(info, values, bk), _den(info, params))
+    return _spec(info, bk, name, values, _seeds(info, values, bk), _den(info.h, values))
 
 
 def _exp_spec(info, params, bk, p):
     """The base's exp-X recurrence at frequency p."""
     values = dict(_values(info, params, bk), p=p)
     name = _table("exp", info.base)
-    return _spec(info, bk, name, values, [bk.one()], _den(info, params, "exp"))
+    return _spec(info, bk, name, values, [bk.one()], _den("exp", values))
 
 
 #: how the branches exp(+-pz) (sinh, cosh) or exp(+-ipz) (sin, cos) combine
@@ -936,9 +936,10 @@ for _base, _names, _radius in (("M", ("a", "c", "p"), "entire"), ("F", ("a", "b"
     _reg(f"exp-{_base}", _base, "exp", "single", _radius, _names, _mk_single)
     for _h in ("sinh", "cosh", "sin", "cos"):
         _reg(f"{_h}-{_base}-combo", _base, _h, "combo", _radius, _names, _mk_branches)
-    _reg(f"binom-{_base}", _base, "binom", "single", "1/|theta|", _names + ("theta",),
+    _reg(f"binom-{_base}", _base, "binom", "single",
+         "1/|theta|" if _base == "M" else "min(1,1/|theta|)", _names + ("theta",),
          _f64_route(_binom_f64))
-    _reg(f"arctanexp-{_base}", _base, "exp_arctan", "single", _radius, _names, _mk_single)
+    _reg(f"arctanexp-{_base}", _base, "exp_arctan", "single", "1", _names, _mk_single)
     for _h in _TRIG_HYP:
         _reg(f"{_h}-{_base}", _base, _h, "single", _radius, _names, _f64_route(_mk_branches),
              c2=True)
@@ -951,7 +952,7 @@ for _base, _names, _radius in (("M", ("a", "c", "p"), "entire"), ("F", ("a", "b"
 
 for _base in ("K", "E"):
     _reg(f"exp-{_base}", _base, "exp", "single", "1", ("p",), _mk_single)
-    _reg(f"binom-{_base}", _base, "binom", "single", "1/|theta|", ("p", "theta"),
+    _reg(f"binom-{_base}", _base, "binom", "single", "min(1,1/|theta|)", ("p", "theta"),
          _f64_route(_binom_f64))
     _reg(f"arctanexp-{_base}", _base, "exp_arctan", "single", "1", ("p",), _mk_single)
     for _h in _TRIG_HYP:
@@ -976,6 +977,21 @@ def get_family(family_id: str) -> FamilyInfo:
         raise CatalogueError(
             f"unknown family {family_id!r}; known ids: {known}"
         ) from None
+
+
+def disc_radius(info: FamilyInfo, params: Params) -> float:
+    """The radius of the disc where the family's series converges, at f64
+    ``params``: the smaller of the base's (infinite for M, 1 for F, K and E)
+    and the elementary factor's (1/|theta| for binom, 1/|p| for arcsin and
+    arccos, 1 for arctanexp at p != 0, whose arctan branches at +-i, and
+    infinite otherwise).  ``FamilyInfo.radius`` is its text."""
+    radius = math.inf if info.base == "M" else 1.0
+    if info.h in ("binom", "arcsin", "arccos"):
+        t = abs(params.theta if info.h == "binom" else params.p)
+        radius = min(radius, 1 / t if t else math.inf)
+    elif info.h == "exp_arctan" and params.p:
+        radius = min(radius, 1.0)
+    return radius
 
 
 def conform_params(params, bk) -> Params:
@@ -1031,11 +1047,3 @@ def build_elliptic_family(kind: str, h: str, params, backend="exact"):
         raise CatalogueError(f"elliptic base must be K or E, not {kind!r}")
     return build(_resolve_id(kind, h, "single"), params, backend)
 
-
-def elementary_factor(info: FamilyInfo, params: Params) -> Elementary:
-    """The h(z) factor of a family, as an oracle-side description."""
-    from .series_oracle import Elementary
-
-    if info.h == "binom":
-        return Elementary("binom", p=params.p, theta=params.theta)
-    return Elementary(info.h, p=params.p)

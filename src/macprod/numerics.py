@@ -12,6 +12,10 @@ Two backends coexist:
 Values never migrate between backends implicitly.  :func:`approximate` is the
 single, one-way bridge from exact values to floats.
 
+The coefficient stream that both the recurrence engine and the oracle
+return (:class:`CoeffStream`) lives here too, so the two sides share this
+module and nothing else: neither imports the other.
+
 All scalar values are immutable after construction and every operation is a
 pure function, so everything here is safe for unrestricted concurrent use.
 """
@@ -21,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -43,6 +48,7 @@ __all__ = [
     "F64",
     "BACKENDS",
     "DEFAULT_TOLERANCE",
+    "CoeffStream",
 ]
 
 # The exact real scalar: arbitrary-precision, eagerly normalised, den > 0.
@@ -585,3 +591,47 @@ def scalar_equals_int(value, k: int) -> bool:
     if isinstance(value, (GaussianRational, PiLinear, int, Fraction)):
         return value == k
     return complex(value) == complex(k)
+
+
+# ---------------------------------------------------------------------------
+# coefficient streams
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class CoeffStream:
+    """A finite prefix u_0..u_N of a Maclaurin coefficient sequence and the
+    backend that computed it, which fixes its form: a tuple in the exact
+    backend, a read-only complex128 array in f64.  Streams compare and hash
+    by identity; compare their ``coeffs``."""
+
+    coeffs: object  # tuple (exact) or numpy.ndarray (f64)
+    backend: str  # "exact" | "f64"
+
+    def __post_init__(self):
+        if self.backend == "f64":
+            import numpy as np
+
+            coeffs = np.asarray(self.coeffs, dtype=np.complex128)
+            coeffs.flags.writeable = False
+        else:
+            coeffs = tuple(self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
+        if not len(coeffs):
+            raise ValueError("a coefficient stream holds at least u_0")
+
+    def __len__(self):
+        return len(self.coeffs)
+
+    def __getitem__(self, n):
+        return self.coeffs[n]
+
+
+def _finite_or_raise(values, what: str):
+    """Raise NonFiniteError naming the first non-finite entry of an f64 sequence."""
+    import numpy as np
+
+    finite = np.isfinite(values)
+    if not finite.all():
+        n = int(np.argmin(finite))
+        raise NonFiniteError(f"{what} produced a non-finite entry at n={n}", index=n)

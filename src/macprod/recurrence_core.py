@@ -58,8 +58,14 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numerics import F64, GaussianRational, PiLinear, SingularIndexError
-from .series_oracle import CoeffStream, _finite_or_raise
+from .numerics import (
+    F64,
+    CoeffStream,
+    GaussianRational,
+    PiLinear,
+    SingularIndexError,
+    _finite_or_raise,
+)
 
 _FRACTION_ZERO = Fraction(0)
 #: per combiner: whether it adds or subtracts the branches, its scale on a

@@ -2,7 +2,8 @@
 
 Everything here is computed straight from defining series and convolution,
 never from the recurrence tables in :mod:`macprod.families`, so these streams
-can referee those tables.
+can referee those tables.  Nothing here imports the catalogue or the engine:
+the stream type both sides return lives in :mod:`macprod.numerics`.
 
 Every factor series but one is a hypergeometric term: its first nonzero
 entry times a running product of a term ratio r(n) that is rational in n
@@ -28,11 +29,12 @@ from fractions import Fraction
 
 from .numerics import (
     EXACT,
+    CoeffStream,
     GaussianRational,
-    NonFiniteError,
     ParameterDomainError,
     PiDegreeError,
     PiLinear,
+    _finite_or_raise,
     get_backend,
     infer_backend,
     is_nonpositive_integer,
@@ -50,7 +52,8 @@ ELEMENTARY_KINDS = (
     "exp_arctan",
 )
 
-#: the Gauss parameters (a, b, c) behind each elliptic base:
+#: the Gauss parameters (a, b, c) behind each elliptic base, the referee's
+#: own (the catalogue keeps a copy it builds from, which this never reads):
 #: K(sqrt z) = (pi/2) F(1/2, 1/2; 1; z) and E(sqrt z) = (pi/2) F(-1/2, 1/2; 1; z)
 ELLIPTIC_ABC = {
     "K": (Fraction(1, 2), Fraction(1, 2), 1),
@@ -78,50 +81,11 @@ class Elementary:
             raise ParameterDomainError(f"{self.kind} takes no theta parameter")
 
 
-@dataclass(frozen=True, eq=False)
-class CoeffStream:
-    """A finite prefix u_0..u_N of a Maclaurin coefficient sequence and the
-    backend that computed it, which fixes its form: a tuple in the exact
-    backend, a read-only complex128 array in f64.  Streams compare and hash
-    by identity; compare their ``coeffs``."""
-
-    coeffs: object  # tuple (exact) or numpy.ndarray (f64)
-    backend: str  # "exact" | "f64"
-
-    def __post_init__(self):
-        if self.backend == "f64":
-            import numpy as np
-
-            coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-            coeffs.flags.writeable = False
-        else:
-            coeffs = tuple(self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        if not len(coeffs):
-            raise ValueError("a coefficient stream holds at least u_0")
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __getitem__(self, n):
-        return self.coeffs[n]
-
-
 def _check_c(c):
     if is_nonpositive_integer(c):
         raise ParameterDomainError(
             "parameter c must not be zero or a negative integer"
         )
-
-
-def _finite_or_raise(values, what: str):
-    """Raise NonFiniteError naming the first non-finite entry of an f64 sequence."""
-    import numpy as np
-
-    finite = np.isfinite(values)
-    if not finite.all():
-        n = int(np.argmin(finite))
-        raise NonFiniteError(f"{what} produced a non-finite entry at n={n}", index=n)
 
 
 def _term_series(bk, N: int, first, ratio, start: int = 0, step: int = 1):

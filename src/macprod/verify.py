@@ -1,5 +1,9 @@
 """Referee: recurrence output vs the convolution oracle, and path timings.
 
+This is the one module that imports both the recurrence path (``families``
+and ``recurrence_core``) and the oracle (``series_oracle``); neither side
+imports the other, so the two share no input but ``numerics``.
+
 Exact-backend comparisons demand equality (the identities are algebraic, so
 tolerance would only hide bugs); f64 comparisons use the relative metric
 |x - y| / max(1, |y|) with the oracle value as y, which degrades to an
@@ -24,7 +28,6 @@ from .families import (
     Params,
     build,
     conform_params,
-    elementary_factor,
     get_family,
     list_families,
     params_snapshot,
@@ -40,6 +43,7 @@ from .numerics import (
 from .recurrence_core import run
 from .series_oracle import (
     ELLIPTIC_ABC,
+    Elementary,
     cauchy_product,
     elementary_series,
     hyper_base_series,
@@ -159,6 +163,13 @@ def _compare_streams(got, want, backend, tolerance, family, params, comparison):
         verdict=verdict,
         comparison=comparison,
     )
+
+
+def elementary_factor(info, params: Params) -> Elementary:
+    """The h(z) factor of a family, as the oracle describes it."""
+    if info.h == "binom":
+        return Elementary("binom", p=params.p, theta=params.theta)
+    return Elementary(info.h, p=params.p)
 
 
 def oracle_stream(family_id: str, params: Params, N: int, backend="exact"):

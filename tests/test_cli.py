@@ -512,6 +512,22 @@ class TestEval:
         assert "warning" in err
         assert out.strip()
 
+    @pytest.mark.parametrize("family, flags", [
+        ("arctanexp-M", ["--a=1/2", "--c=3/2", "--p=1"]),
+        ("binom-F", ["--a=1/2", "--b=1/3", "--c=3/2", "--p=1/2", "--theta=1/4"]),
+        ("binom-K", ["--p=1/2", "--theta=1/4"]),
+        ("binom-E", ["--p=1/2", "--theta=1/4"]),
+    ])
+    def test_warns_past_the_true_radius(self, capsys, family, flags):
+        # arctan z branches at +-i, and F, K and E converge only in |z| < 1,
+        # so each sum diverges at z = 2, inside the 1/|theta| = 4 of binom
+        for z, warned in (("2", True), ("1/2", False)):
+            code, out, err = run_cli(capsys, "eval", "--family", family, *flags, f"--z={z}",
+                                     "--count", "40")
+            assert code == 0
+            assert out.strip()
+            assert ("warning" in err) is warned, z
+
     def test_arcsin_outside_branch_point_warns(self, capsys):
         # arcsin(pz) branches at z = 1/p
         code, out, err = run_cli(
@@ -693,8 +709,9 @@ sys.stdout.write(out)
 class TestStartImports:
     """Each command imports only the modules it runs, checked in fresh
     processes: ``list``, ``--help`` and validation errors load neither the
-    engine, the oracle nor the referee; ``coeffs`` loads no referee; and
-    ``import macprod`` loads no submodule until a name is read."""
+    engine, the oracle nor the referee; ``coeffs`` and ``eval`` load the
+    engine but neither the oracle nor the referee; and ``import macprod``
+    loads no submodule until a name is read."""
 
     FLAGS = ["--a=1/3", "--b=-5/4", "--c=7/5", "--p=3/2"]
     SCRIPT = """
@@ -736,8 +753,15 @@ print(json.dumps([code, sorted(sys.modules)]))
         code, modules = self.command("coeffs", "--family", "exp-F", "--backend", backend,
                                      "--count", "41", *self.FLAGS)
         assert code == 0
-        assert {"macprod.recurrence_core", "macprod.series_oracle"} <= modules
-        assert "macprod.verify" not in modules
+        assert "macprod.recurrence_core" in modules
+        assert not {"macprod.series_oracle", "macprod.verify"} & modules
+
+    def test_eval_loads_no_referee(self):
+        code, modules = self.command("eval", "--family", "arcsin-M", "--z=1/2", "--count", "41",
+                                     "--a=1/3", "--c=7/5", "--p=3/2")
+        assert code == 0
+        assert "macprod.recurrence_core" in modules
+        assert not {"macprod.series_oracle", "macprod.verify"} & modules
 
     def test_verify_help_quotes_the_referees_default_tolerance(self, capsys):
         from macprod import verify
@@ -758,11 +782,11 @@ class TestPackageExports:
     SOURCES = {
         "families": ["Params", "build", "build_M_family", "build_F_family",
                      "build_elliptic_family", "get_family", "list_families"],
-        "numerics": ["EXACT", "F64", "GaussianRational", "PiLinear", "Rational", "approximate",
-                     "format_scalar", "get_backend", "parse_scalar", "pochhammer"],
+        "numerics": ["CoeffStream", "EXACT", "F64", "GaussianRational", "PiLinear", "Rational",
+                     "approximate", "format_scalar", "get_backend", "parse_scalar", "pochhammer"],
         "recurrence_core": ["RecurrenceSpec", "ComboSpec", "run"],
-        "series_oracle": ["CoeffStream", "Elementary", "cauchy_product", "elementary_series",
-                          "gauss_series", "hyper_base_series", "kummer_series"],
+        "series_oracle": ["Elementary", "cauchy_product", "elementary_series", "gauss_series",
+                          "hyper_base_series", "kummer_series"],
         "verify": ["DeviationReport", "BenchReport", "compare_oracle", "compare_formulations",
                    "bench", "sweep"],
     }
@@ -779,6 +803,12 @@ class TestPackageExports:
             for name in names:
                 assert getattr(macprod, name) is getattr(mod, name), name
         assert set(macprod.__all__) <= set(dir(macprod))
+
+    def test_the_stream_type_is_one_object(self):
+        from macprod import recurrence_core, series_oracle
+
+        assert series_oracle.CoeffStream is numerics.CoeffStream
+        assert recurrence_core.CoeffStream is numerics.CoeffStream
 
     def test_star_import_binds_every_export(self):
         import macprod

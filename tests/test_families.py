@@ -15,6 +15,7 @@ from macprod.families import (
     build_elliptic_family,
     build_F_family,
     build_M_family,
+    disc_radius,
     get_family,
     list_families,
     params_snapshot,
@@ -783,6 +784,45 @@ class TestMeta:
         assert get_family("binom-M").radius == "1/|theta|"
         assert get_family("arcsin-M").radius == "1/|p|"
         assert get_family("arccos-M").radius == "1/|p|"
+        # arctan z branches at +-i; F, K and E converge in |z| < 1
+        assert get_family("arctanexp-M").radius == "1"
+        for base in ("F", "K", "E"):
+            assert get_family(f"binom-{base}").radius == "min(1,1/|theta|)"
+
+    @staticmethod
+    def _note_value(note, params):
+        """The number a radius note reads at ``params``."""
+        def term(text):
+            if text in ("entire", "1"):
+                return math.inf if text == "entire" else 1.0
+            t = abs(getattr(params, text[3:-1]))  # "1/|name|"
+            return 1 / t if t else math.inf
+
+        if note.startswith("min("):
+            return min(map(term, note[4:-1].split(",")))
+        return term(note)
+
+    def test_disc_radius_reads_as_its_note(self):
+        rng = Random(11)
+        for info in list_families():
+            for _ in range(4):
+                # nonzero p and theta: a factor's singularity moves to infinity at 0
+                params = Params(**{name: complex(rng.choice((-1, 1)) * rng.uniform(0.1, 3), 0)
+                                   for name in info.param_names})
+                assert disc_radius(info, params) == self._note_value(info.radius, params), info.id
+
+    def test_disc_radius_examples(self):
+        def at(family, **values):
+            return disc_radius(get_family(family), Params(**values))
+
+        assert at("exp-M", a=0.5, c=1.5, p=2.0) == math.inf
+        assert at("arctanexp-M", a=0.5, c=1.5, p=1.0) == 1.0
+        assert at("arctanexp-M", a=0.5, c=1.5, p=0j) == math.inf  # h is 1 at p = 0
+        assert at("binom-M", a=0.5, c=1.5, p=0.5, theta=0.25) == 4.0
+        assert at("binom-F", a=0.5, b=0.5, c=1.5, p=0.5, theta=0.25) == 1.0
+        assert at("binom-K", p=0.5, theta=-4.0) == 0.25
+        assert at("arcsin-M", a=0.5, c=1.5, p=0.5j) == 2.0
+        assert at("arccos-M", a=0.5, c=1.5, p=0j) == math.inf
 
     def test_params_snapshot(self):
         params = Params(a=GaussianRational(1), c=GaussianRational(2), p=Fraction(1, 3))

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from macprod import _kernels_py, kernels
-from macprod.families import Params, conform_params, elementary_factor, get_family
+from macprod.families import Params, conform_params, get_family
 from macprod.numerics import EXACT, GaussianRational, approximate
 from macprod.series_oracle import cauchy_product, elementary_series, hyper_base_series
+from macprod.verify import elementary_factor
 
 
 def _random_complex(rng, n):

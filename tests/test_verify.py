@@ -1,10 +1,13 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import macprod
+from macprod import families
 from macprod.families import CatalogueError
-from macprod.numerics import GaussianRational, ParameterDomainError
-from macprod.series_oracle import CoeffStream
+from macprod.numerics import CoeffStream, GaussianRational, ParameterDomainError
 from macprod.verify import (
     BenchReport,
     _compare_streams,
@@ -161,6 +164,66 @@ class TestCompareFormulations:
             compare_formulations("elliptic-vs-specialized-F", "exp-M", {"a": 1, "c": 2, "p": 1}, 10)
         with pytest.raises(CatalogueError):
             compare_formulations("something-else", "exp-K", {"p": 1}, 10)
+
+
+class TestRefereeIndependence:
+    """The tables and the oracle share no elliptic constant, so a wrong one
+    in the catalogue is caught by both comparisons of an elliptic id."""
+
+    def test_a_wrong_catalogue_triple_fails_both_comparisons(self, monkeypatch):
+        monkeypatch.setitem(families._ELLIPTIC_ABC, "K", families._ELLIPTIC_ABC["E"])
+        assert not compare_oracle("exp-K", {"p": 1}, 12).passed
+        assert not compare_formulations("elliptic-vs-specialized-F", "exp-K", {"p": 1}, 12).passed
+
+
+class TestLayering:
+    """The recurrence path and the referee import nothing from each other;
+    ``verify`` is the one module that imports both.  Module-level and
+    function-local imports count alike."""
+
+    PACKAGE = Path(macprod.__file__).parent
+    RECURRENCE_PATH = {"families", "recurrence_core", "kernels", "_kernels_py"}
+
+    @classmethod
+    def imports(cls):
+        """Per module of the package, the package modules its source imports."""
+        out = {}
+        for path in sorted(cls.PACKAGE.glob("*.py")):
+            found = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    module = node.module or ""
+                    if node.level == 0 and not module.startswith("macprod"):
+                        continue
+                    if node.level == 0:
+                        module = module.partition(".")[2]
+                    if module:
+                        found.add(module.split(".")[0])
+                    else:  # from . import a, b
+                        found.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.Import):
+                    found.update(alias.name.split(".")[1] for alias in node.names
+                                 if alias.name.startswith("macprod."))
+            out[path.stem] = found
+        return out
+
+    def test_the_recurrence_path_imports_no_referee(self):
+        imports = self.imports()
+        for module in self.RECURRENCE_PATH:
+            assert not imports[module] & {"series_oracle", "verify"}, module
+
+    def test_the_oracle_imports_no_recurrence(self):
+        assert not self.imports()["series_oracle"] & {"families", "recurrence_core", "verify"}
+
+    def test_verify_alone_imports_both_sides(self):
+        both = [module for module, found in self.imports().items()
+                if "series_oracle" in found and found & self.RECURRENCE_PATH]
+        assert both == ["verify"]
+
+    def test_the_reader_sees_function_local_imports(self):
+        imports = self.imports()
+        assert "recurrence_core" in imports["families"]  # imported inside _spec
+        assert "kernels" in imports["series_oracle"]  # imported inside cauchy_product
 
 
 class TestSweep:
