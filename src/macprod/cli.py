@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import sys
-from dataclasses import replace
 
 from .families import (
     CatalogueError,
@@ -245,8 +244,10 @@ def cmd_bench(args) -> int:
     if args.reps < 1:
         raise ParameterDomainError("--reps must be at least 1")
     params = _parse_params(args, bk)
-    missing = [name for name in info.param_names if getattr(params, name) is None]
-    params = replace(params, **{name: complex(defaults[name]) for name in missing})
+    values = {name: getattr(params, name) for name in _PARAM_FLAGS}
+    values.update((name, complex(defaults[name])) for name in info.param_names
+                  if values[name] is None)
+    params = Params(**values)
     from . import kernels, verify
 
     report = verify.bench(args.family, params, args.count, args.reps)
@@ -345,6 +346,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # argparse stores [] for a flag whose value is "--", bypassing type and choices
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            print(f"error: argument --{name}: expected one argument", file=sys.stderr)
+            return EXIT_VALIDATION
     try:
         return args.func(args)
     except (

@@ -75,12 +75,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .numerics import (
     GaussianRational,
     ParameterDomainError,
+    _set,
+    _Value,
     format_scalar,
     get_backend,
     is_nonpositive_integer,
@@ -104,15 +105,17 @@ class CatalogueError(KeyError):
     """Unknown family id or illegal base/h/formulation combination."""
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(_Value):
     """Parameter tuple; unused slots stay None."""
 
-    a: object = None
-    b: object = None
-    c: object = None
-    p: object = None
-    theta: object = None
+    __slots__ = ("a", "b", "c", "p", "theta")
+
+    def __init__(self, a=None, b=None, c=None, p=None, theta=None):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "p", p)
+        _set(self, "theta", theta)
 
     def present(self):
         return tuple(
@@ -121,18 +124,23 @@ class Params:
         )
 
 
-@dataclass(frozen=True)
-class FamilyInfo:
+class FamilyInfo(_Value):
     """Catalogue row: identity, arity, order, radius note."""
 
-    id: str
-    base: str  # "M" | "F" | "K" | "E"
-    h: str  # elementary kind (series_oracle naming)
-    formulation: str  # "single" | "combo"
-    order: int
-    radius: str  # "entire" | "1" | "1/|theta|" | "1/|p|" | "min(1,1/|theta|)"
-    param_names: tuple
-    c_excludes_2: bool = False
+    __slots__ = ("id", "base", "h", "formulation", "order", "radius", "param_names",
+                 "c_excludes_2")
+
+    def __init__(self, id: str, base: str, h: str, formulation: str, order: int, radius: str,
+                 param_names: tuple, c_excludes_2: bool = False):
+        _set(self, "id", id)
+        _set(self, "base", base)  # "M" | "F" | "K" | "E"
+        _set(self, "h", h)  # elementary kind (series_oracle naming)
+        _set(self, "formulation", formulation)  # "single" | "combo"
+        _set(self, "order", order)
+        # "entire" | "1" | "1/|theta|" | "1/|p|" | "min(1,1/|theta|)"
+        _set(self, "radius", radius)
+        _set(self, "param_names", param_names)
+        _set(self, "c_excludes_2", c_excludes_2)
 
     @property
     def start(self) -> int:
@@ -911,8 +919,11 @@ def _binom_f64(info, params, bk):
     p = params.p
     if p.imag or p.real < 0 or not p.real.is_integer():
         return _mk_single(info, params, bk)
+    from .recurrence_core import RecurrenceSpec
+
     base = _exp_spec(info, params, bk, bk.zero())
-    return replace(base, binomial=(int(p.real), params.theta))
+    return RecurrenceSpec(base.order, base.seeds, base.polys, base.backend, base.den_factors,
+                          binomial=(int(p.real), params.theta))
 
 
 def _mk_arcsin_M_interleaved(info, params, bk):

@@ -14,7 +14,10 @@ single, one-way bridge from exact values to floats.
 
 The coefficient stream that both the recurrence engine and the oracle
 return (:class:`CoeffStream`) lives here too, so the two sides share this
-module and nothing else: neither imports the other.
+module and nothing else: neither imports the other.  So does the base of
+the package's record types (:class:`_Record`): classes with fixed fields in
+``__slots__``, which no module builds with ``dataclasses``, since that
+import (and the ``inspect`` it brings) would cost every command's start.
 
 All scalar values are immutable after construction and every operation is a
 pure function, so everything here is safe for unrestricted concurrent use.
@@ -25,7 +28,6 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -594,29 +596,77 @@ def scalar_equals_int(value, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's record types.  Each subclass names its fields in
+    ``__slots__`` and sets them once, in its ``__init__``, through ``_set``;
+    assigning or deleting an attribute afterwards raises AttributeError.  The
+    repr lists the fields in order, and a record pickles as its class applied
+    to them.  Records compare and hash by identity (see :class:`_Value`)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class _Value(_Record):
+    """A record that compares and hashes by its fields, and equals only
+    records of its own class."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+# ---------------------------------------------------------------------------
 # coefficient streams
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class CoeffStream:
+class CoeffStream(_Record):
     """A finite prefix u_0..u_N of a Maclaurin coefficient sequence and the
     backend that computed it, which fixes its form: a tuple in the exact
     backend, a read-only complex128 array in f64.  Streams compare and hash
     by identity; compare their ``coeffs``."""
 
-    coeffs: object  # tuple (exact) or numpy.ndarray (f64)
-    backend: str  # "exact" | "f64"
+    __slots__ = ("coeffs", "backend")
 
-    def __post_init__(self):
-        if self.backend == "f64":
+    def __init__(self, coeffs, backend: str):
+        # coeffs: a tuple (exact) or numpy.ndarray (f64); backend: "exact" | "f64"
+        if backend == "f64":
             import numpy as np
 
-            coeffs = np.asarray(self.coeffs, dtype=np.complex128)
+            coeffs = np.asarray(coeffs, dtype=np.complex128)
             coeffs.flags.writeable = False
         else:
-            coeffs = tuple(self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
+            coeffs = tuple(coeffs)
+        _set(self, "coeffs", coeffs)
+        _set(self, "backend", backend)
         if not len(coeffs):
             raise ValueError("a coefficient stream holds at least u_0")
 

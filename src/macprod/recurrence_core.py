@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .numerics import (
@@ -65,6 +64,8 @@ from .numerics import (
     PiLinear,
     SingularIndexError,
     _finite_or_raise,
+    _Record,
+    _set,
 )
 
 _FRACTION_ZERO = Fraction(0)
@@ -102,8 +103,7 @@ def _integer_row(polys, order: int) -> bool:
         return False
 
 
-@dataclass(frozen=True, eq=False)
-class RecurrenceSpec:
+class RecurrenceSpec(_Record):
     """Order, seeds u_0 .. u_n0, and the row as polynomials in the step index n.
 
     ``polys`` is the row.  Exact: the pair ``(den, terms)`` in integers,
@@ -128,19 +128,17 @@ class RecurrenceSpec:
     stream convolved with the coefficients of (1 - theta z)^p, cut at u_N.
     """
 
-    order: int
-    seeds: tuple
-    polys: object
-    backend: str
-    den_factors: tuple = ()
-    interleave: int = 1
-    binomial: tuple = ()
+    __slots__ = ("order", "seeds", "polys", "backend", "den_factors", "interleave", "binomial")
 
-    @property
-    def start(self) -> int:
-        return len(self.seeds) - 1
-
-    def __post_init__(self):
+    def __init__(self, order: int, seeds: tuple, polys, backend: str, den_factors: tuple = (),
+                 interleave: int = 1, binomial: tuple = ()):
+        _set(self, "order", order)
+        _set(self, "seeds", seeds)
+        _set(self, "polys", polys)
+        _set(self, "backend", backend)
+        _set(self, "den_factors", den_factors)
+        _set(self, "interleave", interleave)
+        _set(self, "binomial", binomial)
         if self.order < 1:
             raise ValueError("recurrence order must be positive")
         if (self.interleave != 1 or self.binomial) and self.backend != "f64":
@@ -167,9 +165,12 @@ class RecurrenceSpec:
                 f"{self.order}: the first step would reach before u_0"
             )
 
+    @property
+    def start(self) -> int:
+        return len(self.seeds) - 1
 
-@dataclass(frozen=True, eq=False)
-class ComboSpec:
+
+class ComboSpec(_Record):
     """Two recurrence branches combined entrywise by ``combiner``.
 
     ``right`` None is the complex conjugate of ``left``, and a run steps the
@@ -180,11 +181,12 @@ class ComboSpec:
     ``Fraction`` parts.
     """
 
-    left: RecurrenceSpec
-    right: RecurrenceSpec | None
-    combiner: str
+    __slots__ = ("left", "right", "combiner")
 
-    def __post_init__(self):
+    def __init__(self, left: RecurrenceSpec, right: RecurrenceSpec | None, combiner: str):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "combiner", combiner)
         if self.combiner not in COMBINERS:
             raise ValueError(f"unknown combiner {self.combiner!r}")
         right = self.right or self.left

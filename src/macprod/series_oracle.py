@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .numerics import (
@@ -35,6 +34,8 @@ from .numerics import (
     PiDegreeError,
     PiLinear,
     _finite_or_raise,
+    _set,
+    _Value,
     get_backend,
     infer_backend,
     is_nonpositive_integer,
@@ -61,15 +62,15 @@ ELLIPTIC_ABC = {
 }
 
 
-@dataclass(frozen=True)
-class Elementary:
+class Elementary(_Value):
     """A parameterised elementary factor h(z)."""
 
-    kind: str
-    p: object = None
-    theta: object = None
+    __slots__ = ("kind", "p", "theta")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, p=None, theta=None):
+        _set(self, "kind", kind)
+        _set(self, "p", p)
+        _set(self, "theta", theta)
         if self.kind not in ELEMENTARY_KINDS:
             raise ParameterDomainError(f"unknown elementary kind {self.kind!r}")
         if self.p is None:

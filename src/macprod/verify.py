@@ -19,7 +19,6 @@ catalogue order regardless.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
@@ -37,6 +36,8 @@ from .numerics import (
     EXACT,
     NonFiniteError,
     SingularIndexError,
+    _set,
+    _Value,
     approximate,
     get_backend,
 )
@@ -63,17 +64,24 @@ _ELLIPTIC_PAIRS = {
 }
 
 
-@dataclass(frozen=True)
-class DeviationReport:
-    family: str
-    params: tuple
-    N: int
-    backend: str
-    max_abs: float
-    max_rel: float
-    first_mismatch: int | None
-    verdict: str  # "pass" | "fail"
-    comparison: str = "oracle"
+class DeviationReport(_Value):
+    """How far one stream lies from its reference, and the verdict."""
+
+    __slots__ = ("family", "params", "N", "backend", "max_abs", "max_rel", "first_mismatch",
+                 "verdict", "comparison")
+
+    def __init__(self, family: str, params: tuple, N: int, backend: str, max_abs: float,
+                 max_rel: float, first_mismatch: int | None, verdict: str,
+                 comparison: str = "oracle"):
+        _set(self, "family", family)
+        _set(self, "params", params)
+        _set(self, "N", N)
+        _set(self, "backend", backend)
+        _set(self, "max_abs", max_abs)
+        _set(self, "max_rel", max_rel)
+        _set(self, "first_mismatch", first_mismatch)
+        _set(self, "verdict", verdict)  # "pass" | "fail"
+        _set(self, "comparison", comparison)
 
     @property
     def passed(self) -> bool:
@@ -93,13 +101,19 @@ class DeviationReport:
         }
 
 
-@dataclass(frozen=True)
-class BenchReport:
-    family: str
-    N: int
-    repetitions: int
-    recurrence_time: float
-    oracle_time: float
+class BenchReport(_Value):
+    """The best wall time in seconds, over the repetitions, of the recurrence
+    path and of the oracle path at one size."""
+
+    __slots__ = ("family", "N", "repetitions", "recurrence_time", "oracle_time")
+
+    def __init__(self, family: str, N: int, repetitions: int, recurrence_time: float,
+                 oracle_time: float):
+        _set(self, "family", family)
+        _set(self, "N", N)
+        _set(self, "repetitions", repetitions)
+        _set(self, "recurrence_time", recurrence_time)
+        _set(self, "oracle_time", oracle_time)
 
     @property
     def ratio(self) -> float:

@@ -476,6 +476,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and flag in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("coeffs", "--family=--", "--count", "3"), "--family"),
+        (("coeffs", "--family", "exp-M", "--a=--", "--c=1", "--p=1", "--count", "3"), "--a"),
+        (("eval", "--family", "exp-M", "--a=1", "--c=1", "--p=1", "--z=--", "--count", "3"),
+         "--z"),
+        (("coeffs", "--family", "exp-M", "--a=1", "--c=1", "--p=1", "--count=--"), "--count"),
+        (("coeffs", "--family", "exp-M", "--a=1", "--c=1", "--p=1", "--count", "3",
+          "--backend=--"), "--backend"),
+    ])
+    def test_a_flag_valued_dash_dash_is_2(self, capsys, argv, flag):
+        # argparse stores [] for such a flag, whatever its type or choices
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: argument {flag}: expected one argument\n"
+
 
 class TestEval:
     def test_truncated_exponential(self, capsys):
@@ -711,7 +726,8 @@ class TestStartImports:
     processes: ``list``, ``--help`` and validation errors load neither the
     engine, the oracle nor the referee; ``coeffs`` and ``eval`` load the
     engine but neither the oracle nor the referee; and ``import macprod``
-    loads no submodule until a name is read."""
+    loads no submodule until a name is read.  No command loads
+    ``dataclasses``, and none that runs without numpy loads ``inspect``."""
 
     FLAGS = ["--a=1/3", "--b=-5/4", "--c=7/5", "--p=3/2"]
     SCRIPT = """
@@ -747,6 +763,7 @@ print(json.dumps([code, sorted(sys.modules)]))
         assert {m for m in modules if m.startswith("macprod.")} == {
             "macprod.cli", "macprod.families", "macprod.numerics"}
         assert "numpy" not in modules
+        assert not {"dataclasses", "inspect"} & modules
 
     @pytest.mark.parametrize("backend", ["exact", "f64"])
     def test_coeffs_loads_no_referee(self, backend):
@@ -755,6 +772,9 @@ print(json.dumps([code, sorted(sys.modules)]))
         assert code == 0
         assert "macprod.recurrence_core" in modules
         assert not {"macprod.series_oracle", "macprod.verify"} & modules
+        assert "dataclasses" not in modules
+        if backend == "exact":
+            assert "inspect" not in modules
 
     def test_eval_loads_no_referee(self):
         code, modules = self.command("eval", "--family", "arcsin-M", "--z=1/2", "--count", "41",
@@ -762,6 +782,18 @@ print(json.dumps([code, sorted(sys.modules)]))
         assert code == 0
         assert "macprod.recurrence_core" in modules
         assert not {"macprod.series_oracle", "macprod.verify"} & modules
+        assert "dataclasses" not in modules
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--family", "exp-F", "--count", "40", *FLAGS],
+        ["verify", "--family", "exp-F", "--backend", "f64", "--count", "64", *FLAGS],
+        ["bench", "--family", "exp-F", "--count", "64", "--reps", "1", *FLAGS],
+    ])
+    def test_verify_and_bench_load_no_dataclasses(self, argv):
+        code, modules = self.command(*argv)
+        assert code == 0
+        assert "macprod.verify" in modules
+        assert "dataclasses" not in modules
 
     def test_verify_help_quotes_the_referees_default_tolerance(self, capsys):
         from macprod import verify

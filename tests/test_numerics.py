@@ -1,16 +1,21 @@
+import inspect
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macprod.families import FamilyInfo, Params
 from macprod.numerics import (
     EXACT,
     F64,
     BackendMismatchError,
+    CoeffStream,
     GaussianRational,
     NonFiniteError,
+    ParameterDomainError,
     ParseError,
     PiDegreeError,
     PiLinear,
@@ -20,6 +25,9 @@ from macprod.numerics import (
     parse_scalar,
     pochhammer,
 )
+from macprod.recurrence_core import ComboSpec, RecurrenceSpec
+from macprod.series_oracle import Elementary
+from macprod.verify import BenchReport, DeviationReport
 
 fractions = st.fractions(min_value=-1_000, max_value=1_000, max_denominator=1_000)
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -204,3 +212,87 @@ class TestApproximate:
     def test_one_way_only(self):
         with pytest.raises(BackendMismatchError):
             F64.coerce(GaussianRational(1))
+
+
+#: the exact row of u[n+1] = u[n]
+_ONES = (((1,), (0,)), ((0, ((1,), (0,))),))
+_G = GaussianRational
+
+#: one sample of each record type: its class, positional arguments, and the
+#: repr the type had as a dataclass
+RECORDS = [
+    (CoeffStream, ((_G(1), _G(Fraction(1, 2), -3)), "exact"),
+     "CoeffStream(coeffs=(GaussianRational(Fraction(1, 1), Fraction(0, 1)), "
+     "GaussianRational(Fraction(1, 2), Fraction(-3, 1))), backend='exact')"),
+    (Params, (Fraction(1, 3), Fraction(-5, 4), Fraction(7, 5), Fraction(3, 2)),
+     "Params(a=Fraction(1, 3), b=Fraction(-5, 4), c=Fraction(7, 5), p=Fraction(3, 2), "
+     "theta=None)"),
+    (FamilyInfo, ("binom-F", "F", "binom", "single", 2, "min(1,1/|theta|)",
+                  ("a", "b", "c", "p", "theta")),
+     "FamilyInfo(id='binom-F', base='F', h='binom', formulation='single', order=2, "
+     "radius='min(1,1/|theta|)', param_names=('a', 'b', 'c', 'p', 'theta'), "
+     "c_excludes_2=False)"),
+    (RecurrenceSpec, (1, (_G(1), _G(Fraction(1, 2))), _ONES, "exact", (("n+1", (1, 1)),)),
+     "RecurrenceSpec(order=1, seeds=(GaussianRational(Fraction(1, 1), Fraction(0, 1)), "
+     "GaussianRational(Fraction(1, 2), Fraction(0, 1))), "
+     "polys=(((1,), (0,)), ((0, ((1,), (0,))),)), backend='exact', "
+     "den_factors=(('n+1', (1, 1)),), interleave=1, binomial=())"),
+    (ComboSpec, (RecurrenceSpec(1, (_G(1), _G(0, 1)), _ONES, "exact"), None, "(u-v)/(2i)"),
+     "ComboSpec(left=RecurrenceSpec(order=1, seeds=(GaussianRational(Fraction(1, 1), "
+     "Fraction(0, 1)), GaussianRational(Fraction(0, 1), Fraction(1, 1))), "
+     "polys=(((1,), (0,)), ((0, ((1,), (0,))),)), backend='exact', den_factors=(), "
+     "interleave=1, binomial=()), right=None, combiner='(u-v)/(2i)')"),
+    (Elementary, ("binom", Fraction(1, 2), -2),
+     "Elementary(kind='binom', p=Fraction(1, 2), theta=-2)"),
+    (DeviationReport, ("exp-F", (("a", "1/3"), ("p", "3/2")), 40, "exact", 0.0, 0.0, None,
+                       "pass"),
+     "DeviationReport(family='exp-F', params=(('a', '1/3'), ('p', '3/2')), N=40, "
+     "backend='exact', max_abs=0.0, max_rel=0.0, first_mismatch=None, verdict='pass', "
+     "comparison='oracle')"),
+    (BenchReport, ("exp-F", 64, 3, 0.001, 0.0125),
+     "BenchReport(family='exp-F', N=64, repetitions=3, recurrence_time=0.001, "
+     "oracle_time=0.0125)"),
+]
+#: the types that compare by field; streams and specs compare by identity
+VALUE_TYPES = (Params, FamilyInfo, Elementary, DeviationReport, BenchReport)
+
+
+class TestRecords:
+    """The record types keep the fields, constructors, repr, immutability,
+    equality, hashing and validation they had as frozen dataclasses."""
+
+    @pytest.mark.parametrize("cls, args, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+    def test_contract(self, cls, args, text):
+        names = list(inspect.signature(cls).parameters)
+        record = cls(*args)
+        by_keyword = cls(**dict(zip(names, args)))
+        assert repr(record) == repr(by_keyword) == text
+        assert repr(pickle.loads(pickle.dumps(record))) == text
+        if cls in VALUE_TYPES:
+            assert record == by_keyword and hash(record) == hash(by_keyword)
+            assert record == pickle.loads(pickle.dumps(record))
+            assert record.__eq__(tuple(getattr(record, n) for n in names)) is NotImplemented
+            assert len({record, by_keyword}) == 1
+        else:
+            assert record == record and record != by_keyword
+            assert len({record, by_keyword}) == 2
+        for name in (names[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, names[0])
+        assert repr(record) == text
+
+    def test_value_types_equal_only_their_own_class(self):
+        assert Params(1) != Elementary("exp", 1)
+        assert Params(1, 2) == Params(a=1, b=2) != Params(1, 2, 3)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="order must be positive"):
+            RecurrenceSpec(0, (_G(1),), _ONES, "exact")
+        with pytest.raises(ParameterDomainError, match="unknown elementary kind 'tan'"):
+            Elementary("tan", 1)
+        with pytest.raises(ValueError, match="at least u_0"):
+            CoeffStream((), "exact")
+        with pytest.raises(ValueError, match="at least u_0"):
+            CoeffStream([], "f64")

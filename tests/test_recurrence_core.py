@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 from fractions import Fraction
 from math import factorial
@@ -40,6 +39,12 @@ def f64_spec(order, seeds, polys, interleave=1, **kw):
     P_0, P_1, ..., P_{order+1}, each highest power first (see RecurrenceSpec)."""
     polys = np.array(polys, dtype=np.longdouble).reshape(interleave, order + 2, -1)
     return RecurrenceSpec(order, tuple(seeds), polys, "f64", interleave=interleave, **kw)
+
+
+def rebuilt(spec, **change):
+    """``spec`` constructed anew from its fields, those in ``change`` replaced."""
+    fields = {name: getattr(spec, name) for name in type(spec).__slots__}
+    return type(spec)(**{**fields, **change})
 
 
 #: the exact row of u[n+1] = u[n]: entry 0 is 1 over the denominator 1
@@ -119,9 +124,7 @@ class TestRun:
         base = run(spec, 40).coeffs
         for _ in range(3):
             lam = gr(rng.randint(-8, 8), rng.randint(1, 8))
-            scaled = dataclasses.replace(
-                spec, seeds=tuple(lam * s for s in spec.seeds)
-            )
+            scaled = rebuilt(spec, seeds=tuple(lam * s for s in spec.seeds))
             assert run(scaled, 40).coeffs == tuple(lam * v for v in base)
 
 
@@ -214,7 +217,7 @@ class TestSpecKinds:
 
     def test_binomial_convolves_the_stream(self):
         ones = f64_spec(1, (1 + 0j, 1 + 0j), [(1,), (1,), (0,)])
-        spec = dataclasses.replace(ones, binomial=(2, -1.0))  # (1 + z)^2
+        spec = rebuilt(ones, binomial=(2, -1.0))  # (1 + z)^2
         assert run(spec, 5).coeffs.tolist() == [1, 3, 4, 4, 4, 4]
         assert run(spec, 1).coeffs.tolist() == [1, 3]  # p above N: the taps through u_1
 
@@ -238,7 +241,7 @@ class TestSpecKinds:
             {"interleave": 2},  # one set of polynomials for two sequences
         ):
             with pytest.raises(ValueError, match="polys of shape"):
-                dataclasses.replace(ones, **change)
+                rebuilt(ones, **change)
 
     def test_exact_specs_step_an_integer_row(self):
         spec = RecurrenceSpec(1, (gr(1), gr(1)), ONES, "exact")
@@ -255,13 +258,13 @@ class TestSpecKinds:
             (den, ((0, ((), (0,))),)),  # an empty polynomial
         ):
             with pytest.raises(ValueError, match=r"polys = \(den, terms\)"):
-                dataclasses.replace(spec, polys=polys)
+                rebuilt(spec, polys=polys)
 
     def test_start_is_the_last_seed_index(self):
         spec = RecurrenceSpec(1, (gr(1), gr(1), gr(2)), ONES, "exact")
         assert spec.start == 2
         assert run(spec, 5).coeffs == (gr(1), gr(1), gr(2), gr(2), gr(2), gr(2))
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             spec.start = 1
 
     @staticmethod
@@ -284,8 +287,8 @@ class TestSpecKinds:
         spec = build(info.id, params, backend)
         branches = run_branches(spec) if isinstance(spec, ComboSpec) else ()
         for s in (spec,) + branches:
-            for f in dataclasses.fields(s):
-                assert not callable(getattr(s, f.name)), (info.id, f.name)
+            for name in type(s).__slots__:
+                assert not callable(getattr(s, name)), (info.id, name)
             copy = pickle.loads(pickle.dumps(s))
             assert self.outcome(copy, 64) == self.outcome(s, 64), info.id
 
@@ -503,7 +506,7 @@ class TestIntegerStepper:
                 getattr(s, q) if isinstance(s, PiLinear) else (s if q == "q0" else gr(0))
                 for s in spec.seeds
             )
-            return list(run(dataclasses.replace(spec, seeds=seeds), 80).coeffs[spec.start + 1:])
+            return list(run(rebuilt(spec, seeds=seeds), 80).coeffs[spec.start + 1:])
 
         stepped = got[spec.start + 1:]
         assert all(type(v) is PiLinear for v in stepped)
@@ -587,7 +590,7 @@ class TestConjugateParts:
             tuple(PiLinear(s, s * gr(1, 2)) for s in left.seeds),  # a K/E-like stream
             tuple(PiLinear(gr(0), s) for s in left.seeds),
         ):
-            branch = dataclasses.replace(left, seeds=seeds)
+            branch = rebuilt(left, seeds=seeds)
             for right in (None, branch, left):
                 with pytest.raises(ValueError, match="pi"):
                     ComboSpec(branch, right, combiner)
