@@ -16,7 +16,13 @@ type and message in place of the exit code.  The groups are:
   N = 64), ``verify-exact`` (``verify --backend exact`` at N = 40),
   ``verify-f64`` (``verify --backend f64`` at N = 1024), and
   ``coeffs-normalized`` (``coeffs --normalized`` at N = 40, exact and f64,
-  for the K and E ids).
+  for the K and E ids);
+* ``cli-surface``: ``list``, ``--help``, each subcommand's ``--help``, and a
+  fixed set of error paths (an unknown family, a malformed scalar, a
+  ``--``-valued flag, ``--count 0``, ``sin-M`` at c = 2, and an f64
+  ``arcsin-M`` request that overflows).  Help texts are formatted at
+  ``COLUMNS=80``, which the script sets, so they do not depend on the
+  terminal.
 
 Run it once per tree, with that tree's ``src`` first on ``PYTHONPATH``, and
 compare the digests; the first line names the ``macprod`` it imported:
@@ -31,6 +37,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 from random import Random
@@ -98,6 +105,24 @@ def matrix_groups(seeds) -> dict:
     return groups
 
 
+def surface_groups() -> dict:
+    """The argv of the catalogue, the help texts and the fixed error paths."""
+    commands = ("coeffs", "eval", "verify", "bench", "list")
+    exp_m = ["coeffs", "--family", "exp-M", "--c=1", "--p=1"]
+    return {"cli-surface": [
+        ["list"],
+        ["--help"],
+        *([command, "--help"] for command in commands),
+        ["coeffs", "--family", "tan-M", "--count", "3"],
+        exp_m + ["--a=1//2", "--count", "3"],
+        exp_m + ["--a=--", "--count", "3"],
+        exp_m + ["--a=1", "--count", "0"],
+        ["coeffs", "--family", "sin-M", "--a=1/2", "--c=2", "--p=1", "--count", "3"],
+        ["coeffs", "--backend", "f64", "--family", "arcsin-M", "--a=1/2", "--c=5/4",
+         "--p=1e155", "--count", "3"],
+    ]}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="991,992,993", help="comma-separated seeds")
@@ -107,8 +132,10 @@ def main(argv=None) -> int:
     import macprod
     from macprod.cli import main as cli_main
 
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal's width
+
     print(f"macprod: {Path(macprod.__file__).resolve().parent}")
-    groups = {**workload_groups(seeds), **matrix_groups(seeds)}
+    groups = {**workload_groups(seeds), **matrix_groups(seeds), **surface_groups()}
     width = max(map(len, groups))
     for name, argvs in groups.items():
         digest = hashlib.sha256()

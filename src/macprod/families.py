@@ -1,4 +1,4 @@
-"""One builder per supported product family.
+"""The family catalogue, and the recurrence spec that serves each request.
 
 Every family couples an elementary factor h(z) with a hypergeometric-type
 base (Kummer M, Gauss F, or the elliptic specialisations K, E).  Its
@@ -54,7 +54,9 @@ evaluates each row in long double as it steps, so each entry is its
 correctly rounded double but for rare near-ties where long double is wider
 than double (x87's is).
 
-The exact backend steps the table of every single id.  In f64 the
+One rule (``_family``) makes every catalogue row from its base, h and
+formulation, and one router (``_route``) decides which formulation serves a
+request.  The exact backend steps the table of every single id.  In f64 the
 high-order singles (sin/cos/sinh/cosh over every base, arcsin-M, arccos-M)
 would amplify roundoff along parasitic solutions, so their f64 requests are
 served by stable formulations: the same exp-X branches for the trig/hyp
@@ -65,7 +67,7 @@ nonnegative integer p is the exp-X stream at p = 0 convolved with the
 coefficients of (1 - theta z)^p, of which a run forms the min(p, N) + 1 it
 reads.  Only the exp, binom and arctanexp tables are evaluated in f64.
 
-Builders are pure, and the returned specs are immutable plain data: the
+Builds are pure, and the returned specs are immutable plain data: the
 row polynomials, the seeds, and the factors of the row denominator as named
 polynomials in n (``_den``), so a spec pickles.
 """
@@ -147,20 +149,6 @@ class FamilyInfo(_Value):
         """The start index n0: a build steps its seeds up to u_k, k the order."""
         return self.order
 
-
-# id fragment for each elementary kind
-_H_TOKEN = {
-    "exp": "exp",
-    "sin": "sin",
-    "cos": "cos",
-    "sinh": "sinh",
-    "cosh": "cosh",
-    "arcsin": "arcsin",
-    "arccos": "arccos",
-    "binom": "binom",
-    "exp_arctan": "arctanexp",
-}
-_TOKEN_H = {v: k for k, v in _H_TOKEN.items()}
 
 #: the F table's (a, b, c) behind each elliptic base (see the module
 #: docstring); the oracle keeps its own, so the referee never reads the tables'
@@ -649,9 +637,9 @@ def _float_polys(name, values):
     return (plan.wide @ (x**plan.exps_array).prod(axis=1)).reshape(-1, plan.width)
 
 
-def _arcsin_M_interleaved(a, c, p, s0, g0):
-    """Coupled first-order recurrences behind the arcsin/arccos-M product,
-    stepped as one order-11 recurrence.
+def _arcsin_M_interleaved(info, params, bk):
+    """arcsin-M or arccos-M in f64: coupled first-order recurrences behind
+    the product, stepped as one order-11 recurrence.
 
     With s = arcsin(pz) or arccos(pz) and m = M(a,c;z), the sequences are
     the coefficients of y1 = s m, y3 = s' m, y2 = s m' and y4 = s' m', entry
@@ -675,12 +663,15 @@ def _arcsin_M_interleaved(a, c, p, s0, g0):
     4, its denominator is 4n = m + 1 - j (j = 0, 1) or 4(n + c) =
     m + 1 - j + 4c (j = 2, 3), and its numerators are constants or p^2 times
     a degree-1 form in m: one set of polynomials (P_0, then lags 0 .. 11,
-    as (slope, constant)) per sequence.  Returns (u_0..u_11, polys).
+    as (slope, constant)) per sequence; the spec's seeds are u_0..u_11.
     """
     import numpy as np
 
     from . import kernels
+    from .recurrence_core import RecurrenceSpec
 
+    a, c, p = params.a, params.c, params.p
+    s0, g0 = _h01(info.h, p, bk)
     x = np.array([a, c, p], dtype=np.clongdouble)
     if not x.imag.any():
         x = x.real.copy()
@@ -695,7 +686,7 @@ def _arcsin_M_interleaved(a, c, p, s0, g0):
     u = np.zeros(20, dtype=np.complex128)  # stream entries -8 .. 11
     u[8:12] = s0, g0, s0 * a / c, g0 * a / c
     kernels.recurrence_steps(P, u, 11, first=3)  # its P_0, 4n or 4(n + c), never vanishes
-    return tuple(u[8:].tolist()), P
+    return RecurrenceSpec(11, tuple(u[8:].tolist()), P, bk.name, interleave=4)
 
 
 # ---------------------------------------------------------------------------
@@ -741,17 +732,6 @@ def _field(value):
     if isinstance(value, GaussianRational) and not value.im:
         return value.re
     return value
-
-
-_REGISTRY: dict[str, FamilyInfo] = {}
-_BUILDERS = {}  # family id -> builder(info, params, bk)
-
-
-def _register(info: FamilyInfo, builder):
-    if info.id in _REGISTRY:
-        raise ValueError(f"duplicate family id {info.id}")
-    _REGISTRY[info.id] = info
-    _BUILDERS[info.id] = builder
 
 
 #: the operator behind each elementary kind, per base table (M or F)
@@ -890,84 +870,93 @@ def _mk_branches(info, params, bk):
     return ComboSpec(left, _exp_spec(info, params, bk, -q), combiner)
 
 
-def _f64_route(f64_builder):
-    """Exact requests step the family's own table; f64 requests are served
-    by a formulation that stays accurate in floats.
-
-    Forward stepping of the high-order single recurrences amplifies roundoff
-    along their parasitic solutions (Gautschi, SIAM Rev. 1967), so in f64 they
-    would return wrong numbers without any error.
-    """
-
-    def mk(info, params, bk):
-        return (f64_builder if bk.name == "f64" else _mk_single)(info, params, bk)
-
-    return mk
-
-
-def _binom_f64(info, params, bk):
-    """binom-X in f64: the table, except at a nonnegative integer p.
-
-    There the wanted solution of the order-2 recurrence is a polynomial times
-    the base, while the other one grows like theta^n: for |theta| > 1 forward
-    stepping loses every digit without an error (Gautschi, SIAM Rev. 1967).
-    Those requests step the exp-X recurrence at p = 0 (the base series b) and
-    convolve it with the coefficients of (1 - theta z)^p:
-    u_n = sum_{j <= min(n, p)} C(p, j) (-theta)^j b_{n-j}.  The run forms
-    only the min(p, N) + 1 of them it reads, so a huge p costs no more.
-    """
-    p = params.p
-    if p.imag or p.real < 0 or not p.real.is_integer():
-        return _mk_single(info, params, bk)
+def _binomial(info, params, bk):
+    """binom-X at a nonnegative integer p: the exp-X recurrence at p = 0 (the
+    base series b), whose stream the run convolves with the coefficients of
+    (1 - theta z)^p: u_n = sum_{j <= min(n, p)} C(p, j) (-theta)^j b_{n-j}.
+    The run forms only the min(p, N) + 1 of them it reads, so a huge p costs
+    no more."""
     from .recurrence_core import RecurrenceSpec
 
     base = _exp_spec(info, params, bk, bk.zero())
     return RecurrenceSpec(base.order, base.seeds, base.polys, base.backend, base.den_factors,
-                          binomial=(int(p.real), params.theta))
-
-
-def _mk_arcsin_M_interleaved(info, params, bk):
-    from .recurrence_core import RecurrenceSpec
-
-    a, c, p = params.a, params.c, params.p
-    seeds, polys = _arcsin_M_interleaved(a, c, p, *_h01(info.h, p, bk))
-    return RecurrenceSpec(11, seeds, polys, bk.name, interleave=4)
-
-
-def _reg(id, base, h, formulation, radius, names, builder, c2=False):
-    """Register a family; its order is its table's (the exp table's for a
-    combo)."""
-    k = _order(_table("exp" if formulation == "combo" else h, base))
-    _register(FamilyInfo(id, base, h, formulation, k, radius, names, c2), builder)
+                          binomial=(int(params.p.real), params.theta))
 
 
 _TRIG_HYP = ("sin", "cos", "sinh", "cosh")
 
-for _base, _names, _radius in (("M", ("a", "c", "p"), "entire"), ("F", ("a", "b", "c", "p"), "1")):
-    _reg(f"exp-{_base}", _base, "exp", "single", _radius, _names, _mk_single)
-    for _h in ("sinh", "cosh", "sin", "cos"):
-        _reg(f"{_h}-{_base}-combo", _base, _h, "combo", _radius, _names, _mk_branches)
-    _reg(f"binom-{_base}", _base, "binom", "single",
-         "1/|theta|" if _base == "M" else "min(1,1/|theta|)", _names + ("theta",),
-         _f64_route(_binom_f64))
-    _reg(f"arctanexp-{_base}", _base, "exp_arctan", "single", "1", _names, _mk_single)
-    for _h in _TRIG_HYP:
-        _reg(f"{_h}-{_base}", _base, _h, "single", _radius, _names, _f64_route(_mk_branches),
-             c2=True)
-    if _base == "M":
-        for _h in ("arcsin", "arccos"):
-            _reg(f"{_h}-M", "M", _h, "single", "1/|p|", _names,
-                 _f64_route(_mk_arcsin_M_interleaved), c2=True)
 
-# -- elliptic bases: the F tables at (a, b, c) = (+-1/2, 1/2, 1) ------------
+def _route(info, params, bk):
+    """The spec of the formulation that serves a request.  This is the one
+    place where that is decided:
 
-for _base in ("K", "E"):
-    _reg(f"exp-{_base}", _base, "exp", "single", "1", ("p",), _mk_single)
-    _reg(f"binom-{_base}", _base, "binom", "single", "min(1,1/|theta|)", ("p", "theta"),
-         _f64_route(_binom_f64))
-    _reg(f"arctanexp-{_base}", _base, "exp_arctan", "single", "1", ("p",), _mk_single)
-    for _h in _TRIG_HYP:
-        _reg(f"{_h}-{_base}", _base, _h, "single", "1", ("p",), _f64_route(_mk_branches))
+    * a combo id: its exp-X branches (``ComboSpec``), in both backends;
+    * an exact single: its own table (``RecurrenceSpec``);
+    * f64 sin/cos/sinh/cosh: the exp-X branches, as for the combo ids;
+    * f64 arcsin/arccos: the interleaved first-order system (``interleave`` 4);
+    * f64 binom at a nonnegative integer p: the base series convolved with
+      the coefficients of (1 - theta z)^p (``binomial`` is (p, theta));
+    * anything else: its own table.
+
+    Forward stepping of the high-order single recurrences amplifies roundoff
+    along their parasitic solutions (Gautschi, SIAM Rev. 1967), so in f64
+    they would return wrong numbers without any error.  So would binom's
+    order-2 table at a nonnegative integer p: there the wanted solution is a
+    polynomial times the base, while the other one grows like theta^n, and
+    for |theta| > 1 forward stepping loses every digit.  The exact backend
+    steps every single id's own table.
+    """
+    f64 = bk.name == "f64"
+    if info.formulation == "combo" or f64 and info.h in _TRIG_HYP:
+        return _mk_branches(info, params, bk)
+    if f64 and info.h in ("arcsin", "arccos"):
+        return _arcsin_M_interleaved(info, params, bk)
+    p = params.p
+    if f64 and info.h == "binom" and not p.imag and p.real >= 0 and p.real.is_integer():
+        return _binomial(info, params, bk)
+    return _mk_single(info, params, bk)
+
+
+#: an id names its kind h by h itself, but for this one
+_ID_NAME = {"exp_arctan": "arctanexp"}
+#: the parameters of each base besides p (K and E fix a, b and c)
+_BASE_PARAMS = {"M": ("a", "c"), "F": ("a", "b", "c"), "K": (), "E": ()}
+#: the radius of h's series, where it is finite (``disc_radius`` computes it)
+_H_RADIUS = {"binom": "1/|theta|", "arcsin": "1/|p|", "arccos": "1/|p|", "exp_arctan": "1"}
+#: (h, formulation, bases) of each product, in catalogue order per base; the
+#: combos are the kinds with a combiner, in its order
+_PRODUCTS = (
+    ("exp", "single", "MFKE"),
+    *((h, "combo", "MF") for h in _COMBINER),
+    ("binom", "single", "MFKE"),
+    ("exp_arctan", "single", "MFKE"),
+    *((h, "single", "MFKE") for h in _TRIG_HYP),
+    ("arcsin", "single", "M"),
+    ("arccos", "single", "M"),
+)
+
+
+def _family(base, h, formulation) -> FamilyInfo:
+    """The catalogue row of h over ``base`` in ``formulation``.  Its order is
+    its table's (the exp table's for a combo), and its radius the smaller of
+    the base's (infinite for M, 1 otherwise) and h's.  c = 2 is excluded
+    where the table has the factor c - 2: a second-order h's own table,
+    over a base whose c is a parameter."""
+    combo = formulation == "combo"
+    names = _BASE_PARAMS[base] + ("p",) + (("theta",) if h == "binom" else ())
+    radius = _H_RADIUS.get(h, "entire")
+    if base != "M":
+        radius = "1" if radius in ("entire", "1") else f"min(1,{radius})"
+    return FamilyInfo(f"{_ID_NAME.get(h, h)}-{base}{'-combo' if combo else ''}", base, h,
+                      formulation, _order(_table("exp" if combo else h, base)), radius, names,
+                      "c" in names and not combo and h in _SECOND_ORDER)
+
+
+_REGISTRY = {
+    info.id: info
+    for info in (_family(base, h, formulation)
+                 for base in "MFKE" for h, formulation, bases in _PRODUCTS if base in bases)
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1029,12 +1018,12 @@ def build(family_id: str, params, backend="exact"):
     _validate(info, pp)
     if bk.name == "exact":
         pp = Params(**{name: _field(getattr(pp, name)) for name in pp.present()})
-    return _BUILDERS[family_id](info, pp, bk)
+    return _route(info, pp, bk)
 
 
 def _resolve_id(base: str, h: str, formulation: str) -> str:
-    token = _H_TOKEN.get(h, h)
-    if token not in _TOKEN_H:
+    token = _ID_NAME.get(h, h)
+    if token not in {family_id.partition("-")[0] for family_id in _REGISTRY}:
         raise CatalogueError(f"unknown elementary kind {h!r}")
     suffix = "-combo" if formulation == "combo" else ""
     family_id = f"{token}-{base}{suffix}"

@@ -387,7 +387,9 @@ def parse_scalar(text: str, backend="exact"):
     """Parse scalar text under the named backend.
 
     Exact backend returns :class:`GaussianRational`; the f64 backend returns a
-    Python complex (finite, or :class:`NonFiniteError`).
+    finite Python complex.  Text outside the grammar, or whose value is not a
+    finite double (``1e400``, an integer past double), raises
+    :class:`ParseError` naming it.
     """
     bk = get_backend(backend)
     exact = bk is EXACT
@@ -405,13 +407,17 @@ def parse_scalar(text: str, backend="exact"):
         if second is not None:
             raise ParseError(f"missing imaginary unit after {second!r} in {stripped!r}")
         re_part, im_part = first, None
-    re_val = _parse_real(re_part, exact) if re_part is not None else (Fraction(0) if exact else 0.0)
-    im_val = _parse_real(im_part, exact) if im_part is not None else (Fraction(0) if exact else 0.0)
-    if exact:
-        return GaussianRational(re_val, im_val)
-    value = complex(re_val, im_val)
+    zero = Fraction(0) if exact else 0.0
+    try:
+        re_val = zero if re_part is None else _parse_real(re_part, exact)
+        im_val = zero if im_part is None else _parse_real(im_part, exact)
+        if exact:
+            return GaussianRational(re_val, im_val)
+        value = complex(re_val, im_val)
+    except OverflowError:  # f64: an integer or N/D past double
+        value = complex(math.inf)
     if not cmath.isfinite(value):
-        raise NonFiniteError(f"scalar text {stripped!r} is not finite in f64")
+        raise ParseError(f"scalar text {stripped!r} is not finite in f64")
     return value
 
 

@@ -52,16 +52,9 @@ from .series_oracle import (
 )
 
 #: combo-vs-single pairs and elliptic-vs-specialized-F pairs, by left id
-_COMBO_PAIRS = {
-    f"{h}-{base}-combo": f"{h}-{base}"
-    for h in ("sin", "cos", "sinh", "cosh")
-    for base in ("M", "F")
-}
-_ELLIPTIC_PAIRS = {
-    f"{h}-{base}": f"{h}-F"
-    for h in ("exp", "binom", "arctanexp", "sin", "cos", "sinh", "cosh")
-    for base in ("K", "E")
-}
+_COMBO_PAIRS = {i.id: i.id.removesuffix("-combo") for i in list_families()
+                if i.formulation == "combo"}
+_ELLIPTIC_PAIRS = {i.id: i.id[:-1] + "F" for i in list_families() if i.base in ELLIPTIC_ABC}
 
 
 class DeviationReport(_Value):

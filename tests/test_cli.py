@@ -408,6 +408,23 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv, token", [
+        (("coeffs", "--backend", "f64", "--family", "exp-M", "--a=-1e400", "--c=1", "--p=1",
+          "--count", "3"), "-1e400"),
+        (("eval", "--family", "exp-M", "--a=1", "--c=1", "--p=1", "--z=1e400", "--count", "3"),
+         "1e400"),
+        (("eval", "--family", "exp-M", "--a=1", "--c=1", "--p=1", "--z=1" + "0" * 400,
+          "--count", "3"), "1" + "0" * 400),
+        (("verify", "--backend", "f64", "--family", "exp-M", "--a=1", "--c=1", "--p=1e309i",
+          "--count", "3"), "1e309i"),
+        (("bench", "--family", "exp-F", "--a=1", "--b=1", "--c=1", "--p=1e400", "--count", "3"),
+         "1e400"),
+    ], ids=["coeffs-a", "eval-z", "eval-z-integer", "verify-p", "bench-p"])
+    def test_f64_scalar_past_double_is_2(self, capsys, argv, token):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: scalar text '{token}' is not finite in f64\n"
+
     def test_overflow_is_3(self, capsys):
         code, _, err = run_cli(
             capsys,

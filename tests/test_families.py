@@ -48,7 +48,101 @@ def gr(num, den=1):
     return G(Fraction(num, den))
 
 
+#: the catalogue as it stood before one rule built it: every row's repr, and
+#: the bytes of ``macprod list``
+CATALOGUE_REPRS = """\
+FamilyInfo(id='exp-M', base='M', h='exp', formulation='single', order=1, radius='entire', param_names=('a', 'c', 'p'), c_excludes_2=False)
+FamilyInfo(id='sinh-M-combo', base='M', h='sinh', formulation='combo', order=1, radius='entire', param_names=('a', 'c', 'p'), c_excludes_2=False)
+FamilyInfo(id='cosh-M-combo', base='M', h='cosh', formulation='combo', order=1, radius='entire', param_names=('a', 'c', 'p'), c_excludes_2=False)
+FamilyInfo(id='sin-M-combo', base='M', h='sin', formulation='combo', order=1, radius='entire', param_names=('a', 'c', 'p'), c_excludes_2=False)
+FamilyInfo(id='cos-M-combo', base='M', h='cos', formulation='combo', order=1, radius='entire', param_names=('a', 'c', 'p'), c_excludes_2=False)
+FamilyInfo(id='binom-M', base='M', h='binom', formulation='single', order=2, radius='1/|theta|', param_names=('a', 'c', 'p', 'theta'), c_excludes_2=False)
+FamilyInfo(id='arctanexp-M', base='M', h='exp_arctan', formulation='single', order=4, radius='1', param_names=('a', 'c', 'p'), c_excludes_2=False)
+FamilyInfo(id='sin-M', base='M', h='sin', formulation='single', order=5, radius='entire', param_names=('a', 'c', 'p'), c_excludes_2=True)
+FamilyInfo(id='cos-M', base='M', h='cos', formulation='single', order=5, radius='entire', param_names=('a', 'c', 'p'), c_excludes_2=True)
+FamilyInfo(id='sinh-M', base='M', h='sinh', formulation='single', order=5, radius='entire', param_names=('a', 'c', 'p'), c_excludes_2=True)
+FamilyInfo(id='cosh-M', base='M', h='cosh', formulation='single', order=5, radius='entire', param_names=('a', 'c', 'p'), c_excludes_2=True)
+FamilyInfo(id='arcsin-M', base='M', h='arcsin', formulation='single', order=11, radius='1/|p|', param_names=('a', 'c', 'p'), c_excludes_2=True)
+FamilyInfo(id='arccos-M', base='M', h='arccos', formulation='single', order=11, radius='1/|p|', param_names=('a', 'c', 'p'), c_excludes_2=True)
+FamilyInfo(id='exp-F', base='F', h='exp', formulation='single', order=2, radius='1', param_names=('a', 'b', 'c', 'p'), c_excludes_2=False)
+FamilyInfo(id='sinh-F-combo', base='F', h='sinh', formulation='combo', order=2, radius='1', param_names=('a', 'b', 'c', 'p'), c_excludes_2=False)
+FamilyInfo(id='cosh-F-combo', base='F', h='cosh', formulation='combo', order=2, radius='1', param_names=('a', 'b', 'c', 'p'), c_excludes_2=False)
+FamilyInfo(id='sin-F-combo', base='F', h='sin', formulation='combo', order=2, radius='1', param_names=('a', 'b', 'c', 'p'), c_excludes_2=False)
+FamilyInfo(id='cos-F-combo', base='F', h='cos', formulation='combo', order=2, radius='1', param_names=('a', 'b', 'c', 'p'), c_excludes_2=False)
+FamilyInfo(id='binom-F', base='F', h='binom', formulation='single', order=2, radius='min(1,1/|theta|)', param_names=('a', 'b', 'c', 'p', 'theta'), c_excludes_2=False)
+FamilyInfo(id='arctanexp-F', base='F', h='exp_arctan', formulation='single', order=4, radius='1', param_names=('a', 'b', 'c', 'p'), c_excludes_2=False)
+FamilyInfo(id='sin-F', base='F', h='sin', formulation='single', order=9, radius='1', param_names=('a', 'b', 'c', 'p'), c_excludes_2=True)
+FamilyInfo(id='cos-F', base='F', h='cos', formulation='single', order=9, radius='1', param_names=('a', 'b', 'c', 'p'), c_excludes_2=True)
+FamilyInfo(id='sinh-F', base='F', h='sinh', formulation='single', order=9, radius='1', param_names=('a', 'b', 'c', 'p'), c_excludes_2=True)
+FamilyInfo(id='cosh-F', base='F', h='cosh', formulation='single', order=9, radius='1', param_names=('a', 'b', 'c', 'p'), c_excludes_2=True)
+FamilyInfo(id='exp-K', base='K', h='exp', formulation='single', order=2, radius='1', param_names=('p',), c_excludes_2=False)
+FamilyInfo(id='binom-K', base='K', h='binom', formulation='single', order=2, radius='min(1,1/|theta|)', param_names=('p', 'theta'), c_excludes_2=False)
+FamilyInfo(id='arctanexp-K', base='K', h='exp_arctan', formulation='single', order=4, radius='1', param_names=('p',), c_excludes_2=False)
+FamilyInfo(id='sin-K', base='K', h='sin', formulation='single', order=9, radius='1', param_names=('p',), c_excludes_2=False)
+FamilyInfo(id='cos-K', base='K', h='cos', formulation='single', order=9, radius='1', param_names=('p',), c_excludes_2=False)
+FamilyInfo(id='sinh-K', base='K', h='sinh', formulation='single', order=9, radius='1', param_names=('p',), c_excludes_2=False)
+FamilyInfo(id='cosh-K', base='K', h='cosh', formulation='single', order=9, radius='1', param_names=('p',), c_excludes_2=False)
+FamilyInfo(id='exp-E', base='E', h='exp', formulation='single', order=2, radius='1', param_names=('p',), c_excludes_2=False)
+FamilyInfo(id='binom-E', base='E', h='binom', formulation='single', order=2, radius='min(1,1/|theta|)', param_names=('p', 'theta'), c_excludes_2=False)
+FamilyInfo(id='arctanexp-E', base='E', h='exp_arctan', formulation='single', order=4, radius='1', param_names=('p',), c_excludes_2=False)
+FamilyInfo(id='sin-E', base='E', h='sin', formulation='single', order=9, radius='1', param_names=('p',), c_excludes_2=False)
+FamilyInfo(id='cos-E', base='E', h='cos', formulation='single', order=9, radius='1', param_names=('p',), c_excludes_2=False)
+FamilyInfo(id='sinh-E', base='E', h='sinh', formulation='single', order=9, radius='1', param_names=('p',), c_excludes_2=False)
+FamilyInfo(id='cosh-E', base='E', h='cosh', formulation='single', order=9, radius='1', param_names=('p',), c_excludes_2=False)
+"""
+
+LIST_TEXT = """\
+exp-M         M  exp         single  k=1   n0=1   entire            a,c,p
+sinh-M-combo  M  sinh        combo   k=1   n0=1   entire            a,c,p
+cosh-M-combo  M  cosh        combo   k=1   n0=1   entire            a,c,p
+sin-M-combo   M  sin         combo   k=1   n0=1   entire            a,c,p
+cos-M-combo   M  cos         combo   k=1   n0=1   entire            a,c,p
+binom-M       M  binom       single  k=2   n0=2   1/|theta|         a,c,p,theta
+arctanexp-M   M  exp_arctan  single  k=4   n0=4   1                 a,c,p
+sin-M         M  sin         single  k=5   n0=5   entire            a,c,p
+cos-M         M  cos         single  k=5   n0=5   entire            a,c,p
+sinh-M        M  sinh        single  k=5   n0=5   entire            a,c,p
+cosh-M        M  cosh        single  k=5   n0=5   entire            a,c,p
+arcsin-M      M  arcsin      single  k=11  n0=11  1/|p|             a,c,p
+arccos-M      M  arccos      single  k=11  n0=11  1/|p|             a,c,p
+exp-F         F  exp         single  k=2   n0=2   1                 a,b,c,p
+sinh-F-combo  F  sinh        combo   k=2   n0=2   1                 a,b,c,p
+cosh-F-combo  F  cosh        combo   k=2   n0=2   1                 a,b,c,p
+sin-F-combo   F  sin         combo   k=2   n0=2   1                 a,b,c,p
+cos-F-combo   F  cos         combo   k=2   n0=2   1                 a,b,c,p
+binom-F       F  binom       single  k=2   n0=2   min(1,1/|theta|)  a,b,c,p,theta
+arctanexp-F   F  exp_arctan  single  k=4   n0=4   1                 a,b,c,p
+sin-F         F  sin         single  k=9   n0=9   1                 a,b,c,p
+cos-F         F  cos         single  k=9   n0=9   1                 a,b,c,p
+sinh-F        F  sinh        single  k=9   n0=9   1                 a,b,c,p
+cosh-F        F  cosh        single  k=9   n0=9   1                 a,b,c,p
+exp-K         K  exp         single  k=2   n0=2   1                 p
+binom-K       K  binom       single  k=2   n0=2   min(1,1/|theta|)  p,theta
+arctanexp-K   K  exp_arctan  single  k=4   n0=4   1                 p
+sin-K         K  sin         single  k=9   n0=9   1                 p
+cos-K         K  cos         single  k=9   n0=9   1                 p
+sinh-K        K  sinh        single  k=9   n0=9   1                 p
+cosh-K        K  cosh        single  k=9   n0=9   1                 p
+exp-E         E  exp         single  k=2   n0=2   1                 p
+binom-E       E  binom       single  k=2   n0=2   min(1,1/|theta|)  p,theta
+arctanexp-E   E  exp_arctan  single  k=4   n0=4   1                 p
+sin-E         E  sin         single  k=9   n0=9   1                 p
+cos-E         E  cos         single  k=9   n0=9   1                 p
+sinh-E        E  sinh        single  k=9   n0=9   1                 p
+cosh-E        E  cosh        single  k=9   n0=9   1                 p
+"""
+
+
 class TestCatalogue:
+    def test_catalogue_is_pinned(self, capsys):
+        from macprod import cli
+
+        infos = list_families()
+        assert "".join(f"{info!r}\n" for info in infos) == CATALOGUE_REPRS
+        assert len({info.id for info in infos}) == len(infos) == 38
+        assert cli.main(["list"]) == 0
+        assert capsys.readouterr() == (LIST_TEXT, "")
+
     def test_total_count(self):
         assert len(list_families()) == 38
 
@@ -435,8 +529,45 @@ class TestSingularRows:
             **{k: Fraction(c) if k == "c" else Fraction(1, 3) for k in info.param_names}
         )
         with pytest.raises(SingularIndexError, match=f"n={index}") as exc:
-            families._BUILDERS[family_id](info, params, EXACT)
+            families._route(info, params, EXACT)
         assert (exc.value.index, exc.value.factor) == (index, factor)
+
+
+class TestRoute:
+    """Every id, in both backends and at every kind of p, is served by the
+    formulation ``families._route`` names for it."""
+
+    P = {"real": Fraction(1, 3), "zero": Fraction(0), "integer": Fraction(2),
+         "negative-integer": Fraction(-2), "complex": G(Fraction(1, 3), Fraction(2, 5))}
+    OTHERS = {"a": Fraction(1, 3), "b": Fraction(1, 5), "c": Fraction(3, 2),
+              "theta": Fraction(3, 4)}
+
+    @pytest.mark.parametrize("p", list(P))
+    @pytest.mark.parametrize("backend", ["exact", "f64"])
+    @pytest.mark.parametrize("info", list_families(), ids=lambda info: info.id)
+    def test_formulation(self, info, backend, p):
+        params = {k: self.OTHERS.get(k, self.P[p]) for k in info.param_names}
+        if backend == "f64":
+            params = {k: complex(approximate(v)) for k, v in params.items()}
+        spec = build(info.id, params, backend)
+        f64 = backend == "f64"
+        exp_order = get_family(f"exp-{info.base}").order
+        if info.formulation == "combo" or f64 and info.h in ("sin", "cos", "sinh", "cosh"):
+            # the exp-X branches; sin and cos at real parameters carry one
+            assert isinstance(spec, ComboSpec)
+            assert (spec.right is None) == (info.h in ("sin", "cos") and p != "complex")
+            for branch in (spec.left, spec.right):
+                if branch is not None:
+                    assert (branch.order, branch.interleave, branch.binomial) == (exp_order, 1, ())
+            return
+        assert isinstance(spec, RecurrenceSpec)
+        if f64 and info.h in ("arcsin", "arccos"):
+            assert (spec.order, spec.interleave, spec.binomial) == (11, 4, ())
+        elif f64 and info.h == "binom" and p in ("zero", "integer"):
+            want = (int(self.P[p]), params["theta"])
+            assert (spec.order, spec.interleave, spec.binomial) == (exp_order, 1, want)
+        else:  # the id's own table, exp-* and arctanexp-* in f64 too
+            assert (spec.order, spec.interleave, spec.binomial) == (info.order, 1, ())
 
 
 class TestFormulationAgreement:

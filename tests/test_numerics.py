@@ -1,6 +1,7 @@
 import inspect
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,15 @@ class TestParse:
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
             parse_scalar("1/0", "exact")
+
+    @pytest.mark.parametrize(
+        "text", ["1e400", "-1e400", "1e309i", "1+1e400i", "1" + "0" * 400, "-1" + "0" * 400 + "/3"],
+        ids=["1e400", "-1e400", "1e309i", "1+1e400i", "10^400", "-10^400/3"],
+    )
+    def test_past_double_is_a_parse_error_in_f64(self, text):
+        # input text, not a failure of the computation
+        with pytest.raises(ParseError, match=re.escape(f"scalar text '{text}' is not finite")):
+            parse_scalar(text, "f64")
 
     @given(gaussians)
     def test_roundtrip_exact(self, g):
