@@ -19,15 +19,21 @@ type and message in place of the exit code.  The groups are:
   for the K and E ids);
 * ``cli-surface``: ``list``, ``--help``, each subcommand's ``--help``, and a
   fixed set of error paths (an unknown family, a malformed scalar, a
-  ``--``-valued flag, ``--count 0``, ``sin-M`` at c = 2, and an f64
-  ``arcsin-M`` request that overflows).  Help texts are formatted at
-  ``COLUMNS=80``, which the script sets, so they do not depend on the
-  terminal.
+  ``--``-valued flag, ``--count 0``, ``sin-M`` at c = 2, and f64
+  ``arcsin-M`` at p = 1e155 through ``--count 3``, whose u_0 .. u_2 are
+  finite, and ``--count 4``, whose u_3 overflows).  Help texts are
+  formatted at ``COLUMNS=80``, which the script sets, so they do not depend
+  on the terminal.
 
 Run it once per tree, with that tree's ``src`` first on ``PYTHONPATH``, and
 compare the digests; the first line names the ``macprod`` it imported:
 
     PYTHONPATH=src python benchmarks/fingerprint.py [--seeds 991,992,993]
+        [--calls FILE]
+
+``--calls`` also writes every call's record, one JSON line [group, argv,
+exit code, stdout, stderr] each, so that two trees' files diff request by
+request where a digest differs.
 """
 
 from __future__ import annotations
@@ -118,14 +124,15 @@ def surface_groups() -> dict:
         exp_m + ["--a=--", "--count", "3"],
         exp_m + ["--a=1", "--count", "0"],
         ["coeffs", "--family", "sin-M", "--a=1/2", "--c=2", "--p=1", "--count", "3"],
-        ["coeffs", "--backend", "f64", "--family", "arcsin-M", "--a=1/2", "--c=5/4",
-         "--p=1e155", "--count", "3"],
+        *(["coeffs", "--backend", "f64", "--family", "arcsin-M", "--a=1/2", "--c=5/4",
+          "--p=1e155", "--count", count] for count in ("3", "4")),
     ]}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="991,992,993", help="comma-separated seeds")
+    parser.add_argument("--calls", help="write each call's record to this file, one a line")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
 
@@ -137,11 +144,16 @@ def main(argv=None) -> int:
     print(f"macprod: {Path(macprod.__file__).resolve().parent}")
     groups = {**workload_groups(seeds), **matrix_groups(seeds), **surface_groups()}
     width = max(map(len, groups))
-    for name, argvs in groups.items():
-        digest = hashlib.sha256()
-        for call in argvs:
-            digest.update(json.dumps(_call(cli_main, call)).encode() + b"\n")
-        print(f"{name.ljust(width)}  {len(argvs):5d}  {digest.hexdigest()}", flush=True)
+    calls = open(args.calls, "w") if args.calls else contextlib.nullcontext()
+    with calls:
+        for name, argvs in groups.items():
+            digest = hashlib.sha256()
+            for call in argvs:
+                record = json.dumps(_call(cli_main, call))
+                digest.update(record.encode() + b"\n")
+                if args.calls:
+                    calls.write(f"[{json.dumps(name)}, {record[1:]}\n")
+            print(f"{name.ljust(width)}  {len(argvs):5d}  {digest.hexdigest()}", flush=True)
     return 0
 
 

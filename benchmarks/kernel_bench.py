@@ -68,7 +68,7 @@ def _step_layers(spec, N: int) -> dict:
     """``step_<impl>`` for every implementation, over the branches ``run`` steps."""
     steps = []
     for b in branches(spec):
-        u = np.zeros(b.interleave * N + 1, dtype=np.complex128)  # each call rewrites u[start+1:]
+        u = np.zeros(len(b.polys) * N + 1, dtype=np.complex128)  # each call rewrites u[start+1:]
         u[: b.start + 1] = b.seeds
         steps.append((b.polys, u, b.start))
     return {

@@ -8,10 +8,11 @@ Every module is imported where its work begins, never ahead of it: numpy
 where an f64 path begins, the engine (``recurrence_core``) where a build or
 run begins, and the referee (``verify``, which brings the ``series_oracle``)
 where a comparison begins.  The recurrence path (``families``,
-``recurrence_core``, ``kernels``) and the oracle share only ``numerics``,
-which holds the stream type both return; ``verify`` is the one module that
-imports both.  So ``import macprod`` loads no submodule, and each name in
-``__all__`` is imported from its submodule the first time it is read.
+``recurrence_core``, ``kernels``) and the oracle share ``numerics``, which
+holds the stream type both return, and ``kernels``, of which the oracle uses
+only ``convolve``; ``verify`` is the one module that imports both.  So
+``import macprod`` loads no submodule, and each name in ``__all__`` is
+imported from its submodule the first time it is read.
 """
 
 import importlib

@@ -1,9 +1,9 @@
 """Fallback for the f64 stepping loop when the C loop cannot be built.
 
 ``rows`` does the C loop's long double operations in numpy, vectorised over
-the steps, in the same order; ``recurrence_steps`` then steps in Python
-complex arithmetic in ascending lag order, as the C loop does.  The two
-implementations agree bit for bit on the same inputs.
+the steps from any first index, in the same order; ``recurrence_steps`` then
+steps from u[n0] in Python complex arithmetic in ascending lag order, as the
+C loop does.  The two implementations agree bit for bit on the same inputs.
 """
 
 from __future__ import annotations
@@ -62,17 +62,16 @@ def rows(polys, first, count):
     return out, int(np.argmax(bad)) if bad.any() else count
 
 
-def recurrence_steps(polys, u, n0, first):
+def recurrence_steps(polys, u, n0):
     count = len(u) - 1 - n0
-    R, good = rows(polys, first, count)
+    R, good = rows(polys, n0, count)
     sets = len(polys)
     lags = [[i for i in range(len(P) - 1) if P[i + 1].any()] for P in polys]
     uv = u.tolist()
-    for j, row in enumerate(R[:good].tolist()):
-        n = n0 + j
+    for n, row in enumerate(R[:good].tolist(), n0):
         acc = 0j
-        for i in lags[(first + j + 1) % sets]:
+        for i in lags[(n + 1) % sets]:
             acc = acc + row[i] * uv[n - i]
         uv[n + 1] = acc
     u[:] = uv
-    return None if good == count else first + good
+    return None if good == count else n0 + good

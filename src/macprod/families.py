@@ -52,7 +52,9 @@ get the integer row polynomials the exact engine steps.  f64 builds
 parameter is) and hand the row polynomials to the f64 kernel, which
 evaluates each row in long double as it steps, so each entry is its
 correctly rounded double but for rare near-ties where long double is wider
-than double (x87's is).
+than double (x87's is).  Every f64 route's first steps, up to its last seed,
+run in long double as well (``recurrence_core.step_wide``): at small n a
+step can cancel.
 
 One rule (``_family``) makes every catalogue row from its base, h and
 formulation, and one router (``_route``) decides which formulation serves a
@@ -619,12 +621,12 @@ def _integer_rows(name, values) -> tuple:
 def _float_polys(name, values):
     """The row polynomials of operator ``name`` at f64 ``values``: the
     coefficients of P_0(n+1), -P_1(n), -P_2(n-1), ... in n, highest power
-    first, as a (k+2, degree+1) long double array (complex only when a
-    parameter is).  A coefficient rounded to double would repeat one error at
-    every step, which forward-unstable recurrences amplify.  In x87 long
-    double (64-bit significand), every row entry comes out as its correctly
-    rounded double but for rare near-ties; where long double is no wider
-    than double, the arithmetic is double's."""
+    first, as the one set of a read-only (1, k+2, degree+1) long double
+    array (complex only when a parameter is).  A coefficient rounded to
+    double would repeat one error at every step, which forward-unstable
+    recurrences amplify.  In x87 long double (64-bit significand), every row
+    entry comes out as its correctly rounded double but for rare near-ties;
+    where long double is no wider than double, the arithmetic is double's."""
     import numpy as np
 
     plan = _plan(_OPERATORS[name])
@@ -634,7 +636,9 @@ def _float_polys(name, values):
     else:
         x = np.array([x.real for x in xs], dtype=np.longdouble)
     # numpy raises to a small integer power by repeated products, also in complex
-    return (plan.wide @ (x**plan.exps_array).prod(axis=1)).reshape(-1, plan.width)
+    polys = (plan.wide @ (x**plan.exps_array).prod(axis=1)).reshape(1, -1, plan.width)
+    polys.flags.writeable = False
+    return polys
 
 
 def _arcsin_M_interleaved(info, params, bk):
@@ -663,12 +667,12 @@ def _arcsin_M_interleaved(info, params, bk):
     4, its denominator is 4n = m + 1 - j (j = 0, 1) or 4(n + c) =
     m + 1 - j + 4c (j = 2, 3), and its numerators are constants or p^2 times
     a degree-1 form in m: one set of polynomials (P_0, then lags 0 .. 11,
-    as (slope, constant)) per sequence; the spec's seeds are u_0..u_11.
+    as (slope, constant)) per sequence; the spec's seeds are u_0..u_11,
+    stepped from the entries at n = 0 like every f64 route's first steps.
     """
     import numpy as np
 
-    from . import kernels
-    from .recurrence_core import RecurrenceSpec
+    from .recurrence_core import RecurrenceSpec, step_wide
 
     a, c, p = params.a, params.c, params.p
     s0, g0 = _h01(info.h, p, bk)
@@ -683,10 +687,9 @@ def _arcsin_M_interleaved(info, params, bk):
     P[3, 0], P[3, 2], P[3, 4] = (1, 4 * C - 2), (0, 4 * A), (0, 4)
     P[3, 8], P[3, 10], P[3, 12] = (p2, p2 * (4 * C - 6)), (0, -4 * A * p2), (0, -4 * p2)
     P.flags.writeable = False
-    u = np.zeros(20, dtype=np.complex128)  # stream entries -8 .. 11
-    u[8:12] = s0, g0, s0 * a / c, g0 * a / c
-    kernels.recurrence_steps(P, u, 11, first=3)  # its P_0, 4n or 4(n + c), never vanishes
-    return RecurrenceSpec(11, tuple(u[8:].tolist()), P, bk.name, interleave=4)
+    seeds = [s0, g0, s0 * a / c, g0 * a / c]
+    seeds += step_wide(P, [0j] * 8 + seeds, 3, 11)  # its P_0, 4n or 4(n + c), never vanishes
+    return RecurrenceSpec(11, tuple(seeds), P, bk.name)
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +809,7 @@ def _spec(info, bk, name, values, seeds, den):
     """A single recurrence from operator ``name`` at ``values``: the seeds
     u_0 (u_1) are stepped by the table to u_k, with u below 0 taken as 0,
     and the run steps on from there.  K and E seeds carry pi/2."""
-    from .recurrence_core import RecurrenceSpec, _horner, step_exact
+    from .recurrence_core import RecurrenceSpec, step_exact, step_wide
 
     k = _order(name)
     if info.base in _ELLIPTIC_ABC:
@@ -814,22 +817,10 @@ def _spec(info, bk, name, values, seeds, den):
     seeds = [bk.coerce(s) for s in seeds]
     n0 = len(seeds) - 1
     if bk.name == "exact":
-        polys = _integer_rows(name, values)
-        seeds += step_exact(polys, [bk.zero()] * (k - n0) + seeds, n0, k, den)
-    else:
-        import numpy as np
-
-        # the first steps in long double too: at small n a step can cancel
-        C = _float_polys(name, values)
-        P = C.tolist()
-        wide = [np.clongdouble(s) for s in seeds]
-        with np.errstate(all="ignore"):
-            for n in range(n0, k):
-                d = _horner(P[0], n)
-                wide.append(sum(_horner(P[i + 1], n) / d * wide[n - i] for i in range(n + 1)))
-        seeds = [complex(s) for s in wide]
-        polys = C[np.newaxis]
-        polys.flags.writeable = False
+        polys, step = _integer_rows(name, values), step_exact
+    else:  # the first steps in long double too: at small n a step can cancel
+        polys, step = _float_polys(name, values), step_wide
+    seeds += step(polys, [bk.zero()] * (k - n0) + seeds, n0, k, den)
     return RecurrenceSpec(k, tuple(seeds), polys, bk.name, den)
 
 
@@ -893,7 +884,7 @@ def _route(info, params, bk):
     * a combo id: its exp-X branches (``ComboSpec``), in both backends;
     * an exact single: its own table (``RecurrenceSpec``);
     * f64 sin/cos/sinh/cosh: the exp-X branches, as for the combo ids;
-    * f64 arcsin/arccos: the interleaved first-order system (``interleave`` 4);
+    * f64 arcsin/arccos: the interleaved first-order system (four sets of polys);
     * f64 binom at a nonnegative integer p: the base series convolved with
       the coefficients of (1 - theta z)^p (``binomial`` is (p, theta));
     * anything else: its own table.

@@ -17,6 +17,8 @@ Lags whose polynomial is zero are skipped.  The loop stops only at the
 first index whose denominator vanishes.  A row entry or value past double
 becomes inf or NaN and is stepped on, so every value that reads it is not
 finite either; the caller's one finiteness check of the output reports it.
+Its one caller, ``recurrence_core._run_f64``, steps a spec from its last
+seed: the steps before it run in long double when the spec is built.
 
 The loop is compiled with the system C compiler on first use, never at
 import, and cached as ``__pycache__/_step-<sha256 of the source>.<platform>.so``
@@ -55,17 +57,17 @@ static long double poly(const long double *p, const long double *pw, long width,
     return acc;
 }
 
-/* u[j+1] = sum_i e_i u[j-i] for j = n0 .. n0+count-1, over complex values
-   stored as interleaved (re, im) doubles.  The step at j has index
-   m = m0 + j - n0 and reads polynomial set (m + 1) % sets of c: k + 2
-   polynomials in m of width coefficients, highest power first, long double
-   (re, im) pairs when cplx.  e_i = P_{i+1}(m) * (1 / P_0(m)).  Returns the
-   first m whose P_0 vanishes, u stepped up to it, -1 when every step ran,
-   or -2 when the work space cannot be allocated.  An entry or value past
-   double is stepped on as inf or NaN, which IEEE arithmetic carries into
-   every later value that reads it. */
+/* u[m+1] = sum_i e_i u[m-i] for m = n0 .. n0+count-1, over complex values
+   stored as interleaved (re, im) doubles.  The step at m reads polynomial
+   set (m + 1) % sets of c: k + 2 polynomials in m of width coefficients,
+   highest power first, long double (re, im) pairs when cplx.
+   e_i = P_{i+1}(m) * (1 / P_0(m)).  Returns the first m whose P_0
+   vanishes, u stepped up to it, -1 when every step ran, or -2 when the
+   work space cannot be allocated.  An entry or value past double is
+   stepped on as inf or NaN, which IEEE arithmetic carries into every later
+   value that reads it. */
 long recurrence_steps(const long double *c, int cplx, long sets, long k, long width,
-                      double *u, long n0, long count, long m0)
+                      double *u, long n0, long count)
 {
     const long stride = cplx ? 2 : 1, size = stride * width;
     /* the powers m^(width-1) .. m^0, then per set the number of lags whose
@@ -90,8 +92,8 @@ long recurrence_steps(const long double *c, int cplx, long sets, long k, long wi
         }
     }
     pw[width - 1] = 1;
-    for (long j = 0; j < count; j++) {
-        const long m = m0 + j, s = (m + 1) % sets, *nz = lags + s * (k + 2);
+    for (long m = n0; m < n0 + count; m++) {
+        const long s = (m + 1) % sets, *nz = lags + s * (k + 2);
         const long double *P = c + s * (k + 2) * size;
         if (width > 1)
             pw[width - 2] = m;
@@ -115,7 +117,7 @@ long recurrence_steps(const long double *c, int cplx, long sets, long k, long wi
             ir = (rat + 0) * scl;
             ii = -scl;
         }
-        const double *v = u + 2 * (n0 + j);
+        const double *v = u + 2 * m;
         double re = 0.0, im = 0.0;
         for (long t = 1; t <= nz[0]; t++) {
             const long i = nz[t];
@@ -133,8 +135,8 @@ long recurrence_steps(const long double *c, int cplx, long sets, long k, long wi
             re = re + (ar * br - ai * bi);
             im = im + (ar * bi + ai * br);
         }
-        u[2 * (n0 + j + 1)] = re;
-        u[2 * (n0 + j + 1) + 1] = im;
+        u[2 * (m + 1)] = re;
+        u[2 * (m + 1) + 1] = im;
     }
     free(pw);
     free(lags);
@@ -178,13 +180,13 @@ def _build():
         return None
     fn.restype = ctypes.c_long
     fn.argtypes = [ctypes.c_void_p, ctypes.c_int] + [ctypes.c_long] * 3
-    fn.argtypes += [ctypes.c_void_p] + [ctypes.c_long] * 3
+    fn.argtypes += [ctypes.c_void_p] + [ctypes.c_long] * 2
 
-    def recurrence_steps(polys, u, n0, first):
+    def recurrence_steps(polys, u, n0):
         buf = np.ascontiguousarray(u)
         sets, size, width = polys.shape
         bad = fn(polys.ctypes.data, np.iscomplexobj(polys), sets, size - 2, width,
-                 buf.ctypes.data, n0, len(u) - 1 - n0, first)
+                 buf.ctypes.data, n0, len(u) - 1 - n0)
         if bad == -2:
             raise MemoryError("no memory for the f64 kernel's work space")
         if buf is not u:
@@ -249,31 +251,28 @@ def convolve(a, b) -> np.ndarray:
     return out
 
 
-def recurrence_steps(polys, u, n0: int, first: int | None = None, impl=None):
+def recurrence_steps(polys, u, n0: int, impl=None):
     """Advance u in place from u[n0] to its end over row polynomials.
 
     ``polys`` has shape (sets, k + 2, width): per set, the polynomials
     P_0, P_1, ..., P_{k+1} of a step index m, highest power first, long
-    double (complex when any is).  The step that writes u[j+1] has index
-    m = first + j - n0 (``first`` defaults to n0) and reads set (m + 1) %
-    sets, so set s steps the entries of sequence s of an interleaved stream:
-    u[j+1] = sum_i P_{i+1}(m) / P_0(m) * u[j-i].  Returns the first m whose
-    P_0 vanishes, u stepped up to it, or None.  An entry or value past double
-    is stepped on as inf or NaN, which carries into every value that reads it.
+    double (complex when any is).  The step that writes u[m+1] has index m
+    and reads set (m + 1) % sets, so set s steps the entries of sequence s
+    of an interleaved stream: u[m+1] = sum_i P_{i+1}(m) / P_0(m) * u[m-i].
+    Returns the first m whose P_0 vanishes, u stepped up to it, or None.  An
+    entry or value past double is stepped on as inf or NaN, which carries
+    into every value that reads it.
     """
     polys = np.ascontiguousarray(
         polys, dtype=np.clongdouble if np.iscomplexobj(polys) else np.longdouble
     )
-    first = n0 if first is None else first
     if polys.ndim != 3 or polys.shape[1] < 2 or 0 in polys.shape:
         raise ValueError("polys must have the shape (sets, k + 2, width)")
     if u.ndim != 1 or u.dtype != np.complex128:
         raise ValueError("u must be a complex128 vector")
     if not polys.shape[1] - 2 <= n0 < len(u):
         raise ValueError("a step of order k from u[n0] reads u[n0 - k] .. u[n0]")
-    if first < 0:
-        raise ValueError("step indices start at 0")
-    return (impl or _c_impl() or _kernels_py).recurrence_steps(polys, u, n0, first)
+    return (impl or _c_impl() or _kernels_py).recurrence_steps(polys, u, n0)
 
 
 def implementations():

@@ -363,23 +363,29 @@ _NUM = r"(?:\d+/\d+|\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][
 _SCALAR_RE = re.compile(rf"^(?P<first>[+-]?{_NUM})(?P<second>[+-]{_NUM})?(?P<iunit>i)?$")
 
 
+def _int(digits: str) -> int:
+    """``int(digits)``, also past ``int``'s digit limit (see ``_int_text``)."""
+    try:
+        return int(digits)
+    except ValueError:
+        from decimal import Decimal
+
+        return int(Decimal(digits))
+
+
 def _parse_real(token: str, exact: bool):
     if "/" in token:
-        num, den = token.split("/", 1)
-        sign = 1
-        if num and num[0] in "+-":
-            sign = -1 if num[0] == "-" else 1
-            num = num[1:]
-        if int(den) == 0:
+        num, den = map(_int, token.lstrip("+-").split("/", 1))
+        if den == 0:
             raise ParseError(f"zero denominator in {token!r}")
-        return Fraction(sign * int(num), int(den))
+        return Fraction(-num if token[0] == "-" else num, den)
     if "." in token or "e" in token or "E" in token:
         if exact:
             raise BackendMismatchError(
                 f"decimal token {token!r} is not exact; use the f64 backend or a rational"
             )
         return float(token)
-    value = int(token)
+    value = _int(token)
     return Fraction(value) if exact else float(value)
 
 

@@ -22,18 +22,20 @@ two rational streams (the K and E streams are pi/2 times a rational stream,
 arccos-M is rational + pi * rational), so :class:`PiLinear` never enters
 the loop, and a stream whose seeds are all zero is not stepped.
 
-The f64 path hands its long double row polynomials and the whole stream to
-one call of ``kernels.recurrence_steps``, which evaluates each row and steps
-it, and reports the first index whose row denominator vanishes.  Any other
+The f64 path takes a spec's first steps, through its last seed, in long
+double when the spec is built (``step_wide``: at small n a step can cancel),
+and hands the long double row polynomials and the rest of the stream to one
+call of ``kernels.recurrence_steps``, which evaluates each row and steps it,
+and reports the first index whose row denominator vanishes.  Any other
 failure is an entry or value past double, which IEEE arithmetic carries as
 inf or NaN into every value computed from it, so one finiteness check of the
-output reports it at its first non-finite coefficient.  It may step several
-coupled sequences as one (``interleave``: entry n of sequence j is stream
-entry interleave*n + j, stepped by its own set of polynomials, and the run
-returns sequence 0), or convolve its stream with the coefficients of a
-binomial factor (``binomial``); the f64 backend serves products whose single
-recurrence is unstable in floats those ways.  An f64 run returns a
-complex128 array, and a combo's two f64 branches combine as arrays.
+output reports it at its first non-finite coefficient.  With s sets of
+polynomials it steps s coupled sequences as one (entry n of sequence j is
+stream entry s*n + j, stepped by set j, and the run returns sequence 0), or
+convolves its stream with the coefficients of a binomial factor
+(``binomial``); the f64 backend serves products whose single recurrence is
+unstable in floats those ways.  An f64 run returns a complex128 array, and a
+combo's two f64 branches combine as arrays.
 
 A :class:`ComboSpec` combines two recurrence branches entrywise.  A sin/cos
 product at real parameters (the exp-X branches at +ip and -ip) carries one
@@ -110,9 +112,9 @@ class RecurrenceSpec(_Record):
     entry i being num_i(n) / den(n), ``terms`` holding ``(i, num_i)`` for the
     nonzero entries, and each polynomial a pair (real part, imaginary part)
     of integer coefficient tuples, highest power first, a zero part being
-    ``(0,)``.  f64: an array of shape (interleave, k + 2, width), long
-    double (complex when any coefficient is), per sequence P_0, P_1, ...,
-    P_{k+1} highest power first, entry i being P_{i+1}(n) / P_0(n) (see
+    ``(0,)``.  f64: an array of shape (sets, k + 2, width), long double
+    (complex when any coefficient is), per set P_0, P_1, ..., P_{k+1}
+    highest power first, entry i being P_{i+1}(n) / P_0(n) (see
     ``kernels.recurrence_steps``).
 
     ``den_factors`` names the factors of the row denominator, each as
@@ -122,37 +124,34 @@ class RecurrenceSpec(_Record):
 
     The start index n0 is derived: the last seed's index, ``len(seeds) - 1``.
 
-    f64 only: with ``interleave`` s > 1 the stream holds s sequences, entry
+    f64 only: with s sets of polynomials the stream holds s sequences, entry
     s*n + j being entry n of sequence j, and the run returns sequence 0;
     with ``binomial`` = (p, theta), p a nonnegative integer, it returns the
     stream convolved with the coefficients of (1 - theta z)^p, cut at u_N.
     """
 
-    __slots__ = ("order", "seeds", "polys", "backend", "den_factors", "interleave", "binomial")
+    __slots__ = ("order", "seeds", "polys", "backend", "den_factors", "binomial")
 
     def __init__(self, order: int, seeds: tuple, polys, backend: str, den_factors: tuple = (),
-                 interleave: int = 1, binomial: tuple = ()):
+                 binomial: tuple = ()):
         _set(self, "order", order)
         _set(self, "seeds", seeds)
         _set(self, "polys", polys)
         _set(self, "backend", backend)
         _set(self, "den_factors", den_factors)
-        _set(self, "interleave", interleave)
         _set(self, "binomial", binomial)
         if self.order < 1:
             raise ValueError("recurrence order must be positive")
-        if (self.interleave != 1 or self.binomial) and self.backend != "f64":
-            raise ValueError("interleave and binomial apply to f64 specs only")
+        if self.binomial and self.backend != "f64":
+            raise ValueError("binomial applies to f64 specs only")
         if self.backend == "f64":
             import numpy as np
 
-            if not (
-                isinstance(self.polys, np.ndarray)
-                and self.polys.ndim == 3
-                and self.polys.shape[:2] == (self.interleave, self.order + 2)
-            ):
+            polys = self.polys
+            if not (isinstance(polys, np.ndarray) and polys.ndim == 3
+                    and polys.shape[1] == self.order + 2):
                 raise ValueError(
-                    "an f64 spec steps an array of polys of shape (interleave, order + 2, width)"
+                    "an f64 spec steps an array of polys of shape (sets, order + 2, width)"
                 )
         elif not _integer_row(self.polys, self.order):
             raise ValueError(
@@ -314,6 +313,28 @@ def step_exact(polys, window: list, n0: int, N: int, den_factors=(), part=None) 
     return streams[0]
 
 
+def step_wide(polys, window: list, n0: int, N: int, den_factors=()) -> list:
+    """u_{n0+1} .. u_N from the window u_{n0-k} .. u_{n0} of f64 scalars,
+    stepped in long double over the row ``polys`` (see :class:`RecurrenceSpec`)
+    and rounded once.  Step n reads set (n + 1) % sets and sums, in ascending
+    order, its lags that reach u_0 or later and whose polynomial is not zero
+    (so a zero entry never meets an inf)."""
+    import numpy as np
+
+    k = len(window) - 1
+    sets = [(P, [i for i in range(k + 1) if any(P[i + 1])]) for P in polys.tolist()]
+    wide = [np.clongdouble(s) for s in window]  # u_j is wide[j + k - n0]
+    with np.errstate(all="ignore"):
+        for n in range(n0, N):
+            P, lags = sets[(n + 1) % len(sets)]
+            d = _horner(P[0], n)
+            if not d:
+                _singular(den_factors, n)
+            wide.append(sum(_horner(P[i + 1], n) / d * wide[n - i + k - n0]
+                            for i in lags if i <= n))
+    return [complex(s) for s in wide[k + 1:]]
+
+
 def _run_generic(spec: RecurrenceSpec, N: int, part=None) -> list:
     """u_0 .. u_N, or with ``part`` only that part of each entry (seeds
     without pi)."""
@@ -332,11 +353,10 @@ def _run_f64(spec: RecurrenceSpec, N: int):
 
     from . import kernels
 
-    n0, s = spec.start, spec.interleave
+    n0, s = spec.start, len(spec.polys)
     M = s * N  # the stream index of u_N
     u = np.zeros(M + 1, dtype=np.complex128)
-    m = min(n0, M)
-    u[: m + 1] = spec.seeds[: m + 1]
+    u[: n0 + 1] = spec.seeds[: M + 1]  # the seeds through u_M
     if M > n0:
         bad = kernels.recurrence_steps(spec.polys, u, n0)
         if bad is not None:

@@ -1,8 +1,9 @@
 """Referee: recurrence output vs the convolution oracle, and path timings.
 
 This is the one module that imports both the recurrence path (``families``
-and ``recurrence_core``) and the oracle (``series_oracle``); neither side
-imports the other, so the two share no input but ``numerics``.
+and ``recurrence_core``) and the oracle (``series_oracle``).  The two share
+only ``numerics`` and ``kernels``, of which the oracle uses ``convolve``
+alone.
 
 Exact-backend comparisons demand equality (the identities are algebraic, so
 tolerance would only hide bugs); f64 comparisons use the relative metric
@@ -81,17 +82,7 @@ class DeviationReport(_Value):
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": {k: v for k, v in self.params},
-            "N": self.N,
-            "backend": self.backend,
-            "max_abs": self.max_abs,
-            "max_rel": self.max_rel,
-            "first_mismatch": self.first_mismatch,
-            "verdict": self.verdict,
-            "comparison": self.comparison,
-        }
+        return dict(zip(self.__slots__, self._fields()), params=dict(self.params))
 
 
 class BenchReport(_Value):
@@ -113,14 +104,7 @@ class BenchReport(_Value):
         return self.oracle_time / self.recurrence_time
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "N": self.N,
-            "repetitions": self.repetitions,
-            "recurrence_time": self.recurrence_time,
-            "oracle_time": self.oracle_time,
-            "ratio": self.ratio,
-        }
+        return dict(zip(self.__slots__, self._fields()), ratio=self.ratio)
 
 
 def _compare_streams(got, want, backend, tolerance, family, params, comparison):

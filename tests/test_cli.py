@@ -14,6 +14,7 @@ from macprod.numerics import GaussianRational, PiLinear, approximate, format_sca
 from macprod.recurrence_core import run
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+INVERSE_SINE = ("arcsin-M", "arccos-M")
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +135,26 @@ class TestCoeffs:
         _, re, im, pi_re, pi_im = lines[1].split(",")
         assert (re, im) == ("1", "0")
         assert format_scalar(PiLinear(1, big)) == f"(1)+({pi_re}{pi_im}i)pi"
+
+    ONES = "1" * 5000
+
+    @pytest.mark.parametrize("a", [ONES, f"1/{ONES}", f"-{ONES}/3"], ids=["int", "1/D", "-N/3"])
+    def test_parameters_past_the_int_digit_limit(self, capsys, a):
+        # scalar text is read past the limit as entries are written past it
+        code, out, err = run_cli(capsys, "coeffs", "--family", "exp-M", f"--a={a}", "--c=1",
+                                 "--p=1", "--count", "3")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["params"]["a"] == a
+        u1 = Fraction(*(int(Decimal(x)) for x in doc["coeffs"][1]["re"].split("/")))
+        assert u1 == 1 + Fraction(*(int(Decimal(x)) for x in a.split("/")))
+
+    @pytest.mark.parametrize("a", [ONES, f"{ONES}/3"], ids=["int", "N/3"])
+    def test_parameters_past_double_in_f64(self, capsys, a):
+        code, out, err = run_cli(capsys, "coeffs", "--family", "exp-M", f"--a={a}", "--c=1",
+                                 "--p=1", "--count", "3", "--backend", "f64")
+        assert (code, out) == (2, "")
+        assert err == f"error: scalar text {a!r} is not finite in f64\n"
 
 
 def _fraction_text(x):
@@ -304,16 +325,37 @@ class TestOverflowMessage:
             ("arcsin-M", ["--a=1/2", "--c=5/4", "--p=1e155"]),
             ("arctanexp-M", ["--a=1/2", "--c=5/4", "--p=1e155"]),
             ("binom-M", ["--a=1", "--c=2", "--p=3", "--theta=1e155"]),
+            ("arccos-M", ["--a=1/2", "--c=5/4", "--p=1e155"]),
         ],
     )
     def test_first_non_finite_coefficient(self, family, flags):
-        proc = subprocess.run(
+        # the inverse-sine products are finite through u_2 = +-p a / c = +-4e154,
+        # and exact u_3 is about -+1.7e464
+        bad = 3 if family in INVERSE_SINE else 2
+        proc = self.coeffs(family, flags, 8)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            f"numeric failure: recurrence produced a non-finite entry at n={bad}\n")
+
+    @pytest.mark.parametrize("family", INVERSE_SINE)
+    def test_inverse_sine_is_finite_up_to_it(self, family):
+        # every f64 route's first steps run in long double, so the inner
+        # sequences, which carry p^2, do not overflow before the product does
+        flags = ["--a=1/2", "--c=5/4", "--p=1e155"]
+        proc = self.coeffs(family, flags, 3)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        got = [complex(r["re"], r["im"]) for r in json.loads(proc.stdout)["coeffs"]]
+        params = {"a": Fraction(1, 2), "c": Fraction(5, 4), "p": Fraction(10**155)}
+        assert got == [complex(approximate(v)) for v in run(build(family, params), 2).coeffs]
+        assert got[2] == (4e154 if family == "arcsin-M" else -4e154)
+
+    @staticmethod
+    def coeffs(family, flags, count):
+        return subprocess.run(
             [sys.executable, "-m", "macprod.cli", "coeffs", "--family", family,
-             "--backend", "f64", "--count", "8", *flags],
+             "--backend", "f64", "--count", str(count), *flags],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=300,
         )
-        assert (proc.returncode, proc.stdout) == (3, "")
-        assert proc.stderr == "numeric failure: recurrence produced a non-finite entry at n=2\n"
 
 
 class TestFloatOutputBytes:
@@ -819,6 +861,21 @@ print(json.dumps([code, sorted(sys.modules)]))
         assert code == 0
         assert f"(default {verify.DEFAULT_TOLERANCE:g})" in " ".join(out.split())
         assert verify.DEFAULT_TOLERANCE is numerics.DEFAULT_TOLERANCE
+
+    def test_f64_builds_load_no_kernels(self):
+        # every f64 route's first steps run in the engine, in long double, so
+        # a build that is not run never loads the stepping loop
+        code = """
+import json, sys
+from macprod.families import build, list_families
+for info in list_families():
+    for p in (0.375, 2.0):  # binom-* at an integer p takes the taps route
+        build(info.id, {k: p if k == "p" else 0.375 for k in info.param_names}, "f64")
+print(json.dumps(sorted(sys.modules)))
+"""
+        modules = self.fresh(code)
+        assert {"numpy", "macprod.recurrence_core"} <= set(modules)
+        assert not {"macprod.kernels", "macprod._kernels_py"} & set(modules)
 
     def test_import_macprod_loads_no_submodule(self):
         code = "import json, sys, macprod; print(json.dumps(sorted(sys.modules)))"

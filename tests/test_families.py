@@ -542,6 +542,12 @@ class TestRoute:
     OTHERS = {"a": Fraction(1, 3), "b": Fraction(1, 5), "c": Fraction(3, 2),
               "theta": Fraction(3, 4)}
 
+    @staticmethod
+    def sets(spec):
+        """The sets of row polynomials an f64 spec steps, one per sequence;
+        an exact spec steps one row."""
+        return spec.polys.shape[0] if spec.backend == "f64" else 1
+
     @pytest.mark.parametrize("p", list(P))
     @pytest.mark.parametrize("backend", ["exact", "f64"])
     @pytest.mark.parametrize("info", list_families(), ids=lambda info: info.id)
@@ -558,16 +564,16 @@ class TestRoute:
             assert (spec.right is None) == (info.h in ("sin", "cos") and p != "complex")
             for branch in (spec.left, spec.right):
                 if branch is not None:
-                    assert (branch.order, branch.interleave, branch.binomial) == (exp_order, 1, ())
+                    assert (branch.order, self.sets(branch), branch.binomial) == (exp_order, 1, ())
             return
         assert isinstance(spec, RecurrenceSpec)
         if f64 and info.h in ("arcsin", "arccos"):
-            assert (spec.order, spec.interleave, spec.binomial) == (11, 4, ())
+            assert (spec.order, self.sets(spec), spec.binomial) == (11, 4, ())
         elif f64 and info.h == "binom" and p in ("zero", "integer"):
             want = (int(self.P[p]), params["theta"])
-            assert (spec.order, spec.interleave, spec.binomial) == (exp_order, 1, want)
+            assert (spec.order, self.sets(spec), spec.binomial) == (exp_order, 1, want)
         else:  # the id's own table, exp-* and arctanexp-* in f64 too
-            assert (spec.order, spec.interleave, spec.binomial) == (info.order, 1, ())
+            assert (spec.order, self.sets(spec), spec.binomial) == (info.order, 1, ())
 
 
 class TestFormulationAgreement:
@@ -693,7 +699,7 @@ class TestFloatRoutes:
         fl = build(family_id, {k: 1 / 3 for k in info.param_names}, "f64")
         if family_id in INVERSE_SINE:  # four coupled sequences, interleaved
             assert isinstance(fl, RecurrenceSpec)
-            assert (fl.order, fl.start, fl.interleave) == (11, 11, 4)
+            assert (fl.order, fl.start, fl.polys.shape[0]) == (11, 11, 4)
         else:
             assert isinstance(fl, ComboSpec)
 

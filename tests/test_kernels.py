@@ -135,11 +135,10 @@ class TestRecurrenceSteps:
             (np.ones((0, 3, 1)), 1),  # no set
             (np.ones((1, 3, 0)), 1),  # no coefficient
             (np.ones((1, 3, 1)), 10),  # u[10] is past the end
+            (np.ones((1, 3, 1)), 0),  # the step at index 0 of order 1 reaches u[-1]
         ):
             with pytest.raises(ValueError):
                 kernels.recurrence_steps(polys, u, n0)
-        with pytest.raises(ValueError):
-            kernels.recurrence_steps(np.ones((1, 3, 1)), u, 1, first=-1)
 
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("sets", [1, 4])
@@ -151,9 +150,9 @@ class TestRecurrenceSteps:
         polys = _random_polys(rng, sets, 4, 3, cplx)
         results = []
         for impl in impls.values():
-            u = np.zeros(305, dtype=np.complex128)
-            u[:5] = [1.0, 0.9, 0.8, 0.7, 0.6]
-            assert kernels.recurrence_steps(polys, u, 4, first=7, impl=impl) is None
+            u = np.zeros(308, dtype=np.complex128)  # the steps from index 7, after 3 zeros
+            u[3:8] = [1.0, 0.9, 0.8, 0.7, 0.6]
+            assert kernels.recurrence_steps(polys, u, 7, impl=impl) is None
             results.append(u)
         assert np.isfinite(results[0]).all()
         assert np.array_equal(results[0].view(np.uint64), results[1].view(np.uint64))
@@ -168,12 +167,12 @@ class TestRecurrenceSteps:
         rows, good = _kernels_py.rows(polys, 5, 6)
         assert good == 6
         for impl in kernels.implementations().values():
-            for j in range(6):
+            for m in range(5, 11):
                 for i in range(4):
-                    u = np.zeros(5, dtype=np.complex128)
-                    u[3 - i] = 1
-                    kernels.recurrence_steps(polys, u, 3, first=5 + j, impl=impl)
-                    assert u[4] == rows[j, i]
+                    u = np.zeros(m + 2, dtype=np.complex128)  # the one step at index m
+                    u[m - i] = 1
+                    kernels.recurrence_steps(polys, u, m, impl=impl)
+                    assert u[m + 1] == rows[m - 5, i]
         assert (rows[1::2, 1] == 0).all()  # set 1 steps m = 6, 8, 10
 
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])

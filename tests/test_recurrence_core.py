@@ -23,6 +23,8 @@ from macprod.recurrence_core import (
     ComboSpec,
     RecurrenceSpec,
     run,
+    step_exact,
+    step_wide,
 )
 from macprod.series_oracle import kummer_series
 from macprod.verify import draw_params
@@ -34,11 +36,11 @@ def gr(num, den=1):
     return G(Fraction(num, den))
 
 
-def f64_spec(order, seeds, polys, interleave=1, **kw):
+def f64_spec(order, seeds, polys, sets=1, **kw):
     """An f64 spec from its row polynomials, one set per sequence:
     P_0, P_1, ..., P_{order+1}, each highest power first (see RecurrenceSpec)."""
-    polys = np.array(polys, dtype=np.longdouble).reshape(interleave, order + 2, -1)
-    return RecurrenceSpec(order, tuple(seeds), polys, "f64", interleave=interleave, **kw)
+    polys = np.array(polys, dtype=np.longdouble).reshape(sets, order + 2, -1)
+    return RecurrenceSpec(order, tuple(seeds), polys, "f64", **kw)
 
 
 def rebuilt(spec, **change):
@@ -132,7 +134,8 @@ class TestF64Parity:
     """The C loop and the numpy fallback evaluate the same row polynomials
     with the same long double operations, so every f64 route (the single
     tables, the combo branches, binom's taps, the interleaved inverse-sine
-    sequences and its prestep, which runs at build) gives the same bits."""
+    sequences) gives the same bits.  Every route's first steps run in long
+    double at build, in one loop that is not the kernel's."""
 
     @staticmethod
     def draws(info):
@@ -199,7 +202,7 @@ class TestSpecKinds:
         # m = 2n from lag 2.  Times 2, as polynomials in m: P_0, lags 0 .. 2
         y0 = [(1, 1), (0, 2), (0, 0), (0, 0)]
         y1 = [(1, 0), (0, 0), (0, 0), (0, 2 * y1_gain)]
-        return f64_spec(2, (1 + 0j, 0j, 0j), [y0, y1], interleave=2)
+        return f64_spec(2, (1 + 0j, 0j, 0j), [y0, y1], sets=2)
 
     def test_interleaved_sequences_return_the_first(self):
         # y0 = cosh z: 1/n! at even n, 0 at odd n
@@ -227,10 +230,9 @@ class TestSpecKinds:
         with pytest.raises(ValueError, match="read-only"):
             stream.coeffs[0] = 0
 
-    def test_interleave_and_binomial_are_f64_only(self):
-        for extra in ({"interleave": 2}, {"binomial": (1, 1)}):
-            with pytest.raises(ValueError, match="f64 specs only"):
-                RecurrenceSpec(1, (gr(1), gr(1)), ONES, "exact", **extra)
+    def test_binomial_is_f64_only(self):
+        with pytest.raises(ValueError, match="f64 specs only"):
+            RecurrenceSpec(1, (gr(1), gr(1)), ONES, "exact", binomial=(1, 1))
 
     def test_f64_specs_step_polys_not_a_row(self):
         ones = f64_spec(1, (1 + 0j, 1 + 0j), [(1,), (1,), (0,)])
@@ -238,7 +240,7 @@ class TestSpecKinds:
             {"polys": None},
             {"polys": ONES},
             {"polys": ones.polys[:, :2]},  # one polynomial short of order 1
-            {"interleave": 2},  # one set of polynomials for two sequences
+            {"polys": ones.polys[0]},  # no axis of sets
         ):
             with pytest.raises(ValueError, match="polys of shape"):
                 rebuilt(ones, **change)
@@ -349,6 +351,16 @@ class TestErrors:
         assert exc.value.index == 7
         assert run(spec, 7).coeffs[-1] == pytest.approx(1 / 720)  # steps n = 1 .. 6 ran
 
+    def test_first_steps_name_the_singular_row(self):
+        # step_wide, which takes an f64 build's first steps, reports a
+        # vanishing row denominator as its exact twin does
+        polys = f64_spec(1, (1.0 + 0j, 1.0 + 0j), [(1, -7), (0, 1), (0, 0)]).polys
+        for step, row, window in ((step_exact, self.OVER_N_MINUS_7, [gr(1), gr(1)]),
+                                  (step_wide, polys, [1.0 + 0j, 1.0 + 0j])):
+            with pytest.raises(SingularIndexError, match="n=7: n-7 vanishes") as exc:
+                step(row, window, 1, 12, (("n-7", (1, -7)),))
+            assert exc.value.index == 7
+
     def test_non_finite_f64(self):
         # u[n+1] = 1e200 u[n]: u_2 = 1e200, u_3 overflows
         spec = f64_spec(1, (1.0 + 0j, 1.0 + 0j), [(1,), (1e200,), (0,)])
@@ -357,14 +369,15 @@ class TestErrors:
         assert exc.value.index == 3
 
     def test_non_finite_seed_f64(self):
-        # the inverse-sine prestep meets an entry beyond double (4 p^2 / m at
-        # m = 4), so the seeds from there on have no value; a run that takes
-        # no step reports them too
-        spec = build("arcsin-M", {"a": 0.5, "c": 1.5, "p": 1e200}, "f64")
+        # the inverse-sine seed y4[0] = p a / c is past double, and the
+        # seeds that read it, through y1[2] (exact u_2 = p a / c), have no
+        # value; a run that takes no step reports them too.  y1[1] = y2[0] +
+        # y3[0] skips lag 0, whose polynomial is zero, so 0 * inf never enters
+        spec = build("arcsin-M", {"a": 1e300, "c": 0.5, "p": 1e10}, "f64")
+        assert run(spec, 1).coeffs.tolist() == [0, 1e10]
         with pytest.raises(NonFiniteError, match="n=2") as exc:
             run(spec, 2)
         assert exc.value.index == 2
-        assert run(spec, 1).coeffs.tolist() == [0, 1e200]
 
     def test_entry_beyond_double_f64(self):
         # u[n+1] = 1e308 n u[n]: the entry is a long double, but not a

@@ -177,8 +177,9 @@ class TestRefereeIndependence:
 
 
 class TestLayering:
-    """The recurrence path and the referee import nothing from each other;
-    ``verify`` is the one module that imports both.  Module-level and
+    """The recurrence path and the referee import nothing from each other
+    but ``kernels``, whose ``convolve`` the oracle uses; ``verify`` is the one
+    module that imports both.  Module-level and
     function-local imports count alike."""
 
     PACKAGE = Path(macprod.__file__).parent
@@ -214,6 +215,9 @@ class TestLayering:
 
     def test_the_oracle_imports_no_recurrence(self):
         assert not self.imports()["series_oracle"] & {"families", "recurrence_core", "verify"}
+
+    def test_the_oracle_shares_only_the_kernels(self):
+        assert self.imports()["series_oracle"] & self.RECURRENCE_PATH == {"kernels"}
 
     def test_verify_alone_imports_both_sides(self):
         both = [module for module, found in self.imports().items()
