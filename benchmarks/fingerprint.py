@@ -21,7 +21,11 @@ type and message in place of the exit code.  The groups are:
   fixed set of error paths (an unknown family, a malformed scalar, a
   ``--``-valued flag, ``--count 0``, ``sin-M`` at c = 2, and f64
   ``arcsin-M`` at p = 1e155 through ``--count 3``, whose u_0 .. u_2 are
-  finite, and ``--count 4``, whose u_3 overflows).  Help texts are
+  finite, and ``--count 4``, whose u_3 overflows), and the top-level
+  parse errors: ``list extra`` and ``verify --seed 1 x`` (unrecognized
+  arguments), ``frobnicate`` (an unknown command), no argv, ``coeffs``
+  with no flags, and ``--x coeffs --family exp-M --count 3`` (an unknown
+  option before the command).  Help texts are
   formatted at ``COLUMNS=80``, which the script sets, so they do not depend
   on the terminal.
 
@@ -126,6 +130,12 @@ def surface_groups() -> dict:
         ["coeffs", "--family", "sin-M", "--a=1/2", "--c=2", "--p=1", "--count", "3"],
         *(["coeffs", "--backend", "f64", "--family", "arcsin-M", "--a=1/2", "--c=5/4",
           "--p=1e155", "--count", count] for count in ("3", "4")),
+        ["list", "extra"],
+        ["verify", "--seed", "1", "x"],
+        ["frobnicate"],
+        [],
+        ["coeffs"],
+        ["--x", "coeffs", "--family", "exp-M", "--count", "3"],
     ]}
 
 

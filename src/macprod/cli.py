@@ -284,7 +284,64 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _coeffs_flags(sub):
+    sub.add_argument("--family", required=True)
+    sub.add_argument("--count", type=int, required=True, help="number of coefficients")
+    sub.add_argument("--backend", choices=("exact", "f64"), default="exact")
+    sub.add_argument("--format", choices=("json", "csv"), default="json")
+    sub.add_argument(
+        "--normalized",
+        action="store_true",
+        help="divide the K/E stream by pi/2 (elliptic families only)",
+    )
+    _add_param_flags(sub)
+
+
+def _eval_flags(sub):
+    sub.add_argument("--family", required=True)
+    sub.add_argument("--z", required=True, metavar="SCALAR")
+    sub.add_argument("--count", type=int, required=True, help="truncation degree N")
+    _add_param_flags(sub)
+
+
+def _verify_flags(sub):
+    sub.add_argument("--seed", type=int, help="sweeps only (default 1)")
+    sub.add_argument("--trials", type=int, help="sweeps only (default 3)")
+    sub.add_argument("--count", type=int, default=40, help="highest index N")
+    sub.add_argument("--backend", choices=("exact", "f64"), default="exact")
+    sub.add_argument(
+        "--tolerance", type=float,
+        help=f"f64 only (default {DEFAULT_TOLERANCE:g})",
+    )
+    sub.add_argument("--family", default=None)
+    _add_param_flags(sub)
+
+
+def _bench_flags(sub):
+    sub.add_argument("--family", required=True)
+    sub.add_argument("--count", type=int, required=True, help="highest index N")
+    sub.add_argument("--reps", type=int, default=3)
+    _add_param_flags(sub)
+
+
+#: each command's help line, flag adder and handler, in the order of the
+#: usage line's choices
+_COMMANDS = {
+    "coeffs": ("emit a coefficient table", _coeffs_flags, cmd_coeffs),
+    "eval": ("Horner-evaluate the truncated sum at z", _eval_flags, cmd_eval),
+    "verify": ("compare recurrences against the oracle", _verify_flags, cmd_verify),
+    "bench": ("time the recurrence vs the oracle (f64)", _bench_flags, cmd_bench),
+    "list": ("print the family catalogue", lambda sub: None, cmd_list),
+}
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser, with every command named but only ``command``'s flags and
+    handler, or every command's when ``command`` is None.  A request whose
+    first token names its command is parsed by that command's subparser
+    alone; the top-level usage line, the command choices and every error
+    come from the same objects either way, so the outputs do not depend on
+    how much was built."""
     parser = argparse.ArgumentParser(
         prog="macprod",
         description=(
@@ -293,55 +350,19 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_coeffs = sub.add_parser("coeffs", help="emit a coefficient table")
-    p_coeffs.add_argument("--family", required=True)
-    p_coeffs.add_argument("--count", type=int, required=True, help="number of coefficients")
-    p_coeffs.add_argument("--backend", choices=("exact", "f64"), default="exact")
-    p_coeffs.add_argument("--format", choices=("json", "csv"), default="json")
-    p_coeffs.add_argument(
-        "--normalized",
-        action="store_true",
-        help="divide the K/E stream by pi/2 (elliptic families only)",
-    )
-    _add_param_flags(p_coeffs)
-    p_coeffs.set_defaults(func=cmd_coeffs)
-
-    p_eval = sub.add_parser("eval", help="Horner-evaluate the truncated sum at z")
-    p_eval.add_argument("--family", required=True)
-    p_eval.add_argument("--z", required=True, metavar="SCALAR")
-    p_eval.add_argument("--count", type=int, required=True, help="truncation degree N")
-    _add_param_flags(p_eval)
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_verify = sub.add_parser("verify", help="compare recurrences against the oracle")
-    p_verify.add_argument("--seed", type=int, help="sweeps only (default 1)")
-    p_verify.add_argument("--trials", type=int, help="sweeps only (default 3)")
-    p_verify.add_argument("--count", type=int, default=40, help="highest index N")
-    p_verify.add_argument("--backend", choices=("exact", "f64"), default="exact")
-    p_verify.add_argument(
-        "--tolerance", type=float,
-        help=f"f64 only (default {DEFAULT_TOLERANCE:g})",
-    )
-    p_verify.add_argument("--family", default=None)
-    _add_param_flags(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_bench = sub.add_parser("bench", help="time the recurrence vs the oracle (f64)")
-    p_bench.add_argument("--family", required=True)
-    p_bench.add_argument("--count", type=int, required=True, help="highest index N")
-    p_bench.add_argument("--reps", type=int, default=3)
-    _add_param_flags(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
-
-    p_list = sub.add_parser("list", help="print the family catalogue")
-    p_list.set_defaults(func=cmd_list)
-
+    for name, (help_text, add_flags, handler) in _COMMANDS.items():
+        p_command = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_flags(p_command)
+            p_command.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level takes no option with a value, so a first token that
+    # names a command is the command
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -877,6 +877,12 @@ def _binomial(info, params, bk):
 _TRIG_HYP = ("sin", "cos", "sinh", "cosh")
 
 
+def _polynomial_power(p) -> bool:
+    """Whether an f64 ``p`` is a nonnegative integer, where (1 - theta z)^p
+    is a polynomial."""
+    return not p.imag and p.real >= 0 and p.real.is_integer()
+
+
 def _route(info, params, bk):
     """The spec of the formulation that serves a request.  This is the one
     place where that is decided:
@@ -902,8 +908,7 @@ def _route(info, params, bk):
         return _mk_branches(info, params, bk)
     if f64 and info.h in ("arcsin", "arccos"):
         return _arcsin_M_interleaved(info, params, bk)
-    p = params.p
-    if f64 and info.h == "binom" and not p.imag and p.real >= 0 and p.real.is_integer():
+    if f64 and info.h == "binom" and _polynomial_power(params.p):
         return _binomial(info, params, bk)
     return _mk_single(info, params, bk)
 
@@ -975,8 +980,12 @@ def disc_radius(info: FamilyInfo, params: Params) -> float:
     ``params``: the smaller of the base's (infinite for M, 1 for F, K and E)
     and the elementary factor's (1/|theta| for binom, 1/|p| for arcsin and
     arccos, 1 for arctanexp at p != 0, whose arctan branches at +-i, and
-    infinite otherwise).  ``FamilyInfo.radius`` is its text."""
+    infinite otherwise).  ``FamilyInfo.radius`` is its text.  binom at a
+    nonnegative integer p is a polynomial times the base, so it has the
+    base's radius there."""
     radius = math.inf if info.base == "M" else 1.0
+    if info.h == "binom" and _polynomial_power(params.p):
+        return radius
     if info.h in ("binom", "arcsin", "arccos"):
         t = abs(params.theta if info.h == "binom" else params.p)
         radius = min(radius, 1 / t if t else math.inf)

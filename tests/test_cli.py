@@ -14,6 +14,7 @@ from macprod.numerics import GaussianRational, PiLinear, approximate, format_sca
 from macprod.recurrence_core import run
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+USAGE = "usage: macprod [-h] {coeffs,eval,verify,bench,list} ...\n"
 INVERSE_SINE = ("arcsin-M", "arccos-M")
 
 
@@ -505,6 +506,28 @@ class TestExitCodes:
         assert cli.main(["coeffs", "--badflag"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, err", [
+        (("list", "extra"), USAGE + "macprod: error: unrecognized arguments: extra\n"),
+        (("verify", "--seed", "1", "x"), USAGE + "macprod: error: unrecognized arguments: x\n"),
+        (("frobnicate",), USAGE + "macprod: error: argument command: invalid choice: "
+         "'frobnicate' (choose from 'coeffs', 'eval', 'verify', 'bench', 'list')\n"),
+        ((), USAGE + "macprod: error: the following arguments are required: command\n"),
+        (("coeffs",),
+         "usage: macprod coeffs [-h] --family FAMILY --count COUNT\n"
+         "                      [--backend {exact,f64}] [--format {json,csv}]\n"
+         "                      [--normalized] [--a SCALAR] [--b SCALAR] [--c SCALAR]\n"
+         "                      [--p SCALAR] [--theta SCALAR]\n"
+         "macprod coeffs: error: the following arguments are required: --family, --count\n"),
+        (("--x", "coeffs", "--family", "exp-M", "--count", "3"),
+         USAGE + "macprod: error: unrecognized arguments: --x\n"),
+    ], ids=["list-extra", "verify-extra", "unknown-command", "no-argv", "coeffs-bare",
+            "option-first"])
+    def test_top_level_parse_errors(self, capsys, monkeypatch, argv, err):
+        # whether the first token names a command or not, the usage line and
+        # the error list all five commands
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_cli(capsys, *argv) == (2, "", err)
+
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -602,6 +625,22 @@ class TestEval:
             assert out.strip()
             assert ("warning" in err) is warned, z
 
+    @pytest.mark.parametrize("family, flags, z, warned", [
+        ("binom-M", ["--a=1/2", "--c=3/2", "--p=2", "--theta=2"], "1", False),
+        ("binom-F", ["--a=1/2", "--b=1/3", "--c=3/2", "--p=0", "--theta=4"], "1/2", False),
+        ("binom-F", ["--a=1/2", "--b=1/3", "--c=3/2", "--p=2", "--theta=4"], "2", True),
+    ])
+    def test_polynomial_binomial_has_the_base_radius(self, capsys, family, flags, z, warned):
+        # at a nonnegative integer p, (1 - theta z)^p is a polynomial, so
+        # 1/|theta| bounds nothing: binom-M is entire, binom-F converges in |z| < 1
+        code, out, err = run_cli(capsys, "eval", "--family", family, *flags, f"--z={z}",
+                                 "--count", "40")
+        assert code == 0
+        assert out.strip()
+        assert ("warning" in err) is warned
+        if warned:
+            assert "(radius 1)" in err
+
     def test_arcsin_outside_branch_point_warns(self, capsys):
         # arcsin(pz) branches at z = 1/p
         code, out, err = run_cli(
@@ -612,6 +651,31 @@ class TestEval:
         assert code == 0
         assert "warning" in err
         assert out.strip()
+
+
+class TestCallOrder:
+    ARGVS = [
+        ["coeffs", "--family", "exp-F", "--a=1/3", "--b=-5/4", "--c=7/5", "--p=3/2",
+         "--count", "6"],
+        ["coeffs", "--backend", "f64", "--format", "csv", "--family", "binom-K", "--p=1/2",
+         "--theta=3/4", "--count", "5"],
+        ["coeffs", "--family", "exp-K", "--p=1", "--count", "4", "--normalized"],
+        ["verify", "--family", "sin-M", "--count", "12"],
+        ["eval", "--family", "exp-M", "--a=0", "--c=3", "--p=1", "--z=1", "--count", "30"],
+        ["list"],
+        ["coeffs", "--help"],
+        ["frobnicate"],
+        [],
+    ]
+
+    def test_each_call_prints_what_it_prints_alone(self, capsys, monkeypatch):
+        # one process, the same argvs forward and then reversed: no call may
+        # depend on what ran before it
+        monkeypatch.setenv("COLUMNS", "80")
+        forward = [run_cli(capsys, *argv) for argv in self.ARGVS]
+        backward = [run_cli(capsys, *argv) for argv in reversed(self.ARGVS)]
+        assert forward == backward[::-1]
+        assert [code for code, _, _ in forward] == [0] * 7 + [2, 2]
 
 
 class TestVerifyCommand:

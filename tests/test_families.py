@@ -958,6 +958,11 @@ class TestMeta:
         assert at("binom-M", a=0.5, c=1.5, p=0.5, theta=0.25) == 4.0
         assert at("binom-F", a=0.5, b=0.5, c=1.5, p=0.5, theta=0.25) == 1.0
         assert at("binom-K", p=0.5, theta=-4.0) == 0.25
+        # (1 - theta z)^p is a polynomial at a nonnegative integer p
+        assert at("binom-M", a=0.5, c=1.5, p=2 + 0j, theta=2 + 0j) == math.inf
+        assert at("binom-F", a=0.5, b=1 / 3, c=1.5, p=0j, theta=4 + 0j) == 1.0
+        assert at("binom-K", p=-1 + 0j, theta=4 + 0j) == 0.25
+        assert at("binom-E", p=2 + 1j, theta=4 + 0j) == 0.25
         assert at("arcsin-M", a=0.5, c=1.5, p=0.5j) == 2.0
         assert at("arccos-M", a=0.5, c=1.5, p=0j) == math.inf
 
