@@ -6,7 +6,8 @@ reports, best of ``--reps``:
 
 * ``build``: ``families.build``;
 * ``rows``: the table evaluations, ``families._integer_rows`` for each
-  branch, which ``build`` contains (it steps the seeds with the rows);
+  branch, which ``build`` contains (the rest of a build is the catalogue's
+  seeds; the run steps from them);
 * ``wrap``: rebuilding the public Gaussian-rational (and pi-linear) values
   from their Fraction parts, which is what materialisation costs;
 * ``step``: ``branches`` minus ``wrap``;

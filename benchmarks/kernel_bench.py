@@ -9,9 +9,10 @@ column is the best of ``--reps``:
 * ``step_<impl>``: ``kernels.recurrence_steps`` on the row polynomials of
   each branch ``run`` steps (a combo's two, or the left one of a one-branch
   combo, whose right branch is its conjugate), one call per branch over all
-  its steps, row evaluation and stepping as one layer, for each
-  implementation in ``kernels.implementations()`` (``python``, and
-  ``compiled`` when the C loop could be built);
+  its steps from u_k (the run's first steps, in long double, are not
+  timed), row evaluation and stepping as one layer, for each implementation
+  in ``kernels.implementations()`` (``python``, and ``compiled`` when the C
+  loop could be built);
 * ``run``: ``recurrence_core.run`` on the built f64 spec: rows, stepping and
   whatever the spec's route adds (the interleaved sequences of ``arcsin-M``,
   the binomial taps of ``binom-F`` at an integer p);
@@ -68,9 +69,13 @@ def _step_layers(spec, N: int) -> dict:
     """``step_<impl>`` for every implementation, over the branches ``run`` steps."""
     steps = []
     for b in branches(spec):
-        u = np.zeros(len(b.polys) * N + 1, dtype=np.complex128)  # each call rewrites u[start+1:]
-        u[: b.start + 1] = b.seeds
-        steps.append((b.polys, u, b.start))
+        # u_0 .. u_k as a run has them before the kernel: the seeds, then
+        # the first steps in long double (u below 0 is 0)
+        k = b.order
+        u = np.zeros(len(b.polys) * N + 1, dtype=np.complex128)  # each call rewrites u[k+1:]
+        window = ([0j] * k + list(b.seeds))[-k - 1:]
+        u[: k + 1] = list(b.seeds) + recurrence_core.step_wide(b.polys, window, b.start, k)
+        steps.append((b.polys, u, k))
     return {
         f"step_{name}": lambda impl=impl: [
             kernels.recurrence_steps(polys, u, n0, impl=impl) for polys, u, n0 in steps

@@ -16,11 +16,12 @@ Nothing is derived from the convolution oracle, and nothing here imports
 it, not even the elliptic parameters, so :mod:`macprod.verify` can use the
 oracle as an independent referee.
 
-A family keeps only u_0 (exp, binom, arctanexp) or u_0 and u_1 (trig/hyp,
-arcsin, arccos); the builder steps the table to the catalogued start index,
-with u at negative indices taken as 0.  That is possible because at an
-admissible c, P_0(n+1) vanishes at no n >= 0 for a first-order h and only
-at n = 0 for sin and arcsin.  Four identities let one table serve several
+A spec keeps only the catalogue's seeds, u_0 (exp, binom, arctanexp) or
+u_0 and u_1 (trig/hyp, arcsin, arccos), and the engine steps the table from
+there, with u at negative indices taken as 0.  That is possible because at
+an admissible c, P_0(n+1) = (n+1)(c+n) of a first-order h vanishes at no
+n >= 0, and (c-2) c n (n+1) (c+n-1) (c+n) of sin and arcsin only at n = 0,
+the step to the seed u_1.  Four identities let one table serve several
 products:
 
 * cos(pz) solves the ODE of sin(pz), and arccos(pz) = pi/2 - arcsin(pz)
@@ -52,9 +53,8 @@ get the integer row polynomials the exact engine steps.  f64 builds
 parameter is) and hand the row polynomials to the f64 kernel, which
 evaluates each row in long double as it steps, so each entry is its
 correctly rounded double but for rare near-ties where long double is wider
-than double (x87's is).  Every f64 route's first steps, up to its last seed,
-run in long double as well (``recurrence_core.step_wide``): at small n a
-step can cancel.
+than double (x87's is).  The engine runs every f64 route's first steps in
+long double as well: at small n a step can cancel.
 
 One rule (``_family``) makes every catalogue row from its base, h and
 formulation, and one router (``_route``) decides which formulation serves a
@@ -69,9 +69,8 @@ nonnegative integer p is the exp-X stream at p = 0 convolved with the
 coefficients of (1 - theta z)^p, of which a run forms the min(p, N) + 1 it
 reads.  Only the exp, binom and arctanexp tables are evaluated in f64.
 
-Builds are pure, and the returned specs are immutable plain data: the
-row polynomials, the seeds, and the factors of the row denominator as named
-polynomials in n (``_den``), so a spec pickles.
+Builds are pure, and the returned specs are immutable plain data, the row
+polynomials and the seeds, so a spec pickles.
 """
 
 from __future__ import annotations
@@ -148,7 +147,10 @@ class FamilyInfo(_Value):
 
     @property
     def start(self) -> int:
-        """The start index n0: a build steps its seeds up to u_k, k the order."""
+        """The start index n0 that ``list`` shows: the order k, the first n
+        whose step reads k + 1 entries from u_0 on.  A spec holds only the
+        catalogue's seeds, u_0 or u_0 and u_1, and its run steps them up to
+        u_k with u at negative indices taken as 0."""
         return self.order
 
 
@@ -667,12 +669,13 @@ def _arcsin_M_interleaved(info, params, bk):
     4, its denominator is 4n = m + 1 - j (j = 0, 1) or 4(n + c) =
     m + 1 - j + 4c (j = 2, 3), and its numerators are constants or p^2 times
     a degree-1 form in m: one set of polynomials (P_0, then lags 0 .. 11,
-    as (slope, constant)) per sequence; the spec's seeds are u_0..u_11,
-    stepped from the entries at n = 0 like every f64 route's first steps.
+    as (slope, constant)) per sequence.  The spec's seeds are the four
+    entries at n = 0, stream entries 0 .. 3; P_0, 4n or 4(n + c), never
+    vanishes past them.
     """
     import numpy as np
 
-    from .recurrence_core import RecurrenceSpec, step_wide
+    from .recurrence_core import RecurrenceSpec
 
     a, c, p = params.a, params.c, params.p
     s0, g0 = _h01(info.h, p, bk)
@@ -687,9 +690,7 @@ def _arcsin_M_interleaved(info, params, bk):
     P[3, 0], P[3, 2], P[3, 4] = (1, 4 * C - 2), (0, 4 * A), (0, 4)
     P[3, 8], P[3, 10], P[3, 12] = (p2, p2 * (4 * C - 6)), (0, -4 * A * p2), (0, -4 * p2)
     P.flags.writeable = False
-    seeds = [s0, g0, s0 * a / c, g0 * a / c]
-    seeds += step_wide(P, [0j] * 8 + seeds, 3, 11)  # its P_0, 4n or 4(n + c), never vanishes
-    return RecurrenceSpec(11, tuple(seeds), P, bk.name)
+    return RecurrenceSpec(11, (s0, g0, s0 * a / c, g0 * a / c), P, bk.name)
 
 
 # ---------------------------------------------------------------------------
@@ -755,23 +756,6 @@ def _order(name):
     return len(_OPERATORS[name]) - 3  # the first entry names the variables
 
 
-def _den(h, values):
-    """The named factors of P_0(n+1) for the table of ``h`` at the table
-    ``values``, each a polynomial in n (highest power first), for the
-    singular-index message."""
-    c = values["c"]
-    if h not in _SECOND_ORDER:
-        return (("n+1", (1, 1)), ("c+n", (1, c)))
-    return (
-        ("c-2", (c - 2,)),
-        ("c", (c,)),
-        ("n", (1, 0)),
-        ("n+1", (1, 1)),
-        ("c+n-1", (1, c - 1)),
-        ("c+n", (1, c)),
-    )
-
-
 def _values(info, params, bk):
     """The table variables of a family: a, b, c (the F table's fixed values
     for K and E), p, theta, and for the sin and arcsin tables w, the signed
@@ -805,37 +789,29 @@ def _seeds(info, values, bk):
     return [h0, h1 + h0 * m1]
 
 
-def _spec(info, bk, name, values, seeds, den):
-    """A single recurrence from operator ``name`` at ``values``: the seeds
-    u_0 (u_1) are stepped by the table to u_k, with u below 0 taken as 0,
-    and the run steps on from there.  K and E seeds carry pi/2."""
-    from .recurrence_core import RecurrenceSpec, step_exact, step_wide
+def _spec(info, bk, name, values, seeds):
+    """A single recurrence from operator ``name`` at ``values``, seeded with
+    the catalogue's u_0 (u_1); K and E seeds carry pi/2."""
+    from .recurrence_core import RecurrenceSpec
 
-    k = _order(name)
     if info.base in _ELLIPTIC_ABC:
         seeds = [bk.half_pi() * bk.coerce(s) for s in seeds]
-    seeds = [bk.coerce(s) for s in seeds]
-    n0 = len(seeds) - 1
-    if bk.name == "exact":
-        polys, step = _integer_rows(name, values), step_exact
-    else:  # the first steps in long double too: at small n a step can cancel
-        polys, step = _float_polys(name, values), step_wide
-    seeds += step(polys, [bk.zero()] * (k - n0) + seeds, n0, k, den)
-    return RecurrenceSpec(k, tuple(seeds), polys, bk.name, den)
+    polys = _integer_rows(name, values) if bk.name == "exact" else _float_polys(name, values)
+    return RecurrenceSpec(_order(name), tuple(bk.coerce(s) for s in seeds), polys, bk.name)
 
 
 def _mk_single(info, params, bk):
     """The family's own table, stepped from its u_0 (u_1)."""
     values = _values(info, params, bk)
     name = _table(info.h, info.base)
-    return _spec(info, bk, name, values, _seeds(info, values, bk), _den(info.h, values))
+    return _spec(info, bk, name, values, _seeds(info, values, bk))
 
 
 def _exp_spec(info, params, bk, p):
     """The base's exp-X recurrence at frequency p."""
     values = dict(_values(info, params, bk), p=p)
     name = _table("exp", info.base)
-    return _spec(info, bk, name, values, [bk.one()], _den("exp", values))
+    return _spec(info, bk, name, values, [bk.one()])
 
 
 #: how the branches exp(+-pz) (sinh, cosh) or exp(+-ipz) (sin, cos) combine
@@ -870,7 +846,7 @@ def _binomial(info, params, bk):
     from .recurrence_core import RecurrenceSpec
 
     base = _exp_spec(info, params, bk, bk.zero())
-    return RecurrenceSpec(base.order, base.seeds, base.polys, base.backend, base.den_factors,
+    return RecurrenceSpec(base.order, base.seeds, base.polys, base.backend,
                           binomial=(int(params.p.real), params.theta))
 
 

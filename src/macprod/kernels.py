@@ -17,8 +17,8 @@ Lags whose polynomial is zero are skipped.  The loop stops only at the
 first index whose denominator vanishes.  A row entry or value past double
 becomes inf or NaN and is stepped on, so every value that reads it is not
 finite either; the caller's one finiteness check of the output reports it.
-Its one caller, ``recurrence_core._run_f64``, steps a spec from its last
-seed: the steps before it run in long double when the spec is built.
+Its one caller, ``recurrence_core._run_f64``, steps a spec from u_k, k
+the order: it takes the steps before that in long double itself.
 
 The loop is compiled with the system C compiler on first use, never at
 import, and cached as ``__pycache__/_step-<sha256 of the source>.<platform>.so``

@@ -84,10 +84,9 @@ class ParameterDomainError(ValueError):
 class SingularIndexError(ArithmeticError):
     """A recurrence row denominator vanished at some index n."""
 
-    def __init__(self, message, index=None, factor=None):
+    def __init__(self, message, index=None):
         super().__init__(message)
         self.index = index
-        self.factor = factor
 
 
 def _frac(value) -> Fraction:

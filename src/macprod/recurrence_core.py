@@ -2,10 +2,12 @@
 
 A :class:`RecurrenceSpec` describes u[n+1] = sum_{i=0}^{k} row(n)[i] * u[n-i]
 for n >= n0, started from the seed values u[0..n0]; n0 is the last seed's
-index.  It is plain data: the row is given as polynomials in n
+index, and u at negative indices is 0, so the seeds may stop below the
+order k (the families' seeds are the catalogue's u_0, or u_0 and u_1).  A
+spec is plain data: the row is given as polynomials in n
 (``RecurrenceSpec.polys``), each entry a numerator polynomial over one
-denominator polynomial, and the factors of that denominator are named
-polynomials too, for the message that reports a singular row.
+denominator polynomial; a step whose row denominator vanishes is reported
+at its n (``SingularIndexError``).
 
 The exact path has the polynomials in integers: the families evaluate each
 product operator in integers, every entry over the one denominator
@@ -22,10 +24,10 @@ two rational streams (the K and E streams are pi/2 times a rational stream,
 arccos-M is rational + pi * rational), so :class:`PiLinear` never enters
 the loop, and a stream whose seeds are all zero is not stepped.
 
-The f64 path takes a spec's first steps, through its last seed, in long
-double when the spec is built (``step_wide``: at small n a step can cancel),
-and hands the long double row polynomials and the rest of the stream to one
-call of ``kernels.recurrence_steps``, which evaluates each row and steps it,
+The f64 path takes a spec's first steps, from its last seed through u_k,
+in long double (``step_wide``: at small n a step can cancel), and hands the
+long double row polynomials and the rest of the stream to one call of
+``kernels.recurrence_steps``, which evaluates each row and steps it,
 and reports the first index whose row denominator vanishes.  Any other
 failure is an entry or value past double, which IEEE arithmetic carries as
 inf or NaN into every value computed from it, so one finiteness check of the
@@ -108,6 +110,10 @@ def _integer_row(polys, order: int) -> bool:
 class RecurrenceSpec(_Record):
     """Order, seeds u_0 .. u_n0, and the row as polynomials in the step index n.
 
+    The seeds are nonempty, and may stop below the order: u at negative
+    indices is 0.  The start index n0 is derived: the last seed's index,
+    ``len(seeds) - 1``.
+
     ``polys`` is the row.  Exact: the pair ``(den, terms)`` in integers,
     entry i being num_i(n) / den(n), ``terms`` holding ``(i, num_i)`` for the
     nonzero entries, and each polynomial a pair (real part, imaginary part)
@@ -117,28 +123,19 @@ class RecurrenceSpec(_Record):
     highest power first, entry i being P_{i+1}(n) / P_0(n) (see
     ``kernels.recurrence_steps``).
 
-    ``den_factors`` names the factors of the row denominator, each as
-    ``(name, polynomial in n)`` with the coefficients highest power first,
-    for example ``(("n+1", (1, 1)), ("c+n", (1, c)))``; a singular row is
-    reported with the names of those that vanish.
-
-    The start index n0 is derived: the last seed's index, ``len(seeds) - 1``.
-
     f64 only: with s sets of polynomials the stream holds s sequences, entry
     s*n + j being entry n of sequence j, and the run returns sequence 0;
     with ``binomial`` = (p, theta), p a nonnegative integer, it returns the
     stream convolved with the coefficients of (1 - theta z)^p, cut at u_N.
     """
 
-    __slots__ = ("order", "seeds", "polys", "backend", "den_factors", "binomial")
+    __slots__ = ("order", "seeds", "polys", "backend", "binomial")
 
-    def __init__(self, order: int, seeds: tuple, polys, backend: str, den_factors: tuple = (),
-                 binomial: tuple = ()):
+    def __init__(self, order: int, seeds: tuple, polys, backend: str, binomial: tuple = ()):
         _set(self, "order", order)
         _set(self, "seeds", seeds)
         _set(self, "polys", polys)
         _set(self, "backend", backend)
-        _set(self, "den_factors", den_factors)
         _set(self, "binomial", binomial)
         if self.order < 1:
             raise ValueError("recurrence order must be positive")
@@ -158,11 +155,8 @@ class RecurrenceSpec(_Record):
                 "an exact spec steps the integer row polys = (den, terms), "
                 "terms holding (i, num_i) for 0 <= i <= order"
             )
-        if self.start < self.order:
-            raise ValueError(
-                f"start index {self.start} (seeds u_0..u_{self.start}) below order "
-                f"{self.order}: the first step would reach before u_0"
-            )
+        if not self.seeds:
+            raise ValueError("a recurrence needs at least one seed, u_0")
 
     @property
     def start(self) -> int:
@@ -201,13 +195,9 @@ class ComboSpec(_Record):
         return self.left.backend
 
 
-def _singular(den_factors, n: int):
-    names = ", ".join(name for name, poly in den_factors if not _horner(poly, n)) or None
-    raise SingularIndexError(
-        f"recurrence row is singular at n={n}: {names or 'a row denominator'} vanishes",
-        index=n,
-        factor=names,
-    )
+def _singular(n: int):
+    raise SingularIndexError(f"recurrence row is singular at n={n}: its denominator vanishes",
+                             index=n)
 
 
 def _horner(poly, x):
@@ -218,7 +208,7 @@ def _horner(poly, x):
     return acc
 
 
-def _stream(polys, window: list, n0: int, N: int, den_factors):
+def _stream(polys, window: list, n0: int, N: int):
     """u_{n0+1} .. u_N of one Gaussian-rational stream from the window
     u_{n0-k} .. u_{n0}, stepped over the integer row ``polys``, as integer
     numerators of the real and imaginary parts (None for a real stream) and
@@ -259,7 +249,7 @@ def _stream(polys, window: list, n0: int, N: int, den_factors):
         if f:  # x / (e + fi) = x (e - fi) / (e^2 + f^2)
             xr, xi, m = xr * m + xi * f, xi * m - xr * f, m * m + f * f
         elif not m:
-            _singular(den_factors, n)
+            _singular(n)
         g = math.gcd(m, xr, xi)
         if g > 1:
             m, xr, xi = m // g, xr // g, xi // g
@@ -286,7 +276,7 @@ def _values(stream, part=None) -> list:
     return list(map(GaussianRational, map(Fraction, re, dens), map(Fraction, im, dens)))
 
 
-def step_exact(polys, window: list, n0: int, N: int, den_factors=(), part=None) -> list:
+def step_exact(polys, window: list, n0: int, N: int, part=None) -> list:
     """u_{n0+1} .. u_N from the window u_{n0-k} .. u_{n0} of exact scalars,
     stepped over the integer row ``polys`` (see :class:`RecurrenceSpec`).
     With ``part`` ("re" or "im"), for a window without pi, only the
@@ -305,7 +295,7 @@ def step_exact(polys, window: list, n0: int, N: int, den_factors=(), part=None) 
         live[0] = True
     zero = _ZERO if part is None else _FRACTION_ZERO
     streams = [
-        _values(_stream(polys, p, n0, N, den_factors), part) if on else [zero] * (N - n0)
+        _values(_stream(polys, p, n0, N), part) if on else [zero] * (N - n0)
         for p, on in zip(parts, live)
     ]
     if pi:
@@ -313,7 +303,7 @@ def step_exact(polys, window: list, n0: int, N: int, den_factors=(), part=None) 
     return streams[0]
 
 
-def step_wide(polys, window: list, n0: int, N: int, den_factors=()) -> list:
+def step_wide(polys, window: list, n0: int, N: int) -> list:
     """u_{n0+1} .. u_N from the window u_{n0-k} .. u_{n0} of f64 scalars,
     stepped in long double over the row ``polys`` (see :class:`RecurrenceSpec`)
     and rounded once.  Step n reads set (n + 1) % sets and sums, in ascending
@@ -329,10 +319,16 @@ def step_wide(polys, window: list, n0: int, N: int, den_factors=()) -> list:
             P, lags = sets[(n + 1) % len(sets)]
             d = _horner(P[0], n)
             if not d:
-                _singular(den_factors, n)
+                _singular(n)
             wide.append(sum(_horner(P[i + 1], n) / d * wide[n - i + k - n0]
                             for i in lags if i <= n))
     return [complex(s) for s in wide[k + 1:]]
+
+
+def _window(spec: RecurrenceSpec, zero) -> list:
+    """u_{n0-k} .. u_{n0}, n0 the last seed's index: the seeds, ``zero`` at
+    negative indices."""
+    return ([zero] * spec.order + list(spec.seeds))[-spec.order - 1:]
 
 
 def _run_generic(spec: RecurrenceSpec, N: int, part=None) -> list:
@@ -344,8 +340,7 @@ def _run_generic(spec: RecurrenceSpec, N: int, part=None) -> list:
                   for v in values]
     if N <= spec.start:
         return values
-    window = list(spec.seeds[spec.start - spec.order:])
-    return values + step_exact(spec.polys, window, spec.start, N, spec.den_factors, part)
+    return values + step_exact(spec.polys, _window(spec, _ZERO), spec.start, N, part)
 
 
 def _run_f64(spec: RecurrenceSpec, N: int):
@@ -357,16 +352,19 @@ def _run_f64(spec: RecurrenceSpec, N: int):
     M = s * N  # the stream index of u_N
     u = np.zeros(M + 1, dtype=np.complex128)
     u[: n0 + 1] = spec.seeds[: M + 1]  # the seeds through u_M
-    if M > n0:
-        bad = kernels.recurrence_steps(spec.polys, u, n0)
+    # the first steps, through u_k, in long double: at small n a step can cancel
+    wide = max(n0, min(M, spec.order))
+    u[n0 + 1: wide + 1] = step_wide(spec.polys, _window(spec, 0j), n0, wide)
+    if M > wide:
+        bad = kernels.recurrence_steps(spec.polys, u, wide)
         if bad is not None:
-            _singular(spec.den_factors, bad)
+            _singular(bad)
     if s > 1:
         u = u[::s].copy()
     if spec.binomial:
         with np.errstate(all="ignore"):  # taps past double are inf or NaN: reported below
             u = np.convolve(u, _binomial_taps(*spec.binomial, N))[: N + 1]
-    _finite_or_raise(u, "recurrence")  # seeds too: a build's first steps can overflow
+    _finite_or_raise(u, "recurrence")  # seeds and long double steps too
     return u
 
 

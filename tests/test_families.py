@@ -29,7 +29,7 @@ from macprod.numerics import (
     approximate,
     get_backend,
 )
-from macprod.recurrence_core import ComboSpec, RecurrenceSpec
+from macprod.recurrence_core import ComboSpec, RecurrenceSpec, run
 from macprod.series_oracle import (
     Elementary,
     cauchy_product,
@@ -169,10 +169,13 @@ class TestCatalogue:
 
     @pytest.mark.parametrize("info", list_families(), ids=lambda info: info.id)
     def test_exact_spec_shape_matches_catalogue(self, info):
+        # a spec holds only the catalogue's seeds: u_0, or u_0 and u_1 for
+        # a second-order h's own table; a combo's branches are exp tables
         spec = build(info.id, {k: Fraction(1, 3) for k in info.param_names})
         branches = (spec.left, spec.right) if isinstance(spec, ComboSpec) else (spec,)
+        seeds = 2 if info.formulation == "single" and info.h in SECOND_ORDER else 1
         for s in (b for b in branches if b is not None):
-            assert (s.order, s.start) == (info.order, info.start)
+            assert (s.order, len(s.seeds)) == (info.order, seeds)
 
     def test_unknown_family(self):
         with pytest.raises(CatalogueError):
@@ -180,7 +183,8 @@ class TestCatalogue:
 
     def test_builder_wrappers(self):
         spec = build_M_family("exp", "single", {"a": 1, "c": 2, "p": 1})
-        assert spec.seeds == (gr(1), gr(3, 2))
+        assert spec.seeds == (gr(1),)
+        assert run(spec, 1).coeffs == (gr(1), gr(3, 2))
         combo = build_F_family("sin", "combo", {"a": 1, "b": 1, "c": 1, "p": 1})
         assert isinstance(combo, ComboSpec)
         ell = build_elliptic_family("K", "exp", {"p": 1})
@@ -218,40 +222,54 @@ class TestValidation:
 
 
 class TestSeeds:
+    """A spec's seeds are the catalogue's u_0 (u_1); the run steps the
+    table's first entries from them."""
+
+    @staticmethod
+    def head(family_id, params):
+        """The spec's seeds, and u_0 .. u_k of its run, k the order."""
+        spec = build(family_id, params)
+        return spec.seeds, run(spec, spec.order).coeffs
+
     def test_exp_M(self):
-        spec = build("exp-M", {"a": 1, "c": 2, "p": 1})
-        assert spec.seeds == (gr(1), gr(3, 2))
+        seeds, head = self.head("exp-M", {"a": 1, "c": 2, "p": 1})
+        assert seeds == (gr(1),)
+        assert head == (gr(1), gr(3, 2))
 
     def test_exp_F(self):
-        spec = build("exp-F", {"a": 1, "b": 1, "c": 1, "p": 1})
-        assert spec.seeds == (gr(1), gr(2), gr(5, 2))
+        seeds, head = self.head("exp-F", {"a": 1, "b": 1, "c": 1, "p": 1})
+        assert seeds == (gr(1),)
+        assert head == (gr(1), gr(2), gr(5, 2))
 
     def test_arcsin_at_zero_a_matches_classical_series(self):
         p = gr(1)
-        spec = build("arcsin-M", {"a": 0, "c": Fraction(3, 2), "p": 1})
+        seeds, head = self.head("arcsin-M", {"a": 0, "c": Fraction(3, 2), "p": 1})
         series = elementary_series(Elementary("arcsin", p=p), 11)
-        assert spec.seeds == series.coeffs
-        assert spec.seeds[5] == gr(3, 40)
-        assert spec.seeds[7] == gr(5, 112)
-        assert spec.seeds[9] == gr(35, 1152)
-        assert spec.seeds[11] == gr(63, 2816)
+        assert seeds == (gr(0), gr(1))
+        assert head == series.coeffs
+        assert head[5] == gr(3, 40)
+        assert head[7] == gr(5, 112)
+        assert head[9] == gr(35, 1152)
+        assert head[11] == gr(63, 2816)
 
     def test_exp_K_normalized_values(self):
-        spec = build("exp-K", {"p": 1})
+        seeds, head = self.head("exp-K", {"p": 1})
         half_pi = EXACT.half_pi()
-        assert spec.seeds[0] == half_pi
-        assert spec.seeds[1] == half_pi * gr(5, 4)
-        assert spec.seeds[2] == half_pi * gr(57, 64)
+        assert seeds == (half_pi,)
+        assert head[0] == half_pi
+        assert head[1] == half_pi * gr(5, 4)
+        assert head[2] == half_pi * gr(57, 64)
 
     def test_binom_K_u1(self):
         for theta, p in ((gr(1), gr(1)), (gr(2, 3), gr(-1, 2))):
-            spec = build("binom-K", {"p": p.re, "theta": theta.re})
+            seeds, head = self.head("binom-K", {"p": p.re, "theta": theta.re})
             half_pi = EXACT.half_pi()
-            assert spec.seeds[1] == half_pi * ((1 - 4 * theta * p) / 4)
+            assert seeds == (half_pi,)
+            assert head[1] == half_pi * ((1 - 4 * theta * p) / 4)
 
     def test_exp_E_u1_at_zero_p(self):
-        spec = build("exp-E", {"p": 0})
-        assert spec.seeds[1] == EXACT.half_pi() * gr(-1, 4)
+        seeds, head = self.head("exp-E", {"p": 0})
+        assert head[1] == EXACT.half_pi() * gr(-1, 4)
 
 
 def _assert_oracle_equal(family_id, params, N):
@@ -272,6 +290,8 @@ KNOWN_DEVIATING = ()
 
 #: the two families that share the order-11 arcsin-M row
 INVERSE_SINE = ("arcsin-M", "arccos-M")
+#: the elementary kinds whose own table is second order, seeded with u_0 and u_1
+SECOND_ORDER = ("sin", "cos", "sinh", "cosh", "arcsin", "arccos")
 
 
 class TestOracleEquality:
@@ -451,7 +471,6 @@ class TestReplacedTable:
     )
     def test_both_backends_step_the_replaced_table(self, name, monkeypatch):
         from macprod import families
-        from macprod.recurrence_core import run
 
         params = {k: self.VALUES[k] for k in get_family(name).param_names}
 
@@ -515,22 +534,28 @@ class TestPlan:
 
 
 class TestSingularRows:
-    """Past the validator a row can vanish; the table's stepped seeds say where."""
+    """The validator rejects every c at which P_0(n+1) vanishes for some
+    n past the seeds; a spec built around it reports the row where its run
+    meets it, at the n where the factor c + n is 0."""
 
     @pytest.mark.parametrize(
-        "family_id, c, index, factor",
-        [("arctanexp-M", -2, 2, "c+n"), ("sin-M", -3, 3, "c+n"), ("cos-F", -3, 3, "c+n")],
+        "family_id, c, index",
+        [("arctanexp-M", -2, 2), ("sin-M", -3, 3), ("cos-F", -3, 3)],
     )
-    def test_stepped_seed_names_the_vanishing_factor(self, family_id, c, index, factor):
+    def test_run_past_the_validator_reports_the_singular_index(self, family_id, c, index):
         from macprod import families
 
         info = get_family(family_id)
         params = Params(
             **{k: Fraction(c) if k == "c" else Fraction(1, 3) for k in info.param_names}
         )
+        with pytest.raises(ParameterDomainError, match="c must not be"):
+            build(family_id, params)
+        spec = families._route(info, params, EXACT)  # around the validator
+        assert len(run(spec, index).coeffs) == index + 1
         with pytest.raises(SingularIndexError, match=f"n={index}") as exc:
-            families._route(info, params, EXACT)
-        assert (exc.value.index, exc.value.factor) == (index, factor)
+            run(spec, index + 1)
+        assert exc.value.index == index
 
 
 class TestRoute:
@@ -695,11 +720,12 @@ class TestFloatRoutes:
         params = {k: Fraction(1, 3) for k in info.param_names}
         exact = build(family_id, params)
         assert isinstance(exact, RecurrenceSpec)
-        assert (exact.order, exact.start) == (info.order, info.start)
+        assert (exact.order, len(exact.seeds)) == (info.order, 2)  # u_0 and u_1
         fl = build(family_id, {k: 1 / 3 for k in info.param_names}, "f64")
         if family_id in INVERSE_SINE:  # four coupled sequences, interleaved
             assert isinstance(fl, RecurrenceSpec)
-            assert (fl.order, fl.start, fl.polys.shape[0]) == (11, 11, 4)
+            # the seeds are the four sequences' entries at n = 0
+            assert (fl.order, len(fl.seeds), fl.polys.shape[0]) == (11, 4, 4)
         else:
             assert isinstance(fl, ComboSpec)
 
@@ -892,7 +918,8 @@ class TestFloatFidelity:
                 for n in range(spec.start, 200)
             ]
             pairs = [(got[i, j], w[i]) for j, w in enumerate(want) for i in range(len(w))]
-            pairs += [(x, approximate(y)) for x, y in zip(spec.seeds, exact.seeds)]
+            heads = (run(s, info.order).coeffs for s in (spec, exact))  # seeds and first steps
+            pairs += [(x, approximate(y)) for x, y in zip(*heads)]
             for x, y in pairs:
                 assert abs(x - y) <= 2.3e-16 * abs(y)
             same += sum(x == y for x, y in pairs)

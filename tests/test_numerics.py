@@ -242,16 +242,15 @@ RECORDS = [
      "FamilyInfo(id='binom-F', base='F', h='binom', formulation='single', order=2, "
      "radius='min(1,1/|theta|)', param_names=('a', 'b', 'c', 'p', 'theta'), "
      "c_excludes_2=False)"),
-    (RecurrenceSpec, (1, (_G(1), _G(Fraction(1, 2))), _ONES, "exact", (("n+1", (1, 1)),)),
+    (RecurrenceSpec, (1, (_G(1), _G(Fraction(1, 2))), _ONES, "exact"),
      "RecurrenceSpec(order=1, seeds=(GaussianRational(Fraction(1, 1), Fraction(0, 1)), "
      "GaussianRational(Fraction(1, 2), Fraction(0, 1))), "
-     "polys=(((1,), (0,)), ((0, ((1,), (0,))),)), backend='exact', "
-     "den_factors=(('n+1', (1, 1)),), binomial=())"),
+     "polys=(((1,), (0,)), ((0, ((1,), (0,))),)), backend='exact', binomial=())"),
     (ComboSpec, (RecurrenceSpec(1, (_G(1), _G(0, 1)), _ONES, "exact"), None, "(u-v)/(2i)"),
      "ComboSpec(left=RecurrenceSpec(order=1, seeds=(GaussianRational(Fraction(1, 1), "
      "Fraction(0, 1)), GaussianRational(Fraction(0, 1), Fraction(1, 1))), "
-     "polys=(((1,), (0,)), ((0, ((1,), (0,))),)), backend='exact', den_factors=(), "
-     "binomial=()), right=None, combiner='(u-v)/(2i)')"),
+     "polys=(((1,), (0,)), ((0, ((1,), (0,))),)), backend='exact', binomial=()), "
+     "right=None, combiner='(u-v)/(2i)')"),
     (Elementary, ("binom", Fraction(1, 2), -2),
      "Elementary(kind='binom', p=Fraction(1, 2), theta=-2)"),
     (DeviationReport, ("exp-F", (("a", "1/3"), ("p", "3/2")), 40, "exact", 0.0, 0.0, None,

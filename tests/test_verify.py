@@ -224,6 +224,22 @@ class TestLayering:
                 if "series_oracle" in found and found & self.RECURRENCE_PATH]
         assert both == ["verify"]
 
+    def test_families_take_only_the_spec_types_from_the_engine(self):
+        # a build states the catalogue's seeds and rows; every step is the
+        # engine's, so families imports none of its steppers
+        names = set()
+        for node in ast.walk(ast.parse((self.PACKAGE / "families.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                if (node.module or "").endswith("recurrence_core"):
+                    names.update(alias.name for alias in node.names)
+                else:  # from . import recurrence_core
+                    names.update(alias.name for alias in node.names
+                                 if alias.name == "recurrence_core")
+            elif isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names
+                             if alias.name.endswith("recurrence_core"))
+        assert names == {"RecurrenceSpec", "ComboSpec"}
+
     def test_the_reader_sees_function_local_imports(self):
         imports = self.imports()
         assert "recurrence_core" in imports["families"]  # imported inside _spec
