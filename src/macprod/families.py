@@ -67,7 +67,9 @@ products, interleaved into one order-11 recurrence with one set of
 polynomials per sequence, which the f64 kernel steps.  binom at a
 nonnegative integer p is the exp-X stream at p = 0 convolved with the
 coefficients of (1 - theta z)^p, of which a run forms the min(p, N) + 1 it
-reads.  Only the exp, binom and arctanexp tables are evaluated in f64.
+reads; at any other p with |theta| > 1, where binom's own table loses its
+digits, the same convolution runs with N + 1 coefficients.  Only the exp,
+binom and arctanexp tables are evaluated in f64.
 
 Builds are pure, and the returned specs are immutable plain data, the row
 polynomials and the seeds, so a spec pickles.
@@ -838,16 +840,17 @@ def _mk_branches(info, params, bk):
 
 
 def _binomial(info, params, bk):
-    """binom-X at a nonnegative integer p: the exp-X recurrence at p = 0 (the
-    base series b), whose stream the run convolves with the coefficients of
-    (1 - theta z)^p: u_n = sum_{j <= min(n, p)} C(p, j) (-theta)^j b_{n-j}.
-    The run forms only the min(p, N) + 1 of them it reads, so a huge p costs
-    no more."""
+    """binom-X in f64 as the exp-X recurrence at p = 0 (the base series b),
+    whose stream the run convolves with the coefficients of
+    (1 - theta z)^p: u_n = sum_{j <= n} C(p, j) (-theta)^j b_{n-j}.  At a
+    nonnegative integer p, passed as an ``int``, the run forms only the
+    min(p, N) + 1 nonzero ones it reads, so a huge p costs no more."""
     from .recurrence_core import RecurrenceSpec
 
     base = _exp_spec(info, params, bk, bk.zero())
+    p = int(params.p.real) if _polynomial_power(params.p) else params.p
     return RecurrenceSpec(base.order, base.seeds, base.polys, base.backend,
-                          binomial=(int(params.p.real), params.theta))
+                          binomial=(p, params.theta))
 
 
 _TRIG_HYP = ("sin", "cos", "sinh", "cosh")
@@ -867,24 +870,26 @@ def _route(info, params, bk):
     * an exact single: its own table (``RecurrenceSpec``);
     * f64 sin/cos/sinh/cosh: the exp-X branches, as for the combo ids;
     * f64 arcsin/arccos: the interleaved first-order system (four sets of polys);
-    * f64 binom at a nonnegative integer p: the base series convolved with
-      the coefficients of (1 - theta z)^p (``binomial`` is (p, theta));
+    * f64 binom at a nonnegative integer p or at |theta| > 1: the base
+      series convolved with the coefficients of (1 - theta z)^p
+      (``binomial`` is (p, theta));
     * anything else: its own table.
 
     Forward stepping of the high-order single recurrences amplifies roundoff
     along their parasitic solutions (Gautschi, SIAM Rev. 1967), so in f64
     they would return wrong numbers without any error.  So would binom's
-    order-2 table at a nonnegative integer p: there the wanted solution is a
-    polynomial times the base, while the other one grows like theta^n, and
-    for |theta| > 1 forward stepping loses every digit.  The exact backend
-    steps every single id's own table.
+    order-2 table at |theta| > 1: at a nonnegative integer p the wanted
+    solution is a polynomial times the base while the other one grows like
+    theta^n, and at any other p the other one outgrows it by a power of n,
+    so forward stepping loses the digits.  The exact backend steps every
+    single id's own table.
     """
     f64 = bk.name == "f64"
     if info.formulation == "combo" or f64 and info.h in _TRIG_HYP:
         return _mk_branches(info, params, bk)
     if f64 and info.h in ("arcsin", "arccos"):
         return _arcsin_M_interleaved(info, params, bk)
-    if f64 and info.h == "binom" and _polynomial_power(params.p):
+    if f64 and info.h == "binom" and (_polynomial_power(params.p) or abs(params.theta) > 1):
         return _binomial(info, params, bk)
     return _mk_single(info, params, bk)
 

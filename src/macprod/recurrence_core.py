@@ -125,8 +125,10 @@ class RecurrenceSpec(_Record):
 
     f64 only: with s sets of polynomials the stream holds s sequences, entry
     s*n + j being entry n of sequence j, and the run returns sequence 0;
-    with ``binomial`` = (p, theta), p a nonnegative integer, it returns the
-    stream convolved with the coefficients of (1 - theta z)^p, cut at u_N.
+    with ``binomial`` = (p, theta) it returns the stream convolved with the
+    coefficients of (1 - theta z)^p, cut at u_N.  p is an ``int`` where it
+    is a nonnegative integer (the coefficients past C(p, p) vanish), a
+    complex otherwise.
     """
 
     __slots__ = ("order", "seeds", "polys", "backend", "binomial")
@@ -362,19 +364,30 @@ def _run_f64(spec: RecurrenceSpec, N: int):
     if s > 1:
         u = u[::s].copy()
     if spec.binomial:
+        p = spec.binomial[0]
         with np.errstate(all="ignore"):  # taps past double are inf or NaN: reported below
-            u = np.convolve(u, _binomial_taps(*spec.binomial, N))[: N + 1]
+            taps = _binomial_taps(*spec.binomial, N)
+            if isinstance(p, int):  # a polynomial's min(p, N) + 1 taps
+                u = np.convolve(u, taps)[: N + 1]
+            else:  # all N + 1 taps: the truncated product
+                u = kernels.convolve(u, taps)
     _finite_or_raise(u, "recurrence")  # seeds and long double steps too
     return u
 
 
-def _binomial_taps(p: int, theta, N: int):
-    """C(p, j) (-theta)^j for j <= min(p, N): the coefficients of
-    (1 - theta z)^p that a run through u_N reads."""
+def _binomial_taps(p, theta, N: int):
+    """C(p, j) (-theta)^j for j <= N: the coefficients of (1 - theta z)^p
+    that a run through u_N reads.  At an ``int`` p, a nonnegative integer,
+    only those for j <= min(p, N): the rest vanish, and a huge p costs no
+    more than p = N."""
     import numpy as np
 
-    j = np.arange(min(p, N))
-    return np.cumprod(np.concatenate(([1], -theta * (float(p) - j) / (j + 1))))
+    if isinstance(p, int):
+        j = np.arange(min(p, N))
+        p = float(p)
+    else:
+        j = np.arange(N)
+    return np.cumprod(np.concatenate(([1], -theta * (p - j) / (j + 1))))
 
 
 def _half(combine, x, y):

@@ -889,6 +889,39 @@ class TestFloatFidelity:
             if theta < 0:
                 assert abs(x - ya) / max(1.0, abs(ya)) <= 1e-12
 
+    @pytest.mark.parametrize("family_id", ["binom-M", "binom-F", "binom-K", "binom-E"])
+    @pytest.mark.parametrize("p", [Fraction(11, 2), Fraction(41, 2), Fraction(-7, 2)])
+    @pytest.mark.parametrize("theta", [Fraction(3, 2), Fraction(-3)])
+    def test_binomial_at_large_theta_tracks_exact(self, family_id, p, theta):
+        # |theta| > 1 at a p that is no nonnegative integer: the order-2 row's
+        # other solution outgrows the wanted one by a power of n, so f64 takes
+        # the convolution with all N + 1 coefficients of (1 - theta z)^p.
+        # Metrics, at N = 256, against exact at the same (binary) parameters:
+        # every entry's error within 1e-14 of s_n, the sum of the sizes of
+        # the terms C(p, j)(-theta)^j b_{n-j} of u_n; and its relative error
+        # within 1e-14 wherever they cancel by less than 10 (s_n <= 10 |u_n|).
+        # At p = 41/2, theta = 3/2 the terms cancel in most entries of the F,
+        # K and E ids, and no double sum keeps relative digits there.
+        N = 256
+        values = {"a": Fraction(1, 3), "b": Fraction(2, 3), "c": Fraction(7, 5), "p": p,
+                  "theta": theta}
+        info = get_family(family_id)
+        params = {k: values[k] for k in info.param_names}
+        spec = build(family_id, {k: complex(v) for k, v in params.items()}, "f64")
+        assert spec.binomial == (p, theta)  # all N + 1 taps
+        exact = recurrence_stream(family_id, params, N, "exact")
+        fl = run(spec, N)
+        h = elementary_series(Elementary("binom", p=p, theta=theta), N, EXACT)
+        b = hyper_base_series(info.base, N, EXACT, a=values["a"], b=values["b"], c=values["c"])
+        size = np.convolve(
+            [abs(approximate(v)) for v in h.coeffs], [abs(approximate(v)) for v in b.coeffs]
+        )
+        for x, y, s in zip(fl.coeffs, exact.coeffs, size):
+            ya = approximate(y)
+            assert abs(x - ya) <= 1e-14 * s
+            if s <= 10 * abs(ya):
+                assert abs(x - ya) <= 1e-14 * abs(ya)
+
     @pytest.mark.skipif(
         np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
         reason="long double is no wider than double on this platform",
@@ -907,11 +940,15 @@ class TestFloatFidelity:
                   for k in info.param_names}
             if draw == 3:
                 fl["p"] = complex(fl["p"].real, 0.75)
-            if family_id.startswith("binom") and fl["p"].real.is_integer():
-                fl["p"] += 0.5  # an integer p routes to the exp row and taps
+            if family_id.startswith("binom"):  # keep the draw on the binom table:
+                if fl["p"].real.is_integer():
+                    fl["p"] += 0.5  # an integer p routes to the exp row and taps,
+                if abs(fl["theta"]) > 1:
+                    fl["theta"] = 1 / fl["theta"]  # and so does |theta| > 1
             exact = build(family_id, {
                 k: G(Fraction(v.real), Fraction(v.imag)) for k, v in fl.items()})
             spec = build(family_id, fl, "f64")
+            assert not spec.binomial  # the id's own table
             got = _kernels_py.rows(spec.polys, spec.start, 200 - spec.start)[0].T
             want = [
                 [complex(float(x.re), float(x.im)) for x in exact_row(exact, n)]

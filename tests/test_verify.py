@@ -273,11 +273,13 @@ class TestSweep:
             assert rep.verdict in ("pass", "fail")
 
     def test_overflow_is_a_failing_report(self):
-        # the theta = -2 draw overflows at n = 1050 in f64
+        # the theta = -2 draw (a = -1/4, c = 9/4, p = 3/2) overflows at
+        # n = 1051 in f64: exact u_1050 is 1.5069e308, a finite double, and
+        # u_1051 is past double
         reports = sweep(1, 6, 1100, "f64", families=["binom-M"])
         assert len(reports) == 6
         failed = [rep for rep in reports if not rep.passed]
-        assert [rep.first_mismatch for rep in failed] == [1050]
+        assert [rep.first_mismatch for rep in failed] == [1051]
         assert dict(failed[0].params)["theta"] == "-2.0"
 
     def test_draws_respect_family_domains(self):
