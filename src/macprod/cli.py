@@ -3,7 +3,8 @@ sweeps, benchmarks, and the family catalogue.
 
 Standard output carries data only (JSON, CSV, or plain scalars); every
 diagnostic goes to standard error.  Exit codes: 0 success, 1 verification
-finding, 2 validation or parse failure, 3 numeric failure.
+finding, 2 validation or parse failure, 3 numeric failure, 141 (128 +
+SIGPIPE, as a shell reports it) standard output closed by its reader.
 
 Each module is imported where its work begins, never at start-up: numpy
 where an f64 path begins (an f64 build, run, oracle, comparison or output,
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import os
 import sys
 
 from .families import (
@@ -48,6 +50,7 @@ EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
+EXIT_BROKEN_PIPE = 141
 
 _PARAM_FLAGS = ("a", "b", "c", "p", "theta")
 
@@ -373,7 +376,14 @@ def main(argv=None) -> int:
             print(f"error: argument --{name}: expected one argument", file=sys.stderr)
             return EXIT_VALIDATION
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: say nothing, and point stdout at the
+        # null device, so the interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (
         ParseError,
         BackendMismatchError,

@@ -451,6 +451,23 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("list",),
+        ("coeffs", "--family", "exp-M", "--a=1", "--c=2", "--p=1", "--count", "5"),
+        ("eval", "--family", "exp-M", "--a=1", "--c=2", "--p=1", "--z=1/2", "--count", "5"),
+    ], ids=["list", "coeffs", "eval"])
+    def test_closed_stdout_is_141(self, argv):
+        # the reader closes its end before the command writes, as `| head -1`
+        # does once it has its line: no traceback, and 128 + SIGPIPE, as a
+        # shell reports a process that SIGPIPE ended
+        with subprocess.Popen([sys.executable, "-m", "macprod.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=SRC)) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (cli.EXIT_BROKEN_PIPE, b"")
+        assert cli.EXIT_BROKEN_PIPE == 141
+
     @pytest.mark.parametrize("argv, token", [
         (("coeffs", "--backend", "f64", "--family", "exp-M", "--a=-1e400", "--c=1", "--p=1",
           "--count", "3"), "-1e400"),
