@@ -451,6 +451,15 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("coeffs", "--count", "0"), "--count must be at least 1"),
+        (("eval", "--z=1/2", "--count", "-1"), "--count must be nonnegative"),
+    ], ids=["coeffs-0", "eval-minus-1"])
+    def test_count_out_of_range_is_2(self, capsys, argv, message):
+        flags = ["--family", "exp-M", "--a=1", "--c=2", "--p=1"]
+        code, out, err = run_cli(capsys, argv[0], *flags, *argv[1:])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("argv", [
         ("list",),
         ("coeffs", "--family", "exp-M", "--a=1", "--c=2", "--p=1", "--count", "5"),
@@ -657,6 +666,13 @@ class TestEval:
         assert ("warning" in err) is warned
         if warned:
             assert "(radius 1)" in err
+
+    def test_horner_overflow_is_3(self, capsys):
+        # every coefficient of exp-M is finite, but u_2 z^2 at z = 1e300 is not
+        code, out, err = run_cli(capsys, "eval", "--family", "exp-M", "--a=1", "--c=2", "--p=1",
+                                 "--z=1e300", "--count", "3")
+        assert (code, out) == (3, "")
+        assert err == "numeric failure: evaluation overflowed\n"
 
     def test_arcsin_outside_branch_point_warns(self, capsys):
         # arcsin(pz) branches at z = 1/p

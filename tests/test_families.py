@@ -193,6 +193,8 @@ class TestCatalogue:
             build_M_family("exp", "combo", {"a": 1, "c": 2, "p": 1})
         with pytest.raises(CatalogueError):
             build_elliptic_family("M", "exp", {"p": 1})
+        with pytest.raises(CatalogueError, match="unknown elementary kind 'foo'"):
+            build_M_family("foo", "single", {"a": 1, "c": 2, "p": 1})
 
 
 class TestValidation:

@@ -326,6 +326,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="combiner"):
             ComboSpec(spec, spec, "(u*v)")
 
+    def test_combo_branches_share_one_backend(self):
+        exact = RecurrenceSpec(1, (gr(1), gr(1)), self.ROW, "exact")
+        fl = f64_spec(1, (1 + 0j, 1 + 0j), [(1,), (1,), (1,)])
+        for left, right in ((exact, fl), (fl, exact)):
+            with pytest.raises(ValueError, match="share one backend"):
+                ComboSpec(left, right, "(u+v)/2")
+
+    @pytest.mark.parametrize("backend", ["exact", "f64"])
+    def test_negative_N(self, backend):
+        spec = build("exp-M", {"a": 1, "c": 2, "p": 1}, backend)
+        with pytest.raises(ValueError, match="N must be nonnegative"):
+            run(spec, -1)
+
 
 class TestErrors:
     # u[n+1] = u[n] / (n - 7)

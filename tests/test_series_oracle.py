@@ -145,6 +145,8 @@ class TestElementary:
             Elementary("binom", p=gr(1))
         with pytest.raises(ParameterDomainError):
             Elementary("tan", p=gr(1))
+        with pytest.raises(ParameterDomainError, match="exp requires parameter p"):
+            Elementary("exp")
 
 
 def random_stream(rng, N):
@@ -340,3 +342,14 @@ class TestBases:
         s = hyper_base_series("K", 2, "f64")
         assert s.backend == "f64"
         assert abs(s[0] - 1.5707963267948966) < 1e-15
+
+    def test_float_parameters_infer_f64(self):
+        # no backend given: a float parameter picks f64, exact ones exact
+        s = kummer_series(0.5, 1.5, 3)
+        assert s.backend == "f64"
+        assert s.coeffs.tolist() == pytest.approx([1, 1 / 3, 1 / 10, 1 / 42], rel=1e-15)
+        assert kummer_series(Fraction(1, 2), Fraction(3, 2), 3).backend == "exact"
+
+    def test_unknown_base(self):
+        with pytest.raises(ParameterDomainError, match="unknown base 'Q'"):
+            hyper_base_series("Q", 3)

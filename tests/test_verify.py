@@ -291,6 +291,10 @@ class TestSweep:
 
 
 class TestBench:
+    def test_repetitions_at_least_one(self):
+        with pytest.raises(ValueError, match="repetitions must be at least 1"):
+            bench("exp-F", {"a": 0.5, "b": 1 / 3, "c": 1.25, "p": 1.0}, 16, repetitions=0)
+
     def test_oracle_superlinear_recurrence_linear(self):
         params = {"a": 0.5, "b": 1 / 3, "c": 1.25, "p": 1.0}
         times = {N: bench("exp-F", params, N, repetitions=3) for N in (1024, 8192)}
