@@ -154,6 +154,55 @@ class TestPiLinear:
             PiLinear(1, 1) / PiLinear(0, 1)
 
 
+#: exact literals: ints, Fractions, Gaussian rationals and pi-linear values
+reals = st.one_of(st.integers(min_value=-(10**30), max_value=10**30), fractions)
+pi_linears = st.builds(PiLinear, gaussians, gaussians)
+
+
+def _outcome(f):
+    """f() or the type of the exception it raised."""
+    try:
+        return f()
+    except (ZeroDivisionError, PiDegreeError) as exc:
+        return type(exc)
+
+
+class TestHashesAndReflections:
+    """Values that compare equal across the exact types hash alike, so either
+    finds the other in a dict; every reflected or unary operator equals its
+    forward form."""
+
+    @given(reals)
+    def test_real_gaussian_hashes_as_its_value(self, x):
+        g = GaussianRational(x)
+        assert g == x and hash(g) == hash(x)
+        assert {x: 1}[g] == 1 and {g: 1}[x] == 1
+
+    @given(st.one_of(gaussians, reals))
+    def test_pi_free_value_hashes_as_its_gaussian(self, x):
+        g = GaussianRational(x) if not isinstance(x, GaussianRational) else x
+        v = PiLinear(g)
+        assert v == g and hash(v) == hash(g)
+        assert {g: 1}[v] == 1 and {v: 1}[g] == 1
+        assert v == x and hash(v) == hash(x)
+
+    @given(gaussians, reals)
+    def test_gaussian_reflections(self, x, y):
+        assert y - x == GaussianRational(y) - x
+        assert _outcome(lambda: y / x) == _outcome(lambda: GaussianRational(y) / x)
+        assert -x == GaussianRational(0) - x
+        assert x.conjugate() == GaussianRational(x.re, -x.im)
+        assert (x * x.conjugate()).im == 0 and x + x.conjugate() == 2 * x.re
+
+    @given(pi_linears, st.one_of(gaussians, reals))
+    def test_pi_linear_reflections(self, x, y):
+        pi = PiLinear(0, 1)
+        assert y - x == PiLinear(y) - x
+        assert _outcome(lambda: y / x) == _outcome(lambda: PiLinear(y) / x)
+        assert -x == PiLinear(0) - x
+        assert x.conjugate() == x.q0.conjugate() + x.q1.conjugate() * pi
+
+
 class TestPochhammer:
     def test_empty_product(self):
         assert pochhammer(GaussianRational(3), 0) == GaussianRational(1)
