@@ -364,9 +364,9 @@ def _run_f64(spec: RecurrenceSpec, N: int):
     if s > 1:
         u = u[::s].copy()
     if spec.binomial:
-        p = spec.binomial[0]
+        p, theta = spec.binomial
         with np.errstate(all="ignore"):  # taps past double are inf or NaN: reported below
-            taps = _binomial_taps(*spec.binomial, N)
+            taps = _binomial_taps(p, theta, N)
             if isinstance(p, int):  # a polynomial's min(p, N) + 1 taps
                 u = np.convolve(u, taps)[: N + 1]
             else:  # all N + 1 taps: the truncated product
