@@ -544,7 +544,7 @@ class TestSingularRows:
         "family_id, c, index",
         [("arctanexp-M", -2, 2), ("sin-M", -3, 3), ("cos-F", -3, 3)],
     )
-    def test_run_past_the_validator_reports_the_singular_index(self, family_id, c, index):
+    def test_run_reports_the_singular_index(self, family_id, c, index):
         from macprod import families
 
         info = get_family(family_id)
