@@ -384,7 +384,7 @@ def check_rows(name, P) -> list:
         return re + sp.I * im
 
     problems = []
-    for m in (spec.start, spec.start + 5, 40):
+    for m in (spec.order, spec.order + 5, 40):  # n = k: the first row whose lags all reach u_0
         lead = P[0].subs(T, m + 1).subs(values)
         for i in range(spec.order + 1):
             entry = at(nums[i], m) / at(den, m) if i in nums else 0
