@@ -650,29 +650,33 @@ def _arcsin_M_interleaved(info, params, bk):
     the product, stepped as one order-11 recurrence.
 
     With s = arcsin(pz) or arccos(pz) and m = M(a,c;z), the sequences are
-    the coefficients of y1 = s m, y3 = s' m, y2 = s m' and y4 = s' m', entry
-    n of each at stream index 4n, 4n + 1, 4n + 2, 4n + 3; entries at negative
-    index are 0.  For n >= 1, with r = 1/n and t = 1/(n + c):
+    the coefficients of y1 = s m and y2 = s m', and w3 and w4, the
+    coefficients of s' m and s' m' divided by n + 1; entry n of y1, w3, y2,
+    w4 is at stream index 4n, 4n + 1, 4n + 2, 4n + 3, and entries at
+    negative index are 0.  For n >= 1:
 
-        y1[n] = r y2[n-1] + r y3[n-1]
-        y3[n] = r y4[n-1] + p^2 (n-1) r y3[n-2] - p^2 r y4[n-3]
-        y2[n] = a t y1[n] + t y4[n-1] + t y2[n-1]
-        y4[n] = a t y3[n] + t y4[n-1] + p^2 (n+c-1) t y4[n-2]
-                - a p^2 t y3[n-2] - p^2 t y4[n-3]
+        y1[n] = y2[n-1]/n + w3[n-1]
+        w3[n] = (n w4[n-1] + p^2 (n-1)^2 w3[n-2] - p^2 (n-2) w4[n-3]) / (n (n+1))
+        y2[n] = (a y1[n] + n w4[n-1] + y2[n-1]) / (n+c)
+        w4[n] = (a (n+1) w3[n] + n w4[n-1] + p^2 (n+c-1)(n-1) w4[n-2]
+                 - a p^2 (n-1) w3[n-2] - p^2 (n-2) w4[n-3]) / ((n+1)(n+c))
 
     They follow from (1 - p^2 z^2) s'' = p^2 z s' and z m'' = (z - c) m' + a m,
     whose only singularities are 0 and +-1/p, whereas the order-11 scalar
     recurrence also carries the apparent singularities of the product ODE.
     Each row entry is one of these scalar factors, so an entry near the float
-    range is never scaled up by n on the way.
+    range is never scaled up by n on the way; and s' m and s' m' are about
+    n times the product, so they are carried divided by n + 1, and leave
+    double no sooner than u_n does.
 
     The step that writes entry n of sequence j has stream index
     m = 4n + j - 1, and its term at lag i reads stream entry m - i.  Times
-    4, its denominator is 4n = m + 1 - j (j = 0, 1) or 4(n + c) =
-    m + 1 - j + 4c (j = 2, 3), and its numerators are constants or p^2 times
-    a degree-1 form in m: one set of polynomials (P_0, then lags 0 .. 11,
-    as (slope, constant)) per sequence.  The spec's seeds are the four
-    entries at n = 0, stream entries 0 .. 3; P_0, 4n or 4(n + c), never
+    4 (y1, y2) or 16 (w3, w4), with 4n = m + 1 - j, its denominator is 4n,
+    16 n (n + 1), 4 (n + c) or 16 (n + 1)(n + c), and its numerators are
+    constants or p^2 times forms in m of degree at most 2: one set of
+    polynomials (P_0, then lags 0 .. 11, as (m^2, m, 1) coefficients) per
+    sequence.  The spec's seeds are the four entries at n = 0, stream
+    entries 0 .. 3 (w3 and w4 equal s' m and s' m' there); P_0 never
     vanishes past them.
     """
     import numpy as np
@@ -685,12 +689,14 @@ def _arcsin_M_interleaved(info, params, bk):
     if not x.imag.any():
         x = x.real.copy()
     A, C, p2 = x[0], x[1], x[2] * x[2]
-    P = np.zeros((4, 13, 2), dtype=x.dtype)
-    P[0, 0], P[0, 2], P[0, 3] = (1, 1), (0, 4), (0, 4)
-    P[1, 0], P[1, 2], P[1, 8], P[1, 10] = (1, 0), (0, 4), (p2, -4 * p2), (0, -4 * p2)
-    P[2, 0], P[2, 2], P[2, 3], P[2, 4] = (1, 4 * C - 1), (0, 4 * A), (0, 4), (0, 4)
-    P[3, 0], P[3, 2], P[3, 4] = (1, 4 * C - 2), (0, 4 * A), (0, 4)
-    P[3, 8], P[3, 10], P[3, 12] = (p2, p2 * (4 * C - 6)), (0, -4 * A * p2), (0, -4 * p2)
+    P = np.zeros((4, 13, 3), dtype=x.dtype)
+    P[0, 0], P[0, 2], P[0, 3] = (0, 1, 1), (0, 0, 4), (0, 1, 1)
+    P[1, 0], P[1, 2] = (1, 4, 0), (0, 4, 0)
+    P[1, 8], P[1, 10] = (p2, -8 * p2, 16 * p2), (0, -4 * p2, 32 * p2)
+    P[2, 0], P[2, 2], P[2, 3], P[2, 4] = (0, 1, 4 * C - 1), (0, 0, 4 * A), (0, 1, -1), (0, 0, 4)
+    P[3, 0], P[3, 2], P[3, 4] = (1, 4 * C, 8 * C - 4), (0, 4 * A, 8 * A), (0, 4, -8)
+    P[3, 8] = (p2, p2 * (4 * C - 12), p2 * (36 - 24 * C))
+    P[3, 10], P[3, 12] = (0, -4 * A * p2, 24 * A * p2), (0, -4 * p2, 40 * p2)
     P.flags.writeable = False
     return RecurrenceSpec(11, (s0, g0, s0 * a / c, g0 * a / c), P, bk.name)
 

@@ -526,7 +526,22 @@ class TestExitCodes:
             "--count", "400", "--backend", "f64",
         )
         assert code == 3
-        assert "at n=211" in err
+        assert "at n=213" in err  # exact u_213 is the first entry past double
+
+    @pytest.mark.parametrize("family", INVERSE_SINE)
+    @pytest.mark.parametrize("p, n", [
+        ("1.6595869074376105e44", 7), ("2511886431509.5923", 25), ("91201083.93559115", 39),
+    ])
+    def test_last_finite_entry_on_interleaved_route(self, capsys, family, p, n):
+        # exact u_n at the binary p is a finite double near the top of the
+        # range; the route's inner sequences must not leave double before it
+        flags = ["--family", family, "--a=1/2", "--c=5/4", f"--p={p}", "--count", str(n + 1)]
+        code, out, err = run_cli(capsys, "coeffs", "--backend", "f64", *flags)
+        assert (code, err) == (0, "")
+        got = json.loads(out)["coeffs"][n]
+        params = {"a": Fraction(1, 2), "c": Fraction(5, 4), "p": Fraction(float(p))}
+        want = approximate(run(build(family, params), n).coeffs[n])
+        assert abs(complex(got["re"], got["im"]) - want) <= 1e-13 * abs(want)
 
     def test_argparse_error_is_2(self, capsys):
         assert cli.main(["coeffs", "--badflag"]) == 2

@@ -733,14 +733,16 @@ class TestFloatRoutes:
 
     @pytest.mark.parametrize("family_id", INVERSE_SINE)
     def test_inverse_sine_overflow_names_the_coefficient_index(self, family_id):
-        # the coefficients grow like 30^n; both indices are the previous
-        # tree's, whose four sequences were lists stepped in Python
+        # the coefficients grow like 30^n: exact u_211 = 1.2265e308 and
+        # u_212 = 4.9059e307 are finite doubles, u_213 is the first past double
         params = {"a": 0.5, "c": 1.25, "p": 30.0}
-        with pytest.raises(NonFiniteError, match="at n=211") as exc:
+        with pytest.raises(NonFiniteError, match="at n=213") as exc:
             recurrence_stream(family_id, params, 400, "f64")
-        assert exc.value.index == 211
+        assert exc.value.index == 213
+        # the failing draw (a = 0.2, c = 1.2, p = 2) overflows where exact's
+        # u_1041 is the first entry past double
         reports = sweep(35, 2, 1100, "f64", families=[family_id])
-        assert [(r.verdict, r.first_mismatch) for r in reports if not r.passed] == [("fail", 1031)]
+        assert [(r.verdict, r.first_mismatch) for r in reports if not r.passed] == [("fail", 1041)]
 
     @pytest.mark.parametrize("family_id", ["binom-M", "binom-F", "binom-K", "binom-E"])
     def test_binomial_at_integer_p_convolves_the_exp_stream(self, family_id):

@@ -139,6 +139,24 @@ class TestRecurrenceSteps:
         ):
             with pytest.raises(ValueError):
                 kernels.recurrence_steps(polys, u, n0)
+        for v in (np.zeros(10), np.zeros((2, 5), complex)):  # not a complex128 vector
+            with pytest.raises(ValueError, match="complex128 vector"):
+                kernels.recurrence_steps(np.ones((1, 3, 1)), v, 1)
+
+    def test_strided_u_steps_as_the_contiguous_one(self):
+        # every other entry of a longer array: the compiled loop steps a
+        # contiguous copy and writes it back
+        polys = _random_polys(np.random.default_rng(11), 2, 3, 2, True)
+        want = np.zeros(40, dtype=np.complex128)
+        want[:4] = [1.0, 0.5j, -0.25, 2.0]
+        kernels.recurrence_steps(polys, want, 3)
+        for impl in kernels.implementations().values():
+            base = np.zeros(80, dtype=np.complex128)
+            u = base[::2]
+            u[:4] = want[:4]
+            assert kernels.recurrence_steps(polys, u, 3, impl=impl) is None
+            assert np.array_equal(u.copy().view(np.uint64), want.view(np.uint64))
+            assert not base[1::2].any()
 
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("sets", [1, 4])

@@ -23,6 +23,7 @@ from macprod.numerics import (
     approximate,
     format_scalar,
     get_backend,
+    is_nonpositive_integer,
     parse_scalar,
     pochhammer,
 )
@@ -82,6 +83,7 @@ class TestParse:
     @given(gaussians)
     def test_roundtrip_exact(self, g):
         assert parse_scalar(format_scalar(g), "exact") == g
+        assert format_scalar(PiLinear(g)) == format_scalar(g)  # a pi part of 0 is not written
 
     def test_unknown_backend(self):
         with pytest.raises(ParseError):
@@ -122,6 +124,21 @@ class TestGaussianRationalField:
         with pytest.raises(TypeError):
             GaussianRational(1) + 0.5
 
+    @pytest.mark.parametrize("x", [GaussianRational(1, 2), PiLinear(1, 1)],
+                             ids=["gaussian", "pi-linear"])
+    @pytest.mark.parametrize("op", [
+        lambda x: x + 0.5, lambda x: 0.5 + x, lambda x: x - 0.5, lambda x: 0.5 - x,
+        lambda x: x * 0.5, lambda x: 0.5 * x, lambda x: x / 0.5, lambda x: 0.5 / x,
+        lambda x: x ** 0.5, lambda x: type(x)(0.5),
+    ], ids=["add", "radd", "sub", "rsub", "mul", "rmul", "div", "rdiv", "pow", "init"])
+    def test_float_operands_are_a_type_error(self, x, op):
+        with pytest.raises(TypeError):
+            op(x)
+
+    @pytest.mark.parametrize("x", [GaussianRational(1), PiLinear(1)], ids=["gaussian", "pi-linear"])
+    def test_floats_never_compare_equal(self, x):
+        assert x != 1.0 and not x == 1.0 and x == 1
+
 
 class TestPiLinear:
     def test_pi_squared_rejected(self):
@@ -148,6 +165,19 @@ class TestPiLinear:
         assert PiLinear(GaussianRational(Fraction(1, 2))) == GaussianRational(
             Fraction(1, 2)
         )
+
+    def test_division_by_a_pi_free_value(self):
+        v = PiLinear(GaussianRational(1, 2), Fraction(1, 3)) / GaussianRational(Fraction(2, 3))
+        assert (v.q0, v.q1) == (GaussianRational(Fraction(3, 2), 3), GaussianRational(Fraction(1, 2)))
+
+    @pytest.mark.parametrize("value, excluded", [
+        (PiLinear(-2), True), (PiLinear(0), True), (PiLinear(-2, 1), False),
+        (PiLinear(Fraction(-1, 2)), False), (GaussianRational(-3), True),
+        (GaussianRational(-3, 1), False), (Fraction(-4, 2), True), (1, False),
+        (-2.0, True), (-2.5, False), (complex(-2, 1), False),
+    ])
+    def test_nonpositive_integers(self, value, excluded):
+        assert is_nonpositive_integer(value) is excluded
 
     def test_division_by_pi_needs_pi_free_zero(self):
         with pytest.raises(PiDegreeError):
@@ -185,6 +215,12 @@ class TestHashesAndReflections:
         assert v == g and hash(v) == hash(g)
         assert {g: 1}[v] == 1 and {v: 1}[g] == 1
         assert v == x and hash(v) == hash(x)
+
+    @given(pi_linears.filter(lambda v: not v.q1.is_zero))
+    def test_pi_linear_hashes_by_its_parts(self, x):
+        y = PiLinear(GaussianRational(x.q0.re, x.q0.im), GaussianRational(x.q1.re, x.q1.im))
+        assert y is not x and y == x and hash(y) == hash(x)
+        assert {x: 1}[y] == 1 and {y: 1}[x] == 1
 
     @given(gaussians, reals)
     def test_gaussian_reflections(self, x, y):
@@ -271,6 +307,14 @@ class TestApproximate:
     def test_one_way_only(self):
         with pytest.raises(BackendMismatchError):
             F64.coerce(GaussianRational(1))
+
+    @pytest.mark.parametrize("bk, value, error", [
+        (EXACT, 0.5, BackendMismatchError), (EXACT, 1j, BackendMismatchError),
+        (F64, math.inf, NonFiniteError), (F64, complex(0, math.nan), NonFiniteError),
+    ], ids=["exact-float", "exact-complex", "f64-inf", "f64-nan"])
+    def test_coerce_rejects(self, bk, value, error):
+        with pytest.raises(error):
+            bk.coerce(value)
 
 
 #: the exact row of u[n+1] = u[n]
