@@ -6,7 +6,10 @@ calls the program itself made.
 
 Run it with the checkout's ``src`` on ``PYTHONPATH``.  Per case and size, one
 interleaved loop runs every layer once per repetition, so a record's columns
-are read at the same moments; each is the best of ``--reps``.  A layer that
+are read at the same moments; each is the best of ``--reps``.  Each
+repetition starts one layer further on, so a layer is not always timed right
+after the same one, whose leftovers in caches or the allocator it would pay
+for: over as many repetitions as layers, each runs first once.  A layer that
 raises is timed no further (``_ms`` null, the error under ``failed``); the
 others still run.  A record whose request reads less than its run is refused.
 
@@ -30,8 +33,9 @@ its build and run handing over the spec and the stream made beforehand,
 
 ``--backend f64`` (sizes 64, 1024, 8192; JSON benchmark ``f64-kernels``):
 ``branches`` runs each branch as a spec of its own, ``step_<impl>`` replays
-the run's ``kernels.recurrence_steps`` calls (from u_k; the long double steps
-before are in ``branches``) on each of ``kernels.implementations()``,
+the run's ``kernels.recurrence_steps`` calls (per branch, the steps through
+u_k on a long double stream, then the rest in double) on each of
+``kernels.implementations()``,
 ``series`` the oracle's two factor series and ``convolve`` its
 ``kernels.convolve``; ``convolve_whole`` is ``np.convolve`` of the same
 operands, and ``verify`` a ``macprod verify`` in this process (exit code
@@ -189,8 +193,10 @@ def measure(backend: str, family: str, values: dict, N: int, reps: int) -> dict:
     layers = _layers(backend, family, values, N)
     request = "verify" if backend == "f64" else "request"
     best, failed, rc = dict.fromkeys(layers, math.inf), {}, None
-    for _ in range(reps):
-        for name, fn in layers.items():
+    order = list(layers.items())
+    for rep in range(reps):
+        start = rep % len(order)
+        for name, fn in order[start:] + order[:start]:
             if name in failed:
                 continue
             t0 = time.perf_counter()

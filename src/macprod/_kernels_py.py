@@ -2,8 +2,9 @@
 
 ``rows`` does the C loop's long double operations in numpy, vectorised over
 the steps from any first index, in the same order; ``recurrence_steps`` then
-steps from u[n0] in Python complex arithmetic in ascending lag order, as the
-C loop does.  The two implementations agree bit for bit on the same inputs.
+steps from u[n0] in ascending lag order, to lag n at step n, as the C loop
+does, in the stream's dtype (Python complex for complex128).  The two
+implementations agree bit for bit on the same inputs.
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ def _poly(coeffs, V):
     return acc
 
 
-def rows(polys, first, count):
+def rows(polys, first, count, dtype=np.complex128):
     """The entries P_{i+1}(m) * (1 / P_0(m)) of the steps m = first ..
     first+count-1 over ``polys`` (see ``kernels.recurrence_steps``), each
-    rounded once to double, as a (count, k+1) complex128 array, zero at the
-    lags whose polynomial is zero (inf or NaN where an entry leaves double);
-    and the number of steps before the first whose P_0 vanishes."""
+    rounded once to the stream's ``dtype``, as a (count, k+1) array, zero at
+    the lags whose polynomial is zero (inf or NaN where an entry leaves the
+    dtype); and the number of steps before the first whose P_0 vanishes."""
     sets, size, width = polys.shape
     cplx = np.iscomplexobj(polys)
-    out = np.zeros((count, size - 1), dtype=np.complex128)
+    out = np.zeros((count, size - 1), dtype=dtype)
     bad = np.zeros(count, dtype=bool)
     with np.errstate(all="ignore"):
         for s, P in enumerate(polys):
@@ -64,14 +65,17 @@ def rows(polys, first, count):
 
 def recurrence_steps(polys, u, n0):
     count = len(u) - 1 - n0
-    R, good = rows(polys, n0, count)
+    R, good = rows(polys, n0, count, u.dtype)
     sets = len(polys)
     lags = [[i for i in range(len(P) - 1) if P[i + 1].any()] for P in polys]
-    uv = u.tolist()
-    for n, row in enumerate(R[:good].tolist(), n0):
-        acc = 0j
-        for i in lags[(n + 1) % sets]:
-            acc = acc + row[i] * uv[n - i]
-        uv[n + 1] = acc
+    uv = u.tolist()  # Python complex, or numpy long double scalars
+    with np.errstate(all="ignore"):  # inf and NaN carry on, as in C
+        for n, row in enumerate(R[:good].tolist(), n0):
+            acc = 0j
+            for i in lags[(n + 1) % sets]:
+                if i > n:
+                    break
+                acc = acc + row[i] * uv[n - i]
+            uv[n + 1] = acc
     u[:] = uv
     return None if good == count else n0 + good

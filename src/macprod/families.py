@@ -53,8 +53,8 @@ get the integer row polynomials the exact engine steps.  f64 builds
 parameter is) and hand the row polynomials to the f64 kernel, which
 evaluates each row in long double as it steps, so each entry is its
 correctly rounded double but for rare near-ties where long double is wider
-than double (x87's is).  The engine runs every f64 route's first steps in
-long double as well: at small n a step can cancel.
+than double (x87's is).  The kernel takes every f64 route's first steps,
+through u_k, on a long double stream as well: at small n a step can cancel.
 
 One rule (``_family``) makes every catalogue row from its base, h and
 formulation, and one router (``_route``) decides which formulation serves a
@@ -738,14 +738,6 @@ def params_snapshot(params: Params):
     )
 
 
-def _field(value):
-    """A real exact value as a plain Fraction, anything else unchanged: the
-    table evaluation then stays in integers, not Gaussian integers."""
-    if isinstance(value, GaussianRational) and not value.im:
-        return value.re
-    return value
-
-
 #: the operator behind each elementary kind, per base table (M or F)
 _TABLE = {
     "exp": "exp", "binom": "binom", "exp_arctan": "arctanexp",
@@ -769,7 +761,7 @@ def _values(info, params, bk):
     for K and E), p, theta, and for the sin and arcsin tables w, the signed
     square of the frequency (-p^2 for sinh and cosh)."""
     if info.base in _ELLIPTIC_ABC:
-        a, b, c = (_field(bk.coerce(x)) for x in _ELLIPTIC_ABC[info.base])
+        a, b, c = (bk.coerce(x) for x in _ELLIPTIC_ABC[info.base])
     else:
         a, b, c = params.a, params.b, params.c
     values = {"a": a, "b": b, "c": c, "p": params.p, "theta": params.theta}
@@ -1003,8 +995,6 @@ def build(family_id: str, params, backend="exact"):
     info = get_family(family_id)
     pp = conform_params(params, bk)
     _validate(info, pp)
-    if bk.name == "exact":
-        pp = Params(**{name: _field(getattr(pp, name)) for name in pp.present()})
     return _route(info, pp, bk)
 
 

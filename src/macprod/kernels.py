@@ -6,19 +6,22 @@ above that a recursive split into halves that never forms the block past
 the cut.  Two real operands are multiplied in float64, anything else in
 complex128.
 
-``recurrence_steps`` runs the C loop in ``_STEP_C`` below.  It takes a
-recurrence's row polynomials as data and evaluates them at each step in long
-double: each polynomial as the sum, from 0, of its coefficients times the
-powers of the step index, highest power first (which rounds the leading
-term once less than Horner's scheme), then one reciprocal of the
-denominator (by Smith's method when complex, as numpy divides) and one
-product per entry, rounded once to double.  The step then runs in double.
-Lags whose polynomial is zero are skipped.  The loop stops only at the
-first index whose denominator vanishes.  A row entry or value past double
-becomes inf or NaN and is stepped on, so every value that reads it is not
-finite either; the caller's one finiteness check of the output reports it.
-Its one caller, ``recurrence_core._run_f64``, steps a spec from u_k, k
-the order: it takes the steps before that in long double itself.
+``recurrence_steps`` runs the C loop in ``_LOOP`` below, built for complex128
+and for complex long double streams.  It takes a recurrence's row
+polynomials as data and evaluates them at each step in long double: each
+polynomial as the sum, from 0, of its coefficients times the powers of the
+step index, highest power first (which rounds the leading term once less
+than Horner's scheme), then one reciprocal of the denominator (by Smith's
+method when complex, as numpy divides) and one product per entry, rounded
+once to the stream's type, in which the step runs.  Lags whose polynomial is
+zero are skipped, and so are those past the step index (u below index 0 is
+0).  The loop stops only at the first index whose denominator vanishes.  A
+row entry or value past the stream's type becomes inf or NaN and is stepped
+on, so every value that reads it is not finite either; the caller's one
+finiteness check of the output reports it.  Its one caller,
+``recurrence_core._run_f64``, steps a spec from its last seed through u_k,
+k the order, on a long double stream (at small n a step can cancel), and
+the rest of it on a complex128 one.
 
 The loop is compiled with the system C compiler on first use, never at
 import, and cached as ``__pycache__/_step-<sha256 of the source>.<platform>.so``
@@ -56,22 +59,26 @@ static long double poly(const long double *p, const long double *pw, long width,
         acc += p[t * stride] * pw[t];
     return acc;
 }
+"""
 
+#: the stepping loop over STREAM, the type of the stream's parts, built as STEPS
+_LOOP = r"""
 /* u[m+1] = sum_i e_i u[m-i] for m = n0 .. n0+count-1, over complex values
-   stored as interleaved (re, im) doubles.  The step at m reads polynomial
-   set (m + 1) % sets of c: k + 2 polynomials in m of width coefficients,
-   highest power first, long double (re, im) pairs when cplx.
-   e_i = P_{i+1}(m) * (1 / P_0(m)).  Returns the first m whose P_0
-   vanishes, u stepped up to it, -1 when every step ran, or -2 when the
-   work space cannot be allocated.  An entry or value past double is
-   stepped on as inf or NaN, which IEEE arithmetic carries into every later
-   value that reads it. */
-long recurrence_steps(const long double *c, int cplx, long sets, long k, long width,
-                      double *u, long n0, long count)
+   stored as interleaved (re, im) STREAM parts.  The step at m reads
+   polynomial set (m + 1) % sets of c: k + 2 polynomials in m of width
+   coefficients, highest power first, long double (re, im) pairs when cplx.
+   e_i = P_{i+1}(m) * (1 / P_0(m)), rounded once to STREAM; lags past m read
+   u below index 0, which is 0, and are skipped.  Returns the first m whose
+   P_0 vanishes, u stepped up to it, -1 when every step ran, or -2 when the
+   work space cannot be allocated.  An entry or value past STREAM is stepped
+   on as inf or NaN, which IEEE arithmetic carries into every later value
+   that reads it. */
+long STEPS(const long double *c, int cplx, long sets, long k, long width,
+           STREAM *u, long n0, long count)
 {
     const long stride = cplx ? 2 : 1, size = stride * width;
     /* the powers m^(width-1) .. m^0, then per set the number of lags whose
-       polynomial is nonzero and those lags */
+       polynomial is nonzero and those lags, ascending */
     long double *pw = malloc(sizeof(long double) * width);
     long *lags = malloc(sizeof(long) * sets * (k + 2)), bad = -1;
     if (pw == NULL || lags == NULL) {
@@ -117,21 +124,21 @@ long recurrence_steps(const long double *c, int cplx, long sets, long k, long wi
             ir = (rat + 0) * scl;
             ii = -scl;
         }
-        const double *v = u + 2 * m;
-        double re = 0.0, im = 0.0;
-        for (long t = 1; t <= nz[0]; t++) {
+        const STREAM *v = u + 2 * m;
+        STREAM re = 0, im = 0;
+        for (long t = 1; t <= nz[0] && nz[t] <= m; t++) {
             const long i = nz[t];
             const long double *p = P + (i + 1) * size;
             long double nr = poly(p, pw, width, stride);
-            double ar, ai = 0.0;
+            STREAM ar, ai = 0;
             if (cplx) {
                 long double ni = poly(p + 1, pw, width, stride);
-                ar = (double)(nr * ir - ni * ii);
-                ai = (double)(nr * ii + ni * ir);
+                ar = (STREAM)(nr * ir - ni * ii);
+                ai = (STREAM)(nr * ii + ni * ir);
             } else {
-                ar = (double)(nr * ir);
+                ar = (STREAM)(nr * ir);
             }
-            double br = v[-2 * i], bi = v[-2 * i + 1];
+            STREAM br = v[-2 * i], bi = v[-2 * i + 1];
             re = re + (ar * br - ai * bi);
             im = im + (ar * bi + ai * br);
         }
@@ -143,6 +150,11 @@ long recurrence_steps(const long double *c, int cplx, long sets, long k, long wi
     return bad;
 }
 """
+#: per stream dtype, the symbol that steps it and the C type of its parts
+_BUILDS = {np.dtype(np.complex128): ("recurrence_steps", "double"),
+           np.dtype(np.clongdouble): ("recurrence_steps_wide", "long double")}
+_STEP_C += "".join(f"\n#define STEPS {name}\n#define STREAM {ctype}\n{_LOOP}"
+                   "#undef STEPS\n#undef STREAM\n" for name, ctype in _BUILDS.values())
 
 
 def _build():
@@ -175,18 +187,20 @@ def _build():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        fn = ctypes.CDLL(path).recurrence_steps
+        lib = ctypes.CDLL(path)
+        fns = {dtype: getattr(lib, name) for dtype, (name, _) in _BUILDS.items()}
     except (OSError, AttributeError):
         return None
-    fn.restype = ctypes.c_long
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_int] + [ctypes.c_long] * 3
-    fn.argtypes += [ctypes.c_void_p] + [ctypes.c_long] * 2
+    for fn in fns.values():
+        fn.restype = ctypes.c_long
+        fn.argtypes = [ctypes.c_void_p, ctypes.c_int] + [ctypes.c_long] * 3
+        fn.argtypes += [ctypes.c_void_p] + [ctypes.c_long] * 2
 
     def recurrence_steps(polys, u, n0):
         buf = np.ascontiguousarray(u)
         sets, size, width = polys.shape
-        bad = fn(polys.ctypes.data, np.iscomplexobj(polys), sets, size - 2, width,
-                 buf.ctypes.data, n0, len(u) - 1 - n0)
+        bad = fns[u.dtype](polys.ctypes.data, np.iscomplexobj(polys), sets, size - 2, width,
+                           buf.ctypes.data, n0, len(u) - 1 - n0)
         if bad == -2:
             raise MemoryError("no memory for the f64 kernel's work space")
         if buf is not u:
@@ -258,20 +272,23 @@ def recurrence_steps(polys, u, n0: int, impl=None):
     P_0, P_1, ..., P_{k+1} of a step index m, highest power first, long
     double (complex when any is).  The step that writes u[m+1] has index m
     and reads set (m + 1) % sets, so set s steps the entries of sequence s
-    of an interleaved stream: u[m+1] = sum_i P_{i+1}(m) / P_0(m) * u[m-i].
-    Returns the first m whose P_0 vanishes, u stepped up to it, or None.  An
-    entry or value past double is stepped on as inf or NaN, which carries
-    into every value that reads it.
+    of an interleaved stream: u[m+1] = sum_i P_{i+1}(m) / P_0(m) * u[m-i],
+    u at negative indices being 0.  ``u`` is complex128, each entry rounded
+    once to double and the step run in double, or complex long double, with
+    entries and values kept in long double.  Returns the first m whose P_0
+    vanishes, u stepped up to it, or None.  An entry or value past the
+    stream's type is stepped on as inf or NaN, which carries into every
+    value that reads it.
     """
     polys = np.ascontiguousarray(
         polys, dtype=np.clongdouble if np.iscomplexobj(polys) else np.longdouble
     )
     if polys.ndim != 3 or polys.shape[1] < 2 or 0 in polys.shape:
         raise ValueError("polys must have the shape (sets, k + 2, width)")
-    if u.ndim != 1 or u.dtype != np.complex128:
-        raise ValueError("u must be a complex128 vector")
-    if not polys.shape[1] - 2 <= n0 < len(u):
-        raise ValueError("a step of order k from u[n0] reads u[n0 - k] .. u[n0]")
+    if u.ndim != 1 or u.dtype not in _BUILDS:
+        raise ValueError("u must be a complex128 or complex long double vector")
+    if not 0 <= n0 < len(u):
+        raise ValueError("the steps start from an entry u[n0] of u")
     return (impl or _c_impl() or _kernels_py).recurrence_steps(polys, u, n0)
 
 

@@ -24,19 +24,20 @@ two rational streams (the K and E streams are pi/2 times a rational stream,
 arccos-M is rational + pi * rational), so :class:`PiLinear` never enters
 the loop, and a stream whose seeds are all zero is not stepped.
 
-The f64 path takes a spec's first steps, from its last seed through u_k,
-in long double (``step_wide``: at small n a step can cancel), and hands the
-long double row polynomials and the rest of the stream to one call of
-``kernels.recurrence_steps``, which evaluates each row and steps it,
-and reports the first index whose row denominator vanishes.  Any other
-failure is an entry or value past double, which IEEE arithmetic carries as
-inf or NaN into every value computed from it, so one finiteness check of the
-output reports it at its first non-finite coefficient.  With s sets of
-polynomials it steps s coupled sequences as one (entry n of sequence j is
-stream entry s*n + j, stepped by set j, and the run returns sequence 0), or
-convolves its stream with the coefficients of a binomial factor
-(``binomial``); the f64 backend serves products whose single recurrence is
-unstable in floats those ways.  An f64 run returns a complex128 array, and a
+The f64 path steps every entry after the seeds in ``kernels.recurrence_steps``,
+which evaluates each row from the long double row polynomials, steps it, and
+reports the first index whose row denominator vanishes.  Two calls of that
+one loop cover a run: the entries from the last seed through u_k, k the
+order, on a long double copy of the seeds (at small n a step can cancel),
+rounded once into the complex128 stream; then the rest of the stream in
+double.  Any other failure is an entry or value past double, which IEEE
+arithmetic carries as inf or NaN into every value computed from it, so one
+finiteness check of the output reports it at its first non-finite
+coefficient.  With s sets of polynomials it steps s coupled sequences as one
+(entry n of sequence j is stream entry s*n + j, stepped by set j, and the
+run returns sequence 0), or convolves its stream with the coefficients of a
+binomial factor (``binomial``); the f64 backend serves products whose single
+recurrence is unstable in floats those ways.  An f64 run returns a complex128 array, and a
 combo's two f64 branches combine as arrays.
 
 A :class:`ComboSpec` combines two recurrence branches entrywise.  A sin/cos
@@ -305,28 +306,6 @@ def step_exact(polys, window: list, n0: int, N: int, part=None) -> list:
     return streams[0]
 
 
-def step_wide(polys, window: list, n0: int, N: int) -> list:
-    """u_{n0+1} .. u_N from the window u_{n0-k} .. u_{n0} of f64 scalars,
-    stepped in long double over the row ``polys`` (see :class:`RecurrenceSpec`)
-    and rounded once.  Step n reads set (n + 1) % sets and sums, in ascending
-    order, its lags that reach u_0 or later and whose polynomial is not zero
-    (so a zero entry never meets an inf)."""
-    import numpy as np
-
-    k = len(window) - 1
-    sets = [(P, [i for i in range(k + 1) if any(P[i + 1])]) for P in polys.tolist()]
-    wide = [np.clongdouble(s) for s in window]  # u_j is wide[j + k - n0]
-    with np.errstate(all="ignore"):
-        for n in range(n0, N):
-            P, lags = sets[(n + 1) % len(sets)]
-            d = _horner(P[0], n)
-            if not d:
-                _singular(n)
-            wide.append(sum(_horner(P[i + 1], n) / d * wide[n - i + k - n0]
-                            for i in lags if i <= n))
-    return [complex(s) for s in wide[k + 1:]]
-
-
 def _window(spec: RecurrenceSpec, zero) -> list:
     """u_{n0-k} .. u_{n0}, n0 the last seed's index: the seeds, ``zero`` at
     negative indices."""
@@ -354,13 +333,18 @@ def _run_f64(spec: RecurrenceSpec, N: int):
     M = s * N  # the stream index of u_N
     u = np.zeros(M + 1, dtype=np.complex128)
     u[: n0 + 1] = spec.seeds[: M + 1]  # the seeds through u_M
-    # the first steps, through u_k, in long double: at small n a step can cancel
-    wide = max(n0, min(M, spec.order))
-    u[n0 + 1: wide + 1] = step_wide(spec.polys, _window(spec, 0j), n0, wide)
-    if M > wide:
-        bad = kernels.recurrence_steps(spec.polys, u, wide)
-        if bad is not None:
-            _singular(bad)
+    # the steps through u_k on a long double copy: at small n a step can cancel
+    k, bad = max(n0, min(M, spec.order)), None
+    if k > n0:
+        wide = np.zeros(k + 1, dtype=np.clongdouble)
+        wide[: n0 + 1] = spec.seeds
+        bad = kernels.recurrence_steps(spec.polys, wide, n0)
+        with np.errstate(over="ignore"):  # past double is inf: reported below
+            u[n0 + 1: k + 1] = wide[n0 + 1:]
+    if bad is None and M > k:
+        bad = kernels.recurrence_steps(spec.polys, u, k)
+    if bad is not None:
+        _singular(bad)
     if s > 1:
         u = u[::s].copy()
     if spec.binomial:

@@ -102,6 +102,18 @@ class TestConvolve:
         assert not got.imag.any() and not np.signbit(got.imag).any()
 
 
+#: the stream dtypes the kernel steps: double and long double
+STREAMS = [np.complex128, np.clongdouble]
+
+
+def _same(a, b) -> bool:
+    """Whether two streams hold the same values, the signs of zeros too: bit
+    for bit but for NaN payloads and a long double's padding bytes."""
+    return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True) and all(
+        np.array_equal(np.signbit(x), np.signbit(y)) for x, y in ((a.real, b.real), (a.imag, b.imag))
+    )
+
+
 def _random_polys(rng, sets, k, width, cplx):
     """Random row polynomials with P_0 kept away from zero and some lags zero."""
     P = rng.standard_normal((sets, k + 2, width)).astype(np.longdouble)
@@ -131,17 +143,43 @@ class TestRecurrenceSteps:
         for polys, n0 in (
             (np.zeros((3, 2)), 1),  # not one set per sequence
             (np.zeros((1, 1, 2)), 1),  # no P_1
-            (np.ones((1, 4, 2)), 1),  # order 2 from u[1] reaches u[-1]
             (np.ones((0, 3, 1)), 1),  # no set
             (np.ones((1, 3, 0)), 1),  # no coefficient
             (np.ones((1, 3, 1)), 10),  # u[10] is past the end
-            (np.ones((1, 3, 1)), 0),  # the step at index 0 of order 1 reaches u[-1]
+            (np.ones((1, 3, 1)), -1),  # u[-1] is before the start
         ):
             with pytest.raises(ValueError):
                 kernels.recurrence_steps(polys, u, n0)
-        for v in (np.zeros(10), np.zeros((2, 5), complex)):  # not a complex128 vector
-            with pytest.raises(ValueError, match="complex128 vector"):
+        # not a complex128 or complex long double vector
+        for v in (np.zeros(10), np.zeros(10, np.complex64), np.zeros((2, 5), complex)):
+            with pytest.raises(ValueError, match="complex128 or complex long double vector"):
                 kernels.recurrence_steps(np.ones((1, 3, 1)), v, 1)
+
+    @pytest.mark.parametrize("dtype", STREAMS)
+    @pytest.mark.parametrize("order, n0", [(2, 1), (1, 0), (3, 0)])
+    def test_steps_below_the_order_read_zero_before_u0(self, order, n0, dtype):
+        # u[m+1] = (m + 1) u[m] + 2 u[m-1] + ... + (order + 1) u[m-order],
+        # from seeds that stop below the order: the lags past m read u below
+        # index 0, which is 0.  u is a view into an array whose entries
+        # before it are 7 + 7j, so a read before u[0] (or a Python index
+        # that wraps to u's end) changes the integers the loop writes
+        polys = np.zeros((1, order + 2, 2), dtype=np.longdouble)
+        polys[0, 0] = 0, 1
+        polys[0, 1] = 1, 1
+        for i in range(1, order + 1):
+            polys[0, i + 1] = 0, i + 1
+        want = [3, -1][: n0 + 1]
+        for m in range(n0, 12):
+            want.append(sum(c * want[m - i] for i, c in enumerate([m + 1, *range(2, order + 2)])
+                            if m - i >= 0))
+        for impl in kernels.implementations().values():
+            base = np.full(16, 7 + 7j, dtype=dtype)
+            u = base[3:]
+            u[:] = 0
+            u[: n0 + 1] = want[: n0 + 1]
+            assert kernels.recurrence_steps(polys, u, n0, impl=impl) is None
+            assert u.tolist() == want
+            assert (base[:3] == 7 + 7j).all()
 
     def test_strided_u_steps_as_the_contiguous_one(self):
         # every other entry of a longer array: the compiled loop steps a
@@ -161,6 +199,15 @@ class TestRecurrenceSteps:
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("sets", [1, 4])
     def test_implementations_agree_bitwise(self, sets, cplx):
+        self.check_agree(sets, cplx, np.complex128)
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("sets", [1, 4])
+    def test_implementations_agree_bitwise_in_long_double(self, sets, cplx):
+        self.check_agree(sets, cplx, np.clongdouble)
+
+    @staticmethod
+    def check_agree(sets, cplx, dtype):
         impls = kernels.implementations()
         if len(impls) < 2:
             pytest.skip("compiled kernels unavailable")
@@ -168,26 +215,34 @@ class TestRecurrenceSteps:
         polys = _random_polys(rng, sets, 4, 3, cplx)
         results = []
         for impl in impls.values():
-            u = np.zeros(308, dtype=np.complex128)  # the steps from index 7, after 3 zeros
+            u = np.zeros(308, dtype=dtype)  # the steps from index 7, after 3 zeros
             u[3:8] = [1.0, 0.9, 0.8, 0.7, 0.6]
             assert kernels.recurrence_steps(polys, u, 7, impl=impl) is None
             results.append(u)
         assert np.isfinite(results[0]).all()
-        assert np.array_equal(results[0].view(np.uint64), results[1].view(np.uint64))
+        assert _same(results[0], results[1])
 
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     def test_rows_match_the_steps(self, cplx):
-        # the fallback's entries are what the loop multiplies by: one step
-        # from unit vectors reads each entry back
+        self.check_rows(cplx, np.complex128)
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_rows_match_the_steps_in_long_double(self, cplx):
+        self.check_rows(cplx, np.clongdouble)
+
+    @staticmethod
+    def check_rows(cplx, dtype):
+        # the fallback's entries, in the stream's dtype, are what the loop
+        # multiplies by: one step from unit vectors reads each entry back
         rng = np.random.default_rng(7)
         polys = _random_polys(rng, 2, 3, 2, cplx)
         polys[1, 2] = 0  # set 1 has no lag 1
-        rows, good = _kernels_py.rows(polys, 5, 6)
-        assert good == 6
+        rows, good = _kernels_py.rows(polys, 5, 6, dtype)
+        assert good == 6 and rows.dtype == dtype
         for impl in kernels.implementations().values():
             for m in range(5, 11):
                 for i in range(4):
-                    u = np.zeros(m + 2, dtype=np.complex128)  # the one step at index m
+                    u = np.zeros(m + 2, dtype=dtype)  # the one step at index m
                     u[m - i] = 1
                     kernels.recurrence_steps(polys, u, m, impl=impl)
                     assert u[m + 1] == rows[m - 5, i]
@@ -229,6 +284,23 @@ class TestRecurrenceSteps:
                 assert finite[: bad + 1].all() and not finite[bad + 1:].any()
                 results.append(finite)
         assert np.array_equal(results[0], results[-1])
+
+
+    @pytest.mark.parametrize("dtype", STREAMS)
+    def test_singular_row_below_the_order(self, dtype):
+        # order 3 from u_0 alone, P_0 = m - 2: the steps at m = 0 and 1 read
+        # u below index 0, the one at m = 2 is singular and returns its index
+        polys = np.zeros((1, 5, 2), dtype=np.longdouble)
+        polys[0, 0] = 1, -2
+        polys[0, 1:] = 0, 1
+        results = []
+        for impl in kernels.implementations().values():
+            u = np.zeros(9, dtype=dtype)
+            u[0] = 4
+            assert kernels.recurrence_steps(polys, u, 0, impl=impl) == 2
+            assert u.tolist() == [4, -2, -2, 0, 0, 0, 0, 0, 0]  # stepped up to it
+            results.append(u)
+        assert _same(results[0], results[-1])
 
 
 class TestSelection:

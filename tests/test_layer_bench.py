@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import os
+import time
 
 import pytest
 
@@ -28,11 +29,12 @@ def layer_bench():
 
 
 # (backend, family, the calls each replay makes): the exact combo steps two
-# branches; the f64 inverse sine steps four interleaved sets in one kernel
-# call, and writes its rows itself, so it replays no row evaluation
+# branches; the f64 inverse sine steps four interleaved sets in two kernel
+# calls (through u_k on a long double stream, then the rest), and writes its
+# rows itself, so it replays no row evaluation
 @pytest.mark.parametrize("backend, family, calls", [
     ("exact", "sinh-M-combo", {"rows": 2, "step": 2, "wrap": 2, "branches": 2, "oracle": 1}),
-    ("f64", "arcsin-M", {"rows": 0, "step": 1, "convolve": 1}),
+    ("f64", "arcsin-M", {"rows": 0, "step": 2, "convolve": 1}),
 ], ids=["exact-sinh-M-combo", "f64-arcsin-M"])
 def test_every_layer_is_timed(layer_bench, backend, family, calls):
     _, _, values, cases = layer_bench.BACKENDS[backend]
@@ -51,3 +53,29 @@ def test_every_layer_is_timed(layer_bench, backend, family, calls):
     assert (record["family"], record["N"]) == (family, 8)
     assert record["verify_rc" if backend == "f64" else "request_rc"] == 0
     assert list(record["params"]) == list(get_family(family).param_names)
+
+
+def test_every_layer_runs_first_once(layer_bench, monkeypatch):
+    # each repetition starts one layer further on: over as many repetitions
+    # as layers, every layer is timed first once
+    ran = []
+
+    def layer(name):
+        def call():
+            ran.append(name)
+            if name == "request":  # a request reads no less than its run
+                time.sleep(0.001)
+            return 0
+
+        return call
+
+    names = ("build", "rows", "step", "run", "request")
+    monkeypatch.setattr(layer_bench, "_layers",
+                        lambda *_: {name: layer(name) for name in names})
+    _, _, values, _ = layer_bench.BACKENDS["exact"]
+    record = layer_bench.measure("exact", "exp-F", values, 8, len(names))
+    assert "failed" not in record
+    firsts = ran[:: len(names)]
+    assert sorted(firsts) == sorted(names)
+    assert all(sorted(ran[i: i + len(names)]) == sorted(names)
+               for i in range(0, len(ran), len(names)))

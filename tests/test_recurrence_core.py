@@ -24,7 +24,6 @@ from macprod.recurrence_core import (
     RecurrenceSpec,
     run,
     step_exact,
-    step_wide,
 )
 from macprod.series_oracle import kummer_series
 from macprod.verify import draw_params
@@ -135,8 +134,8 @@ class TestF64Parity:
     """The C loop and the numpy fallback evaluate the same row polynomials
     with the same long double operations, so every f64 route (the single
     tables, the combo branches, binom's taps, the interleaved inverse-sine
-    sequences) gives the same bits.  Every route's first steps run in long
-    double at build, in one loop that is not the kernel's."""
+    sequences) gives the same bits, the first steps of each run, which the
+    kernel takes on a long double stream, included."""
 
     @staticmethod
     def draws(info):
@@ -372,14 +371,17 @@ class TestErrors:
         assert run(spec, 7).coeffs[-1] == pytest.approx(1 / 720)  # steps n = 1 .. 6 ran
 
     def test_first_steps_name_the_singular_row(self):
-        # step_wide, which takes an f64 run's first steps, reports a
-        # vanishing row denominator as its exact twin does
+        # the kernel's long double stream, which takes an f64 run's first
+        # steps, returns a vanishing row denominator's index, the one the
+        # exact stepper reports
+        with pytest.raises(SingularIndexError, match=self.MESSAGE) as exc:
+            step_exact(self.OVER_N_MINUS_7, [gr(1), gr(1)], 1, 12)
+        assert exc.value.index == 7
         polys = f64_spec(1, (1.0 + 0j, 1.0 + 0j), [(1, -7), (0, 1), (0, 0)]).polys
-        for step, row, window in ((step_exact, self.OVER_N_MINUS_7, [gr(1), gr(1)]),
-                                  (step_wide, polys, [1.0 + 0j, 1.0 + 0j])):
-            with pytest.raises(SingularIndexError, match=self.MESSAGE) as exc:
-                step(row, window, 1, 12)
-            assert exc.value.index == 7
+        for impl in kernels.implementations().values():
+            u = np.zeros(13, dtype=np.clongdouble)
+            u[:2] = 1
+            assert kernels.recurrence_steps(polys, u, 1, impl=impl) == 7
         # an order-8 row over n - 7 whose one seed is u_0: the run reaches the
         # singular row among the long double steps, before the kernel
         spec = f64_spec(8, (1.0 + 0j,), [(1, -7), (0, 1)] + [(0, 0)] * 8)
