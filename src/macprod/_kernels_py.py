@@ -13,10 +13,11 @@ import numpy as np
 
 
 def _poly(coeffs, V):
-    """sum_t coeffs[t] V[t], accumulated from 0 in ascending t."""
-    acc = np.zeros(V.shape[1], dtype=np.longdouble)
-    for c, v in zip(coeffs, V):
-        acc += c * v
+    """sum_t coeffs[:, t] V[t], accumulated from 0 in ascending t: one row
+    per polynomial of ``coeffs``, one column per step of ``V``."""
+    acc = np.zeros((len(coeffs), V.shape[1]), dtype=np.longdouble)
+    for t, v in enumerate(V):
+        acc += coeffs[:, t, None] * v
     return acc
 
 
@@ -39,27 +40,23 @@ def rows(polys, first, count, dtype=np.complex128):
                 V[-2] = first + j
             for t in range(width - 3, -1, -1):
                 V[t] = V[t + 1] * V[-2]
-            dr = _poly(P[0].real, V)
-            di = _poly(P[0].imag, V) if cplx else 0
-            bad[j] = (dr == 0) & (di == 0)
+            lags = np.flatnonzero(P[1:].any(axis=1))  # those whose polynomial is not zero
+            pick, cols = np.concatenate(([0], lags + 1)), (j[:, None], lags)
+            re = _poly(P.real[pick], V)  # P_0, then the numerators, at each step
             if cplx:  # 1 / (dr + di i) by Smith's method, as numpy divides
+                im = _poly(P.imag[pick], V)
+                dr, di = re[0], im[0]
+                bad[j] = (dr == 0) & (di == 0)
                 big = abs(dr) >= abs(di)
                 rat = np.where(big, di / dr, dr / di)
                 scl = 1 / np.where(big, dr + di * rat, di + dr * rat)
                 ir = np.where(big, scl, (rat + 0) * scl)
                 ii = np.where(big, (0 - rat) * scl, -scl)
+                out.real[cols] = (re[1:] * ir - im[1:] * ii).T
+                out.imag[cols] = (re[1:] * ii + im[1:] * ir).T
             else:
-                ir = 1 / dr
-            for i in range(size - 1):
-                if not P[i + 1].any():
-                    continue
-                nr = _poly(P[i + 1].real, V)
-                if cplx:
-                    ni = _poly(P[i + 1].imag, V)
-                    out.real[j, i] = nr * ir - ni * ii
-                    out.imag[j, i] = nr * ii + ni * ir
-                else:
-                    out.real[j, i] = nr * ir
+                bad[j] = re[0] == 0
+                out.real[cols] = (re[1:] * (1 / re[0])).T
     return out, int(np.argmax(bad)) if bad.any() else count
 
 
