@@ -37,8 +37,8 @@ coefficient.  With s sets of polynomials it steps s coupled sequences as one
 (entry n of sequence j is stream entry s*n + j, stepped by set j, and the
 run returns sequence 0), or convolves its stream with the coefficients of a
 binomial factor (``binomial``); the f64 backend serves products whose single
-recurrence is unstable in floats those ways.  An f64 run returns a complex128 array, and a
-combo's two f64 branches combine as arrays.
+recurrence is unstable in floats those ways.  An f64 run returns a
+complex128 array, and a combo's two f64 branches combine as arrays.
 
 A :class:`ComboSpec` combines two recurrence branches entrywise.  A sin/cos
 product at real parameters (the exp-X branches at +ip and -ip) carries one
