@@ -9,15 +9,16 @@ implementations agree bit for bit on the same inputs.
 
 from __future__ import annotations
 
+from itertools import chain, cycle
+
 import numpy as np
 
 
 def _poly(coeffs, V):
-    """sum_t coeffs[:, t] V[t], accumulated from 0 in ascending t: one row
-    per polynomial of ``coeffs``, one column per step of ``V``."""
-    acc = np.zeros((len(coeffs), V.shape[1]), dtype=np.longdouble)
-    for t, v in enumerate(V):
-        acc += coeffs[:, t, None] * v
+    """sum_t coeffs[t] V[t], accumulated from 0 in ascending t."""
+    acc = np.zeros(V.shape[1], dtype=np.longdouble)
+    for c, v in zip(coeffs, V):
+        acc += c * v
     return acc
 
 
@@ -40,38 +41,45 @@ def rows(polys, first, count, dtype=np.complex128):
                 V[-2] = first + j
             for t in range(width - 3, -1, -1):
                 V[t] = V[t + 1] * V[-2]
-            lags = np.flatnonzero(P[1:].any(axis=1))  # those whose polynomial is not zero
-            pick, cols = np.concatenate(([0], lags + 1)), (j[:, None], lags)
-            re = _poly(P.real[pick], V)  # P_0, then the numerators, at each step
+            dr = _poly(P[0].real, V)
+            di = _poly(P[0].imag, V) if cplx else 0
+            bad[j] = (dr == 0) & (di == 0)
             if cplx:  # 1 / (dr + di i) by Smith's method, as numpy divides
-                im = _poly(P.imag[pick], V)
-                dr, di = re[0], im[0]
-                bad[j] = (dr == 0) & (di == 0)
                 big = abs(dr) >= abs(di)
                 rat = np.where(big, di / dr, dr / di)
                 scl = 1 / np.where(big, dr + di * rat, di + dr * rat)
                 ir = np.where(big, scl, (rat + 0) * scl)
                 ii = np.where(big, (0 - rat) * scl, -scl)
-                out.real[cols] = (re[1:] * ir - im[1:] * ii).T
-                out.imag[cols] = (re[1:] * ii + im[1:] * ir).T
             else:
-                bad[j] = re[0] == 0
-                out.real[cols] = (re[1:] * (1 / re[0])).T
+                ir = 1 / dr
+            for i in range(size - 1):
+                if not P[i + 1].any():
+                    continue
+                nr = _poly(P[i + 1].real, V)
+                if cplx:
+                    ni = _poly(P[i + 1].imag, V)
+                    out.real[j, i] = nr * ir - ni * ii
+                    out.imag[j, i] = nr * ii + ni * ir
+                else:
+                    out.real[j, i] = nr * ir
     return out, int(np.argmax(bad)) if bad.any() else count
 
 
 def recurrence_steps(polys, u, n0):
     count = len(u) - 1 - n0
     R, good = rows(polys, n0, count, u.dtype)
-    sets = len(polys)
-    lags = [[i for i in range(len(P) - 1) if P[i + 1].any()] for P in polys]
+    sets, k = len(polys), len(polys[0]) - 2
+    lags = [[i for i in range(k + 1) if P[i + 1].any()] for P in polys]
+    # the lags each step reads, ascending: the steps below k drop those past
+    # n, which read u below index 0; from then on set (n + 1) % sets cycles
+    tail = max(n0, min(k, n0 + good))
+    reads = chain(([i for i in lags[(n + 1) % sets] if i <= n] for n in range(n0, tail)),
+                  cycle([lags[(n + 1) % sets] for n in range(tail, tail + sets)]))
     uv = u.tolist()  # Python complex, or numpy long double scalars
     with np.errstate(all="ignore"):  # inf and NaN carry on, as in C
-        for n, row in enumerate(R[:good].tolist(), n0):
+        for (n, row), read in zip(enumerate(R[:good].tolist(), n0), reads):
             acc = 0j
-            for i in lags[(n + 1) % sets]:
-                if i > n:
-                    break
+            for i in read:
                 acc = acc + row[i] * uv[n - i]
             uv[n + 1] = acc
     u[:] = uv
