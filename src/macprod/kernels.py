@@ -6,22 +6,20 @@ above that a recursive split into halves that never forms the block past
 the cut.  Two real operands are multiplied in float64, anything else in
 complex128.
 
-``recurrence_steps`` runs the C loop in ``_LOOP`` below, built for complex128
-and for complex long double streams.  It takes a recurrence's row
-polynomials as data and evaluates them at each step in long double: each
-polynomial as the sum, from 0, of its coefficients times the powers of the
-step index, highest power first (which rounds the leading term once less
-than Horner's scheme), then one reciprocal of the denominator (by Smith's
-method when complex, as numpy divides) and one product per entry, rounded
-once to the stream's type, in which the step runs.  Lags whose polynomial is
-zero are skipped, and so are those past the step index (u below index 0 is
-0).  The loop stops only at the first index whose denominator vanishes.  A
-row entry or value past the stream's type becomes inf or NaN and is stepped
-on, so every value that reads it is not finite either; the caller's one
-finiteness check of the output reports it.  Its one caller,
-``recurrence_core._run_f64``, steps a spec from its last seed through u_k,
-k the order, on a long double stream (at small n a step can cancel), and
-the rest of it on a complex128 one.
+``recurrence_steps`` runs the C loop ``_LOOP`` below, built for complex128
+and complex long double streams.  It takes a recurrence's row polynomials
+as data and evaluates them at each step in long double: each polynomial as
+the sum, from 0, of its coefficients times the powers of the step index,
+highest power first (which rounds the leading term once less than Horner's
+scheme), then one reciprocal of the denominator (by Smith's method when
+complex, as numpy divides) and one product per entry, rounded once to the
+stream's type, in which the step runs.  It skips the lags whose polynomial
+is zero and those past the step index (u below index 0 is 0), and stops
+only at the first index whose denominator vanishes.  A row entry or value
+past the stream's type becomes inf or NaN and is stepped on, so every value
+that reads it is not finite either; the caller's one finiteness check of
+the output reports it.  ``recurrence_core._run_f64`` steps a run through
+u_k, k the order, on a long double stream, and the rest on a complex128 one.
 
 The loop is compiled with the system C compiler on first use, never at
 import, and cached as ``__pycache__/_step-<sha256 of the source>.<platform>.so``
@@ -71,8 +69,7 @@ _LOOP = r"""
    u below index 0, which is 0, and are skipped.  Returns the first m whose
    P_0 vanishes, u stepped up to it, -1 when every step ran, or -2 when the
    work space cannot be allocated.  An entry or value past STREAM is stepped
-   on as inf or NaN, which IEEE arithmetic carries into every later value
-   that reads it. */
+   on as inf or NaN, which IEEE arithmetic carries into every later value. */
 long STEPS(const long double *c, int cplx, long sets, long k, long width,
            STREAM *u, long n0, long count)
 {

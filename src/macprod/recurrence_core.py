@@ -336,8 +336,7 @@ def _run_f64(spec: RecurrenceSpec, N: int):
     # the steps through u_k on a long double copy: at small n a step can cancel
     k, bad = max(n0, min(M, spec.order)), None
     if k > n0:
-        wide = np.zeros(k + 1, dtype=np.clongdouble)
-        wide[: n0 + 1] = spec.seeds
+        wide = np.array([*spec.seeds] + [0] * (k - n0), dtype=np.clongdouble)
         bad = kernels.recurrence_steps(spec.polys, wide, n0)
         with np.errstate(over="ignore"):  # past double is inf: reported below
             u[n0 + 1: k + 1] = wide[n0 + 1:]
