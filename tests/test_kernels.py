@@ -109,9 +109,9 @@ STREAMS = [np.complex128, np.clongdouble]
 def _same(a, b) -> bool:
     """Whether two streams hold the same values, the signs of zeros too: bit
     for bit but for NaN payloads and a long double's padding bytes."""
-    return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True) and all(
-        np.array_equal(np.signbit(x), np.signbit(y)) for x, y in ((a.real, b.real), (a.imag, b.imag))
-    )
+    signs = [np.array_equal(np.signbit(x), np.signbit(y))
+             for x, y in ((a.real, b.real), (a.imag, b.imag))]
+    return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True) and all(signs)
 
 
 def _random_polys(rng, sets, k, width, cplx):
@@ -284,7 +284,6 @@ class TestRecurrenceSteps:
                 assert finite[: bad + 1].all() and not finite[bad + 1:].any()
                 results.append(finite)
         assert np.array_equal(results[0], results[-1])
-
 
     @pytest.mark.parametrize("dtype", STREAMS)
     def test_singular_row_below_the_order(self, dtype):
