@@ -19,17 +19,21 @@ into, the kernel's ``u``, copied as it was), and the layer calls the function
 again with them, so nothing here restates the run path.  ``calls`` counts
 each replay's calls (the f64 inverse sine writes its rows itself, so its
 ``rows`` replays none).  Both backends time ``build``, ``rows`` (the build's
-``families._integer_rows`` or ``_float_polys``), ``branches`` (the runs of
-the branches the spec steps) and ``run`` (``recurrence_core.run``); for a
-combo ``run`` minus ``branches`` is the combine.
+``families._integer_rows`` or ``_float_polys``) and ``run``
+(``recurrence_core.run``), and for a combo ``branches``, the runs of the
+branches it steps, so that ``run`` minus ``branches`` is the combine (a
+single spec's one branch is its run, so it has no ``branches`` record).
 
 ``--backend exact`` (sizes 40, 256, 1024; JSON benchmark ``exact-rows``):
 ``branches`` replays ``recurrence_core._run_generic``, ``step`` the stepping
 in integers (``_stream``), ``wrap`` the materialisation as ``Fraction`` and
-Gaussian-rational values (``_values``); ``text`` is ``cli.cmd_coeffs`` with
-its build and run handing over the spec and the stream made beforehand,
-``request`` a ``macprod coeffs`` in this process, and ``oracle`` the
-``cauchy_product`` of an exact ``verify.oracle_stream``.
+Gaussian-rational values (``_values``).  A conjugate combo (sin and cos over
+M and F at real parameters) steps its one branch with ``_stream`` and forms
+the part its combiner reads itself, so its ``branches`` and ``wrap`` replay
+no call.  ``text`` is ``cli.cmd_coeffs`` with its build and run handing
+over the spec and the stream made beforehand, ``request`` a ``macprod
+coeffs`` in this process, and ``oracle`` the ``cauchy_product`` of an exact
+``verify.oracle_stream``.
 
 ``--backend f64`` (sizes 64, 1024, 8192; JSON benchmark ``f64-kernels``):
 ``branches`` runs each branch as a spec of its own, ``step_<impl>`` replays
@@ -163,11 +167,15 @@ def _layers(backend: str, family: str, values: dict, N: int) -> dict:
     replay = {layer: _replay(*calls) for layer, calls in recorded.items()}
     flags = [f"--family={family}", f"--backend={backend}", *(f"--{k}={values[k]}" for k in names)]
     layers = {"build": lambda: build(family, pp, backend), "rows": replay["rows"]}
+    # a single spec's branch is the run itself: branches are timed for combos only
+    combo = isinstance(spec, recurrence_core.ComboSpec)
     if backend == "exact":
         argv = ["coeffs", *flags, f"--count={N + 1}"]
-        args = cli._build_parser().parse_args(argv)
+        args = cli._build_parser("coeffs").parse_args(argv)
+        layers |= {"step": replay["step"], "wrap": replay["wrap"]}
+        if combo:
+            layers["branches"] = replay["branches"]
         return layers | {
-            "step": replay["step"], "wrap": replay["wrap"], "branches": replay["branches"],
             "run": lambda: recurrence_core.run(spec, N),
             "text": lambda: _text(args, spec, stream),
             "request": lambda: _request(argv), "oracle": replay["oracle"],
@@ -175,12 +183,10 @@ def _layers(backend: str, family: str, values: dict, N: int) -> dict:
     for name, impl in kernels.implementations().items():
         layers[f"step_{name}"] = _replay(*recorded["step"], impl=impl)
     _, convolved = recorded["convolve"]
-    # an f64 branch is run as a spec of its own; a combo whose right branch
-    # is None (the left's conjugate) steps its left one only
-    combo = isinstance(spec, recurrence_core.ComboSpec)
-    branches = [b for b in (spec.left, spec.right) if b is not None] if combo else [spec]
+    if combo:  # each branch run as a spec of its own; a conjugate combo steps its left one only
+        branches = [b for b in (spec.left, spec.right) if b is not None]
+        layers["branches"] = lambda: [recurrence_core.run(b, N) for b in branches]
     return layers | {
-        "branches": lambda: [recurrence_core.run(b, N) for b in branches],
         "run": lambda: recurrence_core.run(spec, N),
         "series": lambda: (replay["h"](), replay["base"]()), "convolve": replay["convolve"],
         "convolve_whole": lambda: [np.convolve(a, b)[: len(a)] for (a, b), _ in convolved],

@@ -3,8 +3,9 @@ sweeps, benchmarks, and the family catalogue.
 
 Standard output carries data only (JSON, CSV, or plain scalars); every
 diagnostic goes to standard error.  Exit codes: 0 success, 1 verification
-finding, 2 validation or parse failure, 3 numeric failure, 141 (128 +
-SIGPIPE, as a shell reports it) standard output closed by its reader.
+finding, 2 validation or parse failure (a ``--count`` whose stream cannot
+be allocated included), 3 numeric failure, 141 (128 + SIGPIPE, as a shell
+reports it) standard output closed by its reader.
 
 Each module is imported where its work begins, never at start-up: numpy
 where an f64 path begins (an f64 build, run, oracle, comparison or output,
@@ -338,13 +339,12 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command=None) -> argparse.ArgumentParser:
+def _build_parser(command) -> argparse.ArgumentParser:
     """The parser, with every command named but only ``command``'s flags and
-    handler, or every command's when ``command`` is None.  A request whose
-    first token names its command is parsed by that command's subparser
-    alone; the top-level usage line, the command choices and every error
-    come from the same objects either way, so the outputs do not depend on
-    how much was built."""
+    handler (none when ``command`` is None).  A request is parsed by its
+    command's subparser alone, so the top-level usage line, the command
+    choices and every error come from the same objects whichever command
+    was built."""
     parser = argparse.ArgumentParser(
         prog="macprod",
         description=(
@@ -355,7 +355,7 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_flags, handler) in _COMMANDS.items():
         p_command = sub.add_parser(name, help=help_text)
-        if command in (None, name):
+        if name == command:
             add_flags(p_command)
             p_command.set_defaults(func=handler)
     return parser
@@ -363,9 +363,9 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top level takes no option with a value, so a first token that
-    # names a command is the command
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    # the top level takes no option with a value, so the first token that
+    # names a command is the command argparse dispatches to
+    parser = _build_parser(next((token for token in argv if token in _COMMANDS), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -395,6 +395,9 @@ def main(argv=None) -> int:
     except (SingularIndexError, NonFiniteError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError:  # the stream's size comes from --count
+        print(f"error: --count {args.count} is too large for memory", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -83,8 +83,8 @@ import operator
 from fractions import Fraction
 
 from .numerics import (
-    GaussianRational,
     ParameterDomainError,
+    PiLinear,
     _set,
     _Value,
     format_scalar,
@@ -570,12 +570,10 @@ def _plan(entry):
 
 
 def _int_parts(x):
-    """x as (re, im, q) with integers re, im, q > 0 and x = (re + im i) / q."""
-    if isinstance(x, GaussianRational):
-        q = math.lcm(x.re.denominator, x.im.denominator)
-        return x.re.numerator * (q // x.re.denominator), x.im.numerator * (q // x.im.denominator), q
-    x = Fraction(x)
-    return x.numerator, 0, x.denominator
+    """A Gaussian rational x as (re, im, q) with integers re, im, q > 0 and
+    x = (re + im i) / q."""
+    q = math.lcm(x.re.denominator, x.im.denominator)
+    return x.re.numerator * (q // x.re.denominator), x.im.numerator * (q // x.im.denominator), q
 
 
 def _trim(coeffs):
@@ -718,6 +716,11 @@ def _validate(info: FamilyInfo, params: Params):
     if extra:
         raise ParameterDomainError(
             f"family {info.id} does not take parameter(s) {', '.join(extra)}"
+        )
+    pi = [name for name in info.param_names if isinstance(getattr(params, name), PiLinear)]
+    if pi:
+        raise ParameterDomainError(
+            f"family {info.id}: parameter {pi[0]} carries pi; the tables take Gaussian rationals"
         )
     if "c" in wanted:
         if is_nonpositive_integer(params.c):

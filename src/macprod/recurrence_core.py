@@ -11,18 +11,20 @@ at its n (``SingularIndexError``).
 
 The exact path has the polynomials in integers: the families evaluate each
 product operator in integers, every entry over the one denominator
-P_0(n+1).  The stream steps with them fraction-free (``step_exact``): the
-window u_{n-k} .. u_n is held as integer numerators over one running
-denominator D, a complex row denominator is made real by its conjugate, and
-the only reduction is the gcd of each step's denominator with the new
-numerator, which is cheap because that denominator is a small integer.  It
-keeps D equal to the window's least common denominator in practice, and
-each output part is one ``Fraction`` over its step's D, wrapped in
-:class:`GaussianRational`.  A stream whose coefficients and seeds are real
-carries no imaginary half.  Pi-linear seeds q0 + q1*pi step by linearity as
-two rational streams (the K and E streams are pi/2 times a rational stream,
-arccos-M is rational + pi * rational), so :class:`PiLinear` never enters
-the loop, and a stream whose seeds are all zero is not stepped.
+P_0(n+1).  ``_run_generic`` runs every exact single stream, stepping it
+with them fraction-free (``_stream``): the window u_{n-k} .. u_n is held as
+integer numerators over one running denominator D, a complex row
+denominator is made real by its conjugate, and the only reduction is the
+gcd of each step's denominator with the new numerator, which is cheap
+because that denominator is a small integer.  It keeps D equal to the
+window's least common denominator in practice, and each output part is one
+``Fraction`` over its step's D, wrapped in :class:`GaussianRational`.  A
+stream whose coefficients and seeds are real carries no imaginary half.
+Pi-linear seeds q0 + q1*pi step by linearity as two rational streams (the
+K and E streams are pi/2 times a rational stream, arccos-M is rational +
+pi * rational), so :class:`PiLinear` never enters the loop, and a stream
+whose seeds are all zero is not stepped (unless no stream is live: one is
+stepped then, so a singular row is reported).
 
 The f64 path steps every entry after the seeds in ``kernels.recurrence_steps``,
 which evaluates each row from the long double row polynomials, steps it, and
@@ -266,29 +268,34 @@ def _stream(polys, window: list, n0: int, N: int):
     return out_re, out_im, dens
 
 
-def _values(stream, part=None) -> list:
+def _values(stream) -> list:
     """The entries of a ``_stream`` as Gaussian rationals, each part one
-    ``Fraction`` over its step's D, which normalises it; or with ``part``
-    ("re" or "im") only the ``Fraction`` of that part."""
+    ``Fraction`` over its step's D, which normalises it."""
     re, im, dens = stream
-    if part is not None:
-        nums = re if part == "re" else im
-        return [_FRACTION_ZERO] * len(dens) if nums is None else list(map(Fraction, nums, dens))
     if im is None:
         return [GaussianRational(x, _FRACTION_ZERO) for x in map(Fraction, re, dens)]
     return list(map(GaussianRational, map(Fraction, re, dens), map(Fraction, im, dens)))
 
 
-def step_exact(polys, window: list, n0: int, N: int, part=None) -> list:
-    """u_{n0+1} .. u_N from the window u_{n0-k} .. u_{n0} of exact scalars,
-    stepped over the integer row ``polys`` (see :class:`RecurrenceSpec`).
-    With ``part`` ("re" or "im"), for a window without pi, only the
-    ``Fraction`` of that part of each entry is formed.
+def _window(spec: RecurrenceSpec) -> list:
+    """u_{n0-k} .. u_{n0}, n0 the last seed's index: the seeds, 0 at
+    negative indices."""
+    return ([_ZERO] * spec.order + list(spec.seeds))[-spec.order - 1:]
+
+
+def _run_generic(spec: RecurrenceSpec, N: int) -> list:
+    """u_0 .. u_N of an exact spec, stepped over its integer row (see
+    :class:`RecurrenceSpec`).
 
     q0 + q1*pi steps as two rational streams, so pi never enters the loop,
     and a stream whose window is all zero is not stepped.
     """
-    window = [GaussianRational(s) if isinstance(s, (int, Fraction)) else s for s in window]
+    values = list(spec.seeds[: N + 1])
+    n0 = spec.start
+    if N <= n0:
+        return values
+    window = [GaussianRational(s) if isinstance(s, (int, Fraction)) else s
+              for s in _window(spec)]
     pi = any(isinstance(s, PiLinear) for s in window)
     parts = [[s.q0 if isinstance(s, PiLinear) else s for s in window]]
     if pi:
@@ -296,32 +303,13 @@ def step_exact(polys, window: list, n0: int, N: int, part=None) -> list:
     live = [any(p) for p in parts]
     if not any(live):  # still step one, so a singular row is reported
         live[0] = True
-    zero = _ZERO if part is None else _FRACTION_ZERO
     streams = [
-        _values(_stream(polys, p, n0, N), part) if on else [zero] * (N - n0)
+        _values(_stream(spec.polys, p, n0, N)) if on else [_ZERO] * (N - n0)
         for p, on in zip(parts, live)
     ]
     if pi:
-        return [PiLinear(q0, q1) for q0, q1 in zip(*streams)]
-    return streams[0]
-
-
-def _window(spec: RecurrenceSpec, zero) -> list:
-    """u_{n0-k} .. u_{n0}, n0 the last seed's index: the seeds, ``zero`` at
-    negative indices."""
-    return ([zero] * spec.order + list(spec.seeds))[-spec.order - 1:]
-
-
-def _run_generic(spec: RecurrenceSpec, N: int, part=None) -> list:
-    """u_0 .. u_N, or with ``part`` only that part of each entry (seeds
-    without pi)."""
-    values = list(spec.seeds[: N + 1])
-    if part is not None:
-        values = [getattr(v if isinstance(v, GaussianRational) else GaussianRational(v), part)
-                  for v in values]
-    if N <= spec.start:
-        return values
-    return values + step_exact(spec.polys, _window(spec, _ZERO), spec.start, N, part)
+        return values + [PiLinear(q0, q1) for q0, q1 in zip(*streams)]
+    return values + streams[0]
 
 
 def _run_f64(spec: RecurrenceSpec, N: int):
@@ -331,7 +319,10 @@ def _run_f64(spec: RecurrenceSpec, N: int):
 
     n0, s = spec.start, len(spec.polys)
     M = s * N  # the stream index of u_N
-    u = np.zeros(M + 1, dtype=np.complex128)
+    try:
+        u = np.zeros(M + 1, dtype=np.complex128)
+    except ValueError as exc:  # past numpy's largest dimension, refused before allocating
+        raise MemoryError(str(exc)) from None
     u[: n0 + 1] = spec.seeds[: M + 1]  # the seeds through u_M
     # the steps through u_k on a long double copy: at small n a step can cancel
     k, bad = max(n0, min(M, spec.order)), None
@@ -382,11 +373,18 @@ def _half(combine, x, y):
 def _conjugate_combo(spec: RecurrenceSpec, N: int, combine, parts) -> list:
     """A conjugate combo from its left branch u alone: (u + conj u)/2 = Re u
     and (u - conj u)/2 = i Im u, so only u's real part (for +) or its
-    imaginary part (for -) is formed."""
+    imaginary part (for -) is formed, one ``Fraction`` per entry.  The
+    stream is stepped even where its seeds are all zero, so a singular row
+    is reported."""
     add = combine is operator.add
+    values = [s.re if add else s.im for s in spec.seeds[: N + 1]]
+    if N > spec.start:
+        re, im, dens = _stream(spec.polys, _window(spec), spec.start, N)
+        nums = re if add else im
+        values += [_FRACTION_ZERO] * len(dens) if nums is None else map(Fraction, nums, dens)
     return [
         GaussianRational(*parts(*((x, _FRACTION_ZERO) if add else (_FRACTION_ZERO, x))))
-        for x in _run_generic(spec, N, "re" if add else "im")
+        for x in values
     ]
 
 

@@ -272,17 +272,11 @@ def bench(family_id: str, params, N: int, repetitions: int = 3) -> BenchReport:
 # ---------------------------------------------------------------------------
 
 
-def _draw_fraction(rng: Random, max_den: int = 12, max_num: int = 12) -> Fraction:
-    den = rng.randint(1, max_den)
-    num = rng.randint(-max_num, max_num)
-    return Fraction(num, den)
-
-
-def _draw_bounded(rng: Random, bound: int = 2) -> Fraction:
-    # |value| <= bound with numerator and denominator both <= 12
+def _draw_fraction(rng: Random, bound: int) -> Fraction:
+    """num/den with |value| <= bound and 1 <= den <= 12, |num| <= 12."""
     den = rng.randint(1, 12)
-    num = rng.randint(-min(12, bound * den), min(12, bound * den))
-    return Fraction(num, den)
+    top = min(12, bound * den)
+    return Fraction(rng.randint(-top, top), den)
 
 
 def draw_params(info, rng: Random) -> Params:
@@ -291,7 +285,7 @@ def draw_params(info, rng: Random) -> Params:
     for name in info.param_names:
         if name == "c":
             while True:
-                c = _draw_fraction(rng)
+                c = _draw_fraction(rng, 12)
                 if c.denominator == 1 and c <= 0:
                     continue
                 if info.c_excludes_2 and c == 2:
@@ -299,9 +293,9 @@ def draw_params(info, rng: Random) -> Params:
                 fields["c"] = c
                 break
         elif name in ("p", "theta"):
-            fields[name] = _draw_bounded(rng, 2)
+            fields[name] = _draw_fraction(rng, 2)
         else:
-            fields[name] = _draw_fraction(rng)
+            fields[name] = _draw_fraction(rng, 12)
     return Params(**fields)
 
 

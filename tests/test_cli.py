@@ -195,7 +195,7 @@ def _dict_csv(records, exact):
 def reference_coeffs(argv):
     """What ``coeffs`` printed before the record writer: the dict records
     through ``emit_json`` (JSON) or joined by column (CSV)."""
-    args = cli._build_parser().parse_args(argv)
+    args = cli._build_parser("coeffs").parse_args(argv)
     bk = get_backend(args.backend)
     info = get_family(args.family)
     params = cli._parse_params(args, bk)
@@ -459,6 +459,20 @@ class TestExitCodes:
         flags = ["--family", "exp-M", "--a=1", "--c=2", "--p=1"]
         code, out, err = run_cli(capsys, argv[0], *flags, *argv[1:])
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("count", ["100000000000000000000", "144115188075855872"],
+                             ids=["past-numpy-dimension", "2-EiB"])
+    @pytest.mark.parametrize("argv", [
+        ("coeffs", "--backend", "f64", "--family", "exp-M", "--a=1", "--c=1", "--p=1"),
+        ("eval", "--family", "exp-M", "--a=1", "--c=1", "--p=1", "--z=1/2"),
+        ("verify", "--backend", "f64", "--family", "exp-M", "--a=1", "--c=1", "--p=1"),
+        ("verify", "--backend", "f64", "--family", "exp-M"),
+        ("bench", "--family", "exp-M"),
+    ], ids=["coeffs", "eval", "verify", "verify-sweep", "bench"])
+    def test_count_past_memory_is_2(self, capsys, argv, count):
+        # numpy refuses either stream size before it allocates anything
+        code, out, err = run_cli(capsys, *argv, "--count", count)
+        assert (code, out, err) == (2, "", f"error: --count {count} is too large for memory\n")
 
     @pytest.mark.parametrize("argv", [
         ("list",),

@@ -25,6 +25,7 @@ from macprod.numerics import (
     GaussianRational,
     NonFiniteError,
     ParameterDomainError,
+    PiLinear,
     SingularIndexError,
     approximate,
     get_backend,
@@ -39,7 +40,7 @@ from macprod.series_oracle import (
     kummer_series,
     scale_stream,
 )
-from macprod.verify import draw_params, oracle_stream, recurrence_stream, sweep
+from macprod.verify import compare_oracle, draw_params, oracle_stream, recurrence_stream, sweep
 
 G = GaussianRational
 
@@ -221,6 +222,20 @@ class TestValidation:
 
     def test_fractional_c_near_excluded(self):
         build("sin-M", {"a": 1, "c": Fraction(-7, 2), "p": 1})
+
+    @pytest.mark.parametrize("family, params, name", [
+        ("exp-M", {"a": 1, "c": 1, "p": PiLinear(0, 1)}, "p"),
+        ("exp-M", {"a": PiLinear(1, 0), "c": 1, "p": 1}, "a"),
+        ("sin-M", {"a": 1, "c": PiLinear(0, 1), "p": 1}, "c"),
+    ], ids=["exp-M-p-pi", "exp-M-a-pi-linear", "sin-M-c-pi"])
+    def test_parameters_carrying_pi_are_refused(self, family, params, name):
+        # the tables take Gaussian rationals; a PiLinear, even one whose pi
+        # part is zero, is refused by name before the build reads it
+        message = f"family {family}: parameter {name} carries pi"
+        with pytest.raises(ParameterDomainError, match=message):
+            build(family, params)
+        with pytest.raises(ParameterDomainError, match=message):
+            compare_oracle(family, params, 8)
 
 
 class TestSeeds:
@@ -553,7 +568,8 @@ class TestSingularRows:
         )
         with pytest.raises(ParameterDomainError, match="c must not be"):
             build(family_id, params)
-        spec = families._route(info, params, EXACT)  # around the validator
+        # around the validator, with the params coerced as build coerces them
+        spec = families._route(info, families.conform_params(params, EXACT), EXACT)
         assert len(run(spec, index).coeffs) == index + 1
         with pytest.raises(SingularIndexError, match=f"n={index}") as exc:
             run(spec, index + 1)

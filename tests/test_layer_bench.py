@@ -8,11 +8,13 @@ import time
 import pytest
 
 from macprod import kernels
-from macprod.families import get_family
+from macprod.families import build, get_family
+from macprod.recurrence_core import ComboSpec
 
 PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "benchmarks", "layer_bench.py")
-#: each backend's layers; "step" stands for one step_<impl> per f64 implementation
+#: each backend's layers; "step" stands for one step_<impl> per f64 implementation, and
+#: "branches" is timed for combos only
 FIELDS = {
     "exact": ("build", "rows", "step", "wrap", "branches", "run", "text", "request", "oracle"),
     "f64": ("build", "rows", "step", "branches", "run", "series", "convolve", "convolve_whole",
@@ -45,7 +47,9 @@ def test_every_layer_is_timed(layer_bench, backend, family, calls):
     def expand(layer):
         return steps if layer == "step" else [layer]
 
-    fields = [x for k in FIELDS[backend] for x in expand(k)]
+    names = get_family(family).param_names
+    combo = isinstance(build(family, {k: values[k] for k in names}, backend), ComboSpec)
+    fields = [x for k in FIELDS[backend] for x in expand(k) if combo or k != "branches"]
     assert "failed" not in record
     assert [k[:-3] for k in record if k.endswith("_ms")] == fields
     assert all(math.isfinite(record[f"{k}_ms"]) for k in fields)

@@ -23,7 +23,6 @@ from macprod.recurrence_core import (
     ComboSpec,
     RecurrenceSpec,
     run,
-    step_exact,
 )
 from macprod.series_oracle import kummer_series
 from macprod.verify import draw_params
@@ -375,7 +374,7 @@ class TestErrors:
         # steps, returns a vanishing row denominator's index, the one the
         # exact stepper reports
         with pytest.raises(SingularIndexError, match=self.MESSAGE) as exc:
-            step_exact(self.OVER_N_MINUS_7, [gr(1), gr(1)], 1, 12)
+            run(RecurrenceSpec(1, (gr(1), gr(1)), self.OVER_N_MINUS_7, "exact"), 12)
         assert exc.value.index == 7
         polys = f64_spec(1, (1.0 + 0j, 1.0 + 0j), [(1, -7), (0, 1), (0, 0)]).polys
         for impl in kernels.implementations().values():
@@ -596,7 +595,9 @@ class TestSingularMidRun:
     @pytest.mark.parametrize("row", ["real", "complex"])
     def test_singular_mid_run_in_a_combo(self, row, combiner):
         left = self.spec(row, "complex")
-        for combo in (ComboSpec(left, left, combiner), ComboSpec(left, None, combiner)):
+        zero = self.spec(row, "zero")  # a one-branch combo steps all-zero seeds too
+        for combo in (ComboSpec(left, left, combiner), ComboSpec(left, None, combiner),
+                      ComboSpec(zero, None, combiner)):
             self.raises_at_7(combo)
             assert len(run(combo, 7).coeffs) == 8
 
@@ -702,21 +703,25 @@ class TestConjugateBranches:
         return [(type(v), v.re, v.im, type(v.re), type(v.im)) for v in coeffs]
 
     def check(self, family, backend, N, monkeypatch):
-        stepped = []
-        for name in ("_run_generic", "_run_f64"):
-            step = getattr(recurrence_core, name)
+        stepped = []  # the polys of each stream stepped: exact in _stream, f64 in _run_f64
+        stream, run_f64 = recurrence_core._stream, recurrence_core._run_f64
 
-            def counted(spec, n, *part, step=step):
-                stepped.append(spec)
-                return step(spec, n, *part)
+        def exact_stream(polys, *args):
+            stepped.append(polys)
+            return stream(polys, *args)
 
-            monkeypatch.setattr(recurrence_core, name, counted)
+        def f64_stream(spec, n):
+            stepped.append(spec.polys)
+            return run_f64(spec, n)
+
+        monkeypatch.setattr(recurrence_core, "_stream", exact_stream)
+        monkeypatch.setattr(recurrence_core, "_run_f64", f64_stream)
         for params in self.draws(family, backend):
             spec = build(family, params, backend)
             assert spec.right is None
             stepped.clear()
             got = run(spec, N).coeffs
-            assert stepped == [spec.left], (family, params)
+            assert len(stepped) == 1 and stepped[0] is spec.left.polys, (family, params)
             want = self.two_branches(family, params, backend, N)
             assert self.bits(got) == self.bits(want), (family, params, N)
 
