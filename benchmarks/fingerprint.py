@@ -24,8 +24,12 @@ type and message in place of the exit code.  The groups are:
   finite, and ``--count 4``, whose u_3 overflows), and the top-level
   parse errors: ``list extra`` and ``verify --seed 1 x`` (unrecognized
   arguments), ``frobnicate`` (an unknown command), no argv, ``coeffs``
-  with no flags, and ``--x coeffs --family exp-M --count 3`` (an unknown
-  option before the command).  Help texts are
+  with no flags, ``--x coeffs --family exp-M --count 3`` (an unknown
+  option before the command), ``--help coeffs`` and ``-h verify`` (help
+  before the command), and a full ``coeffs`` request with a trailing
+  ``extra`` token.  A leading command builds that command's subparser
+  alone, and a token before it builds all five, so these cases cover both
+  shapes of the parser.  Help texts are
   formatted at ``COLUMNS=80``, which the script sets, so they do not depend
   on the terminal.
 
@@ -136,6 +140,9 @@ def surface_groups() -> dict:
         [],
         ["coeffs"],
         ["--x", "coeffs", "--family", "exp-M", "--count", "3"],
+        ["--help", "coeffs"],
+        ["-h", "verify"],
+        exp_m + ["--a=1", "--count", "3", "extra"],
     ]}
 
 

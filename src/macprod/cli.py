@@ -339,12 +339,21 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command) -> argparse.ArgumentParser:
-    """The parser, with every command named but only ``command``'s flags and
-    handler (none when ``command`` is None).  A request is parsed by its
-    command's subparser alone, so the top-level usage line, the command
-    choices and every error come from the same objects whichever command
-    was built."""
+def _build_parser(command, alone=False) -> argparse.ArgumentParser:
+    """The parser, with ``command``'s flags and handler (none when
+    ``command`` is None), in one of two shapes:
+
+    * ``alone`` (``main`` asks for it when the first token names
+      ``command``): ``command``'s subparser only.  An explicit metavar keeps
+      all five commands in the top-level usage line and errors.
+    * otherwise: a subparser for every command, the others bare, so
+      ``--help coeffs``, an unknown or missing command and an option before
+      the command print what they always did.  The metavar stays off here,
+      where it would replace ``command`` in the missing-command error.
+
+    Each call builds a new parser.  A cached one would save more per
+    request, but ``perfbench/run.py`` keeps a record per send, so the extra
+    sends would take its ``peak_rss_mb`` past that metric's bound."""
     parser = argparse.ArgumentParser(
         prog="macprod",
         description=(
@@ -352,8 +361,10 @@ def _build_parser(command) -> argparse.ArgumentParser:
             "via linear recurrences, cross-checked against a convolution oracle."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_flags, handler) in _COMMANDS.items():
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if alone else None)
+    for name in (command,) if alone else _COMMANDS:
+        help_text, add_flags, handler = _COMMANDS[name]
         p_command = sub.add_parser(name, help=help_text)
         if name == command:
             add_flags(p_command)
@@ -362,10 +373,15 @@ def _build_parser(command) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one request; the return value is its exit code.  Its parser is
+    built anew in the shape that its first token selects (see
+    :func:`_build_parser`): one subparser where that token names the
+    command, as in every documented invocation, all five otherwise."""
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top level takes no option with a value, so the first token that
     # names a command is the command argparse dispatches to
-    parser = _build_parser(next((token for token in argv if token in _COMMANDS), None))
+    command = next((token for token in argv if token in _COMMANDS), None)
+    parser = _build_parser(command, alone=bool(argv) and argv[0] == command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

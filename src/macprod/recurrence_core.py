@@ -60,6 +60,7 @@ values), so no internal parallelism is attempted.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -237,8 +238,12 @@ def _stream(polys, window: list, n0: int, N: int):
     wi = None if real else [s.im.numerator * (D // s.im.denominator) for s in window]
     den_im = None if den_im == (0,) else den_im
     terms = [(k - i, a, b if b != (0,) else None) for i, (a, b) in terms]
-    out_re, out_im, dens = [], None if real else [], []
-    for n in range(n0, N):
+    try:  # sized before the first step, as _run_f64's array is
+        out_re = [0] * (N - n0)
+    except OverflowError as exc:  # past sys.maxsize entries, refused before allocating
+        raise MemoryError(str(exc)) from None
+    out_im, dens = None if real else out_re.copy(), out_re.copy()
+    for i, n in enumerate(range(n0, N)):
         xr = xi = 0
         for j, a, b in terms:
             c = _horner(a, n)
@@ -260,11 +265,11 @@ def _stream(polys, window: list, n0: int, N: int):
             m, xr, xi = m // g, xr // g, xi // g
         D *= m
         wr = [w * m for w in wr[1:]] + [xr]
-        out_re.append(xr)
+        out_re[i] = xr
         if wi is not None:
             wi = [w * m for w in wi[1:]] + [xi]
-            out_im.append(xi)
-        dens.append(D)
+            out_im[i] = xi
+        dens[i] = D
     return out_re, out_im, dens
 
 
@@ -303,8 +308,8 @@ def _run_generic(spec: RecurrenceSpec, N: int) -> list:
     live = [any(p) for p in parts]
     if not any(live):  # still step one, so a singular row is reported
         live[0] = True
-    streams = [
-        _values(_stream(spec.polys, p, n0, N)) if on else [_ZERO] * (N - n0)
+    streams = [  # a part not stepped is zero: repeat it along the stepped one
+        _values(_stream(spec.polys, p, n0, N)) if on else itertools.repeat(_ZERO)
         for p, on in zip(parts, live)
     ]
     if pi:

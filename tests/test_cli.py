@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from macprod import cli, kernels, numerics
+from macprod import cli, kernels, numerics, recurrence_core
 from macprod.families import build, get_family, list_families, params_snapshot
 from macprod.numerics import GaussianRational, PiLinear, approximate, format_scalar, get_backend
 from macprod.recurrence_core import run
@@ -627,6 +628,84 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: argument {flag}: expected one argument\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("coeffs", "--family", "exp-M", "--a=1", "--c=1", "--p=1"),
+        ("verify", "--family", "exp-M", "--a=1", "--c=1", "--p=1"),
+        ("coeffs", "--family", "exp-K", "--p=1"),  # seeds all in pi: one part is not stepped
+    ], ids=["coeffs", "verify", "coeffs-pi-seeds"])
+    def test_exact_count_past_sys_maxsize_is_2(self, capsys, monkeypatch, argv):
+        # the exact stream is sized before its first step, and a list longer
+        # than sys.maxsize is refused before anything is allocated: no row
+        # polynomial is ever evaluated
+        def step(poly, x):
+            raise AssertionError(f"stepped at n={x}")
+
+        monkeypatch.setattr(recurrence_core, "_horner", step)
+        count = "100000000000000000000"
+        code, out, err = run_cli(capsys, *argv, "--backend", "exact", "--count", count)
+        assert (code, out, err) == (2, "", f"error: --count {count} is too large for memory\n")
+
+
+class TestParserShapes:
+    """A request whose first token names its command builds that command's
+    subparser alone; any other argv builds all five, as the bytes below
+    require of both shapes."""
+
+    LEADING = [
+        ["list"],
+        ["coeffs", "--family", "exp-M", "--a=1", "--c=1", "--p=1", "--count", "3"],
+        ["coeffs", "--family", "exp-M", "--a=1", "--c=1", "--p=1", "--count", "3", "extra"],
+        ["verify", "--seed", "1", "x"],
+        ["eval", "--help"],
+        ["bench", "--family", "tan-M", "--count", "3"],
+        ["coeffs"],
+    ]
+    NOT_LEADING = [
+        ["--x", "coeffs", "--family", "exp-M", "--count", "3"],
+        ["--help", "coeffs"],
+        ["-h", "verify"],
+        ["frobnicate"],
+        [],
+    ]
+
+    @staticmethod
+    def parsers_built(monkeypatch, capsys, argv) -> int:
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.main(argv)
+        capsys.readouterr()
+        return len(built)
+
+    @pytest.mark.parametrize("argv", LEADING, ids=" ".join)
+    def test_a_leading_command_builds_two_parsers(self, capsys, monkeypatch, argv):
+        assert self.parsers_built(monkeypatch, capsys, argv) == 2
+
+    @pytest.mark.parametrize("argv", NOT_LEADING, ids=lambda argv: " ".join(argv) or "no-argv")
+    def test_any_other_argv_builds_six(self, capsys, monkeypatch, argv):
+        assert self.parsers_built(monkeypatch, capsys, argv) == 6
+
+    @pytest.mark.parametrize("argv", [["--help", "coeffs"], ["-h", "verify"]])
+    def test_help_before_the_command_is_the_top_level_help(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli(capsys, "--help")
+        assert (code, err) == (0, "") and out.startswith(USAGE)
+        assert run_cli(capsys, *argv) == (0, out, "")
+
+    def test_extra_token_after_a_full_request(self, capsys):
+        argv = ["coeffs", "--family", "exp-M", "--a=1", "--c=1", "--p=1", "--count", "3", "extra"]
+        assert run_cli(capsys, *argv) == (
+            2, "", USAGE + "macprod: error: unrecognized arguments: extra\n")
+
+    def test_no_argv_still_names_command(self, capsys):
+        code, out, err = run_cli(capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith("the following arguments are required: command\n")
 
 
 class TestEval:
