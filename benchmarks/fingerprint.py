@@ -26,10 +26,12 @@ type and message in place of the exit code.  The groups are:
   arguments), ``frobnicate`` (an unknown command), no argv, ``coeffs``
   with no flags, ``--x coeffs --family exp-M --count 3`` (an unknown
   option before the command), ``--help coeffs`` and ``-h verify`` (help
-  before the command), and a full ``coeffs`` request with a trailing
-  ``extra`` token.  A leading command builds that command's subparser
-  alone, and a token before it builds all five, so these cases cover both
-  shapes of the parser.  Help texts are
+  before the command), and full requests with tokens their command does not
+  take: a trailing ``extra``, ``extra more`` or ``-- x``, ``--bogus=1``
+  after the command, ``--family --`` and ``--normalized=1``; also ``--fam``,
+  a prefix of ``--family``.  So every path of ``cli._parse`` is covered: a
+  leading command's own parser, the full parser that reports the tokens it
+  leaves over, and the full parser for any other argv.  Help texts are
   formatted at ``COLUMNS=80``, which the script sets, so they do not depend
   on the terminal.
 
@@ -143,6 +145,13 @@ def surface_groups() -> dict:
         ["--help", "coeffs"],
         ["-h", "verify"],
         exp_m + ["--a=1", "--count", "3", "extra"],
+        exp_m + ["--a=1", "--count", "3", "--", "x"],
+        ["coeffs", "--fam", "exp-M", "--a=1", "--c=1", "--p=1", "--count", "3"],
+        ["coeffs", "--bogus=1", "--family", "exp-M", "--a=1", "--c=1", "--p=1", "--count", "3"],
+        ["coeffs", "--count", "3", "--family", "--"],
+        ["coeffs", "--family", "exp-K", "--p=1", "--count", "3", "--normalized=1"],
+        ["eval", "--family", "exp-M", "--a=1", "--c=1", "--p=1", "--z=1/2", "--count", "3",
+         "extra", "more"],
     ]}
 
 

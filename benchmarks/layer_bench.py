@@ -23,6 +23,8 @@ each replay's calls (the f64 inverse sine writes its rows itself, so its
 (``recurrence_core.run``), and for a combo ``branches``, the runs of the
 branches it steps, so that ``run`` minus ``branches`` is the combine (a
 single spec's one branch is its run, so it has no ``branches`` record).
+Both also time ``parse``, ``cli._parse`` of the argv of the case's request
+(``coeffs`` for exact, ``verify`` for f64).
 
 ``--backend exact`` (sizes 40, 256, 1024; JSON benchmark ``exact-rows``):
 ``branches`` replays ``recurrence_core._run_generic``, ``step`` the stepping
@@ -166,12 +168,14 @@ def _layers(backend: str, family: str, values: dict, N: int) -> dict:
     recorded |= ran | referee
     replay = {layer: _replay(*calls) for layer, calls in recorded.items()}
     flags = [f"--family={family}", f"--backend={backend}", *(f"--{k}={values[k]}" for k in names)]
-    layers = {"build": lambda: build(family, pp, backend), "rows": replay["rows"]}
+    argv = (["coeffs", *flags, f"--count={N + 1}"] if backend == "exact"
+            else ["verify", *flags, f"--count={N}"])
+    layers = {"parse": lambda: cli._parse(argv), "build": lambda: build(family, pp, backend),
+              "rows": replay["rows"]}
     # a single spec's branch is the run itself: branches are timed for combos only
     combo = isinstance(spec, recurrence_core.ComboSpec)
     if backend == "exact":
-        argv = ["coeffs", *flags, f"--count={N + 1}"]
-        args = cli._build_parser("coeffs").parse_args(argv)
+        args = cli._parse(argv)
         layers |= {"step": replay["step"], "wrap": replay["wrap"]}
         if combo:
             layers["branches"] = replay["branches"]
@@ -190,7 +194,7 @@ def _layers(backend: str, family: str, values: dict, N: int) -> dict:
         "run": lambda: recurrence_core.run(spec, N),
         "series": lambda: (replay["h"](), replay["base"]()), "convolve": replay["convolve"],
         "convolve_whole": lambda: [np.convolve(a, b)[: len(a)] for (a, b), _ in convolved],
-        "verify": lambda: _request(["verify", *flags, f"--count={N}"]),
+        "verify": lambda: _request(argv),
     }
 
 

@@ -15,6 +15,15 @@ build or run begins, and the referee (``verify``, which brings the
 validation errors load only this module, ``families`` and ``numerics``;
 ``coeffs`` and ``eval`` add the engine but not the oracle, and only
 ``verify`` and ``bench`` load the referee and the oracle.
+
+A request whose first token names its command, as every documented
+invocation does, is parsed by one ``ArgumentParser``, that command's own
+(:func:`_parse`); only other argv build the full parser of five subparsers.
+Neither is cached, nor is the terminal width read once for them.  Either
+would speed up a request further, but ``perfbench/run.py`` keeps a record
+per request it sends, so its ``peak_rss_mb`` grows with the request rate: a
+cache would take it past its bound, the width read once to within about a
+point of it.
 """
 
 from __future__ import annotations
@@ -339,21 +348,13 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command, alone=False) -> argparse.ArgumentParser:
-    """The parser, with ``command``'s flags and handler (none when
-    ``command`` is None), in one of two shapes:
-
-    * ``alone`` (``main`` asks for it when the first token names
-      ``command``): ``command``'s subparser only.  An explicit metavar keeps
-      all five commands in the top-level usage line and errors.
-    * otherwise: a subparser for every command, the others bare, so
-      ``--help coeffs``, an unknown or missing command and an option before
-      the command print what they always did.  The metavar stays off here,
-      where it would replace ``command`` in the missing-command error.
-
-    Each call builds a new parser.  A cached one would save more per
-    request, but ``perfbench/run.py`` keeps a record per send, so the extra
-    sends would take its ``peak_rss_mb`` past that metric's bound."""
+def _build_parser(command) -> argparse.ArgumentParser:
+    """The full parser: a subparser for every command, ``command``'s with its
+    flags and handler (none when ``command`` is None), the others bare.
+    :func:`_parse` builds it only for an argv whose first token does not name
+    a command (``--help coeffs``, an option before the command, an unknown
+    or missing command), and to report tokens that a leading command's own
+    parser left over, so that those print the top-level usage line."""
     parser = argparse.ArgumentParser(
         prog="macprod",
         description=(
@@ -361,10 +362,8 @@ def _build_parser(command, alone=False) -> argparse.ArgumentParser:
             "via linear recurrences, cross-checked against a convolution oracle."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(_COMMANDS) + "}" if alone else None)
-    for name in (command,) if alone else _COMMANDS:
-        help_text, add_flags, handler = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, handler) in _COMMANDS.items():
         p_command = sub.add_parser(name, help=help_text)
         if name == command:
             add_flags(p_command)
@@ -372,18 +371,43 @@ def _build_parser(command, alone=False) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    """Run one request; the return value is its exit code.  Its parser is
-    built anew in the shape that its first token selects (see
-    :func:`_build_parser`): one subparser where that token names the
-    command, as in every documented invocation, all five otherwise."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # the top level takes no option with a value, so the first token that
-    # names a command is the command argparse dispatches to
+def _parse(argv: list) -> argparse.Namespace:
+    """The parsed request; argparse raises ``SystemExit`` on ``--help`` and
+    on a parse error.
+
+    Where the first token names the command, as in every documented
+    invocation, one parser parses the rest: that command's own, with the
+    prog, flags and handler of its subparser in the full parser, so its help
+    and errors keep their bytes.  Tokens it leaves over are reported by the
+    full parser, as its ``parse_args`` would report them.  Any other argv
+    goes to the full parser, built for the first token that names a command
+    (the top level takes no option with a value, so argparse dispatches to
+    that one).
+
+    Each call builds its parsers anew, with argparse's own help formatter;
+    the module docstring says why neither is cached nor given the terminal
+    width once."""
+    if argv and argv[0] in _COMMANDS:
+        command = argv[0]
+        _, add_flags, handler = _COMMANDS[command]
+        parser = argparse.ArgumentParser(prog=f"macprod {command}")
+        add_flags(parser)
+        parser.set_defaults(func=handler)
+        args, extras = parser.parse_known_args(argv[1:])
+        if extras:
+            _build_parser(None).error(f"unrecognized arguments: {' '.join(extras)}")
+        return args
     command = next((token for token in argv if token in _COMMANDS), None)
-    parser = _build_parser(command, alone=bool(argv) and argv[0] == command)
+    return _build_parser(command).parse_args(argv)
+
+
+def main(argv=None) -> int:
+    """Run one request; the return value is its exit code.  Its argv is
+    parsed by :func:`_parse`, which builds one parser for a request whose
+    first token names the command and the full parser otherwise."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # argparse stores [] for a flag whose value is "--", bypassing type and choices

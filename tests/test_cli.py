@@ -196,7 +196,7 @@ def _dict_csv(records, exact):
 def reference_coeffs(argv):
     """What ``coeffs`` printed before the record writer: the dict records
     through ``emit_json`` (JSON) or joined by column (CSV)."""
-    args = cli._build_parser("coeffs").parse_args(argv)
+    args = cli._parse(argv)
     bk = get_backend(args.backend)
     info = get_family(args.family)
     params = cli._parse_params(args, bk)
@@ -648,9 +648,9 @@ class TestExitCodes:
 
 
 class TestParserShapes:
-    """A request whose first token names its command builds that command's
-    subparser alone; any other argv builds all five, as the bytes below
-    require of both shapes."""
+    """A request whose first token names its command is parsed by that
+    command's own parser alone; any other argv builds the full parser with
+    all five subparsers, as the bytes below require of both."""
 
     LEADING = [
         ["list"],
@@ -661,12 +661,45 @@ class TestParserShapes:
         ["bench", "--family", "tan-M", "--count", "3"],
         ["coeffs"],
     ]
+    #: the LEADING argv with tokens left over, which the full parser reports
+    LEFT_OVER = (LEADING[2], LEADING[3])
     NOT_LEADING = [
         ["--x", "coeffs", "--family", "exp-M", "--count", "3"],
         ["--help", "coeffs"],
         ["-h", "verify"],
         ["frobnicate"],
         [],
+    ]
+    EXP_M = ["coeffs", "--family", "exp-M", "--a=1", "--c=1", "--p=1", "--count", "3"]
+    #: argv that a leading command's own parser must answer as the full
+    #: parser does: edge cases of argparse, a request of each perfbench
+    #: workload, and help after the flags
+    SAME_ANSWER = [
+        EXP_M + ["--", "x"],
+        ["coeffs", "--fam", "exp-M", "--a=1", "--c=1", "--p=1", "--count", "3"],
+        ["coeffs", "--bogus=1", *EXP_M[1:]],
+        ["list", "extra"],
+        ["coeffs", "--count", "3", "--family", "--"],
+        EXP_M + ["--count", "4"],
+        ["coeffs", "--family", "exp-K", "--p=1", "--count", "3", "--normalized=1"],
+        ["verify", "--seed", "1", "x"],
+        ["coeffs"],
+        EXP_M + ["extra"],
+        ["eval", "--family", "exp-M", "--a=1", "--c=1", "--p=1", "--z=1/2", "--count", "3",
+         "extra", "more"],
+        ["coeffs", "--f", "exp-M", "--count", "3"],
+        ["coeffs", "--family", "exp-M", "--backend", "bogus", "--count", "3"],
+        ["coeffs", "--family", "exp-M", "--count", "x"],
+        ["coeffs", "--family", "exp-M", "--a", "-3/4", "--c=1", "--p=1", "--count", "3"],
+        ["coeffs", "--", "--family", "exp-M", "--count", "3"],
+        ["verify", "-x"],
+        ["coeffs", "--family", "exp-M", "--backend", "f64", "--count", "64", "--a=-2/1",
+         "--c=10/9", "--p=1/3"],
+        ["coeffs", "--family", "exp-M", "--backend", "exact", "--count", "40", "--a=1/2",
+         "--c=-12/5", "--p=-2/1"],
+        ["verify", "--backend", "f64", "--family", "exp-M", "--count", "1024", "--a=1/2",
+         "--c=12/7", "--p=1/1"],
+        ["bench", "--family", "tan-M", "--count", "3", "-h"],
     ]
 
     @staticmethod
@@ -684,7 +717,10 @@ class TestParserShapes:
 
     @pytest.mark.parametrize("argv", LEADING, ids=" ".join)
     def test_a_leading_command_builds_two_parsers(self, capsys, monkeypatch, argv):
-        assert self.parsers_built(monkeypatch, capsys, argv) == 2
+        # one parser, the command's own; the full parser (six more) is built
+        # only to report the tokens it leaves over
+        expected = 7 if argv in self.LEFT_OVER else 1
+        assert self.parsers_built(monkeypatch, capsys, argv) == expected
 
     @pytest.mark.parametrize("argv", NOT_LEADING, ids=lambda argv: " ".join(argv) or "no-argv")
     def test_any_other_argv_builds_six(self, capsys, monkeypatch, argv):
@@ -696,6 +732,23 @@ class TestParserShapes:
         code, out, err = run_cli(capsys, "--help")
         assert (code, err) == (0, "") and out.startswith(USAGE)
         assert run_cli(capsys, *argv) == (0, out, "")
+
+    @pytest.mark.parametrize("argv", SAME_ANSWER, ids=" ".join)
+    def test_the_commands_parser_answers_as_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def answer(parse):
+            try:
+                fields, code = vars(parse(argv)), None
+            except SystemExit as exc:
+                fields, code = None, exc.code
+            out, err = capsys.readouterr()
+            return code, out, err, fields
+
+        full = answer(cli._build_parser(argv[0]).parse_args)
+        if full[3] is not None:
+            assert full[3].pop("command") == argv[0]
+        assert answer(cli._parse) == full
 
     def test_extra_token_after_a_full_request(self, capsys):
         argv = ["coeffs", "--family", "exp-M", "--a=1", "--c=1", "--p=1", "--count", "3", "extra"]

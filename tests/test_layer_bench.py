@@ -16,9 +16,10 @@ PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 #: each backend's layers; "step" stands for one step_<impl> per f64 implementation, and
 #: "branches" is timed for combos only
 FIELDS = {
-    "exact": ("build", "rows", "step", "wrap", "branches", "run", "text", "request", "oracle"),
-    "f64": ("build", "rows", "step", "branches", "run", "series", "convolve", "convolve_whole",
-            "verify"),
+    "exact": ("parse", "build", "rows", "step", "wrap", "branches", "run", "text", "request",
+              "oracle"),
+    "f64": ("parse", "build", "rows", "step", "branches", "run", "series", "convolve",
+            "convolve_whole", "verify"),
 }
 
 
